@@ -58,7 +58,8 @@ class ArrayValue:
     (0 for C, typically 1 for Fortran).
     """
 
-    __slots__ = ("data", "type_base", "lowers")
+    __slots__ = ("data", "type_base", "lowers", "_shape", "_lo0", "_n0",
+                 "_rank1")
 
     def __init__(
         self,
@@ -77,30 +78,44 @@ class ArrayValue:
         self.lowers = tuple(int(l) for l in (lowers or (0,) * len(shape)))
         if len(self.lowers) != len(shape):
             raise AccRuntimeError("lower-bounds rank mismatch")
+        # precomputed for the element accessors: the shape, and the rank-1
+        # lower bound and extent (the storage never changes shape)
+        self._shape = shape
+        self._rank1 = len(shape) == 1
+        self._lo0 = self.lowers[0] if shape else 0
+        self._n0 = shape[0] if shape else 0
 
     # -- indexing ----------------------------------------------------------
 
     def _offset(self, indices: Sequence[int]) -> Tuple[int, ...]:
-        if len(indices) != self.data.ndim:
+        if len(indices) != len(self._shape):
             raise AccRuntimeError(
-                f"rank mismatch: {len(indices)} subscripts for rank-{self.data.ndim} array"
+                f"rank mismatch: {len(indices)} subscripts for rank-{len(self._shape)} array"
             )
         off = tuple(int(i) - l for i, l in zip(indices, self.lowers))
-        for o, extent in zip(off, self.data.shape):
+        for o, extent in zip(off, self._shape):
             if o < 0 or o >= extent:
                 raise AccRuntimeError(
-                    f"index out of bounds: subscript {indices} for shape {self.data.shape} "
+                    f"index out of bounds: subscript {indices} for shape {self._shape} "
                     f"(lower bounds {self.lowers})"
                 )
         return off
 
     def get(self, indices: Sequence[int]):
-        value = self.data[self._offset(indices)]
-        if self.type_base in ("float", "double"):
-            return float(value)
-        return int(value)
+        # ``item`` returns the Python int/float the dtype maps to, exactly
+        # what int()/float() of the numpy scalar would give
+        if self._rank1 and len(indices) == 1:
+            off = int(indices[0]) - self._lo0
+            if 0 <= off < self._n0:
+                return self.data.item(off)
+        return self.data.item(self._offset(indices))
 
     def set(self, indices: Sequence[int], value) -> None:
+        if self._rank1 and len(indices) == 1:
+            off = int(indices[0]) - self._lo0
+            if 0 <= off < self._n0:
+                self.data[off] = value
+                return
         self.data[self._offset(indices)] = value
 
     # -- sections ------------------------------------------------------------

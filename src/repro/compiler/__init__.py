@@ -18,6 +18,7 @@ from repro.compiler.errors import (
 )
 from repro.compiler.interp import (
     BACKENDS,
+    DEFAULT_BACKEND,
     ExecutionLimits,
     ExecutionResult,
     Interpreter,
@@ -30,7 +31,7 @@ __all__ = [
     "CacheOutcome", "CacheStats", "CompileCache",
     "LoweredProgram", "lower_program",
     "CompileError", "CompilerCrashError", "UnsupportedFeatureError",
-    "BACKENDS", "ExecutionLimits", "ExecutionResult", "Interpreter",
+    "BACKENDS", "DEFAULT_BACKEND", "ExecutionLimits", "ExecutionResult", "Interpreter",
     "InterpreterReuseError",
     "CompiledProgram", "Compiler", "ProgramRunner",
 ]

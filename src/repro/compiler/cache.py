@@ -14,9 +14,12 @@ rejects a directive rejects it identically on every attempt, and the
 error-heavy beta sweeps benefit the most.
 
 The cache is thread-safe (the ``thread`` execution policy shares one
-runner); under the ``process`` policy each worker process holds its own
-cache, and the engine aggregates hit counters from the per-phase flags
-carried by the results.
+runner) and single-flight: threads that miss the same key while it is
+being compiled wait for that one compile and count as hits, so a key is
+compiled (and counted as a miss) once however many threads race for it.
+Under the ``process`` policy each worker process holds its own cache, and
+the engine aggregates hit counters from the per-phase flags carried by the
+results.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.compiler.errors import CompileError, CompilerCrashError
 
@@ -71,6 +74,17 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+class _Flight:
+    """One in-progress compile of a key; ``entry`` is its cached result,
+    or None when the compile crashed (crashes are never cached)."""
+
+    __slots__ = ("done", "entry")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.entry: Optional[Tuple[object, object]] = None
+
+
 class CompileCache:
     """Bounded LRU cache of compile results (successes and errors)."""
 
@@ -80,6 +94,8 @@ class CompileCache:
         self.maxsize = maxsize
         self._entries: "OrderedDict[tuple, Tuple[object, object]]" = OrderedDict()
         self._lock = threading.Lock()
+        #: keys being compiled right now -> their flight
+        self._inflight: Dict[tuple, _Flight] = {}
         self.hits = 0
         self.misses = 0
 
@@ -126,6 +142,10 @@ class CompileCache:
         accounted as a miss, wrapped in :class:`CompilerCrashError` and
         surfaced as the outcome's error — never cached, never raised.
 
+        A miss on a key another thread is compiling waits for that compile
+        and takes its result as a hit.  If that compile crashed, the waiter
+        tries again itself: a crash is never shared, as it is never cached.
+
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
         ``compile.cache_hit``/``compile.cache_miss`` events and counters;
         cached errors are hits, fresh errors additionally bump
@@ -133,11 +153,23 @@ class CompileCache:
         """
         k = self.key(source, language, name, compiler.behavior)
         observe = tracer is not None and tracer.enabled
-        with self._lock:
-            entry = self._entries.get(k)
-            if entry is not None:
-                self._entries.move_to_end(k)
-                self.hits += 1
+        while True:
+            with self._lock:
+                entry = self._entries.get(k)
+                if entry is not None:
+                    self._entries.move_to_end(k)
+                    self.hits += 1
+                    break
+                flight = self._inflight.get(k)
+                if flight is None:
+                    flight = self._inflight[k] = _Flight()
+                    break
+            flight.done.wait()
+            with self._lock:
+                entry = flight.entry
+                if entry is not None:
+                    self.hits += 1
+                    break
         if entry is not None:
             program, error = entry
             if observe:
@@ -152,17 +184,18 @@ class CompileCache:
         try:
             program = compiler.compile(source, language, name)
         except CompileError as err:
-            self._store(k, (None, err))
+            self._store(k, (None, err), flight)
             if observe:
                 tracer.metrics.counter("compile.errors").inc()
             return CacheOutcome(program=None, error=err, hit=False)
-        except Exception as err:  # internal compiler crash: keep the contract
+        except BaseException as err:
             # Account the miss (the attempt really went to the compiler) but
             # cache nothing: a transient crash must not poison future
             # compiles of the same source the way a negative-cached
-            # diagnostic would.
-            with self._lock:
-                self.misses += 1
+            # diagnostic would.  Waiters wake and compile for themselves.
+            self._store(k, None, flight)
+            if not isinstance(err, Exception):
+                raise  # interrupts are not compiler crashes
             if observe:
                 tracer.event("compile.crashed", template=name,
                              language=language, error=repr(err))
@@ -171,13 +204,20 @@ class CompileCache:
                 f"internal compiler crash: {err!r}", cause=err
             )
             return CacheOutcome(program=None, error=crash, hit=False)
-        self._store(k, (program, None))
+        self._store(k, (program, None), flight)
         return CacheOutcome(program=program, error=None, hit=False)
 
-    def _store(self, k: tuple, entry: Tuple[object, object]) -> None:
+    def _store(self, k: tuple, entry: Optional[Tuple[object, object]],
+               flight: _Flight) -> None:
+        """Count the miss, cache ``entry`` (None: a crash, not cached) and
+        hand it to the flight's waiters."""
         with self._lock:
             self.misses += 1
-            self._entries[k] = entry
-            self._entries.move_to_end(k)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            if entry is not None:
+                self._entries[k] = entry
+                self._entries.move_to_end(k)
+                while len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+            flight.entry = entry
+            del self._inflight[k]
+        flight.done.set()

@@ -12,9 +12,9 @@ callable ``f(I, S)`` where ``I`` is the per-run :class:`Interpreter`
 (mutable state: steps, limits, globals, output, machine) and ``S`` is the
 current scope.  Lowering is a pure function of the AST — closures never
 capture an interpreter — so one :class:`LoweredProgram` is shared across
-all M iterations, across threads, and across compile-cache hits.
+all M iterations of a phase and across threads.
 
-Two lowering tiers:
+Three lowering tiers:
 
 * **Tier A (slot frames)** — host function bodies.  A compile-time lexical
   resolver mirrors exactly where the tree walker would create
@@ -27,17 +27,28 @@ Two lowering tiers:
   :class:`~repro.compiler.exec_model.AccExecutor` never defines into an
   env it was handed, only into children it creates).
 
-* **Tier B (env closures)** — statements and expressions executed by the
-  OpenACC execution model through ``interp.exec_stmt``/``eval``/
-  ``exec_for`` with an :class:`Env` it built (region bodies, clause
-  expressions).  These are lowered on demand and memoised per node, with
-  the same ``Env`` semantics as the tree walker.
+* **Device frames** — compute-region bodies, lowered on a region's first
+  entry against its :class:`~repro.compiler.exec_model.ComputePlan`.  The
+  frame's root scope has a slot for every name the region can mention;
+  region entry fills it from the mapped cells, and gang, lane and
+  iteration privatisation write slots instead of building Env chains.  A
+  root slot the region does not bind stays None and reads as an undefined
+  variable, as the region's parentless Env chain would.
 
-At the boundary between the tiers, an OpenACC statement inside a Tier-A
-function body materialises a *bridge* ``Env`` whose ``vars`` hold the
-lexically visible frame cells (chained to ``I.globals``), and hands it to
-the executor — the executor sees exactly the env chain the tree walker
-would have given it.
+* **Tier B (env closures)** — the fallback for statements and expressions
+  the executor runs through ``interp.exec_stmt``/``eval``/``exec_for``
+  with an :class:`Env` (clause expressions, computed ``collapse`` depths).
+  These are lowered on demand and memoised per node, with the same
+  ``Env`` semantics as the tree walker.
+
+At a construct inside a frame, the executor gets a :class:`FrameEnv`: an
+Env face over the live frame with the construct's lowered bodies
+attached.  Work it defers must not see the frame move on, so it
+snapshots an async compute region with ``FrameEnv.child()`` — an Env
+over the lexically visible cells, chained to ``I.globals`` for host
+frames — and standalone directives (whose updates may defer) get such a
+snapshot directly: exactly the env chain the tree walker would have
+given them.
 
 The hard constraint is observable equivalence with the tree walker: step
 accounting, error strings (they appear in suite reports) and evaluation
@@ -47,7 +58,9 @@ order are mirrored exactly; ``tests/test_closures.py`` enforces identical
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
 from repro.accsim.values import ArrayValue, Cell, DevicePointer, coerce_scalar
@@ -95,13 +108,12 @@ from repro.ir.astnodes import (
     Unary,
     VarDecl,
     While,
+    walk,
 )
+from repro.ir.acc import DataRef
 
-#: acc statement kinds are never memoised: combined directives synthesise a
-#: fresh ``AccLoop`` node per execution (see ``AccExecutor.exec_acc_loop``),
-#: so an ``id()``-keyed cache would grow without bound — and their lowering
-#: is a single trivial closure anyway.
-_ACC_STMTS = (AccConstruct, AccLoop, AccStandalone)
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.compiler.exec_model import ComputePlan
 
 #: bases for which ``coerce_scalar`` is the identity on an exact ``int``
 #: (must track the int family in :func:`repro.accsim.values.coerce_scalar`)
@@ -279,11 +291,15 @@ class _FrameScope:
     binding, exactly as the runtime chain walk would).
     """
 
-    __slots__ = ("_stack", "nslots")
+    __slots__ = ("_stack", "nslots", "unbound")
 
     def __init__(self) -> None:
         self._stack: List[Dict[str, int]] = [{}]
         self.nslots = 0
+        #: slots that may hold None at runtime: in a device frame, names the
+        #: region's scope chain may not bind (a use of one is an undefined
+        #: variable, exactly as the chain walk would find)
+        self.unbound: Set[int] = set()
 
     def push(self) -> None:
         self._stack.append({})
@@ -291,11 +307,17 @@ class _FrameScope:
     def pop(self) -> None:
         self._stack.pop()
 
-    def declare(self, name: str) -> int:
+    def declare(self, name: str, unbound: bool = False) -> int:
         slot = self.nslots
         self.nslots += 1
         self._stack[-1][name] = slot
+        if unbound:
+            self.unbound.add(slot)
         return slot
+
+    def bound(self, slot: Optional[int]) -> bool:
+        """True when ``slot`` always holds a cell by the time it is read."""
+        return slot is not None and slot not in self.unbound
 
     def resolve(self, name: str) -> Optional[int]:
         for scope in reversed(self._stack):
@@ -344,7 +366,7 @@ def invoke_function(I, lowered: LoweredFunction, args: Sequence[object]):
             frame[slot] = arg  # by-reference (Fortran)
         else:
             frame[slot] = Cell(arg, type=param.type, name=param.name)
-    env = _bridge_env(I, frame, lowered.entry_visible)
+    env = _bridge_env(I.globals, frame, lowered.entry_visible)
     I.acc.enter_function(fn, env)
     try:
         lowered.body(I, frame)
@@ -356,10 +378,12 @@ def invoke_function(I, lowered: LoweredFunction, args: Sequence[object]):
     return result
 
 
-def _bridge_env(I, frame: List[Optional[Cell]],
+def _bridge_env(parent: Optional[Env], frame: List[Optional[Cell]],
                 visible: Tuple[Tuple[str, int], ...]) -> Env:
-    """An Env over the lexically visible frame cells, chained to globals."""
-    env = Env(parent=I.globals)
+    """An Env over the lexically visible frame cells, chained to ``parent``
+    (the globals for host frames; none for device frames, whose scope
+    chain ends at the region)."""
+    env = Env(parent=parent)
     env_vars = env.vars
     for name, slot in visible:
         cell = frame[slot]
@@ -368,11 +392,183 @@ def _bridge_env(I, frame: List[Optional[Cell]],
     return env
 
 
+# ---------------------------------------------------------------------------
+# construct sites and device frames (compute-region bodies)
+# ---------------------------------------------------------------------------
+
+
+class _Site:
+    """The lexical view of a slot frame at one point of a body."""
+
+    __slots__ = ("names", "visible", "lanes", "scoped")
+
+    def __init__(self, visible: Tuple[Tuple[str, int], ...],
+                 lanes: Optional[Dict[int, "_ScopedCode"]] = None,
+                 scoped: Optional["_ScopedCode"] = None):
+        self.visible = visible
+        self.names = dict(visible)
+        #: collapse depth -> lowered lane body (device ``loop`` sites)
+        self.lanes = lanes or {}
+        #: the lowered body the executor runs in a scope of its own: a
+        #: ``data``/``host_data`` body, or the host run of an if(false)
+        #: compute region or an orphaned loop
+        self.scoped = scoped
+
+
+class FrameEnv:
+    """A slot frame seen from one site, with the face of an :class:`Env`
+    the executor needs: ``lookup`` for clause operands, reduction targets
+    and private shapes; ``child`` for its Env fallbacks (a bridge Env over
+    the visible cells); and the site's lowered bodies, if any.
+
+    ``parent`` is the globals for a host frame and None for a device
+    frame, whose scope chain ends at the region.  A FrameEnv reads the
+    frame live, so the executor snapshots it with ``child()`` before it
+    defers an async region, and standalone directives never get one.
+    """
+
+    __slots__ = ("frame", "site", "parent")
+
+    def __init__(self, frame: List[Optional[Cell]], site: _Site,
+                 parent: Optional[Env] = None):
+        self.frame = frame
+        self.site = site
+        self.parent = parent
+
+    def lookup(self, name: str) -> Optional[Cell]:
+        slot = self.site.names.get(name)
+        if slot is not None:
+            cell = self.frame[slot]
+            if cell is not None:
+                return cell
+        return self.parent.lookup(name) if self.parent is not None else None
+
+    def child(self) -> Env:
+        return _bridge_env(self.parent, self.frame, self.site.visible)
+
+    def lane(self, depth: int) -> Optional["_ScopedCode"]:
+        return self.site.lanes.get(depth)
+
+    def run_scoped(self, I, defs: Dict[str, Cell]) -> bool:
+        """Run the site's construct body with ``defs`` bound; False when
+        the site has no lowered body."""
+        code = self.site.scoped
+        if code is None:
+            return False
+        code.bind(self.frame, defs)
+        code.body(I, self.frame)
+        return True
+
+
+class _ScopedCode:
+    """A construct body lowered in a scope of its own: the scope's slots
+    and the body closure (for a ``loop``, the per-iteration body at one
+    collapse depth).
+
+    ``binds`` are ``(name, slot, outer_slot)``: a binding the executor made
+    (a private, reduction, loop variable or deviceptr) fills its slot; one
+    it did not make (a private clause the behaviour ignores) aliases the
+    enclosing binding, exactly as an Env child that never defined the name
+    would.
+    """
+
+    __slots__ = ("binds", "body")
+
+    def __init__(self, binds, body: Callable):
+        self.binds = binds
+        self.body = body
+
+    def bind(self, S: List[Optional[Cell]], defs: Dict[str, Cell]) -> None:
+        for name, slot, outer in self.binds:
+            cell = defs.get(name)
+            if cell is None and outer is not None:
+                cell = S[outer]
+            S[slot] = cell
+
+    def run(self, I, S: List[Optional[Cell]], defs: Dict[str, Cell],
+            var_cells: List[Cell], tuples) -> None:
+        """Run a lane: bind its scope, then the body once per tuple."""
+        self.bind(S, defs)
+        body = self.body
+        max_steps = I._max_steps
+        if len(var_cells) == 1:
+            var = var_cells[0]
+            for (value,) in tuples:
+                I.steps += 1
+                if I.steps > max_steps:
+                    raise ExecutionTimeout("step budget exceeded in device loop")
+                var.value = value
+                body(I, S)
+            return
+        for values in tuples:
+            I.steps += 1
+            if I.steps > max_steps:
+                raise ExecutionTimeout("step budget exceeded in device loop")
+            for cell, value in zip(var_cells, values):
+                cell.value = value
+            body(I, S)
+
+
+class RegionCode:
+    """A compute-region body lowered against a device slot frame.
+
+    The frame's root scope holds one slot per name the body (or the
+    construct's clauses) can mention.  Region entry fills a base frame from
+    the region's mapped cells once; each gang (or the kernel) then runs on
+    a copy of it with its private bindings written into their slots — the
+    frame equivalent of ``region_env.child()`` plus ``define``.
+    """
+
+    __slots__ = ("nslots", "roots", "body", "final")
+
+    def __init__(self, nslots: int, roots: Dict[str, int], body: Callable,
+                 final: _Site):
+        self.nslots = nslots
+        self.roots = roots
+        self.body = body
+        #: the root scope after the body: what ``scope.lookup`` would see
+        self.final = final
+
+    def scope_runner(self, I, region_vars: Dict[str, Cell]):
+        """``run(defs)``: execute the body in a scope of ``region_vars``
+        extended by ``defs``; returns that scope as a :class:`FrameEnv`."""
+        base: List[Optional[Cell]] = [None] * self.nslots
+        roots = self.roots
+        for name, slot in roots.items():
+            base[slot] = region_vars.get(name)
+        body = self.body
+        final = self.final
+
+        def run(defs: Dict[str, Cell]) -> FrameEnv:
+            frame = base[:]
+            for name, cell in defs.items():
+                frame[roots[name]] = cell
+            body(I, frame)
+            return FrameEnv(frame, final)
+        return run
+
+
+def _region_names(plan: ComputePlan) -> List[str]:
+    """Every name a region body or its construct's clauses can mention."""
+    names: Dict[str, None] = dict.fromkeys(plan.private_names)
+    names.update(dict.fromkeys(plan.firstprivate_names))
+    names.update(dict.fromkeys(name for _op, name in plan.reductions))
+    for node in walk(plan.body):
+        if isinstance(node, (Ident, VarDecl, DataRef)):
+            names.setdefault(node.name)
+        elif isinstance(node, For):
+            names.setdefault(node.var)
+    return list(names)
+
+
 class LoweredProgram:
     """A program lowered once, runnable by any number of interpreters."""
 
     def __init__(self, program: Program):
         self.program = program
+        #: static construct plans (repro.compiler.exec_model), node id ->
+        #: (node, plan); they live and die with this lowering
+        self.plans: Dict[int, tuple] = {}
         self.functions: Dict[str, LoweredFunction] = {}
         for fn in program.functions:
             lowerer = _Lowerer(program, frame=True, lowered_fns=self.functions)
@@ -386,12 +582,23 @@ class LoweredProgram:
         self._exprs: Dict[int, Tuple[Expr, Callable]] = {}
         self._fors: Dict[int, Tuple[For, Callable]] = {}
 
+    def region_code(self, plan: ComputePlan) -> RegionCode:
+        """The plan's region body lowered to a device frame, built on the
+        region's first entry and kept on the plan (so, like the plan,
+        exactly as long as this lowering)."""
+        code = plan.device_code
+        if code is None:
+            lowerer = _Lowerer(self.program, frame=True,
+                               lowered_fns=self.functions, plans=self.plans,
+                               device=True)
+            code = lowerer.lower_region(plan)
+            plan.device_code = code
+        return code
+
     # Tier-B entry points (dispatch targets of Interpreter.exec_stmt/eval/
     # exec_for when the executor calls back in with an Env).
 
     def stmt_closure(self, stmt: Stmt) -> Callable:
-        if isinstance(stmt, _ACC_STMTS):
-            return self._env_lowerer.lower_stmt(stmt)
         entry = self._stmts.get(id(stmt))
         if entry is None or entry[0] is not stmt:
             entry = (stmt, self._env_lowerer.lower_stmt(stmt))
@@ -470,7 +677,9 @@ class _Lowerer:
     """
 
     def __init__(self, program: Program, frame: bool,
-                 lowered_fns: Optional[Dict[str, LoweredFunction]] = None):
+                 lowered_fns: Optional[Dict[str, LoweredFunction]] = None,
+                 plans: Optional[Dict[int, tuple]] = None,
+                 device: bool = False):
         self.program = program
         self.language = program.language
         self.functions = {fn.name: fn for fn in program.functions}
@@ -479,6 +688,9 @@ class _Lowerer:
         # shared (still-filling) LoweredProgram.functions dict: call sites
         # resolve through it at runtime, skipping the call_function bounce
         self.lowered_fns = lowered_fns
+        self.plans = plans
+        #: a device frame: the scope chain ends at the region (no globals)
+        self.device = device
 
     # -------------------------------------------------------------- function
 
@@ -492,6 +704,15 @@ class _Lowerer:
             fn=fn, nslots=sc.nslots, param_slots=param_slots,
             entry_visible=entry_visible, body=body,
         )
+
+    def lower_region(self, plan: ComputePlan) -> RegionCode:
+        """Lower a compute-region body against a device frame whose root
+        scope is seeded with every name the region can mention."""
+        sc = self.sc
+        roots = {name: sc.declare(name, unbound=True)
+                 for name in _region_names(plan)}
+        body = self.lower_stmt(plan.body)
+        return RegionCode(sc.nslots, roots, body, _Site(sc.visible()))
 
     def _lower_block_body(self, block: Block) -> Callable:
         """The inside of a block: child scope + statements, no step bump."""
@@ -684,7 +905,7 @@ class _Lowerer:
         if isinstance(target, Ident):
             name = target.name
             slot = self.sc.resolve(name) if self.frame else None
-            if slot is not None and combine is None:
+            if combine is None and self.frame and self.sc.bound(slot):
                 # hottest statement shape: plain assignment to a local.  A
                 # slot-resolved target's cell always exists by the time the
                 # assignment runs (its declaration executes first — no goto),
@@ -910,11 +1131,15 @@ class _Lowerer:
         loc = loop.loc
 
         if self.frame:
-            self.sc.push()
-            outer_slot = self.sc.resolve(var)
-            var_slot = self.sc.declare(var) if outer_slot is None else None
+            sc = self.sc
+            sc.push()
+            outer_slot = sc.resolve(var)
+            # a bound outer binding is reused; otherwise the loop gets a
+            # slot of its own, filled at entry as the chain walk would
+            var_slot = None if sc.bound(outer_slot) else sc.declare(var)
             body_c = self.lower_stmt(loop.body)
-            self.sc.pop()
+            sc.pop()
+            device = self.device
 
             def run(I, S):
                 start = _as_int(start_c(I, S))
@@ -926,12 +1151,15 @@ class _Lowerer:
                     stop = bound + 1 if inclusive else bound
                 else:
                     stop = bound - 1 if inclusive else bound
-                if outer_slot is not None:
+                if var_slot is None:
                     cell = S[outer_slot]
                 else:
-                    # the tree walker's scope.lookup falls through to the
-                    # globals; only a nowhere-defined var gets a fresh cell
-                    cell = I.globals.lookup(var)
+                    # the tree walker's scope.lookup: an (unbound-marked)
+                    # outer slot's cell, else the globals (host frames
+                    # only); only a nowhere-defined var gets a fresh cell
+                    cell = S[outer_slot] if outer_slot is not None else None
+                    if cell is None and not device:
+                        cell = I.globals.lookup(var)
                     if cell is None:
                         cell = Cell(0, name=var)
                     S[var_slot] = cell
@@ -1020,6 +1248,18 @@ class _Lowerer:
         loc = stmt.loc
         if self.frame:
             visible = self.sc.visible()
+            device = self.device
+            site = self._construct_site(stmt, visible)
+            if site is not None:
+                def run(I, S):
+                    I.steps += 1
+                    if I.steps > I._max_steps:
+                        raise ExecutionTimeout(
+                            f"step budget {I.limits.max_steps} exceeded at {loc}"
+                        )
+                    getattr(I.acc, method)(
+                        stmt, FrameEnv(S, site, None if device else I.globals))
+                return run
 
             def run(I, S):
                 I.steps += 1
@@ -1027,7 +1267,7 @@ class _Lowerer:
                     raise ExecutionTimeout(
                         f"step budget {I.limits.max_steps} exceeded at {loc}"
                     )
-                env = _bridge_env(I, S, visible)
+                env = _bridge_env(None if device else I.globals, S, visible)
                 getattr(I.acc, method)(stmt, env)
             return run
 
@@ -1040,6 +1280,89 @@ class _Lowerer:
             getattr(I.acc, method)(stmt, S)
         return run
 
+    def _construct_site(self, stmt: Stmt,
+                        visible: Tuple[Tuple[str, int], ...]
+                        ) -> Optional[_Site]:
+        """The lowered bodies the executor may run for ``stmt`` on this
+        frame, or None when it gets a bridge Env instead.
+
+        A site's FrameEnv reads the frame live; the executor snapshots it
+        with ``child()`` before deferring an async region.  Standalone
+        directives, whose async updates defer inside the executor, and
+        constructs nested in a region some other way, get a bridge.
+        """
+        device = self.device
+        kind = stmt.directive.kind
+        if isinstance(stmt, AccLoop):
+            if device and kind == "loop":
+                return self._lower_loop_site(stmt, visible)
+            if not device:
+                # the sequential host run of an orphaned loop or an
+                # if(false) combined construct
+                return _Site(visible, scoped=_ScopedCode(
+                    (), self.lower_for_core(stmt.loop)))
+        elif isinstance(stmt, AccConstruct):
+            if kind in ("data", "host_data"):
+                # a scope holding the names deviceptr/use_device may rebind
+                clause = "deviceptr" if kind == "data" else "use_device"
+                names = dict.fromkeys(
+                    n for c in stmt.directive.clauses_named(clause)
+                    for n in c.var_names)
+                return _Site(visible, scoped=self._lower_scoped(
+                    names, set(), stmt.body))
+            if not device:
+                # the host run of an if(false) compute region
+                return _Site(visible, scoped=self._lower_scoped(
+                    (), set(), stmt.body))
+        return None
+
+    def _lower_loop_site(self, stmt: AccLoop,
+                         visible: Tuple[Tuple[str, int], ...]) -> _Site:
+        """Lower a device ``loop``'s lane bodies: for no collapse, and for
+        its constant ``collapse(N)`` if it has one.  Any other depth (a
+        computed collapse count) falls back to the executor's Env path."""
+        # imported here, like the executor itself (repro.compiler.interp),
+        # so importing the package does not load the execution model
+        from repro.compiler.exec_model import LoopPlan, plan_for
+
+        plan = plan_for(self.plans, stmt, LoopPlan)
+        depths = [1]
+        clause = plan.collapse
+        if clause is not None and isinstance(clause.expr, IntLit) \
+                and 1 < clause.expr.value <= len(plan.chain):
+            depths.append(clause.expr.value)
+        reductions = [name for _op, name in plan.reductions]
+        lanes: Dict[int, _ScopedCode] = {}
+        for depth in depths:
+            loop_vars = [l.var for l in plan.chain[:depth]]
+            # privates may be ignored by the behaviour; the executor
+            # always binds reductions and loop variables
+            lanes[depth] = self._lower_scoped(
+                dict.fromkeys(plan.private_names + reductions + loop_vars),
+                set(reductions + loop_vars), plan.chain[depth - 1].body,
+                child=True)
+        return _Site(visible, lanes)
+
+    def _lower_scoped(self, names, always, body: Stmt,
+                      child: bool = False) -> _ScopedCode:
+        """``body`` lowered in a new scope declaring ``names`` (those in
+        ``always`` are always bound by the executor; ``child``: the body
+        runs in a further child scope per execution)."""
+        sc = self.sc
+        sc.push()
+        binds = []
+        for name in names:
+            outer = sc.resolve(name)
+            slot = sc.declare(name, unbound=name not in always)
+            binds.append((name, slot, outer))
+        if child:
+            sc.push()
+        body_c = self.lower_stmt(body)
+        if child:
+            sc.pop()
+        sc.pop()
+        return _ScopedCode(tuple(binds), body_c)
+
     # ----------------------------------------------------------- expressions
 
     def lower_expr(self, expr: Expr) -> Callable:
@@ -1050,6 +1373,19 @@ class _Lowerer:
         if kind is Ident:
             return self._lower_ident(expr)
         if kind is Index:
+            slot_index = self._slot_index(expr)
+            if slot_index is not None:
+                # a[i] over a frame slot, resolved and read in one closure
+                slot, index_c, name, loc = slot_index
+
+                def run(I, S):
+                    cell = S[slot]
+                    value = cell.value if cell is not None else None
+                    if value.__class__ is not ArrayValue:
+                        value = _cell_array(cell, name, loc)
+                    i = index_c(I, S)
+                    return value.get([i if i.__class__ is int else _as_int(i)])
+                return run
             resolver = self._lower_index_resolver(expr)
 
             def run(I, S):
@@ -1084,8 +1420,14 @@ class _Lowerer:
         """A closure resolving ``name`` to its Cell (or None if undefined)."""
         if self.frame:
             slot = self.sc.resolve(name)
-            if slot is not None:
+            if slot is not None and (self.device or self.sc.bound(slot)):
                 return lambda I, S: S[slot]
+            if self.device:
+                return lambda I, S: None
+            if slot is not None:
+                # a host slot a construct may leave unbound: the chain walk
+                # goes on to the globals
+                return lambda I, S: S[slot] or I.globals.lookup(name)
             return lambda I, S: I.globals.lookup(name)
         return lambda I, S: S.lookup(name)
 
@@ -1094,13 +1436,14 @@ class _Lowerer:
         loc = expr.loc
         if self.frame:
             slot = self.sc.resolve(name)
-            if slot is not None:
+            if self.sc.bound(slot):
                 def run(I, S):
                     return S[slot].value
                 return run
+            getter = self._cell_ref(name)
 
             def run(I, S):
-                cell = I.globals.lookup(name)
+                cell = getter(I, S)
                 if cell is None:
                     raise AccRuntimeError(
                         f"undefined variable {name!r} at {loc}"
@@ -1115,8 +1458,34 @@ class _Lowerer:
             return cell.value
         return run
 
+    def _slot_index(self, expr: Index):
+        """``(slot, index closure, name, loc)`` for the hot shape ``a[i]``
+        with ``a`` in a frame slot whose lookup is just the slot; else
+        None.  Such accesses skip the getter call and the index list build
+        but keep every check, in order."""
+        base = expr.base
+        if not (self.frame and isinstance(base, Ident)
+                and len(expr.indices) == 1):
+            return None
+        slot = self.sc.resolve(base.name)
+        if slot is None or not (self.device or self.sc.bound(slot)):
+            return None
+        return slot, self.lower_expr(expr.indices[0]), base.name, expr.loc
+
     def _lower_index_resolver(self, expr: Index) -> Callable:
         """Mirror of ``Interpreter._resolve_index``: (I, S) -> (array, ix)."""
+        slot_index = self._slot_index(expr)
+        if slot_index is not None:
+            slot, index_c, name, loc = slot_index
+
+            def resolve(I, S):
+                cell = S[slot]
+                value = cell.value if cell is not None else None
+                if value.__class__ is not ArrayValue:
+                    value = _cell_array(cell, name, loc)
+                i = index_c(I, S)
+                return value, [i if i.__class__ is int else _as_int(i)]
+            return resolve
         index_cs = tuple(self.lower_expr(ix) for ix in expr.indices)
         loc = expr.loc
         base = expr.base
@@ -1125,17 +1494,7 @@ class _Lowerer:
             getter = self._cell_ref(name)
 
             def resolve(I, S):
-                cell = getter(I, S)
-                if cell is None:
-                    raise AccRuntimeError(f"undefined array {name!r} at {loc}")
-                value = cell.value
-                if isinstance(value, DevicePointer):
-                    elem = cell.type.base if cell.type is not None else "int"
-                    value = value.as_array(elem)
-                if not isinstance(value, ArrayValue):
-                    raise AccRuntimeError(
-                        f"variable {name!r} is not an array at {loc}"
-                    )
+                value = _cell_array(getter(I, S), name, loc)
                 indices = [_as_int(c(I, S)) for c in index_cs]
                 return value, indices
             return resolve
@@ -1160,7 +1519,7 @@ class _Lowerer:
             return ("const", expr.value)
         if kind is Ident and self.frame:
             slot = self.sc.resolve(expr.name)
-            if slot is not None:
+            if self.sc.bound(slot):
                 return ("slot", slot)
         return None
 
@@ -1351,6 +1710,20 @@ class _Lowerer:
                 raise AccRuntimeError(f"undefined variable {name!r} at {loc}")
             return cell
         return run
+
+
+def _cell_array(cell: Optional[Cell], name: str, loc) -> ArrayValue:
+    """The array a named cell holds (a device pointer viewed with the
+    cell's element type); the tree walker's checks and messages."""
+    if cell is None:
+        raise AccRuntimeError(f"undefined array {name!r} at {loc}")
+    value = cell.value
+    if isinstance(value, DevicePointer):
+        elem = cell.type.base if cell.type is not None else "int"
+        value = value.as_array(elem)
+    if not isinstance(value, ArrayValue):
+        raise AccRuntimeError(f"variable {name!r} is not an array at {loc}")
+    return value
 
 
 def _pointer_array(value, loc) -> ArrayValue:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.accsim.errors import AccRuntimeError, PresentError
+from repro.accsim.errors import AccRuntimeError, ExecutionTimeout, PresentError
 from repro.accsim.memory import Mapping
 from repro.accsim.values import ArrayValue, Cell, DevicePointer, coerce_scalar
 from repro.ir.acc import Clause, DataRef, Directive
@@ -123,6 +123,78 @@ class _GangLoopReduction:
     acc: object
 
 
+class ComputePlan:
+    """Static facts of one compute construct (``parallel``/``kernels`` or
+    a combined ``parallel loop``/``kernels loop``), computed once.
+
+    Everything here is a pure function of the AST: the combined-construct
+    split (with its synthetic ``AccLoop``, so the loop part is one stable
+    node), the data-attribute clause lists, the Cray copy-only test and the
+    ordered implicit-data candidates.  Which candidates are mapped, and how,
+    still depends on the region's environment and is decided at entry.
+    """
+
+    __slots__ = ("directive", "body", "mode", "private_names",
+                 "firstprivate_names", "reductions", "copy_only",
+                 "implicit_names", "device_code")
+
+    def __init__(self, stmt: Stmt):
+        d = stmt.directive
+        if isinstance(stmt, AccLoop):
+            d, loop_d = _split_combined(d)
+            body: Stmt = AccLoop(directive=loop_d, loop=stmt.loop, loc=stmt.loc)
+        else:
+            body = stmt.body
+        self.directive = d
+        self.body = body
+        self.mode = d.kind
+        self.private_names = _clause_names(d, "private")
+        self.firstprivate_names = _clause_names(d, "firstprivate")
+        self.reductions = _construct_reductions(d)
+        self.copy_only = _is_copy_only_region(body)
+        self.implicit_names = _implicit_candidates(body)
+        #: the body lowered to a device slot frame (closures backend only;
+        #: set lazily by repro.compiler.closures.LoweredProgram.region_code)
+        self.device_code = None
+
+
+class LoopPlan:
+    """Static facts of one ``loop`` directive: its explicit parallelism
+    levels, privatisation/reduction lists, the kernels dependence test and
+    the tightly nested loop chain ``collapse`` draws from."""
+
+    __slots__ = ("levels", "seq", "independent", "dependent", "collapse",
+                 "private_names", "reductions", "chain")
+
+    def __init__(self, stmt: AccLoop):
+        d = stmt.directive
+        self.levels = [l for l in ("gang", "worker", "vector") if d.has_clause(l)]
+        self.seq = d.has_clause("seq")
+        self.independent = d.has_clause("independent")
+        self.dependent = _has_loop_dependence(stmt.loop)
+        self.collapse = d.clause("collapse")
+        self.private_names = _clause_names(d, "private")
+        self.reductions = _loop_reductions(d)
+        chain = [stmt.loop]
+        inner = _tightly_nested(stmt.loop)
+        while inner is not None:
+            chain.append(inner)
+            inner = _tightly_nested(inner)
+        self.chain = chain
+
+
+def plan_for(plans: Dict[int, tuple], stmt: Stmt, kind):
+    """The static ``kind`` plan of ``stmt`` in ``plans``, built on first
+    use.  The node is pinned in the entry so a collected node can never
+    recycle its ``id()``; a benign race under threads at worst builds a
+    plan twice."""
+    entry = plans.get(id(stmt))
+    if entry is None or entry[0] is not stmt:
+        entry = (stmt, kind(stmt))
+        plans[id(stmt)] = entry
+    return entry[1]
+
+
 @dataclass
 class RegionState:
     """State of the currently executing compute region."""
@@ -159,6 +231,13 @@ class AccExecutor:
         self._wedged_all = False
         #: per-function processed declare mappings
         self._declare_stack: List[Tuple[Function, List[Mapping]]] = []
+        #: node id -> (node, ComputePlan | LoopPlan); the interpreter owns
+        #: the dict (the closures backend shares its lowering's, so plans
+        #: live exactly as long as the lowering does)
+        self._plans: Dict[int, tuple] = interp.plans
+
+    def _plan(self, stmt: Stmt, kind):
+        return plan_for(self._plans, stmt, kind)
 
     # ----------------------------------------------------------- runtime hooks
 
@@ -325,14 +404,14 @@ class AccExecutor:
         kind = stmt.directive.kind
         if self._degraded:
             # if(false) host execution: constructs degrade to plain blocks
-            self.interp.exec_stmt(stmt.body, env.child())
+            self._run_scoped(stmt.body, env, {})
             return
         if kind == "data":
             self._exec_data(stmt, env)
         elif kind == "host_data":
             self._exec_host_data(stmt, env)
         elif kind in ("parallel", "kernels"):
-            self._exec_compute(stmt.directive, stmt.body, env, kind)
+            self._exec_compute(self._plan(stmt, ComputePlan), env)
         else:  # pragma: no cover - validated at compile time
             raise AccRuntimeError(f"unexpected construct {kind}")
 
@@ -347,11 +426,8 @@ class AccExecutor:
         deviceptr_binds: Dict[str, Cell] = {}
         if active:
             mappings, deviceptr_binds = self._enter_data_clauses(d, env, device)
-        body_env = env.child()
-        for name, cell in deviceptr_binds.items():
-            body_env.define(name, cell)
         try:
-            self.interp.exec_stmt(stmt.body, body_env)
+            self._run_scoped(stmt.body, env, deviceptr_binds)
         finally:
             for mapping in reversed(mappings):
                 device.memory.exit(mapping)
@@ -359,7 +435,7 @@ class AccExecutor:
     def _exec_host_data(self, stmt: AccConstruct, env) -> None:
         d = stmt.directive
         device = self.interp.machine.current_device()
-        body_env = env.child()
+        defs: Dict[str, Cell] = {}
         use = d.clause("use_device")
         if use is not None:
             for ref in use.refs:
@@ -371,11 +447,27 @@ class AccExecutor:
                     raise PresentError(
                         f"use_device of {ref.name!r} which is not present on the device"
                     )
-                body_env.define(
-                    ref.name,
-                    Cell(mapping.device_data, type=cell.type, name=ref.name),
+                defs[ref.name] = Cell(
+                    mapping.device_data, type=cell.type, name=ref.name
                 )
-        self.interp.exec_stmt(stmt.body, body_env)
+        self._run_scoped(stmt.body, env, defs)
+
+    def _exec_for(self, loop: For, env) -> None:
+        """``exec_for``, through the site's lowered loop if it has one."""
+        run_scoped = getattr(env, "run_scoped", None)
+        if run_scoped is None or not run_scoped(self.interp, {}):
+            self.interp.exec_for(loop, env)
+
+    def _run_scoped(self, body: Stmt, env, defs: Dict[str, Cell]) -> None:
+        """Run a construct body in a child scope of ``env`` holding
+        ``defs``: the site's lowered body over its slot frame under
+        closures, an Env child under the tree walker."""
+        run_scoped = getattr(env, "run_scoped", None)
+        if run_scoped is not None and run_scoped(self.interp, defs):
+            return
+        scope = env.child()
+        scope.vars.update(defs)
+        self.interp.exec_stmt(body, scope)
 
     # --------------------------------------------------------- compute regions
 
@@ -385,23 +477,21 @@ class AccExecutor:
         kind = stmt.directive.kind
         if kind in ("parallel loop", "kernels loop"):
             if self._degraded:
-                self.interp.exec_for(stmt.loop, env)
+                self._exec_for(stmt.loop, env)
                 return
-            construct_kind = kind.split()[0]
-            construct_d, loop_d = _split_combined(stmt.directive)
-            body = AccLoop(directive=loop_d, loop=stmt.loop, loc=stmt.loc)
-            self._exec_compute(construct_d, body, env, construct_kind)
+            self._exec_compute(self._plan(stmt, ComputePlan), env)
             return
         # plain `loop`
         if self.region is None or self._degraded:
             # orphan loop (or if(false) region): sequential host execution
-            self.interp.exec_for(stmt.loop, env)
+            self._exec_for(stmt.loop, env)
             return
         self._exec_device_loop(stmt, env)
 
-    def _exec_compute(self, d: Directive, body: Stmt, env, mode: str) -> None:
+    def _exec_compute(self, plan: ComputePlan, env) -> None:
         behavior = self.behavior
-        if behavior.eliminate_copy_only_regions and _is_copy_only_region(body):
+        d, body = plan.directive, plan.body
+        if behavior.eliminate_copy_only_regions and plan.copy_only:
             return  # Cray: "deletes the full compute region" (Fig. 11)
 
         if_clause = d.clause("if")
@@ -410,7 +500,19 @@ class AccExecutor:
                 # region executes on the host, no data movement
                 self._degraded += 1
                 try:
-                    self.interp.exec_stmt(body, env.child())
+                    if isinstance(body, AccLoop):
+                        # a combined construct: its loop part runs as a
+                        # statement (one step) of a degraded region
+                        interp = self.interp
+                        interp.steps += 1
+                        if interp.steps > interp.limits.max_steps:
+                            raise ExecutionTimeout(
+                                f"step budget {interp.limits.max_steps} "
+                                f"exceeded at {body.loc}"
+                            )
+                        self._exec_for(body.loop, env)
+                    else:
+                        self._run_scoped(body, env, {})
                 finally:
                     self._degraded -= 1
                 return
@@ -447,21 +549,25 @@ class AccExecutor:
                 self._wedged_tags.add(tag)
 
         def run_region() -> None:
-            self._run_region_body(d, body, env, mode, device,
+            self._run_region_body(plan, env, device,
                                   num_gangs, num_workers, vector_length)
 
         if run_async:
-            device.queues.enqueue(tag, run_region, f"{mode} region")
+            # the region runs at a later wait: capture the scope as it is
+            # now (a live slot frame may have moved on by then)
+            env = env.child()
+            device.queues.enqueue(tag, run_region, f"{plan.mode} region")
         else:
             run_region()
 
     def _run_region_body(
-        self, d: Directive, body: Stmt, env, mode: str, device,
+        self, plan: ComputePlan, env, device,
         num_gangs: int, num_workers: int, vector_length: int,
     ) -> None:
         from repro.compiler.interp import Env  # local import avoids cycle
 
         behavior = self.behavior
+        d, body, mode = plan.directive, plan.body, plan.mode
         device.kernels_launched += 1
 
         mappings, deviceptr_binds = self._enter_data_clauses(d, env, device)
@@ -482,9 +588,9 @@ class AccExecutor:
             region_env.define(name, cell)
 
         # construct-level privatisation clauses
-        private_names = _clause_names(d, "private")
-        firstprivate_names = _clause_names(d, "firstprivate")
-        reductions = _construct_reductions(d)
+        private_names = plan.private_names
+        firstprivate_names = plan.firstprivate_names
+        reductions = plan.reductions
         explicit = (
             set(region_env.vars)
             | set(private_names)
@@ -492,9 +598,7 @@ class AccExecutor:
             | {name for _op, name in reductions}
         )
 
-        implicit_scalars, implicit_arrays = self._implicit_data(
-            body, d, env, explicit
-        )
+        implicit_scalars, implicit_arrays = _implicit_data(plan, env, explicit)
         for cell in implicit_arrays:
             action = "present_or_copy"
             mapping = device.memory.enter(action, cell)
@@ -552,37 +656,49 @@ class AccExecutor:
             mappings=mappings,
             scalar_syncs=scalar_syncs,
         )
+        # the body runs in a child scope of region_env holding the gang's
+        # (or the kernel's) private bindings: an Env child under the tree
+        # walker, a copy of the region's slot frame under closures.  Either
+        # way run_scope returns that scope, for reading reduction partials
+        lowered = self.interp._lowered
+        if lowered is not None:
+            run_scope = lowered.region_code(plan).scope_runner(
+                self.interp, region_env.vars)
+        else:
+            def run_scope(defs: Dict[str, Cell]):
+                scope = region_env.child()
+                scope.vars.update(defs)
+                self.interp.exec_stmt(body, scope)
+                return scope
+
         outer_region = self.region
         self.region = region
         try:
             if mode == "parallel":
                 for g in range(num_gangs):
-                    gang_env = region_env.child()
+                    defs: Dict[str, Cell] = {}
                     if not behavior.ignore_private_clause:
                         for name in private_names:
-                            gang_env.define(name, _fresh_private(env, name))
+                            defs[name] = _fresh_private(env, name)
                     for name, (value, ctype) in fp_snapshot.items():
                         if behavior.firstprivate_uninitialized and name in firstprivate_names:
-                            gang_env.define(name, _fresh_private(env, name))
+                            defs[name] = _fresh_private(env, name)
                         else:
-                            gang_env.define(
-                                name, Cell(_copy_value(value), type=ctype, name=name)
-                            )
+                            defs[name] = Cell(_copy_value(value), type=ctype, name=name)
                     for name, (op, _orig, partials) in red_state.items():
                         cell = env.lookup(name) or region_env.lookup(name)
                         ident = reduction_identity(op, _type_base(cell))
-                        gang_env.define(name, Cell(ident, type=cell.type, name=name))
+                        defs[name] = Cell(ident, type=cell.type, name=name)
                     region.gang_id = g
-                    self.interp.exec_stmt(body, gang_env)
+                    scope = run_scope(defs)
                     for name in red_state:
-                        partial_cell = gang_env.lookup(name)
-                        red_state[name][2].append(partial_cell.value)
+                        red_state[name][2].append(scope.lookup(name).value)
             else:
                 region.gang_id = None
-                kern_env = region_env.child()
-                for name, (value, ctype) in fp_snapshot.items():
-                    kern_env.define(name, Cell(_copy_value(value), type=ctype, name=name))
-                self.interp.exec_stmt(body, kern_env)
+                run_scope({
+                    name: Cell(_copy_value(value), type=ctype, name=name)
+                    for name, (value, ctype) in fp_snapshot.items()
+                })
         finally:
             self.region = outer_region
 
@@ -624,19 +740,19 @@ class AccExecutor:
     def _exec_device_loop(self, stmt: AccLoop, env) -> None:
         region = self.region
         behavior = self.behavior
-        d = stmt.directive
         loop = stmt.loop
 
         if behavior.ignore_loop_directive:
             self.interp.exec_for(loop, env)
             return
 
-        levels = self._levels(d, loop)
+        plan = self._plan(stmt, LoopPlan)
+        levels = self._levels(plan)
         levels = [l for l in levels if l not in behavior.ignored_loop_levels]
 
-        loops, tuples = self._iteration_space(d, loop, env)
-        private_names = [] if behavior.ignore_private_clause else _clause_names(d, "private")
-        reductions = _loop_reductions(d)
+        loops, tuples = self._iteration_space(plan, env)
+        private_names = [] if behavior.ignore_private_clause else plan.private_names
+        reductions = plan.reductions
 
         gang_level = "gang" in levels
         inner_levels = [l for l in levels if l != "gang"]
@@ -695,29 +811,40 @@ class AccExecutor:
             for op, name in reductions
         }
 
+        # the lane scope: a child Env under the tree walker, the loop
+        # site's lowered lane body over the slot frame under closures
+        frame_lane = getattr(env, "lane", None)
+        lane = frame_lane(len(loops)) if frame_lane is not None else None
+        interp = self.interp
+        body = loops[-1].body
+
         def run_lane(lane_tuples: Sequence[Tuple[int, ...]]) -> None:
-            lane_env = env.child()
+            defs: Dict[str, Cell] = {}
             for name in private_names:
-                lane_env.define(name, _fresh_private(env, name))
+                defs[name] = _fresh_private(env, name)
             red_cells: Dict[str, Cell] = {}
             for op, name in reductions:
                 ident = reduction_identity(op, _type_base(targets[name]))
                 cell = Cell(ident, type=targets[name].type, name=name)
-                lane_env.define(name, cell)
+                defs[name] = cell
                 red_cells[name] = cell
-            var_cells = [
-                lane_env.define(l.var, Cell(0, name=l.var)) for l in loops
-            ]
-            body = loops[-1].body
-            for values in lane_tuples:
-                self.interp.steps += 1
-                if self.interp.steps > self.interp.limits.max_steps:
-                    from repro.accsim.errors import ExecutionTimeout
-
-                    raise ExecutionTimeout("step budget exceeded in device loop")
-                for cell, v in zip(var_cells, values):
-                    cell.value = v
-                self.interp.exec_stmt(body, lane_env.child())
+            var_cells = []
+            for l in loops:
+                cell = Cell(0, name=l.var)
+                defs[l.var] = cell
+                var_cells.append(cell)
+            if lane is not None:
+                lane.run(interp, env.frame, defs, var_cells, lane_tuples)
+            else:
+                lane_env = env.child()
+                lane_env.vars.update(defs)
+                for values in lane_tuples:
+                    interp.steps += 1
+                    if interp.steps > interp.limits.max_steps:
+                        raise ExecutionTimeout("step budget exceeded in device loop")
+                    for cell, v in zip(var_cells, values):
+                        cell.value = v
+                    interp.exec_stmt(body, lane_env.child())
             for op, name in reductions:
                 accum[name] = reduction_combine(op, accum[name], red_cells[name].value)
 
@@ -765,42 +892,35 @@ class AccExecutor:
 
     # --------------------------------------------------------------- helpers
 
-    def _levels(self, d: Directive, loop: For) -> List[str]:
+    def _levels(self, plan: LoopPlan) -> List[str]:
         """Parallelism levels a loop directive maps to."""
-        explicit = [l for l in ("gang", "worker", "vector") if d.has_clause(l)]
-        if explicit:
-            return explicit
-        if d.has_clause("seq"):
+        if plan.levels:
+            return plan.levels
+        if plan.seq:
             return []
         region = self.region
         if region is not None and region.mode == "kernels":
-            if d.has_clause("independent"):
+            if plan.independent:
                 return ["gang"]
-            if d.has_clause("auto"):
-                return [] if _has_loop_dependence(loop) else ["gang"]
-            # bare loop in kernels: compiler dependence analysis
-            return [] if _has_loop_dependence(loop) else ["gang"]
+            # auto or bare loop in kernels: compiler dependence analysis
+            return [] if plan.dependent else ["gang"]
         # bare loop in a parallel region work-shares over gangs
         return ["gang"]
 
     def _iteration_space(
-        self, d: Directive, loop: For, env
+        self, plan: LoopPlan, env
     ) -> Tuple[List[For], "_IterationSpace"]:
         """Apply collapse and build the (lazy) iteration-tuple space."""
         collapse = 1
-        clause = d.clause("collapse")
+        clause = plan.collapse
         if clause is not None and not self.behavior.ignore_collapse:
             collapse = _as_int(self.interp.eval(clause.expr, env))
-        loops = [loop]
-        current = loop
-        for _ in range(collapse - 1):
-            inner = _tightly_nested(current)
-            if inner is None:
-                raise AccRuntimeError(
-                    f"collapse({collapse}) requires tightly nested loops at {loop.loc}"
-                )
-            loops.append(inner)
-            current = inner
+        if collapse > len(plan.chain):
+            raise AccRuntimeError(
+                f"collapse({collapse}) requires tightly nested loops at "
+                f"{plan.chain[0].loc}"
+            )
+        loops = plan.chain[:max(collapse, 1)]
         spaces = [self.interp.iteration_values(l, env) for l in loops]
         return loops, _IterationSpace(spaces)
 
@@ -872,52 +992,55 @@ class AccExecutor:
                 mappings.append(mapping)
         return mappings, deviceptr_binds
 
-    def _implicit_data(
-        self, body: Stmt, d: Directive, env, explicit: Set[str]
-    ) -> Tuple[List[Cell], List[Cell]]:
-        """Determine implicitly mapped cells (1.0 default rules)."""
-        scalars: List[Cell] = []
-        arrays: List[Cell] = []
-        seen: Set[str] = set()
-        skip = set(explicit)
-        # names declared inside the region shadow outer bindings
-        declared_inside = {
-            decl.name
-            for node in walk(body)
-            if isinstance(node, DeclStmt)
-            for decl in node.decls
-        }
-        for node in walk(body):
-            names: List[str] = []
-            if isinstance(node, Ident):
-                names.append(node.name)
-            elif isinstance(node, (For,)):
-                names.append(node.var)
-            elif isinstance(node, DataRef):
-                names.append(node.name)
-            for name in names:
-                if name in seen or name in skip or name in declared_inside:
-                    continue
-                seen.add(name)
-                cell = env.lookup(name)
-                if cell is None:
-                    continue
-                value = cell.value
-                if isinstance(value, ArrayValue):
-                    arrays.append(cell)
-                elif isinstance(value, DevicePointer):
-                    # an unmapped device pointer binds directly
-                    scalars.append(cell)
-                else:
-                    scalars.append(cell)
-        # loop induction variables become lane-private at execution time and
-        # must still be *visible*; they are scalars, handled above.
-        return scalars, arrays
-
 
 # ---------------------------------------------------------------------------
 # module-level helpers
 # ---------------------------------------------------------------------------
+
+
+def _implicit_candidates(body: Stmt) -> List[str]:
+    """Names the body references, in first-use order, that may need an
+    implicit data attribute: every name used, less the names declared
+    inside the region (those shadow any outer binding)."""
+    declared_inside = {
+        decl.name
+        for node in walk(body)
+        if isinstance(node, DeclStmt)
+        for decl in node.decls
+    }
+    names: Dict[str, None] = {}
+    for node in walk(body):
+        if isinstance(node, (Ident, DataRef)):
+            name = node.name
+        elif isinstance(node, For):
+            name = node.var
+        else:
+            continue
+        if name not in declared_inside:
+            names.setdefault(name)
+    return list(names)
+
+
+def _implicit_data(
+    plan: ComputePlan, env, explicit: Set[str]
+) -> Tuple[List[Cell], List[Cell]]:
+    """Determine implicitly mapped cells (1.0 default rules).  Loop
+    induction variables become lane-private at execution time but must
+    still be *visible*; they are scalars like any other."""
+    scalars: List[Cell] = []
+    arrays: List[Cell] = []
+    for name in plan.implicit_names:
+        if name in explicit:
+            continue
+        cell = env.lookup(name)
+        if cell is None:
+            continue
+        if isinstance(cell.value, ArrayValue):
+            arrays.append(cell)
+        else:
+            # scalars, and unmapped device pointers (which bind directly)
+            scalars.append(cell)
+    return scalars, arrays
 
 
 def _truthy(value) -> bool:

@@ -74,9 +74,12 @@ from repro.spec.devices import (
 # ---------------------------------------------------------------------------
 
 
-#: interpreter execution backends: the reference tree walker and the
-#: closure-compilation backend (see repro.compiler.closures)
+#: interpreter execution backends: the closure-compilation backend (see
+#: repro.compiler.closures), the production path, and the reference tree
+#: walker, kept as the differential oracle tests check it against
 BACKENDS = ("tree", "closures")
+#: the backend every entry point runs unless told otherwise
+DEFAULT_BACKEND = "closures"
 
 
 class InterpreterReuseError(RuntimeError):
@@ -170,7 +173,7 @@ class Interpreter:
         machine: Optional[Machine] = None,
         env_vars: Optional[Dict[str, str]] = None,
         rng_seed: int = 12345,
-        backend: str = "tree",
+        backend: str = DEFAULT_BACKEND,
         lowered=None,
     ):
         if backend not in BACKENDS:
@@ -188,9 +191,13 @@ class Interpreter:
                 lowered = lower_program(program)
             self._lowered = lowered
             self._invoke = invoke_function
+            #: static construct plans (see AccExecutor): the lowering's,
+            #: so they are shared by every run of it
+            self.plans = lowered.plans
         else:
             self._lowered = None
             self._invoke = None
+            self.plans = {}
         self._env_vars = dict(env_vars) if env_vars else None
         self._rng_seed = rng_seed
         self._owns_machine = machine is None

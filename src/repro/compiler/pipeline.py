@@ -20,7 +20,13 @@ from typing import Dict, List, Optional, Set
 
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
 from repro.compiler.errors import CompileError, UnsupportedFeatureError
-from repro.compiler.interp import ExecutionLimits, ExecutionResult, Interpreter, builtin_names
+from repro.compiler.interp import (
+    DEFAULT_BACKEND,
+    ExecutionLimits,
+    ExecutionResult,
+    Interpreter,
+    builtin_names,
+)
 from repro.frontend.errors import FrontendError
 from repro.ir.acc import Clause, Directive
 from repro.ir.astnodes import (
@@ -66,8 +72,9 @@ class CompiledProgram:
     source: str = ""
     warnings: List[str] = field(default_factory=list)
     #: lazily lowered closure program (repro.compiler.closures), attached to
-    #: this instance so compile-cache hits reuse the lowering as well as the
-    #: parse — never pickled (closures aren't picklable) and never compared
+    #: this instance so later runs reuse it (the harness detaches it after
+    #: each phase: see ProgramRunner.close) — never pickled (closures
+    #: aren't picklable) and never compared
     _lowered: Optional[object] = field(
         default=None, repr=False, compare=False
     )
@@ -105,7 +112,7 @@ class CompiledProgram:
         state["_lowered"] = None  # closures don't pickle; re-lower on use
         return state
 
-    def runner(self, backend: str = "tree", tracer=None,
+    def runner(self, backend: str = DEFAULT_BACKEND, tracer=None,
                name: Optional[str] = None) -> "ProgramRunner":
         """A per-phase batched executor (see :class:`ProgramRunner`)."""
         return ProgramRunner(self, backend=backend, tracer=tracer, name=name)
@@ -115,7 +122,7 @@ class CompiledProgram:
         env_vars: Optional[Dict[str, str]] = None,
         limits: Optional[ExecutionLimits] = None,
         rng_seed: int = 12345,
-        backend: str = "tree",
+        backend: str = DEFAULT_BACKEND,
     ) -> ExecutionResult:
         """Execute on a fresh simulated machine (one harness iteration)."""
         interp = Interpreter(
@@ -141,7 +148,7 @@ class ProgramRunner:
     reports stay byte-identical with the unbatched path.
     """
 
-    def __init__(self, compiled: CompiledProgram, backend: str = "tree",
+    def __init__(self, compiled: CompiledProgram, backend: str = DEFAULT_BACKEND,
                  tracer=None, name: Optional[str] = None):
         from repro.accsim.device import ExecProfile
 
@@ -164,6 +171,18 @@ class ProgramRunner:
             self._lowered = compiled.lowered(tracer=tracer, name=name)
         else:
             self._lowered = None
+
+    def close(self) -> None:
+        """Detach a lowering this runner attached to the compiled program.
+
+        A campaign keeps every compiled program in its compile cache, and
+        a lowering (with its region plans and device code) weighs about as
+        much again as the parse, while a program rarely runs in a second
+        phase.  So the harness drops it after the phase; a later phase of
+        the same program lowers afresh.
+        """
+        if self.lower_hit is False:
+            self.compiled._lowered = None
 
     def run(
         self,

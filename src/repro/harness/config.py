@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.compiler.interp import BACKENDS as INTERPRETER_BACKENDS
+from repro.compiler.interp import DEFAULT_BACKEND
 from repro.faults import FaultPlan
 
 #: execution policies understood by :mod:`repro.harness.engine`
@@ -66,10 +67,11 @@ class HarnessConfig:
     #: template first, and mark units with error diagnostics STATIC_ERROR
     #: (a corpus defect) instead of compiling/running them
     lint: bool = False
-    #: interpreter backend: 'tree' (the reference walker) or 'closures'
-    #: (repro.compiler.closures).  Purely an execution knob — both backends
-    #: produce byte-identical reports for the same configuration
-    backend: str = "tree"
+    #: interpreter backend: 'closures' (repro.compiler.closures, the
+    #: default and the production path) or 'tree' (the reference walker,
+    #: kept as the differential oracle).  Purely an execution knob — both
+    #: backends produce byte-identical reports for the same configuration
+    backend: str = DEFAULT_BACKEND
     #: live telemetry (repro.obs.live): append a repro.obs.live/v1 NDJSON
     #: stream of unit events and campaign snapshots to this file.  Pure
     #: observation — reports stay byte-identical with it on or off

@@ -621,13 +621,16 @@ class ValidationRunner:
             )
             phase.lower_hit = runner.lower_hit
             with tracer.span("execute", key=pkey) as execute_span:
-                for k, seed in enumerate(self.config.iteration_seeds()):
-                    self.faults.iteration_site(f"{pkey}:{k}")
-                    outcome = self._run_once(runner, env_vars, limits, seed)
-                    phase.iterations.append(outcome)
-                    if tracer.enabled:
-                        self._observe_iteration(pkey, seed, outcome)
-                    self._check_deadline(deadline, pkey)
+                try:
+                    for k, seed in enumerate(self.config.iteration_seeds()):
+                        self.faults.iteration_site(f"{pkey}:{k}")
+                        outcome = self._run_once(runner, env_vars, limits, seed)
+                        phase.iterations.append(outcome)
+                        if tracer.enabled:
+                            self._observe_iteration(pkey, seed, outcome)
+                        self._check_deadline(deadline, pkey)
+                finally:
+                    runner.close()
             phase.run_s = execute_span.duration
             if tracer.enabled:
                 execute_span.set(iterations=len(phase.iterations),

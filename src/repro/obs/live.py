@@ -48,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.compiler.interp import DEFAULT_BACKEND
 from repro.ioutil import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -126,7 +127,7 @@ class TelemetryBus:
 
 
 def unit_fields(index: int, unit: str, result: "TestResult", *,
-                backend: str = "tree", replayed: bool = False) -> dict:
+                backend: str = DEFAULT_BACKEND, replayed: bool = False) -> dict:
     """The JSON-safe fields of one ``unit.finished`` event.
 
     Phase accounting mirrors :func:`repro.harness.engine.build_metrics`
@@ -842,7 +843,7 @@ class LiveTelemetry:
             self.tally.fold(record)
 
     def unit(self, index: int, unit: str, result: "TestResult", *,
-             backend: str = "tree", replayed: bool = False) -> None:
+             backend: str = DEFAULT_BACKEND, replayed: bool = False) -> None:
         """Publish one finished unit and emit a snapshot when due."""
         with self._lock:
             if self._closed:

@@ -86,6 +86,30 @@ class TestArrayValue:
             assert a.get([lower + offset]) == offset
 
 
+    @given(st.integers(1, 12), st.integers(-3, 3), st.integers(-20, 20),
+           st.sampled_from(["int", "double"]))
+    def test_rank1_access_matches_declared_space(self, n, lower, index, base):
+        # rank-1 get/set take a fast path: same values, same Python types,
+        # same bounds checks and messages as the general offset computation
+        a = ArrayValue((n,), base, lowers=(lower,))
+        a.data[:] = np.arange(n)
+        if lower <= index < lower + n:
+            value = a.get([index])
+            assert value == index - lower
+            assert type(value) is (float if base == "double" else int)
+            a.set([index], 7)
+            assert a.data[index - lower] == 7
+            return
+        message = (f"index out of bounds: subscript {[index]} for shape "
+                   f"{(n,)} (lower bounds {(lower,)})")
+        with pytest.raises(AccRuntimeError) as got:
+            a.get([index])
+        assert str(got.value) == message
+        with pytest.raises(AccRuntimeError) as got:
+            a.set([index], 1)
+        assert str(got.value) == message
+
+
 class TestDevicePointer:
     def test_as_array_sizes_by_itemsize(self):
         p = DevicePointer(nbytes=40)

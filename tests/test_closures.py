@@ -12,6 +12,7 @@ policies.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,10 @@ from repro.compiler import (
     InterpreterReuseError,
     lower_program,
 )
+from repro.compiler.behavior import REFERENCE_BEHAVIOR
+from repro.compiler.vendors import VENDORS, vendor_versions
 from repro.harness import HarnessConfig, ValidationRunner, render_csv, render_text
+from repro.harness.titan import default_degradation, default_stacks
 from repro.ir.astnodes import For
 from repro.suite import openacc10_suite
 from repro.templates import generate_cross, generate_functional
@@ -54,6 +58,29 @@ int main() {
 
 def _compile(source: str, name: str = "t.c"):
     return Compiler().compile(source, "c", name)
+
+
+class _SlowCompiler:
+    """A compiler slow enough that racing callers overlap; optionally its
+    first compile crashes."""
+
+    def __init__(self, crash_first: bool = False):
+        self._inner = Compiler()
+        self.behavior = self._inner.behavior
+        self.crash_first = crash_first
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def compile(self, source, language, name):
+        import time
+
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        time.sleep(0.05)
+        if self.crash_first and call == 1:
+            raise RuntimeError("transient compiler crash")
+        return self._inner.compile(source, language, name)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +236,62 @@ class TestCacheStats:
         # the legacy attributes stay readable and agree with the snapshot
         assert (cache.hits, cache.misses) == (final.hits, final.misses)
 
+    @staticmethod
+    def _race(cache, compiler, n_threads=8):
+        """``n_threads`` threads miss the same key at once; returns their
+        outcomes.  A short switch interval makes lost updates likely."""
+        import sys
+
+        start = threading.Barrier(n_threads)
+        outcomes = []
+
+        def worker():
+            start.wait(timeout=10)
+            outcomes.append(cache.get_or_compile(
+                compiler, "int main() { return 0; }", "c", "t.c"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == n_threads
+        return outcomes
+
+    def test_single_flight_compiles_a_raced_key_once(self):
+        compiler = _SlowCompiler()
+        cache = CompileCache()
+        outcomes = self._race(cache, compiler)
+        # one compile; every waiter takes its result and counts a hit
+        assert compiler.calls == 1
+        assert [o.hit for o in outcomes].count(False) == 1
+        assert len({id(o.program) for o in outcomes}) == 1
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.entries) == (7, 1, 1)
+
+    def test_single_flight_never_shares_a_crash(self):
+        from repro.compiler import CompilerCrashError
+
+        compiler = _SlowCompiler(crash_first=True)
+        cache = CompileCache()
+        outcomes = self._race(cache, compiler)
+        # the crash reaches only its own caller and is not cached; one
+        # waiter compiles again and the rest take that result
+        assert compiler.calls == 2
+        crashes = [o for o in outcomes
+                   if isinstance(o.error, CompilerCrashError)]
+        assert len(crashes) == 1 and not crashes[0].hit
+        assert sum(1 for o in outcomes if o.program is not None) == 7
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.entries) == (6, 2, 1)
+
     def test_hit_rate_delegates_to_snapshot(self):
         cache = CompileCache()
         compiler = Compiler()
@@ -326,3 +409,200 @@ class TestReportByteIdentity:
                              workers=workers, feature_prefixes=prefixes)
         assert render_csv(pooled) == render_csv(serial)
         assert render_text(pooled) == render_text(serial)
+
+
+# ---------------------------------------------------------------------------
+# cross-backend differential under every vendor behaviour
+# ---------------------------------------------------------------------------
+
+#: features whose templates reach the vendor decision points the static
+#: region plans feed — Cray's copy-only region elimination, kernels
+#: auto-parallelisation, collapse, privatisation and reductions — plus the
+#: async/update/if paths the injected bugs act on
+_VENDOR_SAMPLE_FEATURES = (
+    "kernels", "kernels loop", "kernels.copy", "loop.collapse",
+    "loop.private", "loop.vector", "parallel.copy", "parallel.copyout",
+    "parallel.firstprivate", "parallel.reduction", "parallel.async",
+    "parallel.if", "update.host", "runtime.acc_async_test",
+)
+
+
+def _vendor_behaviours():
+    """Every CAPS/PGI/Cray version behaviour (per language it compiles),
+    the four Titan degradations of each healthy stack, and the reference
+    with each unshipped wrong-code toggle.  Versions whose
+    behaviours differ only in name and version run every program alike,
+    so each distinct behaviour is checked once, under its first version."""
+    cases, seen = [], set()
+
+    def add(behavior, language, case_id):
+        key = (language, replace(behavior, name="", version=""))
+        if key not in seen:
+            seen.add(key)
+            cases.append(pytest.param(behavior, language, id=case_id))
+
+    for vendor in VENDORS:
+        for vv in vendor_versions(vendor):
+            for language in ("c", "fortran"):
+                behavior = vv.behavior(language)
+                if behavior.supports_language(language):
+                    add(behavior, language, f"{vendor}-{vv.version}-{language}")
+    for stack, healthy in default_stacks().items():
+        for k in range(4):
+            add(default_degradation(healthy, k), "c",
+                f"titan-{stack}-degraded{k}")
+    # the wrong-code toggles no shipped version sets, each on its own:
+    # they reach the frames' fallback and aliasing paths
+    for toggle in _UNSHIPPED_TOGGLES:
+        add(REFERENCE_BEHAVIOR.with_(**toggle), "c",
+            "reference+" + "+".join(toggle))
+    return cases
+
+
+_UNSHIPPED_TOGGLES = (
+    dict(ignore_loop_directive=True),
+    dict(ignore_private_clause=True),
+    dict(firstprivate_uninitialized=True),
+    dict(ignore_collapse=True),
+    dict(copyin_as_create=True),
+    dict(ignore_if_clause=True),
+    dict(ignore_async=True),
+    dict(ignored_loop_levels=frozenset({"gang"})),
+)
+
+
+class TestCrossBackendVendors:
+    @pytest.mark.parametrize("behavior,language", _vendor_behaviours())
+    def test_reports_identical(self, suite10, behavior, language):
+        sample = [t for t in suite10.for_language(language)
+                  if t.feature in _VENDOR_SAMPLE_FEATURES]
+        assert len(sample) == len(_VENDOR_SAMPLE_FEATURES)
+        cache = CompileCache()  # both backends run the same compiles
+        rendered = {}
+        for backend in BACKENDS:
+            config = HarnessConfig(iterations=1, languages=(language,),
+                                   backend=backend)
+            runner = ValidationRunner(behavior, config, cache=cache)
+            rendered[backend] = render_csv(
+                runner.run_suite(suite10, templates=sample))
+        assert rendered["closures"] == rendered["tree"]
+
+
+# ---------------------------------------------------------------------------
+# slot-frame scoping corners, checked against the tree walker
+# ---------------------------------------------------------------------------
+
+#: programs whose scoping the frames must reproduce exactly; each result
+#: (or error) must match the tree walker's
+_FRAME_CORNERS = {
+    # each deferred region must see its own iteration's `v`, not the frame
+    # slot's latest cell: 1 + 11 + 21 + 31
+    "async_region_in_loop": ("""
+int main() {
+  int s = 0;
+  for (int k = 0; k < 4; k = k + 1) {
+    int v = k * 10;
+    #pragma acc parallel num_gangs(1) async(1) copy(s)
+    {
+      s = s + v + 1;
+    }
+  }
+  #pragma acc wait
+  return s;
+}
+""", 64),
+    # a name the region never binds is undefined inside it
+    "undefined_in_region": ("""
+int main() {
+  int a[4];
+  #pragma acc parallel loop copy(a[0:4])
+  for (int i = 0; i < 4; i = i + 1) {
+    a[i] = zz;
+  }
+  return a[0];
+}
+""", None),
+    # a name declared anywhere in the region is no implicit candidate
+    "declared_inside_region": ("""
+int main() {
+  int x = 5;
+  int a[4];
+  #pragma acc parallel num_gangs(2) copy(a[0:4])
+  {
+    int y = x;
+    #pragma acc loop
+    for (int i = 0; i < 4; i = i + 1) {
+      int x = i * 2;
+      a[i] = x + y;
+    }
+  }
+  return a[3];
+}
+""", None),
+    # if(false) combined construct: the loop runs on the host
+    "iffalse_combined": ("""
+int main() {
+  int a[8];
+  int n = 8;
+  #pragma acc parallel loop if(n < 0) copy(a[0:8])
+  for (int i = 0; i < n; i = i + 1) { a[i] = i; }
+  return a[7];
+}
+""", 7),
+}
+
+
+class TestFrameCorners:
+    @pytest.mark.parametrize("name", sorted(_FRAME_CORNERS))
+    def test_matches_tree_walker(self, name):
+        source, expected = _FRAME_CORNERS[name]
+        compiled = _compile(source, name + ".c")
+        outcomes = {}
+        for backend in BACKENDS:
+            try:
+                outcomes[backend] = compiled.run(backend=backend)
+            except AccRuntimeError as exc:
+                outcomes[backend] = (type(exc).__name__, str(exc))
+        assert outcomes["closures"] == outcomes["tree"]
+        if expected is not None:
+            assert outcomes["tree"].value == expected
+
+
+# ---------------------------------------------------------------------------
+# region plans: built once, and never outliving their lowering
+# ---------------------------------------------------------------------------
+
+
+class TestRegionPlans:
+    def test_plans_and_region_code_are_built_once(self):
+        compiled = _compile(_STATEFUL_SRC)
+        compiled.run(backend="closures")
+        lowered = compiled.lowered()
+        plans = dict(lowered.plans)
+        codes = {k: plan.device_code for k, (_node, plan) in plans.items()
+                 if hasattr(plan, "device_code")}
+        assert plans and any(code is not None for code in codes.values())
+        compiled.run(backend="closures")
+        assert lowered.plans == plans
+        for k, (_node, plan) in lowered.plans.items():
+            assert plans[k][1] is plan
+            if k in codes:
+                assert plan.device_code is codes[k]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_program_dies_with_its_lowering(self, backend):
+        import gc
+        import weakref
+
+        compiled = _compile(_STATEFUL_SRC)
+        runner = compiled.runner(backend=backend)
+        runner.run()
+        program = weakref.ref(compiled.program)
+        lowered = weakref.ref(compiled._lowered) \
+            if compiled._lowered is not None else None
+        del compiled, runner
+        gc.collect()
+        # no module-level cache may pin the AST: plans live on the
+        # lowering, and the lowering on its compiled program
+        assert program() is None
+        assert lowered is None or lowered() is None
