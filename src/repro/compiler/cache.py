@@ -1,25 +1,40 @@
-"""Compile cache: memoise ``Compiler.compile`` across suite runs.
+"""Compile cache: share compile work across the runs of one campaign.
 
-The harness compiles the same generated program many times: repeated
-iterations of one phase share a :class:`CompiledProgram` already, but the
-Fig. 8 version sweeps, the Titan node sweeps and benchmark rounds recompile
-byte-identical sources over and over.  A :class:`CompileCache` keyed on
-``(source, language, name, behavior)`` makes every repeat a dictionary
-lookup.  ``CompilerBehavior`` is a frozen (hashable) dataclass, so keying on
-the whole behaviour — rather than just its label — guarantees two
-implementations can never alias each other's cache entries.
+A Fig. 8 sweep compiles the same 200 generated sources under 16 vendor
+behaviours, and a Titan sweep compiles them again for every node and
+re-check.  A :class:`CompileCache` has two tiers:
 
-Compile *errors* are cached too (negative caching): a vendor version that
-rejects a directive rejects it identically on every attempt, and the
-error-heavy beta sweeps benefit the most.
+* the **parse tier**, keyed on ``(source, language, name)``, holds the
+  behaviour-independent half of a compile
+  (:class:`~repro.compiler.frontend.ParsedSource`): the parsed program and
+  its validation facts, or the frontend error.  Every behaviour of a sweep
+  reads the same entry, so each source is parsed once per sweep;
+* the **compile tier**, keyed on ``(source, language, name, behavior)``,
+  holds whole compile results.  ``CompilerBehavior`` is a frozen
+  (hashable) dataclass, so keying on the whole behaviour, not just its
+  label, guarantees two implementations never alias each other's entries.
+  It hits when the same behaviour compiles a source again: repeated
+  phases, Titan nodes carrying identical stacks, triage re-checks.
+
+Both tiers cache errors (negative caching): a source that does not parse,
+or a vendor version that rejects a directive, fails identically on every
+attempt, and the error-heavy beta sweeps benefit the most.
+
+The cache lives as long as its owner: one sweep (``vendor_pass_rates``),
+one :class:`~repro.harness.titan.TitanHarness`, or one runner.  It is
+never process-wide: a process-wide cache would keep every campaign's
+programs alive in a long-running ``repro serve``.  ``compile_cache=False``
+(``--no-compile-cache``) builds none, and every compile parses afresh.
 
 The cache is thread-safe (the ``thread`` execution policy shares one
-runner) and single-flight: threads that miss the same key while it is
-being compiled wait for that one compile and count as hits, so a key is
-compiled (and counted as a miss) once however many threads race for it.
-Under the ``process`` policy each worker process holds its own cache, and
-the engine aggregates hit counters from the per-phase flags carried by the
-results.
+runner).  The compile tier is single-flight: threads that miss the same
+key while it is being compiled wait for that one compile and count as
+hits, so a key is compiled (and counted as a miss) once however many
+threads race for it.  The parse tier is locked but not single-flight:
+racing threads may each parse, and all of them get the entry stored
+first.  Under the ``process`` policy each worker process holds its own
+cache and parses for itself; the engine aggregates hit counters from the
+per-phase flags carried by the results.
 """
 
 from __future__ import annotations
@@ -30,13 +45,16 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.compiler.errors import CompileError, CompilerCrashError
+from repro.compiler.frontend import ParsedSource, parse_front
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.behavior import CompilerBehavior
     from repro.compiler.pipeline import CompiledProgram, Compiler
+    from repro.ir.astnodes import Program
 
-#: default number of entries kept (LRU beyond this); one full-suite run
-#: against one behaviour needs ~2 entries per template (functional + cross)
+#: default number of entries kept per tier (LRU beyond this); one full-suite
+#: run against one behaviour needs ~2 entries per template (functional +
+#: cross)
 DEFAULT_MAXSIZE = 4096
 
 
@@ -58,11 +76,17 @@ class CacheStats:
     attributes separately under the thread policy can tear (one counter
     from before a concurrent update, the other from after) and report
     totals that don't sum to the number of lookups.
+
+    ``hits``/``misses``/``entries`` count the compile tier; the ``parse_``
+    fields count the parse tier, where a miss is one frontend run.
     """
 
     hits: int
     misses: int
     entries: int
+    parse_hits: int = 0
+    parse_misses: int = 0
+    parse_entries: int = 0
 
     @property
     def lookups(self) -> int:
@@ -86,7 +110,8 @@ class _Flight:
 
 
 class CompileCache:
-    """Bounded LRU cache of compile results (successes and errors)."""
+    """Two bounded LRU tiers: parses, and compile results (successes and
+    errors); see the module docstring."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
@@ -98,6 +123,9 @@ class CompileCache:
         self._inflight: Dict[tuple, _Flight] = {}
         self.hits = 0
         self.misses = 0
+        self._parses: "OrderedDict[tuple, ParsedSource]" = OrderedDict()
+        self.parse_hits = 0
+        self.parse_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -110,7 +138,9 @@ class CompileCache:
         """Snapshot hits/misses/entries atomically (see CacheStats)."""
         with self._lock:
             return CacheStats(
-                hits=self.hits, misses=self.misses, entries=len(self._entries)
+                hits=self.hits, misses=self.misses, entries=len(self._entries),
+                parse_hits=self.parse_hits, parse_misses=self.parse_misses,
+                parse_entries=len(self._parses),
             )
 
     def clear(self) -> None:
@@ -118,8 +148,47 @@ class CompileCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+            self._parses.clear()
+            self.parse_hits = 0
+            self.parse_misses = 0
 
-    # ------------------------------------------------------------------ api
+    # ----------------------------------------------------------- parse tier
+
+    def parsed(self, source: str, language: str, name: str) -> ParsedSource:
+        """The parse tier: ``source`` parsed once, with its validation
+        facts, or its cached frontend error.
+
+        Exceptions other than a frontend error (an unknown language, a
+        frontend crash) propagate and are not cached.
+        """
+        k = (source, language, name)
+        with self._lock:
+            entry = self._parses.get(k)
+            if entry is not None:
+                self._parses.move_to_end(k)
+                self.parse_hits += 1
+                return entry
+        fresh = parse_front(source, language, name)
+        with self._lock:
+            self.parse_misses += 1
+            # a racing thread may have stored first: everyone shares its entry
+            entry = self._parses.setdefault(k, fresh)
+            self._parses.move_to_end(k)
+            while len(self._parses) > self.maxsize:
+                self._parses.popitem(last=False)
+        return entry
+
+    def parse(self, source: str, language: str, name: str) -> "Program":
+        """The parse tier as a frontend: the program, or the cached
+        :class:`~repro.frontend.errors.FrontendError` raised (a copy)."""
+        entry = self.parsed(source, language, name)
+        err = entry.error
+        if err is not None:
+            # a copy: the shared error must not collect its raisers' tracebacks
+            raise type(err)(err.message, err.loc)
+        return entry.program
+
+    # --------------------------------------------------------- compile tier
 
     @staticmethod
     def key(source: str, language: str, name: str,

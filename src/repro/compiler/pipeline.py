@@ -16,10 +16,16 @@ repeat-M-iterations methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
 from repro.compiler.errors import CompileError, UnsupportedFeatureError
+from repro.compiler.frontend import (
+    ComputeRegion,
+    ValidationFacts,
+    parse_front,
+    validation_facts,
+)
 from repro.compiler.interp import (
     DEFAULT_BACKEND,
     ExecutionLimits,
@@ -27,19 +33,13 @@ from repro.compiler.interp import (
     Interpreter,
     builtin_names,
 )
-from repro.frontend.errors import FrontendError
-from repro.ir.acc import Clause, Directive
-from repro.ir.astnodes import (
-    AccConstruct,
-    AccLoop,
-    AccStandalone,
-    Call,
-    Function,
-    IntLit,
-    Program,
-    walk,
-)
-from repro.spec.versions import ACC_10, ACC_20
+from repro.frontend.dispatch import LANGUAGES
+from repro.ir.acc import Directive
+from repro.ir.astnodes import IntLit, Program, walk
+from repro.spec.versions import ACC_20
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.compiler.cache import CompileCache
 
 # ---------------------------------------------------------------------------
 # clause allowance table — owned by the static checker so the simulated
@@ -61,6 +61,9 @@ _KNOWN_ROUTINES = {
     "acc_async_test_all", "acc_async_wait", "acc_async_wait_all",
     "acc_init", "acc_shutdown", "acc_on_device", "acc_malloc", "acc_free",
 }
+
+#: names a program may call without defining them
+_BUILTINS = frozenset(builtin_names())
 
 
 @dataclass
@@ -211,10 +214,17 @@ class ProgramRunner:
 
 
 class Compiler:
-    """An OpenACC implementation: frontends + validation + simulator."""
+    """An OpenACC implementation: frontends + validation + simulator.
 
-    def __init__(self, behavior: CompilerBehavior = REFERENCE_BEHAVIOR):
+    ``frontend`` is where compiles get their parses: a
+    :class:`~repro.compiler.cache.CompileCache`, whose parse tier shares
+    them across every compiler of a sweep, or None to parse afresh.
+    """
+
+    def __init__(self, behavior: CompilerBehavior = REFERENCE_BEHAVIOR,
+                 frontend: Optional["CompileCache"] = None):
         self.behavior = behavior
+        self.frontend = frontend
 
     # ------------------------------------------------------------- compile
 
@@ -223,69 +233,55 @@ class Compiler:
             raise UnsupportedFeatureError(
                 f"{self.behavior.label} has no {language} frontend"
             )
-        try:
-            if language == "c":
-                from repro.minic import parse_program
-
-                program = parse_program(source, filename=name, name=name)
-            elif language == "fortran":
-                from repro.minifort import parse_program
-
-                program = parse_program(source, filename=name, name=name)
-            else:
-                raise UnsupportedFeatureError(f"unknown language {language!r}")
-        except FrontendError as err:
-            raise CompileError(str(err)) from err
-        warnings = self.validate(program)
+        if language not in LANGUAGES:
+            raise UnsupportedFeatureError(f"unknown language {language!r}")
+        if self.frontend is not None:
+            parsed = self.frontend.parsed(source, language, name)
+        else:
+            parsed = parse_front(source, language, name)
+        if parsed.error is not None:
+            raise CompileError(str(parsed.error)) from parsed.error
+        warnings = self.validate(parsed.program, parsed.facts)
         return CompiledProgram(
-            program=program, behavior=self.behavior, source=source,
+            program=parsed.program, behavior=self.behavior, source=source,
             warnings=warnings,
         )
 
     # ------------------------------------------------------------ validation
 
-    def validate(self, program: Program) -> List[str]:
-        warnings: List[str] = []
+    def validate(self, program: Program,
+                 facts: Optional[ValidationFacts] = None) -> List[str]:
+        """Check ``program`` against this behaviour; raise the first error.
+
+        ``facts`` are the program's :func:`validation_facts` (collected
+        here when not given), so a sweep that validates one parse under
+        many behaviours scans lists instead of walking the tree again.
+        """
+        if facts is None:
+            facts = validation_facts(program)
         behavior = self.behavior
-        user_functions = {fn.name for fn in program.functions}
-        routine_functions = self._routine_functions(program)
-
-        for fn in program.functions:
-            for directive in fn.declares:
-                self._check_directive(directive)
-            for node in walk(fn.body):
-                if isinstance(node, (AccConstruct, AccLoop, AccStandalone)):
-                    self._check_directive(node.directive)
-                if isinstance(node, (AccConstruct, AccLoop)) and node.directive.kind in (
-                    "parallel", "kernels", "parallel loop", "kernels loop",
-                ):
-                    body = node.body if isinstance(node, AccConstruct) else node.loop
-                    self._check_region_calls(body, user_functions, routine_functions)
-                    self._check_default_none(node.directive, body, program)
+        routine_functions = (facts.routine_functions
+                             if behavior.spec_version >= ACC_20
+                             else frozenset())
+        for check in facts.checks:
+            if isinstance(check, ComputeRegion):
+                self._check_region_calls(check.calls, facts.user_functions,
+                                         routine_functions)
+                self._check_default_none(check.directive, check.body, program)
+            else:
+                self._check_directive(check)
         # link check: runtime routines must exist in this implementation
-        for fn in program.functions:
-            for node in walk(fn.body):
-                if isinstance(node, Call) and node.name.startswith("acc_"):
-                    if node.name not in _KNOWN_ROUTINES:
-                        raise CompileError(
-                            f"unknown runtime routine {node.name}", node.loc
-                        )
-                    if node.name in behavior.unsupported_routines:
-                        raise UnsupportedFeatureError(
-                            f"{behavior.label} does not provide {node.name}",
-                            node.loc,
-                        )
-        return warnings
-
-    def _routine_functions(self, program: Program) -> Set[str]:
-        """Functions compiled for the device via 2.0 `routine` directives."""
-        out: Set[str] = set()
-        if self.behavior.spec_version >= ACC_20:
-            for fn in program.functions:
-                for d in fn.declares:
-                    if d.kind == "routine":
-                        out.add(fn.name)
-        return out
+        for call in facts.acc_calls:
+            if call.name not in _KNOWN_ROUTINES:
+                raise CompileError(
+                    f"unknown runtime routine {call.name}", call.loc
+                )
+            if call.name in behavior.unsupported_routines:
+                raise UnsupportedFeatureError(
+                    f"{behavior.label} does not provide {call.name}",
+                    call.loc,
+                )
+        return []
 
     def _check_directive(self, d: Directive) -> None:
         behavior = self.behavior
@@ -334,20 +330,20 @@ class Compiler:
             if clause.name == "reduction" and clause.op is None:
                 raise CompileError("reduction clause without operator", clause.loc)
 
+    @staticmethod
     def _check_region_calls(
-        self, body, user_functions: Set[str], routine_functions: Set[str]
+        calls, user_functions: Set[str], routine_functions: Set[str]
     ) -> None:
         """1.0 cannot call user procedures inside compute regions."""
-        builtin = set(builtin_names())
-        for node in walk(body):
-            if isinstance(node, Call) and node.name in user_functions:
+        for node in calls:
+            if node.name in user_functions:
                 if node.name not in routine_functions:
                     raise UnsupportedFeatureError(
                         f"call to user procedure {node.name!r} inside a compute "
                         "region (OpenACC 1.0 has no `routine` directive)",
                         node.loc,
                     )
-            elif isinstance(node, Call) and node.name not in builtin and node.name not in user_functions:
+            elif node.name not in _BUILTINS:
                 raise CompileError(
                     f"call to unknown function {node.name!r}", node.loc
                 )

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
 from repro.compiler import (
+    REFERENCE_BEHAVIOR,
     CompileError,
     Compiler,
     CompilerBehavior,
@@ -35,6 +36,7 @@ from repro.compiler import (
 )
 from repro.compiler.cache import CompileCache
 from repro.faults import FaultInjector, FaultyCompiler, NULL_INJECTOR
+from repro.frontend import parse_source
 from repro.harness.config import HarnessConfig
 from repro.harness.stats import certainty
 from repro.obs import NULL_TRACER
@@ -262,11 +264,16 @@ class ValidationRunner:
         tracer=None,
         live=None,
     ):
-        self.compiler = Compiler(behavior) if behavior is not None else Compiler()
         self.config = config or HarnessConfig()
         if cache is None and self.config.compile_cache:
             cache = CompileCache()
+        #: the compile cache; a caller running several behaviours (a vendor
+        #: sweep, a Titan harness) passes one in to share its parse tier
         self.cache = cache
+        self.compiler = Compiler(
+            behavior if behavior is not None else REFERENCE_BEHAVIOR,
+            frontend=cache,
+        )
         #: a repro.obs.Tracer; the default NULL_TRACER records nothing
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: a repro.obs.live.LiveTelemetry pipeline, or None.  Deliberately
@@ -538,12 +545,15 @@ class ValidationRunner:
         implementation under test — or None when it is clean and the normal
         functional phase should run.  Diagnostics are deterministically
         ordered, so reports stay byte-identical across execution policies.
+        It parses through the compile cache's parse tier, so the functional
+        phase that follows reuses the parse.
         """
         from repro.staticcheck import errors_only, lint_template, summarize
 
         tracer = self.tracer
+        parse = self.cache.parse if self.cache is not None else parse_source
         with tracer.span("lint", key=tkey) as span:
-            diags = errors_only(lint_template(template))
+            diags = errors_only(lint_template(template, parse=parse))
             if tracer.enabled:
                 span.set(diagnostics=len(diags))
                 tracer.metrics.counter("lint.checked").inc()

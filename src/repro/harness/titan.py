@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler import CompilerBehavior
+from repro.compiler import CompileCache, CompilerBehavior
 from repro.harness.config import HarnessConfig
 from repro.harness.engine import CancelToken, activate_token
 from repro.harness.runner import FailureKind, SuiteRunReport, ValidationRunner
@@ -224,6 +224,10 @@ class TitanHarness:
         #: timeline gracefully between node checks (CampaignInterrupted),
         #: exactly like run_suite's per-campaign token
         self.cancel = cancel if cancel is not None else CancelToken()
+        #: one compile cache for every check of this harness, triage
+        #: re-checks and recovery probes included: each source is parsed
+        #: once, and nodes carrying identical stacks share whole compiles
+        self.cache = CompileCache() if self.config.compile_cache else None
         self._template_map: Optional[Dict[str, object]] = None
 
     def _recheck_config(self, offset: int) -> HarnessConfig:
@@ -281,7 +285,7 @@ class TitanHarness:
                 return check
         runner = ValidationRunner(node.stacks[stack],
                                   config or self.config,
-                                  tracer=self.tracer)
+                                  cache=self.cache, tracer=self.tracer)
         report = runner.run_suite(self.suite, cancel=self.cancel)
         check = StackCheck(
             node_id=node.node_id, stack=stack, healthy=node.healthy,

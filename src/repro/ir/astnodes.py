@@ -290,7 +290,8 @@ class Program(Node):
 # Traversal
 # ---------------------------------------------------------------------------
 
-def _children(node: Node) -> Iterator[Node]:
+def children(node: Node) -> Iterator[Node]:
+    """The direct AST children of ``node``, in field order."""
     for f in fields(node):
         value = getattr(node, f.name)
         if isinstance(value, Node):
@@ -311,4 +312,4 @@ def walk(node: Node) -> Iterator[Node]:
     while stack:
         current = stack.pop()
         yield current
-        stack.extend(reversed(list(_children(current))))
+        stack.extend(reversed(list(children(current))))

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.frontend.dispatch import parse_source
 from repro.frontend.errors import FrontendError
 from repro.ir.astnodes import SourceLocation
 from repro.spec.versions import ACC_10, SpecVersion
@@ -59,14 +60,6 @@ def _template_version(template: TestTemplate) -> SpecVersion:
         return ACC_10
 
 
-def _parse_source(source: str, language: str, name: str):
-    if language == "fortran":
-        from repro.minifort import parse_program
-    else:
-        from repro.minic import parse_program
-    return parse_program(source, filename=name, name=name)
-
-
 def lint_program(program, version: SpecVersion = ACC_10) -> List[Diagnostic]:
     """Legality, dependence, data-environment and async passes over one
     parsed program."""
@@ -86,7 +79,7 @@ def lint_source(
     Inline ``acc-lint: disable`` comments in the source are honoured.
     """
     try:
-        program = _parse_source(source, language, name)
+        program = parse_source(source, language, name)
     except FrontendError as err:
         return [Diagnostic(
             "ACC301",
@@ -97,12 +90,17 @@ def lint_source(
     return diags
 
 
-def lint_template_raw(template: TestTemplate) -> List[Diagnostic]:
+def lint_template_raw(template: TestTemplate,
+                      parse=parse_source) -> List[Diagnostic]:
     """All passes for one template, minus the baseline allowance.
 
     Inline suppressions in the generated functional source are applied
     (they are part of the template's own text); the checked-in baseline
     is not — callers wanting the net view use :func:`lint_template`.
+
+    ``parse`` has :func:`~repro.frontend.parse_source`'s signature; the
+    harness passes its compile cache's parse tier, which must return an
+    unmodified program (the passes only read it).
     """
     version = _template_version(template)
     diags: List[Diagnostic] = []
@@ -112,7 +110,7 @@ def lint_template_raw(template: TestTemplate) -> List[Diagnostic]:
         return [Diagnostic("ACC301", f"functional variant fails to "
                                      f"generate: {err}")]
     try:
-        program = _parse_source(
+        program = parse(
             functional.source, template.language, template.name
         )
     except FrontendError as err:
@@ -142,15 +140,15 @@ def lint_template_raw(template: TestTemplate) -> List[Diagnostic]:
 
 
 def lint_template(
-    template: TestTemplate, baseline=SHIPPED_BASELINE
+    template: TestTemplate, baseline=SHIPPED_BASELINE, parse=parse_source
 ) -> List[Diagnostic]:
     """All passes for one template (the harness lint gate's view).
 
     Findings covered by the baseline allowance (the shipped corpus
     baseline by default; pass ``baseline=None`` for the raw view) are
-    dropped.
+    dropped.  ``parse`` is as for :func:`lint_template_raw`.
     """
-    raw = lint_template_raw(template)
+    raw = lint_template_raw(template, parse=parse)
     resolved = _resolve_baseline(baseline)
     if resolved is None:
         return raw

@@ -1,0 +1,443 @@
+"""Tests for the compile cache's parse tier and fact-based validation.
+
+A sweep shares one :class:`CompileCache`: its parse tier parses each
+source once for every behaviour, and ``Compiler.validate`` scans the
+parse's precomputed facts instead of walking the tree.  The checks here
+hold both to the per-run results they replace: a shared-cache sweep
+renders byte-identical reports to fresh per-version runners, and the
+fact-based validation agrees with the tree walk it replaced on every
+corpus source under every vendor and Titan behaviour.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from dataclasses import replace
+from typing import List, Set
+
+import pytest
+
+import repro.minic
+import repro.minifort
+from repro.analysis import vendor_pass_rates
+from repro.compiler import (
+    CompileCache,
+    CompileError,
+    Compiler,
+    CompilerBehavior,
+)
+from repro.compiler.behavior import REFERENCE_BEHAVIOR
+from repro.compiler.frontend import parse_front
+from repro.compiler.interp import builtin_names
+from repro.compiler.pipeline import _KNOWN_ROUTINES
+from repro.compiler.errors import UnsupportedFeatureError
+from repro.compiler.vendors import VENDORS, vendor_versions
+from repro.faults import FaultyCompiler
+from repro.harness import HarnessConfig, ValidationRunner, render_csv
+from repro.harness.titan import (
+    TitanCluster,
+    TitanHarness,
+    default_degradation,
+    default_stacks,
+)
+from repro.ir.astnodes import AccConstruct, AccLoop, AccStandalone, Call, walk
+from repro.spec.versions import ACC_20
+from repro.templates import generate_cross, generate_functional
+
+_SWEEP = HarnessConfig(iterations=1, run_cross=False)
+
+#: a feature sample that every vendor's versions split on (compile errors,
+#: wrong code and passes alike)
+_SAMPLE_FEATURES = (
+    "kernels", "kernels loop", "loop.collapse", "loop.gang", "loop.private",
+    "parallel.async", "parallel.num_gangs", "parallel.reduction",
+    "update.host", "runtime.acc_async_test", "runtime.acc_get_num_devices",
+    "declare.copy", "wait",
+)
+
+_BAD_SOURCE = "int main() {\n  return 1 +;\n}\n"
+
+
+class _CountingInjector:
+    """Counts ``compile`` site firings; never fails."""
+
+    def __init__(self):
+        self.fired = 0
+
+    def compile_site(self, key: str) -> None:
+        self.fired += 1
+
+
+@pytest.fixture()
+def parse_counter(monkeypatch):
+    """Counts frontend runs per (source, language)."""
+    calls: List[tuple] = []
+    for module, language in ((repro.minic, "c"), (repro.minifort, "fortran")):
+        real = module.parse_program
+
+        def counting(source, *args, _real=real, _language=language, **kwargs):
+            calls.append((source, _language))
+            return _real(source, *args, **kwargs)
+
+        monkeypatch.setattr(module, "parse_program", counting)
+    return calls
+
+
+def _sample_config(suite) -> HarnessConfig:
+    features = sorted({t.feature for t in suite if t.feature in _SAMPLE_FEATURES})
+    assert len(features) == len(_SAMPLE_FEATURES)
+    return replace(_SWEEP, features=features)
+
+
+def _fresh_runs(vendor: str, suite, config: HarnessConfig) -> List[str]:
+    """render_csv of every (version, language) run, each with a fresh
+    runner and cache."""
+    out = []
+    for vv in vendor_versions(vendor):
+        for language in ("c", "fortran"):
+            runner = ValidationRunner(vv.behavior(language),
+                                      replace(config, languages=(language,)))
+            out.append(render_csv(runner.run_suite(suite)))
+    return out
+
+
+def _shared_runs(vendor: str, suite, config: HarnessConfig) -> List[str]:
+    points = vendor_pass_rates(vendor, suite, config)
+    return [render_csv(points[language][i].report)
+            for i in range(len(vendor_versions(vendor)))
+            for language in ("c", "fortran")]
+
+
+# ---------------------------------------------------------------------------
+# sharing changes no report
+# ---------------------------------------------------------------------------
+
+
+class TestSharedSweep:
+    @pytest.mark.parametrize("vendor", ["caps", "pgi", "cray"])
+    def test_shared_sweep_renders_like_fresh_runners(self, suite10, vendor):
+        config = _sample_config(suite10)
+        assert _shared_runs(vendor, suite10, config) == \
+            _fresh_runs(vendor, suite10, config)
+
+    def test_shared_sweep_parses_each_source_once(self, suite10,
+                                                  parse_counter):
+        config = _sample_config(suite10)
+        points = vendor_pass_rates("caps", suite10, config)
+        assert len(parse_counter) == len(set(parse_counter))
+        # every source of the sample, each language once
+        assert len(parse_counter) == sum(p.tests for p in
+                                         (points["c"][0], points["fortran"][0]))
+
+    def test_no_cache_sweep_parses_under_every_version(self, suite10,
+                                                       parse_counter):
+        config = replace(_sample_config(suite10), compile_cache=False)
+        points = vendor_pass_rates("caps", suite10, config)
+        versions = len(vendor_versions("caps"))
+        runs = [p for language in ("c", "fortran") for p in points[language]]
+        assert all(p.report.metrics.cache_hits == 0 for p in runs)
+        # every program is compiled (and so parsed) under every version
+        compiles = sum(p.report.metrics.cache_misses for p in runs)
+        assert compiles == versions * (points["c"][0].tests
+                                       + points["fortran"][0].tests)
+        assert len(parse_counter) == compiles
+        assert len(set(parse_counter)) == compiles // versions
+
+    def test_titan_shared_cache_equals_fresh_caches(self, suite10):
+        def sweep(shared: bool):
+            cluster = TitanCluster(num_nodes=6, degraded_fraction=0.34, seed=3)
+            harness = TitanHarness(
+                cluster, suite10,
+                config=HarnessConfig(iterations=1, run_cross=False,
+                                     languages=("c",)),
+                feature_prefixes=["update", "parallel.reduction", "kernels"],
+            )
+            if not shared:
+                harness.cache = None  # each check's runner builds its own
+            checks = harness.sweep(sample_size=6, seed=4)
+            return ([(c.node_id, c.stack, render_csv(c.report))
+                     for c in checks],
+                    sorted(harness.quarantined), harness.cache)
+
+        shared_checks, shared_quarantine, cache = sweep(True)
+        fresh_checks, fresh_quarantine, _ = sweep(False)
+        assert shared_checks == fresh_checks
+        assert shared_quarantine == fresh_quarantine
+        assert shared_quarantine  # the triage re-checks ran
+        stats = cache.stats()
+        # identical healthy stacks share whole compiles across nodes
+        assert stats.hits > 0
+        assert stats.parse_misses == stats.parse_entries
+
+    def test_titan_without_compile_cache_shares_nothing(self, suite10):
+        harness = TitanHarness(
+            TitanCluster(num_nodes=2, seed=1), suite10,
+            config=HarnessConfig(iterations=1, run_cross=False,
+                                 languages=("c",), compile_cache=False),
+        )
+        assert harness.cache is None
+
+
+# ---------------------------------------------------------------------------
+# the parse tier's own contract
+# ---------------------------------------------------------------------------
+
+
+class TestParseTier:
+    def test_parse_error_identical_under_two_behaviours(self, parse_counter):
+        cache = CompileCache()
+        errors = []
+        for behavior in (REFERENCE_BEHAVIOR,
+                         CompilerBehavior(name="other", version="1")):
+            outcome = cache.get_or_compile(Compiler(behavior, frontend=cache),
+                                           _BAD_SOURCE, "c", "bad.c")
+            assert type(outcome.error) is CompileError
+            errors.append(str(outcome.error))
+        assert len(parse_counter) == 1
+        stats = cache.stats()
+        assert (stats.misses, stats.parse_misses, stats.parse_hits) == (2, 1, 1)
+        assert errors[0] == errors[1]
+        assert errors[0] == str(_uncached_error(_BAD_SOURCE))
+
+    def test_lint_parse_raises_a_copy_of_the_cached_error(self):
+        from repro.frontend import FrontendError
+
+        cache = CompileCache()
+        raised = []
+        for _ in range(2):
+            with pytest.raises(FrontendError) as info:
+                cache.parse(_BAD_SOURCE, "c", "bad.c")
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert (raised[0].message, raised[0].loc) == \
+            (raised[1].message, raised[1].loc)
+        assert cache.parsed(_BAD_SOURCE, "c", "bad.c").error.__traceback__ \
+            is None
+
+    def test_compile_site_fires_once_per_whole_compile_miss(self, suite10):
+        cache = CompileCache()
+        injector = _CountingInjector()
+        template = suite10.get("parallel.copy", "c")
+        source = generate_functional(template).source
+        behaviours = [REFERENCE_BEHAVIOR,
+                      REFERENCE_BEHAVIOR.with_(ignore_update=True)]
+        for _ in range(3):
+            for behavior in behaviours:
+                compiler = FaultyCompiler(Compiler(behavior, frontend=cache),
+                                          injector)
+                outcome = cache.get_or_compile(compiler, source, "c",
+                                               template.name)
+                assert outcome.error is None
+        assert injector.fired == len(behaviours)
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (2, 4)
+        assert (stats.parse_misses, stats.parse_hits) == (1, 1)
+
+    def test_behaviours_share_one_program(self, suite10):
+        cache = CompileCache()
+        template = suite10.get("parallel.copy", "c")
+        source = generate_functional(template).source
+        programs = {
+            id(cache.get_or_compile(Compiler(b, frontend=cache), source, "c",
+                                    template.name).program.program)
+            for b in (REFERENCE_BEHAVIOR,
+                      REFERENCE_BEHAVIOR.with_(ignore_update=True))
+        }
+        assert len(programs) == 1
+
+    def test_language_checks_run_before_the_tier(self):
+        cache = CompileCache()
+        c_only = Compiler(CompilerBehavior(languages=("c",)), frontend=cache)
+        with pytest.raises(UnsupportedFeatureError, match="no fortran"):
+            c_only.compile("program p\nend program p\n", "fortran", "p.f90")
+        odd = Compiler(CompilerBehavior(languages=("c", "cobol")),
+                       frontend=cache)
+        with pytest.raises(UnsupportedFeatureError, match="unknown language"):
+            odd.compile("", "cobol", "p.cob")
+        assert cache.stats().parse_misses == 0
+
+    def test_lru_bounds_the_parse_tier(self):
+        cache = CompileCache(maxsize=2)
+        sources = [f"int main() {{ return {k}; }}\n" for k in range(3)]
+        for source in sources:
+            cache.parsed(source, "c", "t.c")
+        assert cache.stats().parse_entries == 2
+        cache.parsed(sources[0], "c", "t.c")  # evicted: parsed again
+        assert cache.stats().parse_misses == 4
+
+    def test_racing_behaviours_share_one_parse_per_source(self, monkeypatch):
+        import time
+
+        import repro.compiler.cache as cache_module
+
+        real_parse_front = cache_module.parse_front
+
+        def slow_parse_front(*args):
+            time.sleep(0.01)  # every racer is inside the parse at once
+            return real_parse_front(*args)
+
+        monkeypatch.setattr(cache_module, "parse_front", slow_parse_front)
+        cache = CompileCache()
+        sources = [f"int main() {{ int a = {k}; return a; }}\n"
+                   for k in range(4)]
+        n_threads = 8
+        programs = {k: set() for k in range(len(sources))}
+        lock = threading.Lock()
+        start = threading.Barrier(n_threads, timeout=30)
+
+        def worker(i):
+            compiler = Compiler(CompilerBehavior(name=f"b{i}", version="1"),
+                                frontend=cache)
+            start.wait()
+            for k, source in enumerate(sources):
+                outcome = cache.get_or_compile(compiler, source, "c", "t.c")
+                with lock:
+                    programs[k].add(id(outcome.program.program))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # racers each parse, but every behaviour of a source gets the one
+        # program stored first
+        assert all(len(ids) == 1 for ids in programs.values())
+        stats = cache.stats()
+        assert stats.parse_misses > len(sources)  # the race did happen
+        assert stats.parse_hits + stats.parse_misses == \
+            n_threads * len(sources)
+        assert stats.parse_entries == len(sources)
+        assert (stats.misses, stats.entries) == (n_threads * len(sources),) * 2
+
+    def test_lint_gate_parses_once(self, suite10, parse_counter):
+        template = suite10.get("parallel.copy", "c")
+        config = HarnessConfig(iterations=1, run_cross=False, lint=True,
+                               languages=("c",))
+        runner = ValidationRunner(None, config)
+        result = runner.run_template(template)
+        assert result.passed
+        assert len(parse_counter) == 1
+
+
+def _uncached_error(source: str) -> CompileError:
+    with pytest.raises(CompileError) as info:
+        Compiler().compile(source, "c", "bad.c")
+    return info.value
+
+
+# ---------------------------------------------------------------------------
+# fact-based validation against the tree walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def _walk_validate(compiler: Compiler, program) -> List[str]:
+    """The reference: validation as one tree walk per check, visiting
+    nodes in the order the fact lists must reproduce."""
+    behavior = compiler.behavior
+    user_functions = {fn.name for fn in program.functions}
+    routine_functions: Set[str] = set()
+    if behavior.spec_version >= ACC_20:
+        routine_functions = {fn.name for fn in program.functions
+                             if any(d.kind == "routine" for d in fn.declares)}
+    builtin = set(builtin_names())
+    for fn in program.functions:
+        for directive in fn.declares:
+            compiler._check_directive(directive)
+        for node in walk(fn.body):
+            if isinstance(node, (AccConstruct, AccLoop, AccStandalone)):
+                compiler._check_directive(node.directive)
+            if isinstance(node, (AccConstruct, AccLoop)) and \
+                    node.directive.kind in ("parallel", "kernels",
+                                            "parallel loop", "kernels loop"):
+                body = node.body if isinstance(node, AccConstruct) else node.loop
+                for inner in walk(body):
+                    if isinstance(inner, Call) and inner.name in user_functions:
+                        if inner.name not in routine_functions:
+                            raise UnsupportedFeatureError(
+                                f"call to user procedure {inner.name!r} "
+                                "inside a compute region (OpenACC 1.0 has "
+                                "no `routine` directive)", inner.loc)
+                    elif isinstance(inner, Call) and inner.name not in builtin:
+                        raise CompileError(
+                            f"call to unknown function {inner.name!r}",
+                            inner.loc)
+                compiler._check_default_none(node.directive, body, program)
+    for fn in program.functions:
+        for node in walk(fn.body):
+            if isinstance(node, Call) and node.name.startswith("acc_"):
+                if node.name not in _KNOWN_ROUTINES:
+                    raise CompileError(
+                        f"unknown runtime routine {node.name}", node.loc)
+                if node.name in behavior.unsupported_routines:
+                    raise UnsupportedFeatureError(
+                        f"{behavior.label} does not provide {node.name}",
+                        node.loc)
+    return []
+
+
+def _outcome(validate):
+    try:
+        return ("ok", validate())
+    except CompileError as err:
+        return (type(err).__name__, err.message, err.loc)
+
+
+def _oracle_behaviours() -> List[CompilerBehavior]:
+    """Every distinct CAPS/PGI/Cray version behaviour, every Titan stack
+    and degradation, and a 2.0 compiler (routine, default(none)).
+
+    Behaviours that differ only in name and version validate alike (the
+    label only appears in messages), so each is checked once, under its
+    first version."""
+    behaviours = [vv.behavior(language) for vendor in VENDORS
+                  for vv in vendor_versions(vendor)
+                  for language in ("c", "fortran")]
+    for healthy in default_stacks().values():
+        behaviours.append(healthy)
+        behaviours.extend(default_degradation(healthy, k) for k in range(4))
+    behaviours.append(CompilerBehavior(spec_version=ACC_20))
+    distinct = {}
+    for behavior in behaviours:
+        distinct.setdefault(replace(behavior, name="", version=""), behavior)
+    return list(distinct.values())
+
+
+def _corpus_sources(*suites):
+    for suite in suites:
+        for template in suite:
+            yield template, generate_functional(template).source
+            if template.has_cross:
+                yield template, generate_cross(template).source
+
+
+class TestValidationFactsOracle:
+    def test_facts_match_the_tree_walk(self, suite10, suite20):
+        compilers = [Compiler(b) for b in _oracle_behaviours()]
+        checked = errors = 0
+        for template, source in _corpus_sources(suite10, suite20):
+            parsed = parse_front(source, template.language, template.name)
+            assert parsed.error is None, template.name
+            for compiler in compilers:
+                expected = _outcome(
+                    lambda: _walk_validate(compiler, parsed.program))
+                actual = _outcome(
+                    lambda: compiler.validate(parsed.program, parsed.facts))
+                assert actual == expected, (template.name, compiler.behavior)
+                checked += 1
+                errors += expected[0] != "ok"
+        # the corpus drives both the clean path and the diagnostics
+        assert checked > 10_000 and errors > 1_000
+
+    def test_validate_without_facts_collects_them(self, suite10):
+        template = suite10.get("parallel.copy", "c")
+        program = parse_front(generate_functional(template).source, "c",
+                              template.name).program
+        assert Compiler().validate(program) == []
