@@ -6,9 +6,12 @@ re-check.  A :class:`CompileCache` has two tiers:
 
 * the **parse tier**, keyed on ``(source, language, name)``, holds the
   behaviour-independent half of a compile
-  (:class:`~repro.compiler.frontend.ParsedSource`): the parsed program and
-  its validation facts, or the frontend error.  Every behaviour of a sweep
-  reads the same entry, so each source is parsed once per sweep;
+  (:class:`~repro.compiler.frontend.ParsedSource`): the parsed program,
+  its validation facts and its region plans table (plans and device code,
+  filled lazily as the program's regions first run), or the frontend
+  error.  Every behaviour of a sweep reads the same entry, so each source
+  is parsed, and each of its regions planned and lowered to device code,
+  once per sweep;
 * the **compile tier**, keyed on ``(source, language, name, behavior)``,
   holds whole compile results.  ``CompilerBehavior`` is a frozen
   (hashable) dataclass, so keying on the whole behaviour, not just its

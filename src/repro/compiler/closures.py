@@ -564,11 +564,13 @@ def _region_names(plan: ComputePlan) -> List[str]:
 class LoweredProgram:
     """A program lowered once, runnable by any number of interpreters."""
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program, plans: Dict[int, tuple]):
         self.program = program
         #: static construct plans (repro.compiler.exec_model), node id ->
-        #: (node, plan); they live and die with this lowering
-        self.plans: Dict[int, tuple] = {}
+        #: (node, plan): the caller's table, normally the parse's
+        #: (CompiledProgram.plans), which outlives this lowering and is
+        #: shared by every lowering of the same parse
+        self.plans = plans
         self.functions: Dict[str, LoweredFunction] = {}
         for fn in program.functions:
             lowerer = _Lowerer(program, frame=True, lowered_fns=self.functions)
@@ -584,12 +586,14 @@ class LoweredProgram:
 
     def region_code(self, plan: ComputePlan) -> RegionCode:
         """The plan's region body lowered to a device frame, built on the
-        region's first entry and kept on the plan (so, like the plan,
-        exactly as long as this lowering)."""
+        region's first entry and kept on the plan, so it lives as long as
+        the plan and serves every lowering that shares the plans.  It
+        therefore holds nothing of this lowering: user calls inside the
+        region resolve through the running interpreter
+        (``Interpreter.call_function``)."""
         code = plan.device_code
         if code is None:
-            lowerer = _Lowerer(self.program, frame=True,
-                               lowered_fns=self.functions, plans=self.plans,
+            lowerer = _Lowerer(self.program, frame=True, plans=self.plans,
                                device=True)
             code = lowerer.lower_region(plan)
             plan.device_code = code
@@ -620,10 +624,14 @@ class LoweredProgram:
         return entry[1]
 
 
-def lower_program(program: Program) -> LoweredProgram:
+def lower_program(program: Program,
+                  plans: Optional[Dict[int, tuple]] = None) -> LoweredProgram:
     """Lower every function of ``program`` into closures (Tier A) and set
-    up the on-demand Tier-B lowerer.  Pure: safe to share and reuse."""
-    return LoweredProgram(program)
+    up the on-demand Tier-B lowerer.  Pure: safe to share and reuse.
+
+    ``plans`` is the program's static construct plan table to read and
+    fill (a fresh one when not given)."""
+    return LoweredProgram(program, {} if plans is None else plans)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,8 @@ class ComputePlan:
         self.copy_only = _is_copy_only_region(body)
         self.implicit_names = _implicit_candidates(body)
         #: the body lowered to a device slot frame (closures backend only;
-        #: set lazily by repro.compiler.closures.LoweredProgram.region_code)
+        #: set lazily by repro.compiler.closures.LoweredProgram.region_code
+        #: and kept as long as this plan, by every lowering sharing it)
         self.device_code = None
 
 
@@ -231,9 +232,9 @@ class AccExecutor:
         self._wedged_all = False
         #: per-function processed declare mappings
         self._declare_stack: List[Tuple[Function, List[Mapping]]] = []
-        #: node id -> (node, ComputePlan | LoopPlan); the interpreter owns
-        #: the dict (the closures backend shares its lowering's, so plans
-        #: live exactly as long as the lowering does)
+        #: node id -> (node, ComputePlan | LoopPlan); the interpreter
+        #: hands over the dict (under the closures backend, its lowering's,
+        #: which is the parse's: plans live as long as the parse does)
         self._plans: Dict[int, tuple] = interp.plans
 
     def _plan(self, stmt: Stmt, kind):

@@ -9,12 +9,19 @@ directives, compute regions and runtime calls depend only on
 :class:`ParsedSource`, which the compile cache's parse tier shares across
 every behaviour of a sweep.  Neither the program nor the facts are ever
 mutated, so any number of compiles may read them.
+
+A parse also owns its program's static construct plans
+(:mod:`repro.compiler.exec_model`): a table filled lazily, the first time
+a region or loop runs under any behaviour, together with each compute
+plan's device code.  Both are pure functions of the AST, so every
+behaviour of a sweep shares them; the table lives as long as the parse
+and the programs compiled from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.frontend.dispatch import parse_source
 from repro.frontend.errors import FrontendError
@@ -115,6 +122,11 @@ class ParsedSource:
     program: Optional[Program]
     facts: Optional[ValidationFacts]
     error: Optional[FrontendError]
+    #: the program's static construct plans, node id -> (node, plan),
+    #: filled lazily by every compile of this parse (see
+    #: repro.compiler.exec_model.plan_for)
+    plans: Dict[int, tuple] = field(default_factory=dict, repr=False,
+                                    compare=False)
 
 
 def parse_front(source: str, language: str, name: str) -> ParsedSource:

@@ -192,7 +192,8 @@ class Interpreter:
             self._lowered = lowered
             self._invoke = invoke_function
             #: static construct plans (see AccExecutor): the lowering's,
-            #: so they are shared by every run of it
+            #: so they are shared by every run of it and, through the
+            #: compiled program, by every behaviour compiled from its parse
             self.plans = lowered.plans
         else:
             self._lowered = None

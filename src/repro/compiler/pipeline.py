@@ -74,6 +74,12 @@ class CompiledProgram:
     behavior: CompilerBehavior
     source: str = ""
     warnings: List[str] = field(default_factory=list)
+    #: the program's static construct plans, node id -> (node, plan): the
+    #: parse's table (ParsedSource.plans), so every behaviour compiled from
+    #: one cached parse shares the plans and their device code.  Never
+    #: pickled (device code is closures) and never compared
+    plans: Dict[int, tuple] = field(default_factory=dict, repr=False,
+                                    compare=False)
     #: lazily lowered closure program (repro.compiler.closures), attached to
     #: this instance so later runs reuse it (the harness detaches it after
     #: each phase: see ProgramRunner.close) — never pickled (closures
@@ -103,7 +109,7 @@ class CompiledProgram:
                 tracer.metrics.counter("lower.cache_misses").inc()
             from repro.compiler.closures import lower_program
 
-            lowered = lower_program(self.program)
+            lowered = lower_program(self.program, self.plans)
             self._lowered = lowered
         elif observe:
             tracer.event("lower.cache_hit", template=name or "?")
@@ -112,7 +118,9 @@ class CompiledProgram:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_lowered"] = None  # closures don't pickle; re-lower on use
+        # closures don't pickle: re-plan and re-lower on use
+        state["plans"] = {}
+        state["_lowered"] = None
         return state
 
     def runner(self, backend: str = DEFAULT_BACKEND, tracer=None,
@@ -179,10 +187,12 @@ class ProgramRunner:
         """Detach a lowering this runner attached to the compiled program.
 
         A campaign keeps every compiled program in its compile cache, and
-        a lowering (with its region plans and device code) weighs about as
-        much again as the parse, while a program rarely runs in a second
-        phase.  So the harness drops it after the phase; a later phase of
-        the same program lowers afresh.
+        a lowering's host closures (Tier A) weigh about as much again as
+        the parse, while a program rarely runs in a second phase.  So the
+        harness drops the lowering after the phase; a later phase of the
+        same program lowers afresh.  The region plans and their device
+        code are not the lowering's: they stay with the parse
+        (``CompiledProgram.plans``), shared by every behaviour and phase.
         """
         if self.lower_hit is False:
             self.compiled._lowered = None
@@ -244,7 +254,7 @@ class Compiler:
         warnings = self.validate(parsed.program, parsed.facts)
         return CompiledProgram(
             program=parsed.program, behavior=self.behavior, source=source,
-            warnings=warnings,
+            warnings=warnings, plans=parsed.plans,
         )
 
     # ------------------------------------------------------------ validation

@@ -10,7 +10,7 @@ they need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.ir.types import Type
 
@@ -290,10 +290,31 @@ class Program(Node):
 # Traversal
 # ---------------------------------------------------------------------------
 
+#: field annotations that never hold a :class:`Node`
+_LEAF_ANNOTATIONS = frozenset({
+    "str", "int", "float", "bool", "Optional[str]", "Type", "SourceLocation",
+})
+
+#: node class -> the names of its fields that may hold children
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def child_fields(cls: type) -> Tuple[str, ...]:
+    """The fields of node class ``cls`` that may hold children, in field
+    order: every field not annotated with a leaf type.  Computed once per
+    class."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = tuple(f.name for f in fields(cls)
+                      if f.type not in _LEAF_ANNOTATIONS)
+        _CHILD_FIELDS[cls] = names
+    return names
+
+
 def children(node: Node) -> Iterator[Node]:
     """The direct AST children of ``node``, in field order."""
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in child_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, (list, tuple)):

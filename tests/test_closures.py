@@ -569,7 +569,7 @@ class TestFrameCorners:
 
 
 # ---------------------------------------------------------------------------
-# region plans: built once, and never outliving their lowering
+# region plans: built once, and never outliving their parse
 # ---------------------------------------------------------------------------
 
 
@@ -602,7 +602,8 @@ class TestRegionPlans:
             if compiled._lowered is not None else None
         del compiled, runner
         gc.collect()
-        # no module-level cache may pin the AST: plans live on the
-        # lowering, and the lowering on its compiled program
+        # no module-level cache may pin the AST: plans live on the parse
+        # (shared through the compiled program, here its only owner), and
+        # the lowering on its compiled program
         assert program() is None
         assert lowered is None or lowered() is None

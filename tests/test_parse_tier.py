@@ -1,18 +1,24 @@
 """Tests for the compile cache's parse tier and fact-based validation.
 
 A sweep shares one :class:`CompileCache`: its parse tier parses each
-source once for every behaviour, and ``Compiler.validate`` scans the
-parse's precomputed facts instead of walking the tree.  The checks here
-hold both to the per-run results they replace: a shared-cache sweep
-renders byte-identical reports to fresh per-version runners, and the
+source once for every behaviour, ``Compiler.validate`` scans the parse's
+precomputed facts instead of walking the tree, and the parse's region
+plans and device code serve every behaviour's runs.  The checks here
+hold all three to the per-run results they replace: a shared-cache sweep
+renders byte-identical reports to fresh per-version runners, the
 fact-based validation agrees with the tree walk it replaced on every
-corpus source under every vendor and Titan behaviour.
+corpus source under every vendor and Titan behaviour, and shared plans
+neither change a run nor outlive their parse.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import pickle
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from typing import List, Set
 
@@ -28,6 +34,8 @@ from repro.compiler import (
     CompilerBehavior,
 )
 from repro.compiler.behavior import REFERENCE_BEHAVIOR
+from repro.compiler.closures import RegionCode, _Lowerer
+from repro.compiler.exec_model import ComputePlan, LoopPlan
 from repro.compiler.frontend import parse_front
 from repro.compiler.interp import builtin_names
 from repro.compiler.pipeline import _KNOWN_ROUTINES
@@ -41,7 +49,17 @@ from repro.harness.titan import (
     default_degradation,
     default_stacks,
 )
-from repro.ir.astnodes import AccConstruct, AccLoop, AccStandalone, Call, walk
+from repro.ir.astnodes import (
+    AccConstruct,
+    AccLoop,
+    AccStandalone,
+    Call,
+    IntLit,
+    Node,
+    child_fields,
+    children,
+    walk,
+)
 from repro.spec.versions import ACC_20
 from repro.templates import generate_cross, generate_functional
 
@@ -109,6 +127,16 @@ def _shared_runs(vendor: str, suite, config: HarnessConfig) -> List[str]:
             for language in ("c", "fortran")]
 
 
+def _titan_harness(suite) -> TitanHarness:
+    """A small Titan sweep whose degraded nodes trigger triage re-checks."""
+    cluster = TitanCluster(num_nodes=6, degraded_fraction=0.34, seed=3)
+    return TitanHarness(
+        cluster, suite,
+        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",)),
+        feature_prefixes=["update", "parallel.reduction", "kernels"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # sharing changes no report
 # ---------------------------------------------------------------------------
@@ -146,13 +174,7 @@ class TestSharedSweep:
 
     def test_titan_shared_cache_equals_fresh_caches(self, suite10):
         def sweep(shared: bool):
-            cluster = TitanCluster(num_nodes=6, degraded_fraction=0.34, seed=3)
-            harness = TitanHarness(
-                cluster, suite10,
-                config=HarnessConfig(iterations=1, run_cross=False,
-                                     languages=("c",)),
-                feature_prefixes=["update", "parallel.reduction", "kernels"],
-            )
+            harness = _titan_harness(suite10)
             if not shared:
                 harness.cache = None  # each check's runner builds its own
             checks = harness.sweep(sample_size=6, seed=4)
@@ -441,3 +463,241 @@ class TestValidationFactsOracle:
         program = parse_front(generate_functional(template).source, "c",
                               template.name).program
         assert Compiler().validate(program) == []
+
+
+# ---------------------------------------------------------------------------
+# region plans and device code: built once per parse, for every behaviour
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def plan_counter(monkeypatch):
+    """Records the statement of every plan built and the plan of every
+    region body lowered to device code (the lists pin them, so no id is
+    recycled while a test runs)."""
+    built = {"plans": [], "regions": []}
+    for cls in (ComputePlan, LoopPlan):
+        def planning(self, stmt, _real=cls.__init__):
+            built["plans"].append(stmt)
+            _real(self, stmt)
+        monkeypatch.setattr(cls, "__init__", planning)
+    real_lower = _Lowerer.lower_region
+
+    def lowering(self, plan):
+        built["regions"].append(plan)
+        return real_lower(self, plan)
+    monkeypatch.setattr(_Lowerer, "lower_region", lowering)
+    return built
+
+
+def _built_once(objects) -> bool:
+    return len({id(obj) for obj in objects}) == len(objects)
+
+
+class TestSharedPlans:
+    def test_caps_sweep_plans_and_lowers_each_region_once(self, suite10,
+                                                          plan_counter):
+        config = _sample_config(suite10)
+        vendor_pass_rates("caps", suite10, config)
+        shared = {k: len(v) for k, v in plan_counter.items()}
+        assert shared["plans"] and shared["regions"]
+        assert _built_once(plan_counter["plans"])
+        assert _built_once(plan_counter["regions"])
+        # without a cache every version parses, plans and lowers afresh
+        for built in plan_counter.values():
+            built.clear()
+        vendor_pass_rates("caps", suite10,
+                          replace(config, compile_cache=False))
+        for k, count in shared.items():
+            assert len(plan_counter[k]) > 2 * count, k
+
+    def test_titan_sweep_plans_and_lowers_each_region_once(self, suite10,
+                                                           plan_counter):
+        harness = _titan_harness(suite10)
+        harness.sweep(sample_size=6, seed=4)
+        assert harness.quarantined  # the triage re-checks ran
+        assert plan_counter["plans"] and plan_counter["regions"]
+        assert _built_once(plan_counter["plans"])
+        assert _built_once(plan_counter["regions"])
+
+
+_ROUTINE_SRC = """
+#pragma acc routine
+int bump(int x) { return x + 1; }
+int main() {
+  int i, s = 0;
+  int a[16];
+  for (i = 0; i < 16; i++) a[i] = i;
+  #pragma acc parallel copy(s) copy(a[0:16])
+  {
+    s = bump(s);
+    #pragma acc loop gang
+    for (i = 0; i < 16; i++) a[i] = bump(a[i]) * 2;
+  }
+  return s * 1000 + a[15];
+}
+"""
+
+#: two 2.0 behaviours whose runs of _ROUTINE_SRC differ (one increment of
+#: ``s`` per redundantly executing gang)
+_ROUTINE_BEHAVIOURS = (
+    CompilerBehavior(name="a", spec_version=ACC_20, default_num_gangs=4),
+    CompilerBehavior(name="b", spec_version=ACC_20, default_num_gangs=8),
+)
+
+
+def _run_phase(compiled, backend: str = "closures"):
+    runner = compiled.runner(backend=backend)
+    try:
+        return runner.run()
+    finally:
+        runner.close()
+
+
+def _device_codes(compiled) -> List[RegionCode]:
+    return [plan.device_code for _node, plan in compiled.plans.values()
+            if isinstance(plan, ComputePlan)]
+
+
+class TestPlanLifetimes:
+    def test_routine_calls_run_alike_on_shared_device_code(self):
+        cache = CompileCache()
+        values, codes = [], []
+        for behavior in _ROUTINE_BEHAVIOURS:
+            compiled = Compiler(behavior, frontend=cache).compile(
+                _ROUTINE_SRC, "c", "routine_call.c")
+            closures = _run_phase(compiled)
+            assert closures == _run_phase(compiled, "tree"), behavior.name
+            values.append(closures.value)
+            codes.append(_device_codes(compiled))
+        assert values == [4032, 8032]
+        # the second behaviour ran the first one's device code
+        assert codes[0] and all(code is not None for code in codes[0])
+        assert codes[0] == codes[1]
+
+    def test_phase_lowering_dies_while_the_cache_lives(self):
+        cache = CompileCache()
+        compiled = Compiler(_ROUTINE_BEHAVIOURS[0], frontend=cache).compile(
+            _ROUTINE_SRC, "c", "routine_call.c")
+        runner = compiled.runner()
+        runner.run()
+        lowered = weakref.ref(compiled._lowered)
+        # the region calls bump: its host closure must not be pinned by
+        # the shared device code
+        bump = weakref.ref(compiled._lowered.functions["bump"].body)
+        runner.close()
+        del runner
+        gc.collect()
+        assert lowered() is None and bump() is None
+        assert all(code is not None for code in _device_codes(compiled))
+
+    def test_parse_plans_and_device_code_die_with_the_cache(self):
+        def sweep():
+            cache = CompileCache()
+            for behavior in _ROUTINE_BEHAVIOURS:
+                compiled = Compiler(behavior, frontend=cache).compile(
+                    _ROUTINE_SRC, "c", "routine_call.c")
+                _run_phase(compiled)
+            plans = [plan for _node, plan in compiled.plans.values()]
+            codes = _device_codes(compiled)
+            assert plans and codes
+            return (weakref.ref(compiled.program),
+                    [weakref.ref(code.body) for code in codes],
+                    {id(obj) for obj in plans + codes})
+
+        program, bodies, ids = sweep()
+        gc.collect()
+        assert program() is None
+        assert all(body() is None for body in bodies)
+        # plans and RegionCodes take no weak references; nothing builds
+        # new ones after sweep(), so a surviving id would be a survivor
+        assert not [obj for obj in gc.get_objects()
+                    if type(obj) in (ComputePlan, LoopPlan, RegionCode)
+                    and id(obj) in ids]
+
+    def test_compiled_program_pickles_without_its_plans(self):
+        cache = CompileCache()
+        compiled = Compiler(_ROUTINE_BEHAVIOURS[1], frontend=cache).compile(
+            _ROUTINE_SRC, "c", "routine_call.c")
+        expected = _run_phase(compiled)
+        assert compiled.plans
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone.plans == {} and clone._lowered is None
+        assert compiled.plans  # the shared table is left alone
+        assert _run_phase(clone) == expected
+        assert clone.run() == expected
+        assert clone.plans and all(
+            code is not None for code in _device_codes(clone))
+
+
+# ---------------------------------------------------------------------------
+# children(): per-class child fields against the field-by-field oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_children(node):
+    """The traversal children() replaced: every dataclass field, read on
+    every call."""
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, Node):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                if isinstance(item, Node):
+                    yield item
+
+
+def _oracle_walk(node):
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(list(_oracle_children(current))))
+
+
+def _node_classes() -> List[type]:
+    import repro.ir.acc  # noqa: F401 - defines the directive payload nodes
+
+    classes, todo = [], [Node]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    return classes
+
+
+class TestChildrenOracle:
+    def test_children_yield_in_field_order(self):
+        classes = _node_classes()
+        names = {cls.__name__ for cls in classes}
+        assert {"Program", "AccLoop", "Directive", "DataRef"} <= names
+        for cls in classes:
+            kept = child_fields(cls)
+            node = object.__new__(cls)
+            markers = []
+            for i, f in enumerate(dataclasses.fields(cls)):
+                if f.name not in kept:
+                    # a skipped field is never annotated with a node type
+                    assert not any(n in str(f.type) for n in names), \
+                        (cls.__name__, f.name)
+                    value = "leaf"
+                elif i % 2:
+                    value = [IntLit(i), None, IntLit(-i)]
+                else:
+                    value = IntLit(i)
+                markers.extend(value if isinstance(value, list) else [value])
+                setattr(node, f.name, value)
+            expected = [m for m in markers if isinstance(m, Node)]
+            assert list(children(node)) == expected, cls.__name__
+            assert list(children(node)) == list(_oracle_children(node))
+
+    def test_walk_matches_the_oracle_on_the_corpus(self, suite10):
+        checked = 0
+        for template, source in _corpus_sources(suite10):
+            program = parse_front(source, template.language,
+                                  template.name).program
+            assert [id(n) for n in walk(program)] == \
+                [id(n) for n in _oracle_walk(program)], template.name
+            checked += 1
+        assert checked > 300
