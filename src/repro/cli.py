@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import table1_counts, vendor_pass_rates
 from repro.compiler import BACKENDS as INTERPRETER_BACKENDS
@@ -43,6 +43,7 @@ from repro.compiler.vendors import VENDORS, vendor_version
 from repro.faults import FaultPlan, InjectedJournalTear
 from repro.harness import (
     CampaignInterrupted,
+    CancelToken,
     EXECUTION_POLICIES,
     EmptySelectionError,
     HarnessConfig,
@@ -53,11 +54,8 @@ from repro.harness import (
     render_metrics_csv,
     render_metrics_text,
     render_text,
-    request_drain,
-    reset_drain,
 )
 from repro.ioutil import atomic_write_text
-from repro.sched import SCHEDULERS as _SCHEDULERS
 from repro.spec.features import OPENACC_10
 from repro.suite import openacc10_suite
 from repro.templates import generate_cross, generate_functional
@@ -143,18 +141,6 @@ def _open_journal(args, campaign: dict, faults, tracer):
     """
     from repro.journal import JournalWriter
 
-    if getattr(args, "scheduler", "local") == "shards":
-        # shard campaigns journal into per-shard WAL segments
-        from repro.sched import ShardedJournal
-
-        if args.resume:
-            return ShardedJournal.resume(args.resume, campaign,
-                                         tracer=tracer, faults=faults)
-        if args.journal:
-            return ShardedJournal.create(args.journal, campaign,
-                                         shards=args.workers,
-                                         tracer=tracer, faults=faults)
-        return None
     if args.resume:
         return JournalWriter.resume(args.resume, campaign,
                                     tracer=tracer, faults=faults)
@@ -164,24 +150,32 @@ def _open_journal(args, campaign: dict, faults, tracer):
     return None
 
 
-def _install_drain_handlers() -> list:
+def _install_drain_handlers() -> Tuple[CancelToken, list]:
     """Route SIGINT/SIGTERM to a graceful drain while a journal is active.
 
-    The engines finish in-flight units (each journaled on completion) and
+    Returns the command's :class:`CancelToken` and the displaced handlers
+    for :func:`_restore_handlers`.  A signal cancels the token: the
+    engines finish in-flight units (each journaled on completion) and
     raise :class:`CampaignInterrupted`; the command then exits 3 with a
-    resume hint instead of dying mid-write.  Returns the displaced
-    handlers for :func:`_restore_handlers`; empty when not in the main
-    thread (signals cannot be installed there — the drain still works via
-    injected faults, just not via Ctrl-C).
+    resume hint instead of dying mid-write.  No handler is installed off
+    the main thread (signals cannot be installed there — the drain still
+    works via injected faults, just not via Ctrl-C).
     """
-    reset_drain()
+    token = CancelToken()
+
+    def drain(signum, frame) -> None:
+        token.cancel(
+            f"graceful drain requested (signal {signum}): in-flight units "
+            "finished, remaining units not started"
+        )
+
     displaced = []
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
-            displaced.append((signum, signal.signal(signum, request_drain)))
+            displaced.append((signum, signal.signal(signum, drain)))
         except ValueError:  # not the main thread (e.g. tests)
             break
-    return displaced
+    return token, displaced
 
 
 def _restore_handlers(displaced: list) -> None:
@@ -420,7 +414,7 @@ def cmd_validate(args) -> int:
     behavior = _behavior(args)
     config = _config(args)
     runner = ValidationRunner(behavior, config, tracer=tracer)
-    journal = None
+    journal = cancel = None
     displaced: list = []
     if args.journal or args.resume:
         from repro.journal import JournalError, validate_campaign_key
@@ -431,17 +425,9 @@ def cmd_validate(args) -> int:
         except JournalError as err:
             print(f"journal error: {err}", file=sys.stderr)
             return 1
-        displaced = _install_drain_handlers()
-    engine = None
-    if args.scheduler != "local":
-        # a sched backend replaces the policy-selected engine; everything
-        # else (journal, live, selection, report) is shared via run_suite
-        from repro.sched import create_backend
-
-        engine = create_backend(args.scheduler,
-                                workers=args.workers).engine(config)
+        cancel, displaced = _install_drain_handlers()
     try:
-        report = runner.run_suite(suite, journal=journal, engine=engine)
+        report = runner.run_suite(suite, journal=journal, cancel=cancel)
     except EmptySelectionError as err:
         # an empty selection used to produce an empty report and exit 0 —
         # a vacuous pass that silently blessed typo'd --features filters
@@ -522,7 +508,7 @@ def cmd_titan(args) -> int:
                            live_stream=args.live_stream,
                            status=args.status,
                            prom=args.prom)
-    journal = None
+    journal = cancel = None
     displaced: list = []
     if args.journal or args.resume:
         from repro.faults import FaultInjector, NULL_INJECTOR
@@ -539,7 +525,7 @@ def cmd_titan(args) -> int:
         except JournalError as err:
             print(f"journal error: {err}", file=sys.stderr)
             return 1
-        displaced = _install_drain_handlers()
+        cancel, displaced = _install_drain_handlers()
     harness = TitanHarness(
         cluster, openacc10_suite(),
         config=config,
@@ -547,6 +533,7 @@ def cmd_titan(args) -> int:
         tracer=tracer,
         recheck=args.recheck,
         journal=journal,
+        cancel=cancel,
     )
     try:
         checks = harness.sweep(sample_size=args.sample, seed=args.seed)
@@ -776,9 +763,8 @@ def cmd_journal(args) -> int:
 
 
 def _journal_fsck(args) -> int:
-    """Crash-consistency check: exit 0 when every file is clean or only
-    torn at the tail (a resume salvages it), 1 on corruption or a
-    campaign-key mismatch between segments."""
+    """Crash-consistency check: exit 0 when the journal is clean or only
+    torn at the tail (a resume salvages it), 1 on corruption."""
     from repro.journal import fsck_journal, render_fsck
 
     report = fsck_journal(args.file)
@@ -840,6 +826,8 @@ def cmd_submit(args) -> int:
             config: dict = {
                 "iterations": args.iterations,
                 "run_cross": not args.no_cross,
+                "policy": args.policy,
+                "workers": args.workers,
             }
             if args.language:
                 config["languages"] = [args.language]
@@ -855,8 +843,6 @@ def cmd_submit(args) -> int:
                 "suite": args.suite,
                 "vendor": args.vendor,
                 "version": args.version,
-                "scheduler": args.scheduler,
-                "workers": args.workers,
                 "format": args.format,
                 "config": config,
             })
@@ -898,7 +884,7 @@ def cmd_status(args) -> int:
         return 0
     for info in campaigns:
         line = (f"{info['id']}  {info['state']:9s} {info['suite']:12s} "
-                f"{info['compiler']:14s} {info['scheduler']}")
+                f"{info['compiler']:14s} {info['policy']}")
         progress = info.get("progress")
         if progress and progress.get("units_done") is not None:
             line += (f"  {progress['units_done']} unit(s), "
@@ -1051,13 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(EXECUTION_POLICIES),
                    help="execution engine (identical reports either way)")
     p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
-                   help="pool size for --policy thread/process (and the "
-                        "shard/pod count for --scheduler shards/simk8s)")
-    p.add_argument("--scheduler", default="local", choices=_SCHEDULERS,
-                   help="campaign scheduler backend: 'local' uses --policy, "
-                        "'shards' runs work-stealing shards with a "
-                        "segmented journal, 'simk8s' drives the simulated "
-                        "k8s control plane (identical reports either way)")
+                   help="pool size for --policy thread/process")
     p.add_argument("--metrics", action="store_true",
                    help="run metrics (wall/compile/execute time, compile-"
                         "cache hit rate, worker utilization); written next "
@@ -1084,8 +1064,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SPEC",
                    help="deterministic fault injection, e.g. "
                         "'worker=0.5,iteration=0.2,seed=7' (sites: compile, "
-                        "iteration, worker, stall, journal, shard_death, "
-                        "pod, conn, frame, slow_client, segment; modifiers: "
+                        "iteration, worker, stall, journal, conn, frame, "
+                        "slow_client; modifiers: "
                         "seed, stall-s, max-fires, persistent)")
     p.add_argument("--trace", metavar="FILE",
                    help="record a span/event/metrics trace to FILE (JSONL)")
@@ -1188,10 +1168,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature prefixes to select")
     p.add_argument("--format", default="text",
                    choices=["text", "html", "csv", "bugs"])
-    p.add_argument("--scheduler", default="local", choices=_SCHEDULERS,
-                   help="sched backend the server runs the campaign on")
-    p.add_argument("--workers", type=_positive_int, default=None, metavar="N",
-                   help="pool/shard/pod count for the chosen scheduler")
+    p.add_argument("--policy", default="serial",
+                   choices=list(EXECUTION_POLICIES),
+                   help="execution engine the server runs the campaign on "
+                        "(identical reports either way)")
+    p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
+                   help="pool size for --policy thread/process")
     p.add_argument("--retries", type=_nonnegative_int, default=0,
                    metavar="R",
                    help="per-unit retry budget inside the campaign (lets "
@@ -1200,8 +1182,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SPEC", dest="inject_faults",
                    help="arm the campaign-side fault sites inside the "
                         "server-hosted run (compile, iteration, worker, "
-                        "stall, journal, shard_death, pod, segment), e.g. "
-                        "'shard_death=1.0,segment=1.0,seed=29'")
+                        "stall, journal), e.g. "
+                        "'worker=1.0,journal=1.0,seed=29'")
     p.add_argument("--wait", action="store_true",
                    help="block until the campaign finishes and exit with "
                         "its validate-compatible exit code")
@@ -1236,13 +1218,10 @@ def build_parser() -> argparse.ArgumentParser:
     ji.add_argument("--units", action="store_true",
                     help="also list the journaled unit keys")
     jf = jsub.add_parser("fsck",
-                         help="crash-consistency check of a base journal "
-                              "plus all <base>.shardK segments: checksums, "
-                              "torn tails, cross-segment campaign keys, and "
-                              "what a resume would salvage (exit 1 on "
-                              "corruption)")
-    jf.add_argument("file", help="journal path (the --journal value; shard "
-                                 "segments are found automatically)")
+                         help="crash-consistency check of a journal: "
+                              "checksums, torn tails, and what a resume "
+                              "would salvage (exit 1 on corruption)")
+    jf.add_argument("file", help="journal path (the --journal value)")
     jf.add_argument("--units", action="store_true",
                     help="also list the salvageable unit keys")
 

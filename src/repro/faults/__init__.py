@@ -23,24 +23,16 @@ Sites (each checked at a well-defined point in the execution layer):
   the disk, then the simulated crash escapes), the test vector for the
   durable-campaign resume path.
 
-Distributed sites (the failure modes of the :mod:`repro.sched` backends
-and the :mod:`repro.server` campaign server):
+Server sites (the failure modes of the :mod:`repro.server` campaign
+server's wire protocol):
 
-* ``shard_death`` — a ``shards`` backend worker thread exits mid-unit;
-  the coordinator respawns it up to the pool-death budget, then runs the
-  remainder serially;
-* ``pod`` — a simk8s pod flips to ``Failed``; the controller resubmits
-  with a bumped attempt or degrades the unit past ``max_pod_failures``;
 * ``conn`` — the campaign server drops a connection mid-frame (a prefix
   of the response line reaches the client); the client's retry policy
   heals it;
 * ``frame`` — a ``repro.server/v1`` line is garbled on the wire; the
   tail client reconnects and dedups by ``seq``;
 * ``slow_client`` — a tail subscriber stalls for ``stall_s``; the
-  bounded subscriber queue evicts oldest and reports the drop count;
-* ``segment`` — one ShardedJournal ``<base>.shardK`` segment gains
-  trailing garbage mid-append and the simulated crash escapes; resume
-  truncates it and ``repro journal fsck`` reports it.
+  bounded subscriber queue evicts oldest and reports the drop count.
 
 :mod:`repro.faults.chaos` composes every site into a seeded
 :class:`ChaosSchedule` and drives a server-hosted campaign under it.
@@ -61,7 +53,6 @@ from repro.faults.injector import (
     InjectedFault,
     InjectedJournalTear,
     InjectedRuntimeCrash,
-    InjectedSegmentCorruption,
     NULL_INJECTOR,
     NullInjector,
 )
@@ -71,6 +62,5 @@ __all__ = [
     "ChaosSchedule", "drive_to_completion",
     "FaultInjector", "FaultyCompiler",
     "InjectedCompilerCrash", "InjectedFault", "InjectedJournalTear",
-    "InjectedRuntimeCrash", "InjectedSegmentCorruption",
-    "NULL_INJECTOR", "NullInjector",
+    "InjectedRuntimeCrash", "NULL_INJECTOR", "NullInjector",
 ]

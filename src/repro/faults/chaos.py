@@ -2,14 +2,13 @@
 
 The individual sites prove one failure mode each; a *chaos schedule*
 proves the composition.  :class:`ChaosSchedule` arms every documented
-site — the in-process ones (compile/iteration/worker/stall/journal),
-the scheduler ones (shard_death/pod/segment) and the campaign-server
-wire ones (conn/frame/slow_client) — from one seed, split into the two
-plans the system actually takes:
+site — the in-process ones (compile/iteration/worker/stall/journal) and
+the campaign-server wire ones (conn/frame/slow_client) — from one seed,
+split into the two plans the system actually takes:
 
 * :meth:`ChaosSchedule.runner_plan` travels inside the submission's
-  ``config.fault_plan`` and fires inside the campaign (workers, shards,
-  pods, journal segments);
+  ``config.fault_plan`` and fires inside the campaign (compiler,
+  iterations, pool workers, journal);
 * :meth:`ChaosSchedule.server_plan` arms the server process itself
   (``repro serve --inject-faults`` / ``serve_in_thread(fault_plan=...)``)
   and fires on the wire protocol.
@@ -19,37 +18,21 @@ once and heals on the next attempt, resume generation, or client retry.
 That is the invariant the chaos suite leans on — a chaotic campaign
 driven with :func:`drive_to_completion` always terminates ``done``, and
 its report is byte-identical to a fault-free run of the same spec,
-because every layer's recovery path (engine retry, pod resubmit, shard
-respawn, journal resume, client retry/reconnect, watchdog requeue)
-converges on the same completed unit set.
+because every layer's recovery path (engine retry, pool respawn,
+journal resume, client retry/reconnect, watchdog requeue) converges on
+the same completed unit set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import _SITE_FIELDS as _FIELDS, FaultPlan
 
 #: sites that fire inside the campaign (armed via ``config.fault_plan``)
-RUNNER_SITES = ("compile", "iteration", "worker", "stall", "journal",
-                "shard_death", "pod", "segment")
+RUNNER_SITES = ("compile", "iteration", "worker", "stall", "journal")
 #: sites that fire inside the server process (armed via ``--inject-faults``)
 SERVER_SITES = ("conn", "frame", "slow_client")
-
-#: FaultPlan field behind each site token (mirrors plan._SITE_FIELDS)
-_FIELDS = {
-    "compile": "compile_crash",
-    "iteration": "iteration_crash",
-    "worker": "worker_death",
-    "stall": "stall",
-    "journal": "journal_torn",
-    "shard_death": "shard_death",
-    "pod": "pod_failure",
-    "segment": "segment_corrupt",
-    "conn": "conn_drop",
-    "frame": "frame_garble",
-    "slow_client": "slow_client",
-}
 
 
 @dataclass(frozen=True)
@@ -99,8 +82,8 @@ class ChaosSchedule:
 def drive_to_completion(client, spec, *, max_resubmits: int = 8,
                         wait_timeout_s: float = 600.0):
     """Submit ``spec`` and drive it to ``done`` through any injected
-    crash: a campaign that lands ``failed`` (torn journal, corrupted
-    segment, watchdog give-up) is resubmitted — resume replays its
+    crash: a campaign that lands ``failed`` (torn journal, watchdog
+    give-up) is resubmitted — resume replays its
     journaled units — until it completes or ``max_resubmits`` is spent.
 
     Returns ``(info, resubmits)``: the terminal campaign info dict and

@@ -54,15 +54,6 @@ class InjectedJournalTear(InjectedFault):
     site = "journal"
 
 
-class InjectedSegmentCorruption(InjectedFault):
-    """A simulated node/disk failure against one ShardedJournal segment:
-    trailing garbage bytes land in the routed ``<base>.shardK`` file and
-    this escapes like the shard dying mid-write.  The torn-tail rule
-    truncates the garbage on resume; ``repro journal fsck`` reports it."""
-
-    site = "segment"
-
-
 class FaultInjector:
     """Fires the sites of one :class:`~repro.faults.plan.FaultPlan`.
 
@@ -139,20 +130,7 @@ class FaultInjector:
         return self.fires("journal", self.plan.journal_torn, key,
                           attempt=generation)
 
-    # ----------------------------------------------------- distributed sites
-
-    def shard_site(self, key: str, attempt: int) -> bool:
-        """Should this shard thread die now?  (The ShardsEngine's shard
-        exits mid-unit; the coordinator respawns it up to the pool-death
-        budget, then falls back to running the remainder serially.)"""
-        return self.fires("shard_death", self.plan.shard_death, key,
-                          attempt=attempt)
-
-    def pod_site(self, key: str, attempt: int) -> bool:
-        """Should this simk8s pod fail its job?  (The pod flips to the
-        ``Failed`` phase; the controller resubmits with a bumped attempt
-        or degrades past ``max_pod_failures``.)"""
-        return self.fires("pod", self.plan.pod_failure, key, attempt=attempt)
+    # ----------------------------------------------------- server sites
 
     def conn_site(self, key: str, attempt: int) -> bool:
         """Should the server drop this connection mid-frame?  (A prefix
@@ -173,15 +151,6 @@ class FaultInjector:
         evicts oldest and counts the drops.)"""
         return self.fires("slow_client", self.plan.slow_client, key,
                           attempt=attempt)
-
-    def segment_site(self, key: str, generation: int) -> bool:
-        """Should this sharded-journal append corrupt its segment?  (The
-        ShardedJournal writes trailing garbage to the routed segment and
-        raises :class:`InjectedSegmentCorruption`.)  Keyed on the resume
-        generation like the ``journal`` site, so the corruption is
-        transient across resumes."""
-        return self.fires("segment", self.plan.segment_corrupt, key,
-                          attempt=generation)
 
 
 class NullInjector:
@@ -213,12 +182,6 @@ class NullInjector:
     def journal_site(self, key: str, generation: int) -> bool:
         return False
 
-    def shard_site(self, key: str, attempt: int) -> bool:
-        return False
-
-    def pod_site(self, key: str, attempt: int) -> bool:
-        return False
-
     def conn_site(self, key: str, attempt: int) -> bool:
         return False
 
@@ -226,9 +189,6 @@ class NullInjector:
         return False
 
     def slow_client_site(self, key: str, attempt: int) -> bool:
-        return False
-
-    def segment_site(self, key: str, generation: int) -> bool:
         return False
 
 

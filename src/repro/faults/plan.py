@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-#: named injection sites, in documentation order (the first five are the
-#: in-process sites of PR 3; the rest are the distributed sites — shard
-#: coordinator, simk8s control plane, campaign-server wire protocol and
-#: sharded-journal segments)
+#: named injection sites, in documentation order (the first five fire
+#: inside a campaign; the rest on the campaign server's wire protocol)
 FAULT_SITES = ("compile", "iteration", "worker", "stall", "journal",
-               "shard_death", "pod", "conn", "frame", "slow_client",
-               "segment")
+               "conn", "frame", "slow_client")
 
 #: parse() aliases: CLI token -> dataclass field
 _SITE_FIELDS = {
@@ -25,12 +22,9 @@ _SITE_FIELDS = {
     "worker": "worker_death",
     "stall": "stall",
     "journal": "journal_torn",
-    "shard_death": "shard_death",
-    "pod": "pod_failure",
     "conn": "conn_drop",
     "frame": "frame_garble",
     "slow_client": "slow_client",
-    "segment": "segment_corrupt",
 }
 _OPTION_FIELDS = {
     "seed": ("seed", int),
@@ -71,14 +65,6 @@ class FaultPlan:
     #: the attempt number is the journal's resume generation, so a torn
     #: write is transient across resumes unless ``persistent``
     journal_torn: float = 0.0
-    #: rate of shard deaths, per work unit (the ``shards`` backend's thread
-    #: exits mid-unit, like a node dropping off the network; past the
-    #: engine's respawn budget the remainder runs serially)
-    shard_death: float = 0.0
-    #: rate of simk8s pod-phase failures, per job submission (the pod goes
-    #: ``Failed``; past ``max_pod_failures`` the unit degrades to a
-    #: HARNESS_ERROR row)
-    pod_failure: float = 0.0
     #: rate of campaign-server connection drops mid-frame, per request (a
     #: prefix of the response line reaches the client, then the socket
     #: closes — the client's retry policy is what heals it)
@@ -92,11 +78,6 @@ class FaultPlan:
     #: ``stall_s`` while the campaign keeps emitting — the bounded queue's
     #: drop-oldest eviction is what keeps server memory flat)
     slow_client: float = 0.0
-    #: rate of ShardedJournal segment corruption, per append (trailing
-    #: garbage lands in the routed ``<base>.shardK`` segment and the
-    #: simulated crash escapes; the attempt number is the segment's resume
-    #: generation, so the corruption is transient across resumes)
-    segment_corrupt: float = 0.0
     #: how long one injected stall sleeps
     stall_s: float = 0.05
     #: attempts of a unit that observe its faults (1 = transient)
@@ -135,8 +116,7 @@ class FaultPlan:
 
         Tokens: ``<site>=<rate>`` for every site in :data:`FAULT_SITES`
         (``compile``, ``iteration``, ``worker``, ``stall``, ``journal``,
-        ``shard_death``, ``pod``, ``conn``, ``frame``, ``slow_client``,
-        ``segment``); options ``seed=N``, ``stall-s=F``, ``max-fires=N``;
+        ``conn``, ``frame``, ``slow_client``); options ``seed=N``, ``stall-s=F``, ``max-fires=N``;
         flag ``persistent``.
         """
         kwargs: dict = {}
@@ -195,7 +175,6 @@ class FaultPlan:
 assert set(_SITE_FIELDS) == set(FAULT_SITES)
 assert all(f.name in {
     "seed", "compile_crash", "iteration_crash", "worker_death", "stall",
-    "journal_torn", "shard_death", "pod_failure", "conn_drop",
-    "frame_garble", "slow_client", "segment_corrupt",
+    "journal_torn", "conn_drop", "frame_garble", "slow_client",
     "stall_s", "max_fires", "attempt_offset", "persistent",
 } for f in fields(FaultPlan))

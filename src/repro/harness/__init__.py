@@ -14,12 +14,8 @@ from repro.harness.engine import (
     CancelToken,
     MAX_POOL_DEATHS,
     RunMetrics,
-    activate_token,
     create_engine,
-    drain_requested,
     harness_error_result,
-    request_drain,
-    reset_drain,
     run_unit_resilient,
 )
 from repro.harness.stats import (
@@ -56,9 +52,7 @@ from repro.harness.titan import (
 __all__ = [
     "EXECUTION_POLICIES", "HarnessConfig",
     "CampaignInterrupted", "CancelToken", "MAX_POOL_DEATHS", "RunMetrics",
-    "activate_token", "create_engine",
-    "drain_requested", "harness_error_result", "request_drain",
-    "reset_drain", "run_unit_resilient",
+    "create_engine", "harness_error_result", "run_unit_resilient",
     "accidental_pass_probability", "certainty", "cross_fail_probability",
     "EmptySelectionError", "FailureKind", "IterationOutcome", "PhaseResult",
     "SuiteRunReport", "TemplateTimeout", "TestResult", "ValidationRunner",

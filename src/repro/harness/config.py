@@ -166,6 +166,13 @@ class HarnessConfig:
         if isinstance(plan, str):
             kwargs["fault_plan"] = FaultPlan.parse(plan)
         elif isinstance(plan, dict):
+            plan_fields = {f.name for f in dc_fields(FaultPlan)}
+            unknown = sorted(set(plan) - plan_fields)
+            if unknown:
+                raise ValueError(
+                    f"unknown fault_plan key(s): {', '.join(unknown)}; "
+                    f"expected a subset of: {', '.join(sorted(plan_fields))}"
+                )
             kwargs["fault_plan"] = FaultPlan(**plan)
         for knob in ("languages", "features", "feature_prefixes"):
             value = kwargs.get(knob)

@@ -43,11 +43,8 @@ interrupted campaign exits with everything completed so far journaled.
 Tokens are per-campaign state, so one campaign's cancel never drains a
 concurrent neighbour and never poisons later runs in the same process —
 the :mod:`repro.server` relies on this to cancel one client's campaign
-while the rest keep running.  The legacy process-global drain API
-(:func:`request_drain`/:func:`drain_requested`/:func:`reset_drain`) is
-kept as a deprecated shim over a module-default token: ``request_drain``
-additionally cancels every *active* campaign token, so the CLI's
-SIGINT/SIGTERM path behaves exactly as before.
+while the rest keep running, and the CLI's SIGINT/SIGTERM handler
+cancels the token of the one command it runs.
 """
 
 from __future__ import annotations
@@ -129,12 +126,6 @@ class CancelToken:
     def cancelled(self) -> bool:
         return self._event.is_set()
 
-    def reset(self) -> None:
-        """Re-arm the token (used by the deprecated ``reset_drain`` shim;
-        fresh campaigns should just build a fresh token)."""
-        self._event.clear()
-        self._reason = None
-
     def check(self) -> None:
         """Raise :class:`CampaignInterrupted` if cancelled."""
         if self._event.is_set():
@@ -147,79 +138,6 @@ class CancelToken:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled() else "armed"
         return f"<CancelToken {state} at {id(self):#x}>"
-
-
-#: tokens of campaigns currently inside an engine run; ``request_drain``
-#: (the SIGINT/SIGTERM handler) cancels all of them.  A list, not a set:
-#: Titan re-registers its token around every inner run_suite call.
-_ACTIVE_TOKENS: List[CancelToken] = []
-_ACTIVE_LOCK = threading.Lock()
-
-#: the token behind the deprecated module-level drain API; the CLI's
-#: reset_drain()/request_drain() signal path operates on this one
-_DEFAULT_TOKEN = CancelToken()
-
-
-class _TokenActivation:
-    """Context manager registering a token as an active campaign."""
-
-    __slots__ = ("_token",)
-
-    def __init__(self, token: CancelToken) -> None:
-        self._token = token
-
-    def __enter__(self) -> CancelToken:
-        with _ACTIVE_LOCK:
-            _ACTIVE_TOKENS.append(self._token)
-        return self._token
-
-    def __exit__(self, *exc_info) -> None:
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE_TOKENS.remove(self._token)
-            except ValueError:  # pragma: no cover - double-exit guard
-                pass
-
-
-def activate_token(token: CancelToken) -> _TokenActivation:
-    """Register ``token`` as an active campaign for the duration of a
-    ``with`` block, making it reachable from :func:`request_drain` (the
-    CLI's SIGINT/SIGTERM handler)."""
-    return _TokenActivation(token)
-
-
-def request_drain(signum: Optional[int] = None, frame=None) -> None:
-    """Deprecated shim: ask *every* active campaign to drain gracefully.
-
-    Signature is signal-handler compatible, so the CLI installs it
-    directly for SIGINT/SIGTERM — a console interrupt should stop
-    everything in the process, which is exactly this shim's semantics.
-    Library callers who want to cancel *one* campaign should pass a
-    :class:`CancelToken` to ``run_suite(cancel=...)`` and cancel that
-    instead.
-    """
-    reason = None
-    if signum is not None:
-        reason = (
-            f"graceful drain requested (signal {signum}): in-flight units "
-            "finished, remaining units not started"
-        )
-    _DEFAULT_TOKEN.cancel(reason)
-    with _ACTIVE_LOCK:
-        active = list(_ACTIVE_TOKENS)
-    for token in active:
-        token.cancel(reason)
-
-
-def drain_requested() -> bool:
-    """Deprecated shim: state of the module-default token only (it cannot
-    see per-campaign tokens; ask your own token instead)."""
-    return _DEFAULT_TOKEN.cancelled()
-
-
-def reset_drain() -> None:
-    """Deprecated shim: re-arm the module-default token."""
-    _DEFAULT_TOKEN.reset()
 
 
 @dataclass

@@ -349,7 +349,6 @@ class ValidationRunner:
         templates: Optional[Iterable[TestTemplate]] = None,
         journal=None,
         cancel=None,
-        engine=None,
     ) -> SuiteRunReport:
         """Run the (selected) suite; see class docstring.
 
@@ -362,17 +361,14 @@ class ValidationRunner:
         ``cancel`` is this campaign's
         :class:`repro.harness.engine.CancelToken`; cancelling it drains
         the run gracefully (:class:`CampaignInterrupted` after the
-        in-flight units finish).  Defaults to a fresh token, so a cancel —
-        or a process-wide ``request_drain`` — in an earlier or concurrent
-        campaign never bleeds into this one.
+        in-flight units finish).  Defaults to a fresh token, so a cancel
+        in an earlier or concurrent campaign never bleeds into this one.
 
-        ``engine`` overrides the execution engine (anything honouring the
-        ``run(templates, runner, on_complete=, cancel=)`` protocol, e.g. a
-        :mod:`repro.sched` backend's); by default it is built from the
-        config's ``policy``/``workers``.  Purely an execution knob:
-        reports stay byte-identical across engines.
+        The execution engine is built from the config's
+        ``policy``/``workers``; reports stay byte-identical across
+        policies.
         """
-        from repro.harness.engine import CancelToken, activate_token
+        from repro.harness.engine import CancelToken
 
         config = self.config
         cancel = cancel if cancel is not None else CancelToken()
@@ -393,8 +389,7 @@ class ValidationRunner:
             )
         from repro.harness.engine import build_metrics, create_engine
 
-        if engine is None:
-            engine = create_engine(config.policy, config.workers)
+        engine = create_engine(config.policy, config.workers)
         report = SuiteRunReport(
             compiler_label=self.behavior.label, config=config
         )
@@ -476,9 +471,7 @@ class ValidationRunner:
         previous_cancel = self.cancel
         self.cancel = cancel
         try:
-            # while the engine runs, the token is an *active* campaign:
-            # request_drain (the CLI's SIGINT/SIGTERM handler) reaches it
-            with activate_token(cancel), tracer.span(
+            with tracer.span(
                 "run", key=self.behavior.label,
                 policy=engine.policy, workers=engine.workers,
             ) as root:

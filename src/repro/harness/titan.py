@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import CompileCache, CompilerBehavior
 from repro.harness.config import HarnessConfig
-from repro.harness.engine import CancelToken, activate_token
+from repro.harness.engine import CancelToken
 from repro.harness.runner import FailureKind, SuiteRunReport, ValidationRunner
 from repro.obs import NULL_TRACER
 from repro.spec.devices import ACC_DEVICE_NVIDIA, ACC_DEVICE_OPENCL
@@ -327,7 +327,7 @@ class TitanHarness:
             # triage re-checks and recovery probes extend it as they happen
             self.live.extend_total(len(sample) * len(stacks))
         checks: List[StackCheck] = []
-        with activate_token(self.cancel), self.tracer.span(
+        with self.tracer.span(
                 "titan.sweep", key=f"seed={seed}",
                 sample=len(sample)) as span:
             for node in sample:
@@ -415,29 +415,28 @@ class TitanHarness:
         that come back clean.  Returns the recovered node ids."""
         recovered: List[int] = []
         nodes_by_id = {n.node_id: n for n in self.cluster.nodes}
-        with activate_token(self.cancel):
-            for node_id, record in sorted(self.quarantined.items()):
-                self.cancel.check()
-                record.probes += 1
-                if self.live is not None:
-                    self.live.extend_total(1)
-                check = self.check_node(
-                    nodes_by_id[node_id], record.stack,
-                    config=self._recheck_config(self.recheck + 1 + epoch),
-                    unit=f"probe{epoch}:node{node_id}:{record.stack}",
-                )
+        for node_id, record in sorted(self.quarantined.items()):
+            self.cancel.check()
+            record.probes += 1
+            if self.live is not None:
+                self.live.extend_total(1)
+            check = self.check_node(
+                nodes_by_id[node_id], record.stack,
+                config=self._recheck_config(self.recheck + 1 + epoch),
+                unit=f"probe{epoch}:node{node_id}:{record.stack}",
+            )
+            if self.tracer.enabled:
+                self.tracer.metrics.counter("titan.probes").inc()
+            if not check.flagged:
+                recovered.append(node_id)
                 if self.tracer.enabled:
-                    self.tracer.metrics.counter("titan.probes").inc()
-                if not check.flagged:
-                    recovered.append(node_id)
-                    if self.tracer.enabled:
-                        self.tracer.event("titan.recovered", node=node_id,
-                                          stack=record.stack,
-                                          probes=record.probes)
-                        self.tracer.metrics.counter("titan.recovered").inc()
-                    if self.live is not None:
-                        self.live.event("titan.recovered", node=node_id,
-                                        stack=record.stack)
+                    self.tracer.event("titan.recovered", node=node_id,
+                                      stack=record.stack,
+                                      probes=record.probes)
+                    self.tracer.metrics.counter("titan.recovered").inc()
+                if self.live is not None:
+                    self.live.event("titan.recovered", node=node_id,
+                                    stack=record.stack)
         for node_id in recovered:
             del self.quarantined[node_id]
         return recovered

@@ -16,8 +16,7 @@ including mid-journal-write — and resumed to a byte-identical report.
 
 CLI surface: ``repro validate --journal FILE`` / ``--resume FILE`` (same
 for ``repro titan``), ``repro journal inspect FILE`` and ``repro journal
-fsck FILE`` (crash-consistency check across a base journal plus all
-``<base>.shardK`` segments; see :mod:`repro.journal.fsck`).
+fsck FILE`` (crash-consistency check; see :mod:`repro.journal.fsck`).
 """
 
 from repro.journal.wal import (
@@ -30,13 +29,7 @@ from repro.journal.wal import (
     read_journal,
     record_line,
 )
-from repro.journal.fsck import (
-    FileFsck,
-    FsckReport,
-    fsck_journal,
-    render_fsck,
-    scan_journal_file,
-)
+from repro.journal.fsck import FsckReport, fsck_journal, render_fsck
 from repro.journal.codec import (
     canonicalize,
     config_fingerprint,
@@ -54,8 +47,7 @@ __all__ = [
     "JOURNAL_FORMAT",
     "JournalCorruptError", "JournalError", "JournalMismatchError",
     "JournalWriter", "LoadedJournal", "read_journal", "record_line",
-    "FileFsck", "FsckReport", "fsck_journal", "render_fsck",
-    "scan_journal_file",
+    "FsckReport", "fsck_journal", "render_fsck",
     "canonicalize", "config_fingerprint",
     "decode_check", "decode_result", "encode_check", "encode_result",
     "template_map", "titan_campaign_key", "unit_keys",

@@ -3,9 +3,8 @@
 :func:`read_journal` is the strict loader: it refuses a file whose
 damage exceeds the torn-tail rule, because resuming from a lying journal
 is worse than not resuming at all.  This module is the *diagnostic*
-counterpart: it never raises on damage — it scans a base journal plus
-every ``<base>.shardK`` segment, classifies each file, and reports what
-a resume would salvage:
+counterpart: it never raises on damage — it scans a journal, classifies
+it, and reports what a resume would salvage:
 
 * ``ok`` — every line checksums, clean shutdown;
 * ``torn`` — trailing bytes fail to verify *at EOF only* (the state a
@@ -16,24 +15,20 @@ a resume would salvage:
   the intact prefix *before* the first bad line is still counted so the
   report shows what re-journaling could recover;
 * ``missing`` — the path does not exist.
-
-Cross-file invariant: every scanned file must carry the *same* campaign
-key in its header — segments of one sharded campaign are one campaign.
-Mismatches are reported per file against the first readable header.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.journal.wal import JOURNAL_FORMAT, _verify_line
 
 
 @dataclass
-class FileFsck:
-    """The fsck verdict for one journal file."""
+class FsckReport:
+    """The fsck verdict for one campaign journal."""
 
     path: str
     #: 'ok' | 'torn' | 'corrupt' | 'missing'
@@ -50,60 +45,34 @@ class FileFsck:
     #: 1-based line number of the first bad line (None when ok)
     first_bad_line: Optional[int] = None
     detail: str = ""
-    #: does this file's campaign key match the fsck run's reference key
-    campaign_matches: bool = True
-
-    @property
-    def salvageable(self) -> bool:
-        """Would a resume accept this file (possibly after truncation)?"""
-        return self.status in ("ok", "torn") and self.campaign_matches
-
-
-@dataclass
-class FsckReport:
-    """The fsck verdict for a whole campaign (base + segments)."""
-
-    path: str
-    files: List[FileFsck] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """No corruption, no torn tails, consistent campaign keys."""
-        return all(f.status == "ok" and f.campaign_matches
-                   for f in self.files)
+        """No corruption, no torn tail."""
+        return self.status == "ok"
 
     @property
     def resumable(self) -> bool:
-        """Would ``--resume`` accept every file (truncating torn tails)?"""
-        return bool(self.files) and all(f.salvageable for f in self.files)
-
-    @property
-    def corrupt_files(self) -> List[FileFsck]:
-        return [f for f in self.files
-                if f.status in ("corrupt", "missing") or not f.campaign_matches]
+        """Would ``--resume`` accept this journal (truncating a torn tail)?"""
+        return self.status in ("ok", "torn")
 
     def salvageable_units(self) -> Dict[str, dict]:
-        """Merged unit records a resume (or re-journaling) would replay:
-        the intact prefix of every salvageable file."""
-        merged: Dict[str, dict] = {}
-        for f in self.files:
-            if f.salvageable:
-                merged.update(f.records)
-        return merged
+        """Unit records a resume would replay (none when it would refuse)."""
+        return dict(self.records) if self.resumable else {}
 
 
-def scan_journal_file(path: str) -> FileFsck:
-    """Tolerantly scan one journal file; never raises on damage."""
+def fsck_journal(path: str) -> FsckReport:
+    """Tolerantly scan a campaign journal; never raises on damage."""
     if not os.path.exists(path):
-        return FileFsck(path=path, status="missing",
+        return FsckReport(path=path, status="missing",
                         detail="file does not exist")
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as err:
-        return FileFsck(path=path, status="corrupt",
+        return FsckReport(path=path, status="corrupt",
                         detail=f"cannot read file: {err}")
-    result = FileFsck(path=path, status="ok")
+    result = FsckReport(path=path, status="ok")
     pos = 0
     lineno = 0
     saw_header = False
@@ -166,58 +135,22 @@ def scan_journal_file(path: str) -> FileFsck:
     return result
 
 
-def fsck_journal(path: str) -> FsckReport:
-    """Fsck a campaign journal: the base file (if present) plus every
-    ``<base>.shardK`` segment, verifying the cross-file campaign key."""
-    from repro.sched.shards import segment_path
-
-    report = FsckReport(path=path)
-    if os.path.exists(path):
-        report.files.append(scan_journal_file(path))
-    shard = 0
-    while os.path.exists(segment_path(path, shard)):
-        report.files.append(scan_journal_file(segment_path(path, shard)))
-        shard += 1
-    if not report.files:
-        report.files.append(scan_journal_file(path))  # 'missing' verdict
-        return report
-    reference: Optional[dict] = None
-    for f in report.files:
-        if f.campaign:
-            reference = f.campaign
-            break
-    if reference is not None:
-        for f in report.files:
-            if f.campaign and f.campaign != reference:
-                f.campaign_matches = False
-                f.detail = (f"{f.detail}; " if f.detail else "") + (
-                    "campaign key differs from the first readable header — "
-                    "segments of one campaign must share one key"
-                )
-    return report
-
-
 def render_fsck(report: FsckReport) -> str:
     """Human-readable fsck report (the CLI's output)."""
-    lines = [f"fsck       {report.path}"]
-    for f in report.files:
-        lines.append(f"  {os.path.basename(f.path):28s} {f.status:8s} "
-                     f"{len(f.records)} unit(s), {f.valid_bytes} byte(s) "
-                     f"intact"
-                     + (f", {f.bad_bytes} bad" if f.bad_bytes else ""))
-        if f.detail:
-            lines.append(f"    {f.detail}")
-    salvage = report.salvageable_units()
+    lines = [f"fsck       {report.path}",
+             f"  {report.status:8s} {len(report.records)} unit(s), "
+             f"{report.valid_bytes} byte(s) intact"
+             + (f", {report.bad_bytes} bad" if report.bad_bytes else "")]
+    if report.detail:
+        lines.append(f"    {report.detail}")
+    units = len(report.records)
     if report.clean:
-        lines.append(f"verdict    clean — {len(salvage)} unit(s) journaled, "
+        lines.append(f"verdict    clean — {units} unit(s) journaled, "
                      "nothing to repair")
     elif report.resumable:
-        lines.append(f"verdict    salvageable — a resume replays "
-                     f"{len(salvage)} unit(s) after truncating torn tails")
+        lines.append(f"verdict    salvageable — a resume replays {units} "
+                     "unit(s) after truncating the torn tail")
     else:
-        bad = ", ".join(os.path.basename(f.path)
-                        for f in report.corrupt_files)
-        lines.append(f"verdict    CORRUPT ({bad}) — resume will refuse; "
-                     f"{len(salvage)} unit(s) remain salvageable from the "
-                     "other files")
+        lines.append(f"verdict    CORRUPT — resume will refuse; {units} "
+                     "unit(s) intact before the damage")
     return "\n".join(lines)

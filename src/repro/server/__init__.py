@@ -1,8 +1,8 @@
 """``repro.server`` — the campaign server and its client (DESIGN §5h).
 
 A long-lived ``repro serve`` process accepts concurrent campaign
-submissions over a newline-delimited-JSON TCP protocol, runs each on a
-:mod:`repro.sched` backend with its own
+submissions over a newline-delimited-JSON TCP protocol, runs each on
+the serial/thread/process engine its config names with its own
 :class:`~repro.harness.engine.CancelToken`, streams ``repro.obs.live``
 records to ``tail`` clients, and journals every campaign so a killed
 server resumes cleanly.

@@ -1,8 +1,9 @@
 """The asyncio campaign server (``repro serve``).
 
 One process serves many concurrent campaign submissions: each campaign
-runs on a :mod:`repro.sched` backend inside a bounded worker pool, owns
-a per-campaign :class:`~repro.harness.engine.CancelToken` (cancelling
+runs ``ValidationRunner.run_suite`` on the engine its config names
+inside a bounded worker pool, owns a per-campaign
+:class:`~repro.harness.engine.CancelToken` (cancelling
 one client's campaign never touches its neighbours — the bugfix this
 whole layer stands on), streams its ``repro.obs.live`` records to any
 number of ``tail`` clients, and is journaled twice over:
@@ -350,8 +351,8 @@ class CampaignServer:
         Liveness is derived from the campaign's live-telemetry fan-out:
         every record bumps ``progress_seq``.  While the campaign is
         ``running``, no bump within ``watchdog_s`` means it is stuck —
-        a stalled unit, a hung shard, a wedged backend — so the watchdog
-        cancels the campaign's token and re-queues it (completed units
+        a stalled unit, a hung pool worker — so the watchdog cancels
+        the campaign's token and re-queues it (completed units
         replay from the unit journal).  After ``restart_budget``
         restarts it stops trusting restarts and the campaign lands
         ``failed`` with a resume hint.  One watchdog task supervises one
@@ -389,33 +390,25 @@ class CampaignServer:
             return
 
     def _campaign_journal(self, campaign: Campaign, config, behavior):
-        """Create or resume the campaign's unit journal (sharded when the
-        spec schedules onto shards).  The submission's fault plan arms
-        the journal/segment sites, so server-hosted campaigns exercise
-        the same crash-consistency paths as CLI ones."""
+        """Create or resume the campaign's unit journal.  The
+        submission's fault plan arms the journal site, so server-hosted
+        campaigns exercise the same crash-consistency paths as CLI
+        ones."""
         from repro.faults import FaultInjector, NULL_INJECTOR
         from repro.journal import JournalWriter
-        from repro.sched.shards import ShardedJournal, segment_path
 
         plan = config.fault_plan
         faults = (FaultInjector(plan)
                   if plan is not None and plan.active else NULL_INJECTOR)
         key = protocol.spec_campaign_key(campaign.spec, config, behavior)
         base = os.path.join(self.root, f"{campaign.id}.journal")
-        if campaign.spec["scheduler"] == "shards":
-            if os.path.exists(segment_path(base, 0)):
-                return ShardedJournal.resume(base, key, faults=faults)
-            return ShardedJournal.create(
-                base, key, shards=campaign.spec.get("workers") or 2,
-                faults=faults,
-            )
         if os.path.exists(base):
             return JournalWriter.resume(base, key, faults=faults)
         return JournalWriter.create(base, key, faults=faults)
 
     def _run_campaign(self, campaign: Campaign) -> None:
         """Worker-thread body: run one campaign end to end."""
-        from repro.harness.engine import CampaignInterrupted
+        from repro.harness import CampaignInterrupted, ValidationRunner
         from repro.obs.live import LiveTelemetry, NDJSONStreamSink
 
         live = None
@@ -423,7 +416,6 @@ class CampaignServer:
             self._set_state(campaign, "running")
             config = protocol.spec_config(campaign.spec)
             behavior = protocol.spec_behavior(campaign.spec, config)
-            backend = protocol.spec_backend(campaign.spec)
             suite = protocol.spec_suite(campaign.spec)
             stream_path = os.path.join(self.root, f"{campaign.id}.ndjson")
             live = LiveTelemetry(
@@ -433,10 +425,9 @@ class CampaignServer:
             )
             journal = self._campaign_journal(campaign, config, behavior)
             try:
-                report = backend.run(
-                    behavior, config, suite,
-                    journal=journal, cancel=campaign.cancel, live=live,
-                )
+                runner = ValidationRunner(behavior, config, live=live)
+                report = runner.run_suite(suite, journal=journal,
+                                          cancel=campaign.cancel)
             finally:
                 journal.close()
             live.end(report)
@@ -535,7 +526,7 @@ class CampaignServer:
                 "suite": spec["suite"],
                 "compiler": (f"{spec['vendor']} {spec['version']}"
                              if spec.get("vendor") else "reference"),
-                "scheduler": spec["scheduler"],
+                "policy": spec["config"]["policy"],
                 "format": spec["format"],
                 "error": campaign.error,
                 "report_path": campaign.report_path,

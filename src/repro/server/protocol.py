@@ -19,12 +19,10 @@ Requests:
 
 A submission *spec* is plain data: ``suite`` (``"1.0"`` or
 ``"combinations"``), optional ``vendor``/``version`` (a simulated
-vendor compiler; the reference behaviour otherwise), ``scheduler`` (a
-:mod:`repro.sched` backend name), optional ``workers`` (pool/shard/pod
-count), ``format`` (report renderer) and ``config`` (a
-:meth:`repro.harness.HarnessConfig.to_dict`-shaped dict;
-execution-only knobs like ``policy`` are honoured, telemetry knobs are
-server-managed and rejected).
+vendor compiler; the reference behaviour otherwise), ``format`` (report
+renderer) and ``config`` (a :meth:`repro.harness.HarnessConfig.to_dict`-
+shaped dict; execution-only knobs like ``policy``/``workers`` pick the
+campaign's engine, telemetry knobs are server-managed and rejected).
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ SUITES = ("1.0", "combinations")
 #: pipeline (one NDJSON stream per campaign under its own directory)
 _SERVER_MANAGED_CONFIG = ("live_stream", "status", "prom")
 
-_SPEC_KEYS = ("suite", "vendor", "version", "scheduler", "workers",
-              "format", "config")
+_SPEC_KEYS = ("suite", "vendor", "version", "format", "config")
 
 #: exit codes reported per terminal state (``done`` splits on failures,
 #: mirroring ``repro validate``)
@@ -87,7 +84,6 @@ def normalize_spec(spec: dict) -> dict:
     key.
     """
     from repro.harness import HarnessConfig
-    from repro.sched import SCHEDULERS
 
     if not isinstance(spec, dict):
         raise ProtocolError(
@@ -104,21 +100,12 @@ def normalize_spec(spec: dict) -> dict:
         raise ProtocolError(
             f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}"
         )
-    scheduler = spec.get("scheduler", "local")
-    if scheduler not in SCHEDULERS:
-        raise ProtocolError(
-            f"unknown scheduler {scheduler!r}; expected one of "
-            f"{', '.join(SCHEDULERS)}"
-        )
     fmt = spec.get("format", "text")
     if fmt not in REPORT_FORMATS:
         raise ProtocolError(
             f"unknown format {fmt!r}; expected one of "
             f"{', '.join(REPORT_FORMATS)}"
         )
-    workers = spec.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise ProtocolError(f"workers must be a positive int (got {workers!r})")
     vendor = spec.get("vendor")
     version = spec.get("version")
     if vendor is not None and version is None:
@@ -146,8 +133,6 @@ def normalize_spec(spec: dict) -> dict:
         "suite": suite,
         "vendor": vendor,
         "version": version,
-        "scheduler": scheduler,
-        "workers": workers,
         "format": fmt,
         "config": config.to_dict(),
     }
@@ -185,12 +170,6 @@ def spec_behavior(spec: dict, config=None):
     # normalize_spec guarantees a vendor campaign pins a single language
     (language,) = tuple(config.languages)
     return vendor_version(spec["vendor"], spec["version"]).behavior(language)
-
-
-def spec_backend(spec: dict):
-    from repro.sched import create_backend
-
-    return create_backend(spec["scheduler"], workers=spec.get("workers"))
 
 
 def spec_campaign_key(spec: dict, config=None, behavior=None) -> dict:

@@ -8,6 +8,8 @@ and certainty values, byte-identical text/CSV renderings — for the same
 configuration.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.compiler import CompileCache, Compiler, CompilerBehavior
@@ -286,38 +288,26 @@ class TestCancelToken:
         assert token.cancelled()
         with pytest.raises(CampaignInterrupted, match="test reason"):
             token.check()
-        token.reset()
-        assert not token.cancelled()
-        token.check()
 
-    def test_request_drain_reaches_active_tokens_only(self):
-        from repro.harness import (
-            CancelToken,
-            activate_token,
-            request_drain,
-            reset_drain,
-        )
+    def test_cli_signal_cancels_only_its_own_token(self):
+        import signal
 
-        active = CancelToken()
+        from repro.cli import _install_drain_handlers, _restore_handlers
+        from repro.harness import CampaignInterrupted, CancelToken
+
+        previous = signal.getsignal(signal.SIGINT)
         bystander = CancelToken()
-        with activate_token(active):
-            request_drain()
-        assert active.cancelled()
+        token, displaced = _install_drain_handlers()
+        try:
+            signal.raise_signal(signal.SIGINT)
+        finally:
+            _restore_handlers(displaced)
+        assert signal.getsignal(signal.SIGINT) is previous
+        assert token.cancelled()
         assert not bystander.cancelled()
-        # a token created after the drain starts fresh — the regression
-        # this layer fixes: the old process-global flag poisoned every
-        # later campaign in the process
-        assert not CancelToken().cancelled()
-        reset_drain()
-
-    def test_activation_is_reentrant(self):
-        # Titan re-registers its token around every inner run_suite
-        from repro.harness import CancelToken, activate_token
-
-        token = CancelToken()
-        with activate_token(token):
-            with activate_token(token):
-                pass
+        with pytest.raises(CampaignInterrupted,
+                           match=f"signal {int(signal.SIGINT)}"):
+            token.check()
 
     def test_second_campaign_after_drained_one_runs_clean(self):
         # satellite regression: campaign 1 drains; campaign 2, with no
@@ -335,23 +325,46 @@ class TestCancelToken:
         assert report.results and runner.cancel is None
 
     def test_stale_global_drain_does_not_poison_new_campaigns(self):
-        # the literal pre-fix failure mode: request_drain() with no
-        # campaign active used to set a process-global flag that made
-        # every subsequent run_suite abort on its first unit
-        from repro.harness import drain_requested, request_drain, reset_drain
+        # the pre-fix failure mode: a drain with no campaign active used to
+        # set a process-global flag that made every subsequent run_suite
+        # abort on its first unit.  A signal now cancels only the token of
+        # the command that installed the handler.
+        import signal
 
-        request_drain()
-        assert drain_requested()
+        from repro.cli import _install_drain_handlers, _restore_handlers
+
+        token, displaced = _install_drain_handlers()
         try:
-            config = HarnessConfig(iterations=1, languages=("c",),
-                                   feature_prefixes=["loop.gang"])
-            report = ValidationRunner(_BUGGY, config).run_suite(
-                openacc10_suite()
-            )
-            assert report.results
+            signal.raise_signal(signal.SIGINT)
         finally:
-            reset_drain()
-            assert not drain_requested()
+            _restore_handlers(displaced)
+        assert token.cancelled()
+        config = HarnessConfig(iterations=1, languages=("c",),
+                               feature_prefixes=["loop.gang"])
+        report = ValidationRunner(_BUGGY, config).run_suite(openacc10_suite())
+        assert report.results
+        # and the next command starts on a fresh, armed token
+        fresh, displaced = _install_drain_handlers()
+        _restore_handlers(displaced)
+        assert not fresh.cancelled()
+
+    def test_cancelling_one_campaign_leaves_another_untouched(self):
+        # per-campaign tokens: after a cancelled campaign, a neighbour on
+        # the same process-pool shape renders byte-identical to serial
+        from repro.harness import CampaignInterrupted, CancelToken
+
+        config = HarnessConfig(iterations=1, languages=("c",),
+                               feature_prefixes=["loop", "parallel"])
+        serial = ValidationRunner(_BUGGY, config).run_suite(openacc10_suite())
+        pooled = replace(config, policy="process", workers=2)
+        doomed = CancelToken()
+        doomed.cancel("test")
+        with pytest.raises(CampaignInterrupted):
+            ValidationRunner(_BUGGY, pooled).run_suite(
+                openacc10_suite(), cancel=doomed)
+        report = ValidationRunner(_BUGGY, pooled).run_suite(
+            openacc10_suite(), cancel=CancelToken())
+        assert render_csv(report) == render_csv(serial)
 
     def test_retry_ladder_aborts_on_drain(self):
         # run_unit_resilient's never-raises contract has one documented

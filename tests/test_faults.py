@@ -153,7 +153,7 @@ class TestInjector:
     def test_sites_cover_documented_list(self):
         assert set(FAULT_SITES) == {
             "compile", "iteration", "worker", "stall", "journal",
-            "shard_death", "pod", "conn", "frame", "slow_client", "segment",
+            "conn", "frame", "slow_client",
         }
 
 

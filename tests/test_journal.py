@@ -11,7 +11,8 @@ Layers under test, bottom up:
 * the CLI — crash (injected torn write) and resume under every execution
   policy, ``journal inspect``, mismatch refusal;
 * a real SIGKILL mid-campaign in a subprocess, resumed to a
-  byte-identical report.
+  byte-identical report, and a real SIGINT that drains the campaign
+  cleanly before the same resume.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from repro.harness import (
     ValidationRunner,
     render_csv,
     render_text,
-    reset_drain,
-    request_drain,
 )
 from repro.journal import (
     JOURNAL_FORMAT,
@@ -46,19 +45,11 @@ from repro.journal import (
     read_journal,
     record_line,
     render_fsck,
-    scan_journal_file,
     titan_campaign_key,
     unit_keys,
     validate_campaign_key,
 )
 from repro.suite import openacc10_suite
-
-
-@pytest.fixture(autouse=True)
-def _clean_drain():
-    reset_drain()
-    yield
-    reset_drain()
 
 
 CAMPAIGN = {"format": JOURNAL_FORMAT, "command": "validate", "suite": "1.0"}
@@ -188,6 +179,27 @@ class TestCodec:
         # a resume may switch policy — the key must not pin it
         assert serial == process
 
+    def test_campaign_key_without_fault_plan_is_stable(self):
+        # journals written by earlier releases must still resume: the key
+        # of a fault-free config is pinned to the value those releases
+        # wrote into journal headers
+        import hashlib
+        import json
+
+        key = validate_campaign_key("1.0", CompilerBehavior(),
+                                    _small_config())
+        assert key["config"] == {
+            "fault_plan": None, "feature_prefixes": ["parallel.if", "update"],
+            "features": None, "iterations": 2, "languages": ["c"],
+            "lint": False, "max_steps": 2000000, "retries": 0,
+            "rng_seed": 20140519, "run_cross": True,
+            "template_timeout_s": None,
+        }
+        body = json.dumps(canonicalize(key), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(body.encode("utf-8")).hexdigest() == (
+            "923daa73237cba5e1171484efe51e1dec7d8d8ae308e73f48af5f1334d64b3e6")
+
     def test_campaign_key_pins_what_changes_results(self):
         behavior = CompilerBehavior()
         base = validate_campaign_key("1.0", behavior, _small_config())
@@ -313,8 +325,11 @@ class TestRunnerResume:
         assert len(read_journal(partial_path).records) == total
 
     def test_drain_keeps_journal_consistent(self, tmp_path):
-        """A drain request mid-campaign stops dispatch after the unit in
-        flight; everything journaled so far replays on resume."""
+        """Cancelling the campaign's token mid-campaign stops dispatch
+        after the unit in flight; everything journaled so far replays on
+        resume."""
+        from repro.harness import CampaignInterrupted, CancelToken
+
         suite = openacc10_suite()
         behavior = CompilerBehavior()
         config = _small_config()
@@ -323,20 +338,18 @@ class TestRunnerResume:
 
         journal = JournalWriter.create(path, campaign)
         real_append = journal.append
+        token = CancelToken()
 
         def draining_append(unit, payload):
             real_append(unit, payload)
             if len(journal.records) >= 2:
-                request_drain()
+                token.cancel()
 
         journal.append = draining_append
-        from repro.harness import CampaignInterrupted
-
         with pytest.raises(CampaignInterrupted):
             ValidationRunner(behavior, config).run_suite(
-                suite, journal=journal)
+                suite, journal=journal, cancel=token)
         journal.close()
-        reset_drain()
 
         loaded = read_journal(path)
         assert len(loaded.records) == 2
@@ -545,6 +558,61 @@ class TestSigkillResume:
         assert len(healed.records) >= already  # nothing was thrown away
 
 
+class TestSigintDrain:
+    def test_sigint_drains_then_resume_byte_identical(self, tmp_path):
+        """A console interrupt cancels the command's own token: in-flight
+        work finishes, the journal ends clean, the CLI exits 3 with the
+        resume hint, and the resume renders the uninterrupted report."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        journal = str(tmp_path / "j.jsonl")
+        reference = str(tmp_path / "reference.csv")
+        resumed = str(tmp_path / "resumed.csv")
+        base = [sys.executable, "-m", "repro", "validate",
+                "--iterations", "3", "--language", "c", "--format", "csv"]
+
+        assert subprocess.run(
+            base + ["--output", reference], env=env,
+            stdout=subprocess.DEVNULL).returncode == 0
+
+        victim = subprocess.Popen(
+            base + ["--journal", journal, "--output",
+                    str(tmp_path / "never.csv")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            # a journaled unit means the drain handler is installed
+            deadline = time.time() + 60
+            while time.time() < deadline:
+                try:
+                    if read_journal(journal).records:
+                        break
+                except (OSError, JournalCorruptError):
+                    pass
+                time.sleep(0.02)
+            else:
+                pytest.fail("campaign never journaled a unit")
+            victim.send_signal(signal.SIGINT)
+            _, err = victim.communicate(timeout=60)
+        finally:
+            if victim.poll() is None:
+                victim.kill()
+        assert victim.returncode == 3, err
+        assert f"--resume {journal}" in err
+        loaded = read_journal(journal)
+        assert loaded.torn_bytes == 0  # a drain is a clean stop
+        assert loaded.records
+
+        proc = subprocess.run(
+            base + ["--resume", journal, "--output", resumed], env=env,
+            stdout=subprocess.DEVNULL)
+        assert proc.returncode == 0
+        with open(reference, "rb") as a, open(resumed, "rb") as b:
+            assert a.read() == b.read()
+
+
 # ---------------------------------------------------------------------------
 # fsck: the diagnostic counterpart of the strict loader
 # ---------------------------------------------------------------------------
@@ -573,10 +641,9 @@ class TestFsck:
             handle.write(line[: len(line) // 2])
         report = fsck_journal(path)
         assert not report.clean and report.resumable
-        scan = report.files[0]
-        assert scan.status == "torn"
-        assert scan.bad_bytes == len(line) // 2
-        assert "torn tail" in scan.detail
+        assert report.status == "torn"
+        assert report.bad_bytes == len(line) // 2
+        assert "torn tail" in report.detail
         assert set(report.salvageable_units()) == {"a:c", "b:c"}
         assert "salvageable" in render_fsck(report)
         # the verdict matches what resume actually does
@@ -592,12 +659,13 @@ class TestFsck:
             handle.writelines(lines)
         report = fsck_journal(path)
         assert not report.resumable
-        scan = report.files[0]
-        assert scan.status == "corrupt"
-        assert scan.first_bad_line == 3
-        assert "corruption" in scan.detail
-        # the intact prefix before the bad line is still counted
-        assert set(scan.records) == {"a:c"}
+        assert report.status == "corrupt"
+        assert report.first_bad_line == 3
+        assert "corruption" in report.detail
+        # the intact prefix before the bad line is still counted, but a
+        # refused resume salvages nothing
+        assert set(report.records) == {"a:c"}
+        assert report.salvageable_units() == {}
         assert "CORRUPT" in render_fsck(report)
         with pytest.raises(JournalCorruptError):
             read_journal(path)
@@ -605,25 +673,8 @@ class TestFsck:
     def test_missing_and_headerless_files(self, tmp_path):
         missing = fsck_journal(str(tmp_path / "nope.journal"))
         assert not missing.resumable
-        assert missing.files[0].status == "missing"
+        assert missing.status == "missing"
         empty = tmp_path / "empty.journal"
         empty.write_bytes(b"")
-        scan = scan_journal_file(str(empty))
+        scan = fsck_journal(str(empty))
         assert scan.status == "corrupt" and "empty" in scan.detail
-
-    def test_cross_segment_campaign_mismatch_flagged(self, tmp_path):
-        from repro.sched.shards import segment_path
-
-        path = self._journal(tmp_path)
-        other = dict(CAMPAIGN, suite="combinations")
-        stray = JournalWriter.create(segment_path(path, 0), other)
-        stray.append("z:c", {"unit": "z:c"})
-        stray.close()
-        report = fsck_journal(path)
-        assert not report.resumable
-        mismatched = [f for f in report.files if not f.campaign_matches]
-        assert len(mismatched) == 1
-        assert mismatched[0].path == segment_path(path, 0)
-        assert "campaign key differs" in mismatched[0].detail
-        # the mismatched segment's units are not salvage candidates
-        assert set(report.salvageable_units()) == {"a:c", "b:c"}

@@ -13,9 +13,11 @@ from __future__ import annotations
 import os
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.harness import ValidationRunner, render_csv
 from repro.server import (
     CampaignClient,
@@ -72,7 +74,7 @@ class TestProtocol:
     def test_normalize_defaults(self):
         spec = normalize_spec({})
         assert spec["suite"] == "1.0"
-        assert spec["scheduler"] == "local"
+        assert spec["config"]["policy"] == "serial"
         assert spec["format"] == "text"
         assert spec["config"]["iterations"] == 3
 
@@ -83,7 +85,7 @@ class TestProtocol:
 
     @pytest.mark.parametrize("bad,match", [
         ({"suite": "3.0"}, "unknown suite"),
-        ({"scheduler": "slurm"}, "unknown scheduler"),
+        ({"scheduler": "local"}, "unknown spec key"),
         ({"format": "pdf"}, "unknown format"),
         ({"workers": 0}, "workers"),
         ({"typo": True}, "unknown spec key"),
@@ -91,6 +93,8 @@ class TestProtocol:
         ({"vendor": "caps", "version": "3.0.7"}, "one language"),
         ({"config": {"live_stream": "x.ndjson"}}, "server-managed"),
         ({"config": {"iterationz": 1}}, "bad config"),
+        ({"config": {"fault_plan": {"warp": 0.5}}},
+         "unknown fault_plan key"),
     ])
     def test_bad_specs_rejected(self, bad, match):
         with pytest.raises(ProtocolError, match=match):
@@ -124,17 +128,22 @@ class TestServerRoundTrip:
         with open(info["report_path"], encoding="utf-8") as fh:
             assert fh.read() == _direct_csv(_SMALL)
 
-    def test_sched_backend_submission(self, server):
+    def test_policy_submission_runs_on_the_named_engine(self, server):
+        # the config's policy/workers pick the engine: a process-pool
+        # campaign reports process/2 and renders byte-identical to serial
         client = _client(server)
-        spec = dict(_SMALL, scheduler="shards", workers=2)
-        cid = client.submit(spec)["id"]
+        config = dict(_SMALL["config"], policy="process", workers=2)
+        cid = client.submit(dict(_SMALL, config=config))["id"]
         info = client.wait(cid, timeout_s=120)
-        assert info["state"] == "done"
+        assert info["state"] == "done" and info["policy"] == "process"
         with open(info["report_path"], encoding="utf-8") as fh:
             assert fh.read() == _direct_csv(_SMALL)
-        # the shard campaign journaled into per-shard segments
-        root = server.server.root
-        assert os.path.exists(os.path.join(root, f"{cid}.journal.shard0"))
+        records = [line["record"] for line in client.tail(cid)
+                   if "record" in line]
+        final = records[-1]
+        assert final["final"]
+        assert final["run_metrics"]["policy"] == "process"
+        assert final["run_metrics"]["workers"] == 2
 
     def test_tail_replays_and_terminates(self, server):
         client = _client(server)
@@ -276,6 +285,91 @@ class TestServerResume:
                 assert fh.read() == _direct_csv(_BIG)
         finally:
             handle2.stop()
+
+
+#: a queued campaign as the server journal of the previous release
+#: persisted it: the spec still carries the scheduler/workers keys
+_LEGACY_SPEC = {
+    "config": {"backend": "closures", "compile_cache": True,
+               "fault_plan": None, "feature_prefixes": ["declare", "update"],
+               "features": None, "iterations": 1, "languages": ["c"],
+               "lint": False, "live_stream": None, "max_steps": 2000000,
+               "policy": "serial", "prom": None, "retries": 0,
+               "retry_backoff_s": 0.05, "rng_seed": 20140519,
+               "run_cross": True, "status": False,
+               "template_timeout_s": None, "workers": 1},
+    "format": "csv", "scheduler": "local", "suite": "1.0",
+    "vendor": None, "version": None, "workers": None,
+}
+
+#: the previous release's persisted fault plan: every FaultPlan field,
+#: including the three sites that no longer exist
+_LEGACY_FAULT_PLAN = {
+    "attempt_offset": 0, "compile_crash": 0.0, "conn_drop": 0.0,
+    "frame_garble": 0.0, "iteration_crash": 0.0, "journal_torn": 0.0,
+    "max_fires": 1, "persistent": False, "pod_failure": 0.0, "seed": 3,
+    "segment_corrupt": 0.0, "shard_death": 0.5, "slow_client": 0.0,
+    "stall": 0.0, "stall_s": 0.05, "worker_death": 0.0,
+}
+
+
+def _legacy_server_root(tmp_path, campaigns: dict) -> str:
+    """A server directory whose journal holds ``campaigns`` as queued."""
+    import repro
+    from repro.journal import JOURNAL_FORMAT, JournalWriter
+
+    root = tmp_path / "state"
+    root.mkdir()
+    journal = JournalWriter.create(
+        str(root / "server.journal"),
+        {"format": JOURNAL_FORMAT, "command": "serve",
+         "code_version": repro.__version__})
+    for cid, spec in campaigns.items():
+        journal.append(cid, {"spec": spec, "state": "queued", "error": None,
+                             "report_path": None, "failures": None})
+    journal.close()
+    return str(root)
+
+
+class TestLegacyServerDirectory:
+    def test_queued_legacy_campaign_restarts_to_done(self, tmp_path):
+        from repro.cli import main
+
+        reference = str(tmp_path / "ref.csv")
+        assert main(["validate", "--language", "c", "--iterations", "1",
+                     "--features", "declare", "update", "--format", "csv",
+                     "--output", reference]) == 0
+        handle = serve_in_thread(
+            _legacy_server_root(tmp_path, {"c0001": _LEGACY_SPEC}))
+        try:
+            info = _client(handle).wait("c0001", timeout_s=120)
+            assert info["state"] == "done" and info["exit"] == 0
+            assert info["policy"] == "serial"
+            with open(info["report_path"], "rb") as fh, \
+                    open(reference, "rb") as ref:
+                assert fh.read() == ref.read()
+        finally:
+            handle.stop()
+
+    def test_removed_fault_sites_fail_the_campaign_not_the_server(
+            self, tmp_path):
+        config = dict(_LEGACY_SPEC["config"], fault_plan=_LEGACY_FAULT_PLAN)
+        handle = serve_in_thread(_legacy_server_root(
+            tmp_path, {"c0001": dict(_LEGACY_SPEC, config=config)}))
+        try:
+            client = _client(handle)
+            info = client.wait("c0001", timeout_s=120)
+            assert info["state"] == "failed" and info["exit"] == 1
+            removed = set(_LEGACY_FAULT_PLAN) - {f.name for f in
+                                                 fields(FaultPlan)}
+            assert len(removed) == 3
+            for key in removed:
+                assert key in info["error"]
+            # the server keeps serving new submissions
+            cid = client.submit(_SMALL)["id"]
+            assert client.wait(cid, timeout_s=120)["state"] == "done"
+        finally:
+            handle.stop()
 
 
 # ---------------------------------------------------------------------------
