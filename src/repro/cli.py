@@ -775,178 +775,6 @@ def _journal_fsck(args) -> int:
     return 0 if report.resumable else 1
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.server import CampaignServer
-
-    server = CampaignServer(args.root, host=args.host, port=args.port,
-                            max_concurrent=args.max_concurrent,
-                            watchdog_s=args.watchdog_s,
-                            restart_budget=args.restart_budget,
-                            tail_buffer=args.tail_buffer,
-                            fault_plan=args.inject_faults)
-
-    async def _main() -> None:
-        await server.start()
-        # the bound address on stdout, flushed, so scripts starting the
-        # server in the background (CI smoke) can pick the port up
-        print(f"repro server listening on {server.host}:{server.port} "
-              f"(root {server.root})", flush=True)
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, ValueError):
-                break
-        await stop.wait()
-        print("draining: unfinished campaigns re-queued for the next "
-              "serve over this directory", file=sys.stderr)
-        await server.shutdown()
-
-    asyncio.run(_main())
-    return 0
-
-
-def _server_client(args):
-    from repro.server import CampaignClient
-
-    return CampaignClient.at(args.server)
-
-
-def cmd_submit(args) -> int:
-    from repro.server import ServerError
-
-    client = _server_client(args)
-    try:
-        if args.resume:
-            response = client.resubmit(args.resume)
-        else:
-            config: dict = {
-                "iterations": args.iterations,
-                "run_cross": not args.no_cross,
-                "policy": args.policy,
-                "workers": args.workers,
-            }
-            if args.language:
-                config["languages"] = [args.language]
-            if args.features:
-                config["feature_prefixes"] = args.features
-            if args.retries:
-                config["retries"] = args.retries
-            if args.inject_faults is not None:
-                # travels as the canonical spec string; the server parses
-                # it back into the campaign's FaultPlan
-                config["fault_plan"] = args.inject_faults.describe()
-            response = client.submit({
-                "suite": args.suite,
-                "vendor": args.vendor,
-                "version": args.version,
-                "format": args.format,
-                "config": config,
-            })
-    except (ServerError, OSError) as err:
-        print(f"submit failed: {err}", file=sys.stderr)
-        return 1
-    cid = response["id"]
-    print(f"submitted {cid}")
-    if not args.wait:
-        return 0
-    try:
-        info = client.wait(cid, timeout_s=args.wait_timeout_s)
-    except (ServerError, OSError, TimeoutError) as err:
-        print(f"wait failed: {err}", file=sys.stderr)
-        return 1
-    print(f"campaign {cid} {info['state']}")
-    if info.get("report_path"):
-        print(f"report: {info['report_path']}")
-    if info.get("error"):
-        print(f"error: {info['error']}", file=sys.stderr)
-    if info.get("resume"):
-        print(f"resume with: {info['resume']}", file=sys.stderr)
-    code = info.get("exit")
-    return code if code is not None else 1
-
-
-def cmd_status(args) -> int:
-    from repro.server import ServerError
-
-    client = _server_client(args)
-    try:
-        response = client.status(args.id)
-    except (ServerError, OSError) as err:
-        print(f"status failed: {err}", file=sys.stderr)
-        return 1
-    campaigns = [response["campaign"]] if args.id else response["campaigns"]
-    if not campaigns:
-        print("no campaigns")
-        return 0
-    for info in campaigns:
-        line = (f"{info['id']}  {info['state']:9s} {info['suite']:12s} "
-                f"{info['compiler']:14s} {info['policy']}")
-        progress = info.get("progress")
-        if progress and progress.get("units_done") is not None:
-            line += (f"  {progress['units_done']} unit(s), "
-                     f"{progress.get('passed', 0)} pass / "
-                     f"{progress.get('failed', 0)} fail")
-        if info.get("report_path"):
-            line += f"  report {info['report_path']}"
-        if info.get("error"):
-            line += f"  error {info['error']}"
-        print(line)
-        if info.get("resume"):
-            print(f"  resume with: {info['resume']}")
-    return 0
-
-
-def cmd_cancel(args) -> int:
-    from repro.server import ServerError
-
-    client = _server_client(args)
-    try:
-        response = client.cancel(args.id)
-    except (ServerError, OSError) as err:
-        print(f"cancel failed: {err}", file=sys.stderr)
-        return 1
-    print(f"cancel requested for {response['id']}: in-flight units finish "
-          "and are journaled, remaining units are not started")
-    print(f"resume with: {response['resume']}")
-    return 0
-
-
-def cmd_tail(args) -> int:
-    from repro.obs.live import render_record_line
-    from repro.server import ServerError
-
-    client = _server_client(args)
-    try:
-        for payload in client.tail(args.id, timeout_s=args.timeout_s):
-            if payload.get("end"):
-                state = payload["state"]
-                print(f"campaign {args.id} {state}", file=sys.stderr)
-                dropped = ((payload.get("dropped") or 0)
-                           + (payload.get("replay_dropped") or 0))
-                if dropped:
-                    print(f"note: {dropped} record(s) dropped (slow "
-                          "subscriber / late tail); the full stream is in "
-                          "the server's <id>.ndjson", file=sys.stderr)
-                if payload.get("resume"):
-                    print(f"resume with: {payload['resume']}",
-                          file=sys.stderr)
-                code = payload.get("exit")
-                return code if code is not None else 1
-            record = payload.get("record")
-            if isinstance(record, dict):
-                print(render_record_line(record), flush=True)
-    except (ServerError, OSError) as err:
-        print(f"tail failed: {err}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        return 0
-    return 1
-
-
 def _add_journal_flags(p) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--journal", metavar="FILE",
@@ -1064,8 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SPEC",
                    help="deterministic fault injection, e.g. "
                         "'worker=0.5,iteration=0.2,seed=7' (sites: compile, "
-                        "iteration, worker, stall, journal, conn, frame, "
-                        "slow_client; modifiers: "
+                        "iteration, worker, stall, journal; modifiers: "
                         "seed, stall-s, max-fires, persistent)")
     p.add_argument("--trace", metavar="FILE",
                    help="record a span/event/metrics trace to FILE (JSONL)")
@@ -1109,105 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add accsim profiling to the trace")
     _add_journal_flags(p)
     _add_live_flags(p)
-
-    p = sub.add_parser("serve", help="run the campaign server (concurrent "
-                                     "submissions, journaled + resumable)")
-    p.add_argument("root", help="server state directory: the server "
-                                "journal, per-campaign unit journals, "
-                                "NDJSON streams and reports live here")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7781,
-                   help="TCP port (default 7781; 0 picks a free port, "
-                        "printed on startup)")
-    p.add_argument("--max-concurrent", type=_positive_int, default=2,
-                   metavar="N",
-                   help="campaigns run at once; further submissions queue")
-    p.add_argument("--watchdog-s", type=_positive_float, default=None,
-                   metavar="SECONDS", dest="watchdog_s",
-                   help="per-campaign liveness watchdog: a running campaign "
-                        "emitting no live record for this long is cancelled "
-                        "and re-queued (journaled units replay); off by "
-                        "default")
-    p.add_argument("--restart-budget", type=_nonnegative_int, default=2,
-                   metavar="N", dest="restart_budget",
-                   help="watchdog restarts tolerated per campaign before it "
-                        "is marked failed with a resume hint (default 2)")
-    p.add_argument("--tail-buffer", type=_positive_int, default=512,
-                   metavar="N", dest="tail_buffer",
-                   help="per-subscriber tail queue capacity; a slow client "
-                        "loses oldest records past this and sees the drop "
-                        "count on its end line (default 512)")
-    p.add_argument("--inject-faults", type=_fault_plan, default=None,
-                   metavar="SPEC", dest="inject_faults",
-                   help="arm the server-side chaos sites (conn, frame, "
-                        "slow_client) against the wire protocol, e.g. "
-                        "'conn=1.0,frame=1.0,seed=9' — the chaos-smoke "
-                        "harness; campaign-side sites travel in "
-                        "'repro submit --inject-faults' instead")
-
-    def _server_flag(p) -> None:
-        p.add_argument("--server", default="127.0.0.1:7781",
-                       metavar="HOST:PORT",
-                       help="campaign server address "
-                            "(default 127.0.0.1:7781)")
-
-    p = sub.add_parser("submit", help="submit a campaign to a running "
-                                      "server")
-    _server_flag(p)
-    p.add_argument("--resume", metavar="ID",
-                   help="re-enqueue a cancelled/failed campaign by id "
-                        "instead of submitting a new spec (its unit "
-                        "journal replays completed work)")
-    p.add_argument("--suite", default="1.0", choices=["1.0", "combinations"])
-    p.add_argument("--vendor", choices=list(VENDORS))
-    p.add_argument("--version", help="vendor version (with --vendor)")
-    p.add_argument("--language", choices=["c", "fortran"])
-    p.add_argument("--iterations", type=_positive_int, default=3, metavar="M")
-    p.add_argument("--no-cross", action="store_true")
-    p.add_argument("--features", nargs="*", metavar="PREFIX",
-                   help="feature prefixes to select")
-    p.add_argument("--format", default="text",
-                   choices=["text", "html", "csv", "bugs"])
-    p.add_argument("--policy", default="serial",
-                   choices=list(EXECUTION_POLICIES),
-                   help="execution engine the server runs the campaign on "
-                        "(identical reports either way)")
-    p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
-                   help="pool size for --policy thread/process")
-    p.add_argument("--retries", type=_nonnegative_int, default=0,
-                   metavar="R",
-                   help="per-unit retry budget inside the campaign (lets "
-                        "transient injected faults heal in place)")
-    p.add_argument("--inject-faults", type=_fault_plan, default=None,
-                   metavar="SPEC", dest="inject_faults",
-                   help="arm the campaign-side fault sites inside the "
-                        "server-hosted run (compile, iteration, worker, "
-                        "stall, journal), e.g. "
-                        "'worker=1.0,journal=1.0,seed=29'")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the campaign finishes and exit with "
-                        "its validate-compatible exit code")
-    p.add_argument("--wait-timeout-s", type=_positive_float, default=3600.0,
-                   metavar="SECONDS", dest="wait_timeout_s")
-
-    p = sub.add_parser("status", help="list a server's campaigns (or one "
-                                      "campaign's state)")
-    p.add_argument("id", nargs="?", help="campaign id (all when omitted)")
-    _server_flag(p)
-
-    p = sub.add_parser("cancel", help="cancel one running campaign "
-                                      "(neighbouring campaigns are "
-                                      "untouched)")
-    p.add_argument("id")
-    _server_flag(p)
-
-    p = sub.add_parser("tail", help="replay + follow a campaign's live "
-                                    "records from the server")
-    p.add_argument("id")
-    _server_flag(p)
-    p.add_argument("--timeout-s", type=_positive_float, default=3600.0,
-                   metavar="SECONDS", dest="timeout_s",
-                   help="give up if the stream stalls this long")
 
     p = sub.add_parser("journal", help="inspect a campaign journal")
     jsub = p.add_subparsers(dest="journal_command", required=True)
@@ -1302,11 +1030,6 @@ _COMMANDS = {
     "trace": cmd_trace,
     "journal": cmd_journal,
     "obs": cmd_obs,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
-    "status": cmd_status,
-    "cancel": cmd_cancel,
-    "tail": cmd_tail,
 }
 
 
@@ -1318,12 +1041,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "validate" and args.vendor and not args.language:
         parser.error("--vendor requires --language (vendor bugs are "
                      "language-specific)")
-    if args.command == "submit" and not args.resume and args.vendor:
-        if not args.version:
-            parser.error("--vendor requires --version")
-        if not args.language:
-            parser.error("--vendor requires --language (vendor bugs are "
-                         "language-specific)")
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:

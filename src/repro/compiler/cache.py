@@ -26,7 +26,7 @@ attempt, and the error-heavy beta sweeps benefit the most.
 The cache lives as long as its owner: one sweep (``vendor_pass_rates``),
 one :class:`~repro.harness.titan.TitanHarness`, or one runner.  It is
 never process-wide: a process-wide cache would keep every campaign's
-programs alive in a long-running ``repro serve``.  ``compile_cache=False``
+programs alive in a long-running process.  ``compile_cache=False``
 (``--no-compile-cache``) builds none, and every compile parses afresh.
 
 The cache is thread-safe (the ``thread`` execution policy shares one

@@ -23,19 +23,10 @@ Sites (each checked at a well-defined point in the execution layer):
   the disk, then the simulated crash escapes), the test vector for the
   durable-campaign resume path.
 
-Server sites (the failure modes of the :mod:`repro.server` campaign
-server's wire protocol):
-
-* ``conn`` — the campaign server drops a connection mid-frame (a prefix
-  of the response line reaches the client); the client's retry policy
-  heals it;
-* ``frame`` — a ``repro.server/v1`` line is garbled on the wire; the
-  tail client reconnects and dedups by ``seq``;
-* ``slow_client`` — a tail subscriber stalls for ``stall_s``; the
-  bounded subscriber queue evicts oldest and reports the drop count.
-
-:mod:`repro.faults.chaos` composes every site into a seeded
-:class:`ChaosSchedule` and drives a server-hosted campaign under it.
+Arming every site at rate 1.0 at once (``--inject-faults
+'compile=1,iteration=1,worker=1,stall=1,journal=1'``) is the chaos gate:
+a ``validate`` campaign resumed until it completes renders byte-identical
+to a fault-free run (DESIGN §5i).
 
 Determinism guarantee: whether a site fires depends only on
 ``(plan.seed, site, key, attempt)`` — never on scheduling, wall-clock or
@@ -45,7 +36,6 @@ fault-free run byte for byte.
 """
 
 from repro.faults.plan import FAULT_SITES, FaultPlan
-from repro.faults.chaos import ChaosSchedule, drive_to_completion
 from repro.faults.injector import (
     FaultInjector,
     FaultyCompiler,
@@ -59,7 +49,6 @@ from repro.faults.injector import (
 
 __all__ = [
     "FAULT_SITES", "FaultPlan",
-    "ChaosSchedule", "drive_to_completion",
     "FaultInjector", "FaultyCompiler",
     "InjectedCompilerCrash", "InjectedFault", "InjectedJournalTear",
     "InjectedRuntimeCrash", "NULL_INJECTOR", "NullInjector",

@@ -130,28 +130,6 @@ class FaultInjector:
         return self.fires("journal", self.plan.journal_torn, key,
                           attempt=generation)
 
-    # ----------------------------------------------------- server sites
-
-    def conn_site(self, key: str, attempt: int) -> bool:
-        """Should the server drop this connection mid-frame?  (A prefix
-        of the response line is written, then the socket closes.)"""
-        return self.fires("conn", self.plan.conn_drop, key, attempt=attempt)
-
-    def frame_site(self, key: str, attempt: int) -> bool:
-        """Should the server garble this ``repro.server/v1`` line?  (The
-        frame's bytes are corrupted but the stream keeps its newline
-        framing; the client treats it as a transport fault.)"""
-        return self.fires("frame", self.plan.frame_garble, key,
-                          attempt=attempt)
-
-    def slow_client_site(self, key: str, attempt: int) -> bool:
-        """Should this tail subscriber stall?  (The server's tail
-        coroutine sleeps ``stall_s`` before draining its queue, the way a
-        slow client would stop reading — the bounded subscriber queue
-        evicts oldest and counts the drops.)"""
-        return self.fires("slow_client", self.plan.slow_client, key,
-                          attempt=attempt)
-
 
 class NullInjector:
     """The default injector: nothing ever fires, nothing is allocated."""
@@ -180,15 +158,6 @@ class NullInjector:
         return False
 
     def journal_site(self, key: str, generation: int) -> bool:
-        return False
-
-    def conn_site(self, key: str, attempt: int) -> bool:
-        return False
-
-    def frame_site(self, key: str, attempt: int) -> bool:
-        return False
-
-    def slow_client_site(self, key: str, attempt: int) -> bool:
         return False
 
 

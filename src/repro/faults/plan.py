@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-#: named injection sites, in documentation order (the first five fire
-#: inside a campaign; the rest on the campaign server's wire protocol)
-FAULT_SITES = ("compile", "iteration", "worker", "stall", "journal",
-               "conn", "frame", "slow_client")
+#: named injection sites, in documentation order
+FAULT_SITES = ("compile", "iteration", "worker", "stall", "journal")
 
 #: parse() aliases: CLI token -> dataclass field
 _SITE_FIELDS = {
@@ -22,9 +20,6 @@ _SITE_FIELDS = {
     "worker": "worker_death",
     "stall": "stall",
     "journal": "journal_torn",
-    "conn": "conn_drop",
-    "frame": "frame_garble",
-    "slow_client": "slow_client",
 }
 _OPTION_FIELDS = {
     "seed": ("seed", int),
@@ -65,19 +60,6 @@ class FaultPlan:
     #: the attempt number is the journal's resume generation, so a torn
     #: write is transient across resumes unless ``persistent``
     journal_torn: float = 0.0
-    #: rate of campaign-server connection drops mid-frame, per request (a
-    #: prefix of the response line reaches the client, then the socket
-    #: closes — the client's retry policy is what heals it)
-    conn_drop: float = 0.0
-    #: rate of torn/garbled ``repro.server/v1`` lines, per streamed record
-    #: frame (the bytes parse as neither JSON nor a checksummed record;
-    #: the tail client reconnects and dedups by ``seq``)
-    frame_garble: float = 0.0
-    #: rate of stalled tail subscribers, per tail session (the server-side
-    #: stand-in for a slow client: the subscriber stops draining for
-    #: ``stall_s`` while the campaign keeps emitting — the bounded queue's
-    #: drop-oldest eviction is what keeps server memory flat)
-    slow_client: float = 0.0
     #: how long one injected stall sleeps
     stall_s: float = 0.05
     #: attempts of a unit that observe its faults (1 = transient)
@@ -115,9 +97,9 @@ class FaultPlan:
         """Parse a CLI spec like ``'worker=0.5,iteration=0.2,seed=7'``.
 
         Tokens: ``<site>=<rate>`` for every site in :data:`FAULT_SITES`
-        (``compile``, ``iteration``, ``worker``, ``stall``, ``journal``,
-        ``conn``, ``frame``, ``slow_client``); options ``seed=N``, ``stall-s=F``, ``max-fires=N``;
-        flag ``persistent``.
+        (``compile``, ``iteration``, ``worker``, ``stall``, ``journal``);
+        options ``seed=N``, ``stall-s=F``, ``max-fires=N``; flag
+        ``persistent``.
         """
         kwargs: dict = {}
         for token in spec.split(","):
@@ -156,25 +138,9 @@ class FaultPlan:
                 ) from None
         return cls(**kwargs)
 
-    def describe(self) -> str:
-        """Stable one-line summary (logs, trace metadata)."""
-        parts = [f"seed={self.seed}"]
-        for token, field in _SITE_FIELDS.items():
-            rate = getattr(self, field)
-            if rate > 0.0:
-                parts.append(f"{token}={rate:g}")
-        if self.stall > 0.0:
-            parts.append(f"stall-s={self.stall_s:g}")
-        if self.persistent:
-            parts.append("persistent")
-        elif self.max_fires != 1:
-            parts.append(f"max-fires={self.max_fires}")
-        return ",".join(parts)
-
 
 assert set(_SITE_FIELDS) == set(FAULT_SITES)
 assert all(f.name in {
     "seed", "compile_crash", "iteration_crash", "worker_death", "stall",
-    "journal_torn", "conn_drop", "frame_garble", "slow_client",
-    "stall_s", "max_fires", "attempt_offset", "persistent",
+    "journal_torn", "stall_s", "max_fires", "attempt_offset", "persistent",
 } for f in fields(FaultPlan))

@@ -126,56 +126,3 @@ class HarnessConfig:
 
     def iteration_seeds(self):
         return [self.rng_seed + k for k in range(self.iterations)]
-
-    # ------------------------------------------------------- wire round trip
-
-    def to_dict(self) -> dict:
-        """A JSON-safe dict round-trippable through :meth:`from_dict`.
-
-        The :mod:`repro.server` wire format: campaign submissions carry
-        their config this way, and the server journal stores it so a
-        restarted server rebuilds the exact same campaign key.
-        """
-        from dataclasses import asdict
-
-        data = asdict(self)
-        data["languages"] = list(self.languages)
-        for knob in ("features", "feature_prefixes"):
-            value = getattr(self, knob)
-            data[knob] = list(value) if value is not None else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HarnessConfig":
-        """Rebuild a config from :meth:`to_dict` output (or a hand-written
-        submission dict; ``fault_plan`` also accepts a CLI spec string
-        like ``'worker=0.5,seed=7'``).  Unknown keys are rejected — a
-        typo'd submission must fail loudly, not run a default campaign.
-        """
-        from dataclasses import fields as dc_fields
-
-        known = {f.name for f in dc_fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown config key(s): {', '.join(unknown)}; "
-                f"expected a subset of: {', '.join(sorted(known))}"
-            )
-        kwargs = dict(data)
-        plan = kwargs.get("fault_plan")
-        if isinstance(plan, str):
-            kwargs["fault_plan"] = FaultPlan.parse(plan)
-        elif isinstance(plan, dict):
-            plan_fields = {f.name for f in dc_fields(FaultPlan)}
-            unknown = sorted(set(plan) - plan_fields)
-            if unknown:
-                raise ValueError(
-                    f"unknown fault_plan key(s): {', '.join(unknown)}; "
-                    f"expected a subset of: {', '.join(sorted(plan_fields))}"
-                )
-            kwargs["fault_plan"] = FaultPlan(**plan)
-        for knob in ("languages", "features", "feature_prefixes"):
-            value = kwargs.get(knob)
-            if isinstance(value, list):
-                kwargs[knob] = tuple(value)
-        return cls(**kwargs)

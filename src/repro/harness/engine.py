@@ -41,10 +41,9 @@ makes the engines finish their in-flight units and raise
 :class:`CampaignInterrupted` instead of starting new ones, so an
 interrupted campaign exits with everything completed so far journaled.
 Tokens are per-campaign state, so one campaign's cancel never drains a
-concurrent neighbour and never poisons later runs in the same process —
-the :mod:`repro.server` relies on this to cancel one client's campaign
-while the rest keep running, and the CLI's SIGINT/SIGTERM handler
-cancels the token of the one command it runs.
+concurrent neighbour and never poisons later runs in the same process;
+the CLI's SIGINT/SIGTERM handler cancels the token of the one command it
+runs.
 """
 
 from __future__ import annotations
@@ -342,6 +341,16 @@ class ThreadEngine:
 _WORKER_RUNNER: "ValidationRunner" = None
 
 
+#: how often a pool worker checks that its parent is still alive
+_ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
 def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
                          trace_profile: bool = None) -> None:
     """Pool initializer: build this worker's runner (own compile cache).
@@ -360,6 +369,11 @@ def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    # a SIGKILLed parent cannot shut the pool down, and the workers would
+    # block on its call queue forever (every worker holds the queue's
+    # write end, so no EOF ever arrives): exit once the parent is gone
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="orphan-watch", daemon=True).start()
     tracer = None
     if trace_profile is not None:
         from repro.obs import Tracer
@@ -422,11 +436,16 @@ class ProcessEngine:
                 initializer=_process_worker_init,
                 initargs=initargs,
             ) as pool:
-                futures = {
-                    pool.submit(_process_run_unit,
-                                (i, templates[i], attempt)): i
-                    for i, attempt in sorted(pending.items())
-                }
+                futures = {}
+                try:
+                    for i, attempt in sorted(pending.items()):
+                        futures[pool.submit(
+                            _process_run_unit, (i, templates[i], attempt)
+                        )] = i
+                except BrokenExecutor:
+                    # a worker died before every unit was queued; the
+                    # unqueued units stay pending for the next pool
+                    broken = True
                 try:
                     for future in as_completed(futures):
                         try:

@@ -6,10 +6,10 @@ campaign needs observability *during* the run.  This module is that layer:
 * :class:`TelemetryBus` — a bounded, thread-safe in-process event bus.
   Engines publish typed records from the per-unit completion callbacks
   (the same coordinating-thread hook the journal uses), the bus keeps the
-  most recent ``capacity`` records for in-process consumers (the future
-  campaign server's clients) and fans every record out to the attached
-  sinks.  Publishing never blocks on a full buffer: the oldest record is
-  dropped and counted, so telemetry can never stall a campaign.
+  most recent ``capacity`` records for in-process consumers and fans
+  every record out to the attached sinks.  Publishing never blocks on a
+  full buffer: the oldest record is dropped and counted, so telemetry can
+  never stall a campaign.
 * :class:`ProgressTally` — the pure fold from unit events to campaign
   totals, shared by the live reporter and ``repro obs tail --summarize``
   so the stream and the final report reconcile by construction.
@@ -808,10 +808,6 @@ class LiveTelemetry:
     @property
     def began(self) -> bool:
         return self._began
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def begin(self, total_units: int = 0, replayed: int = 0, **meta) -> None:
         """Emit the stream header and the campaign.start event."""

@@ -136,6 +136,15 @@ class TestValidate:
         assert "must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["serve", "submit", "status", "cancel",
+                                     "tail"])
+def test_removed_server_commands_are_invalid_choices(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "x"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 class TestTitanCommand:
     def test_titan_sweep(self, capsys):
         assert main(["titan", "--nodes", "6", "--sample", "2",

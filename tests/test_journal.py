@@ -12,7 +12,8 @@ Layers under test, bottom up:
   policy, ``journal inspect``, mismatch refusal;
 * a real SIGKILL mid-campaign in a subprocess, resumed to a
   byte-identical report, and a real SIGINT that drains the campaign
-  cleanly before the same resume.
+  cleanly before the same resume;
+* a SIGKILLed process-pool campaign leaves no pool worker behind.
 """
 
 from __future__ import annotations
@@ -503,12 +504,31 @@ class TestCliResume:
 # ---------------------------------------------------------------------------
 
 
+def _subprocess_env() -> dict:
+    """The environment for a ``python -m repro`` child of this test run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    return env
+
+
+def _wait_for_units(journal: str, count: int) -> None:
+    """Block until ``journal`` durably holds ``count`` unit records."""
+    deadline = time.time() + 60
+    while time.time() < deadline:
+        try:
+            if len(read_journal(journal).records) >= count:
+                return
+        except (OSError, JournalCorruptError):
+            pass
+        time.sleep(0.02)
+    pytest.fail(f"campaign never journaled {count} unit(s)")
+
+
 class TestSigkillResume:
     def test_sigkill_then_resume_byte_identical(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep))
+        env = _subprocess_env()
         journal = str(tmp_path / "j.jsonl")
         reference = str(tmp_path / "reference.txt")
         resumed = str(tmp_path / "resumed.txt")
@@ -525,16 +545,7 @@ class TestSigkillResume:
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             # wait until some units are durably journaled, then SIGKILL
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                try:
-                    if len(read_journal(journal).records) >= 3:
-                        break
-                except (OSError, JournalCorruptError):
-                    pass
-                time.sleep(0.02)
-            else:
-                pytest.fail("campaign never journaled 3 units")
+            _wait_for_units(journal, 3)
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=30)
         finally:
@@ -563,10 +574,7 @@ class TestSigintDrain:
         """A console interrupt cancels the command's own token: in-flight
         work finishes, the journal ends clean, the CLI exits 3 with the
         resume hint, and the resume renders the uninterrupted report."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep))
+        env = _subprocess_env()
         journal = str(tmp_path / "j.jsonl")
         reference = str(tmp_path / "reference.csv")
         resumed = str(tmp_path / "resumed.csv")
@@ -584,16 +592,7 @@ class TestSigintDrain:
             text=True)
         try:
             # a journaled unit means the drain handler is installed
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                try:
-                    if read_journal(journal).records:
-                        break
-                except (OSError, JournalCorruptError):
-                    pass
-                time.sleep(0.02)
-            else:
-                pytest.fail("campaign never journaled a unit")
+            _wait_for_units(journal, 1)
             victim.send_signal(signal.SIGINT)
             _, err = victim.communicate(timeout=60)
         finally:
@@ -611,6 +610,62 @@ class TestSigintDrain:
         assert proc.returncode == 0
         with open(reference, "rb") as a, open(resumed, "rb") as b:
             assert a.read() == b.read()
+
+
+def _proc_stat(pid: int) -> list:
+    """``/proc/PID/stat`` fields after the command name (state, ppid...)."""
+    with open(f"/proc/{pid}/stat") as handle:
+        return handle.read().rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> list:
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                if int(_proc_stat(int(entry))[1]) == pid:
+                    children.append(int(entry))
+            except OSError:
+                pass
+    return children
+
+
+def _running(pid: int) -> bool:
+    try:
+        return _proc_stat(pid)[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process table from /proc")
+class TestSigkillPoolWorkers:
+    def test_pool_workers_exit_with_a_killed_campaign(self, tmp_path):
+        """A SIGKILLed campaign cannot shut its process pool down; the
+        workers must notice the lost parent and exit on their own."""
+        journal = str(tmp_path / "j.jsonl")
+        victim = subprocess.Popen(
+            [sys.executable, "-m", "repro", "validate", "--iterations", "5",
+             "--language", "c", "--policy", "process", "--workers", "2",
+             "--journal", journal, "--output", str(tmp_path / "never.txt")],
+            env=_subprocess_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            _wait_for_units(journal, 1)
+            workers = _children(victim.pid)
+            victim.send_signal(signal.SIGKILL)
+            victim.wait(timeout=30)
+        finally:
+            if victim.poll() is None:
+                victim.kill()
+        assert workers, "the campaign's process pool never started"
+        deadline = time.time() + 10
+        while time.time() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _running(pid)]
+        for pid in survivors:  # do not leak them into the rest of the run
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"orphaned pool workers: {survivors}"
 
 
 # ---------------------------------------------------------------------------
