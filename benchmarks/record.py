@@ -3,8 +3,9 @@
 Measures the four numbers that matter for campaign wall-clock and writes
 them as a JSON artifact:
 
-* interpreter steps/sec for both backends on a host-compute-heavy
-  microprogram (and the closures-over-tree speedup);
+* interpreter steps/sec on a host-compute-heavy microprogram, for the
+  production interpreter and for the reference tree walker
+  (``tests/treewalk.py``), and the closures-over-tree speedup;
 * engine iterations/sec — full validation pipeline over a feature subset,
   M iterations per template;
 * template generation throughput over the whole shipped corpus;
@@ -24,8 +25,8 @@ CI regression gate (compares against the committed baseline)::
 The gate fails (exit 1) if closures interpreter steps/sec regresses by more
 than ``--fail-threshold`` (default 20%) against the baseline, or if the
 closures-over-tree speedup drops below ``--min-speedup`` (default 3.0).
-The speedup floor is machine-independent — both backends run on the same
-box — so it is the primary signal; the absolute steps/sec comparison
+The speedup floor is machine-independent — both interpreters run on the
+same box — so it is the primary signal; the absolute steps/sec comparison
 catches environment-level regressions on stable runners.
 
 Perf trajectory (``BENCH_history.jsonl``): pass ``--history`` to append the
@@ -48,6 +49,7 @@ import json
 import platform
 import sys
 import time
+from contextlib import nullcontext
 
 from repro.analysis import vendor_pass_rates
 from repro.compiler import Compiler, ExecutionLimits
@@ -55,6 +57,7 @@ from repro.harness import HarnessConfig, ValidationRunner
 from repro.suite import openacc10_suite
 from repro.suite.registry import _collect_10
 from repro.templates import generate_pair, parse_template
+from tests.treewalk import oracle
 
 SCHEMA = "bench-hotpath/1"
 
@@ -82,24 +85,27 @@ int main() {
 
 
 def bench_interpreter(reps: int) -> dict:
-    """Steps/sec for both backends; asserts identical results."""
+    """Steps/sec for the tree walker and the production interpreter;
+    asserts identical results."""
     compiled = Compiler().compile(MICRO_SOURCE, "c", "hotpath_micro.c")
     limits = ExecutionLimits(max_steps=50_000_000)
     compiled.lowered()  # lowering cost stays out of the steady-state number
 
     results = {}
     timings = {}
-    for backend in ("tree", "closures"):
+    for interpreter in ("tree", "closures"):
         best = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            result = compiled.run(limits=limits, backend=backend)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        results[backend] = result
-        timings[backend] = best
+        with oracle() if interpreter == "tree" else nullcontext():
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                result = compiled.run(limits=limits)
+                dt = time.perf_counter() - t0
+                best = dt if best is None else min(best, dt)
+        results[interpreter] = result
+        timings[interpreter] = best
     if results["tree"] != results["closures"]:
-        raise SystemExit("FATAL: backends diverged on the microbenchmark")
+        raise SystemExit("FATAL: the interpreter diverged from the tree "
+                         "walker on the microbenchmark")
     steps = results["tree"].steps
     tree_sps = steps / timings["tree"]
     closures_sps = steps / timings["closures"]
@@ -113,35 +119,26 @@ def bench_interpreter(reps: int) -> dict:
 
 
 def bench_engine(iterations: int) -> dict:
-    """Full-pipeline iterations/sec over a feature subset, per backend."""
-    suite = openacc10_suite()
-    out = {}
-    for backend in ("tree", "closures"):
-        config = HarnessConfig(
-            iterations=iterations,
-            feature_prefixes=["parallel", "loop", "data"],
-            backend=backend,
-        )
-        runner = ValidationRunner(config=config)
-        t0 = time.perf_counter()
-        report = runner.run_suite(suite)
-        wall = time.perf_counter() - t0
-        total_iters = sum(
-            len(phase.iterations)
-            for result in report.results
-            for phase in ([result.functional] +
-                          ([result.cross] if result.cross else []))
-        )
-        out[backend] = {
-            "iterations": total_iters,
-            "wall_s": round(wall, 3),
-            "iterations_per_sec": round(total_iters / wall, 1),
-        }
-    out["speedup"] = round(
-        out["closures"]["iterations_per_sec"] /
-        out["tree"]["iterations_per_sec"], 2,
+    """Full-pipeline iterations/sec over a feature subset."""
+    config = HarnessConfig(
+        iterations=iterations,
+        feature_prefixes=["parallel", "loop", "data"],
     )
-    return out
+    runner = ValidationRunner(config=config)
+    t0 = time.perf_counter()
+    report = runner.run_suite(openacc10_suite())
+    wall = time.perf_counter() - t0
+    total_iters = sum(
+        len(phase.iterations)
+        for result in report.results
+        for phase in ([result.functional] +
+                      ([result.cross] if result.cross else []))
+    )
+    return {"closures": {
+        "iterations": total_iters,
+        "wall_s": round(wall, 3),
+        "iterations_per_sec": round(total_iters / wall, 1),
+    }}
 
 
 def bench_generation() -> dict:
@@ -191,11 +188,11 @@ def bench_lint() -> dict:
 def bench_fig8a() -> dict:
     """Wall-clock of a Fig. 8(a) CAPS sweep — the end-to-end user wait."""
     suite = openacc10_suite()
-    config = HarnessConfig(iterations=1, run_cross=False, backend="closures")
+    config = HarnessConfig(iterations=1, run_cross=False)
     t0 = time.perf_counter()
     vendor_pass_rates("caps", suite, config)
     wall = time.perf_counter() - t0
-    return {"backend": "closures", "wall_s": round(wall, 2)}
+    return {"wall_s": round(wall, 2)}
 
 
 def record(args) -> dict:
@@ -320,9 +317,7 @@ def main(argv=None) -> int:
     print(f"interpreter  tree    : {micro['tree_steps_per_sec']:>12,} steps/s")
     print(f"interpreter  closures: {micro['closures_steps_per_sec']:>12,} steps/s"
           f"  ({micro['speedup']:.2f}x)")
-    print(f"engine       tree    : {engine['tree']['iterations_per_sec']:>12,.1f} iter/s")
-    print(f"engine       closures: {engine['closures']['iterations_per_sec']:>12,.1f} iter/s"
-          f"  ({engine['speedup']:.2f}x)")
+    print(f"engine       closures: {engine['closures']['iterations_per_sec']:>12,.1f} iter/s")
     print(f"generation           : {data['generation']['templates_per_sec']:>12,.1f} templates/s")
     lint = data["lint"]
     print(f"lint         cold    : {lint['cold_templates_per_sec']:>12,.1f} templates/s")

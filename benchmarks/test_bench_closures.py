@@ -1,4 +1,5 @@
-"""Hot-path benchmarks: the closure-compilation backend vs the tree walker.
+"""Hot-path benchmarks: the closure-lowered interpreter vs the reference
+tree walker (``tests/treewalk.py``).
 
 The recorded baseline lives in ``benchmarks/BENCH_hotpath.json`` (written
 by ``python -m benchmarks.record``); CI re-records on every PR and gates on
@@ -19,6 +20,7 @@ import pytest
 from benchmarks.conftest import print_series
 from benchmarks.record import MICRO_SOURCE, SCHEMA
 from repro.compiler import Compiler, ExecutionLimits
+from tests.treewalk import oracle
 
 _BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_hotpath.json")
 
@@ -34,16 +36,17 @@ _LIMITS = ExecutionLimits(max_steps=50_000_000)
 
 
 def test_bench_interpreter_tree(benchmark, micro):
-    result = benchmark.pedantic(
-        lambda: micro.run(limits=_LIMITS, backend="tree"),
-        rounds=2, iterations=1,
-    )
+    with oracle():
+        result = benchmark.pedantic(
+            lambda: micro.run(limits=_LIMITS),
+            rounds=2, iterations=1,
+        )
     assert result.steps > 1_000_000
 
 
 def test_bench_interpreter_closures(benchmark, micro):
     result = benchmark.pedantic(
-        lambda: micro.run(limits=_LIMITS, backend="closures"),
+        lambda: micro.run(limits=_LIMITS),
         rounds=2, iterations=1,
     )
     assert result.steps > 1_000_000
@@ -52,17 +55,18 @@ def test_bench_interpreter_closures(benchmark, micro):
 def test_closures_speedup_floor(micro):
     """Closures must beat the tree walker by >=2x on the same box, with an
     identical ExecutionResult (the equivalence half of the contract)."""
-    def best_of(backend, reps=3):
+    def best_of(reps=3):
         best, result = None, None
         for _ in range(reps):
             t0 = time.perf_counter()
-            result = micro.run(limits=_LIMITS, backend=backend)
+            result = micro.run(limits=_LIMITS)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         return best, result
 
-    tree_s, tree_result = best_of("tree")
-    closures_s, closures_result = best_of("closures")
+    with oracle():
+        tree_s, tree_result = best_of()
+    closures_s, closures_result = best_of()
     assert closures_result == tree_result
     speedup = tree_s / closures_s
     print_series("Interpreter hot path", [
@@ -71,7 +75,7 @@ def test_closures_speedup_floor(micro):
         f"speedup  {speedup:>12.2f}x",
     ])
     assert speedup >= 2.0, (
-        f"closures backend only {speedup:.2f}x over the tree walker"
+        f"closures only {speedup:.2f}x over the tree walker"
     )
 
 
@@ -88,8 +92,7 @@ class TestRecordedBaseline:
         micro = baseline["microbench"]
         assert micro["tree_steps_per_sec"] > 0
         assert micro["closures_steps_per_sec"] > 0
-        for backend in ("tree", "closures"):
-            assert baseline["engine"][backend]["iterations_per_sec"] > 0
+        assert baseline["engine"]["closures"]["iterations_per_sec"] > 0
         assert baseline["generation"]["templates_per_sec"] > 0
         assert baseline["fig8a"]["wall_s"] > 0
 

@@ -36,8 +36,6 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.analysis import table1_counts, vendor_pass_rates
-from repro.compiler import BACKENDS as INTERPRETER_BACKENDS
-from repro.compiler import DEFAULT_BACKEND
 from repro.compiler import Compiler, CompilerBehavior
 from repro.compiler.vendors import VENDORS, vendor_version
 from repro.faults import FaultPlan, InjectedJournalTear
@@ -214,7 +212,6 @@ def _config(args) -> HarnessConfig:
         template_timeout_s=args.timeout_s,
         fault_plan=args.inject_faults,
         lint=getattr(args, "lint", False),
-        backend=getattr(args, "backend", DEFAULT_BACKEND),
         live_stream=getattr(args, "live_stream", None),
         status=getattr(args, "status", False),
         prom=getattr(args, "prom", None),
@@ -872,11 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "to --output as FILE.metrics.txt/.csv, else printed")
     p.add_argument("--no-compile-cache", action="store_true",
                    help="disable compile memoisation")
-    p.add_argument("--backend", default=DEFAULT_BACKEND,
-                   choices=list(INTERPRETER_BACKENDS),
-                   help="interpreter backend: compiled closures (the "
-                        "default) or the reference tree walker (identical "
-                        "reports either way)")
     p.add_argument("--lint", action="store_true",
                    help="static-check each template before compiling; "
                         "templates with error diagnostics are marked "

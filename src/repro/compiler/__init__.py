@@ -17,8 +17,6 @@ from repro.compiler.errors import (
     UnsupportedFeatureError,
 )
 from repro.compiler.interp import (
-    BACKENDS,
-    DEFAULT_BACKEND,
     ExecutionLimits,
     ExecutionResult,
     Interpreter,
@@ -31,7 +29,7 @@ __all__ = [
     "CacheOutcome", "CacheStats", "CompileCache",
     "LoweredProgram", "lower_program",
     "CompileError", "CompilerCrashError", "UnsupportedFeatureError",
-    "BACKENDS", "DEFAULT_BACKEND", "ExecutionLimits", "ExecutionResult", "Interpreter",
+    "ExecutionLimits", "ExecutionResult", "Interpreter",
     "InterpreterReuseError",
     "CompiledProgram", "Compiler", "ProgramRunner",
 ]

@@ -1,10 +1,9 @@
-"""Closure-compilation backend for the accsim interpreter.
+"""Closure lowering: how the interpreter executes a program.
 
-The reference interpreter (:mod:`repro.compiler.interp`) walks the AST for
-every statement of every iteration: each step pays a ``type()`` dispatch,
-and each name pays an :class:`~repro.compiler.interp.Env` chain walk.  The
-harness runs every template M times per behavior, so that per-node cost
-dominates campaign wall-clock.
+Walking the AST for every statement of every iteration costs a ``type()``
+dispatch per step and an :class:`~repro.compiler.interp.Env` chain walk
+per name, and the harness runs every template M times per behaviour, so
+that per-node cost would dominate campaign wall-clock.
 
 This module lowers a :class:`~repro.ir.astnodes.Program` **once** into
 nested Python closures.  Every statement/expression becomes a pre-bound
@@ -35,25 +34,28 @@ Three lowering tiers:
   root slot the region does not bind stays None and reads as an undefined
   variable, as the region's parentless Env chain would.
 
-* **Tier B (env closures)** — the fallback for statements and expressions
-  the executor runs through ``interp.exec_stmt``/``eval``/``exec_for``
-  with an :class:`Env` (clause expressions, computed ``collapse`` depths).
-  These are lowered on demand and memoised per node, with the same
-  ``Env`` semantics as the tree walker.
+* **Tier B (env closures)** — expressions and loops the executor hands
+  back with an :class:`Env` through ``interp.eval``/``exec_for`` (clause
+  expressions, loop bounds, the sequential run of a loop whose directive a
+  behaviour ignores).  These are lowered on demand and memoised per node,
+  with the same ``Env`` semantics as the tree walker.
 
-At a construct inside a frame, the executor gets a :class:`FrameEnv`: an
-Env face over the live frame with the construct's lowered bodies
-attached.  Work it defers must not see the frame move on, so it
-snapshots an async compute region with ``FrameEnv.child()`` — an Env
-over the lexically visible cells, chained to ``I.globals`` for host
-frames — and standalone directives (whose updates may defer) get such a
-snapshot directly: exactly the env chain the tree walker would have
-given them.
+The executor runs construct bodies only through code the lowering attached
+to the env it hands over.  At a construct inside a frame, that env is a
+:class:`FrameEnv`: an Env face over the live frame with the construct's
+lowered bodies (its scoped body, its lanes at each collapse depth).  Work
+it defers must not see the frame move on, so it snapshots an async compute
+region with ``FrameEnv.child()`` — an Env over the lexically visible
+cells, chained to ``I.globals`` for host frames — and standalone
+directives (whose updates may defer) get such a snapshot directly: exactly
+the env chain the tree walker would have given them.  A construct inside
+Tier-B code gets a :class:`_BodyEnv` carrying its Env-lowered body.
 
-The hard constraint is observable equivalence with the tree walker: step
-accounting, error strings (they appear in suite reports) and evaluation
-order are mirrored exactly; ``tests/test_closures.py`` enforces identical
-:class:`ExecutionResult`s over the full shipped corpus.
+The hard constraint is observable equivalence with the reference tree
+walker (``tests/treewalk.py``): step accounting, error strings (they
+appear in suite reports) and evaluation order are mirrored exactly;
+``tests/test_closures.py`` enforces identical :class:`ExecutionResult`
+values over the full shipped corpus.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def _hot_binary(op: str, left, right) -> Optional[Callable]:
     ``('const', v)`` (numeric literal) descriptors.  Each emitted closure
     computes exactly what the hand-specialised operators in
     ``_lower_binary`` compute, minus two operand-closure calls — the single
-    biggest win of the backend, since ``i = i + 1`` and ``a[i] < n``-style
+    biggest win of the lowering, since ``i = i + 1`` and ``a[i] < n``-style
     spines dominate interpreter step counts.
     """
     lk, lv = left
@@ -460,6 +462,25 @@ class FrameEnv:
         return True
 
 
+class _BodyEnv(Env):
+    """The Env a Tier-B construct runs in: an empty child of its scope
+    (so lookups see exactly that scope), carrying the construct body
+    lowered with it."""
+
+    __slots__ = ("body",)
+
+    def __init__(self, parent: Env, body: Callable):
+        super().__init__(parent)
+        self.body = body
+
+    def run_scoped(self, I, defs: Dict[str, Cell]) -> bool:
+        """Run the body in a child scope holding ``defs``."""
+        scope = self.child()
+        scope.vars.update(defs)
+        self.body(I, scope)
+        return True
+
+
 class _ScopedCode:
     """A construct body lowered in a scope of its own: the scope's slots
     and the body closure (for a ``loop``, the per-iteration body at one
@@ -573,14 +594,14 @@ class LoweredProgram:
         self.plans = plans
         self.functions: Dict[str, LoweredFunction] = {}
         for fn in program.functions:
-            lowerer = _Lowerer(program, frame=True, lowered_fns=self.functions)
+            lowerer = _Lowerer(program, frame=True, lowered_fns=self.functions,
+                               plans=plans)
             self.functions[fn.name] = lowerer.lower_function(fn)
         self._env_lowerer = _Lowerer(program, frame=False,
                                      lowered_fns=self.functions)
         # Tier-B memos, keyed by node identity.  The node itself is pinned
         # in the value so a collected node can never recycle a key's id().
         # Benign data race under the GIL: worst case a node lowers twice.
-        self._stmts: Dict[int, Tuple[Stmt, Callable]] = {}
         self._exprs: Dict[int, Tuple[Expr, Callable]] = {}
         self._fors: Dict[int, Tuple[For, Callable]] = {}
 
@@ -599,15 +620,8 @@ class LoweredProgram:
             plan.device_code = code
         return code
 
-    # Tier-B entry points (dispatch targets of Interpreter.exec_stmt/eval/
-    # exec_for when the executor calls back in with an Env).
-
-    def stmt_closure(self, stmt: Stmt) -> Callable:
-        entry = self._stmts.get(id(stmt))
-        if entry is None or entry[0] is not stmt:
-            entry = (stmt, self._env_lowerer.lower_stmt(stmt))
-            self._stmts[id(stmt)] = entry
-        return entry[1]
+    # Tier-B entry points (dispatch targets of Interpreter.eval/exec_for
+    # when the executor calls back in with an Env).
 
     def expr_closure(self, expr: Expr) -> Callable:
         entry = self._exprs.get(id(expr))
@@ -699,6 +713,10 @@ class _Lowerer:
         self.plans = plans
         #: a device frame: the scope chain ends at the region (no globals)
         self.device = device
+        #: lowering code that runs only sequentially outside any region:
+        #: an if(false) region's host run, a loop ``exec_for`` runs.  A
+        #: ``loop`` there never runs lanes
+        self.host_run = False
 
     # -------------------------------------------------------------- function
 
@@ -1279,6 +1297,20 @@ class _Lowerer:
                 getattr(I.acc, method)(stmt, env)
             return run
 
+        if isinstance(stmt, AccConstruct):
+            # the executor runs the body in a child scope of the env it
+            # gets, so that env carries the body
+            body_c = self.lower_stmt(stmt.body)
+
+            def run(I, S):
+                I.steps += 1
+                if I.steps > I._max_steps:
+                    raise ExecutionTimeout(
+                        f"step budget {I.limits.max_steps} exceeded at {loc}"
+                    )
+                I.acc.exec_construct(stmt, _BodyEnv(S, body_c))
+            return run
+
         def run(I, S):
             I.steps += 1
             if I.steps > I._max_steps:
@@ -1296,20 +1328,26 @@ class _Lowerer:
 
         A site's FrameEnv reads the frame live; the executor snapshots it
         with ``child()`` before deferring an async region.  Standalone
-        directives, whose async updates defer inside the executor, and
-        constructs nested in a region some other way, get a bridge.
+        directives, whose async updates defer inside the executor, get a
+        bridge, and so does a combined construct nested in a region, whose
+        host run (if any) is the executor's ``exec_for``.
         """
         device = self.device
         kind = stmt.directive.kind
         if isinstance(stmt, AccLoop):
-            if device and kind == "loop":
-                return self._lower_loop_site(stmt, visible)
+            site = None
+            if kind == "loop" and not self.host_run:
+                # lanes (on a host frame, for a 2.0 routine that runs the
+                # loop inside a region)
+                site = self._lower_loop_site(stmt, visible)
             if not device:
                 # the sequential host run of an orphaned loop or an
                 # if(false) combined construct
-                return _Site(visible, scoped=_ScopedCode(
-                    (), self.lower_for_core(stmt.loop)))
-        elif isinstance(stmt, AccConstruct):
+                site = site or _Site(visible)
+                site.scoped = _ScopedCode((), self._lower_host_run(
+                    lambda: self.lower_for_core(stmt.loop)))
+            return site
+        if isinstance(stmt, AccConstruct):
             if kind in ("data", "host_data"):
                 # a scope holding the names deviceptr/use_device may rebind
                 clause = "deviceptr" if kind == "data" else "use_device"
@@ -1318,17 +1356,23 @@ class _Lowerer:
                     for n in c.var_names)
                 return _Site(visible, scoped=self._lower_scoped(
                     names, set(), stmt.body))
-            if not device:
-                # the host run of an if(false) compute region
-                return _Site(visible, scoped=self._lower_scoped(
-                    (), set(), stmt.body))
+            # the host run of an if(false) compute region
+            return _Site(visible, scoped=self._lower_host_run(
+                lambda: self._lower_scoped((), set(), stmt.body)))
         return None
+
+    def _lower_host_run(self, lower: Callable):
+        """``lower()`` with ``host_run`` set."""
+        outer, self.host_run = self.host_run, True
+        code = lower()
+        self.host_run = outer
+        return code
 
     def _lower_loop_site(self, stmt: AccLoop,
                          visible: Tuple[Tuple[str, int], ...]) -> _Site:
-        """Lower a device ``loop``'s lane bodies: for no collapse, and for
-        its constant ``collapse(N)`` if it has one.  Any other depth (a
-        computed collapse count) falls back to the executor's Env path."""
+        """Lower a ``loop``'s lane bodies: for no collapse, and for its
+        constant ``collapse(N)`` if it has one — or for every depth of its
+        loop nest when the count is computed."""
         # imported here, like the executor itself (repro.compiler.interp),
         # so importing the package does not load the execution model
         from repro.compiler.exec_model import LoopPlan, plan_for
@@ -1336,8 +1380,9 @@ class _Lowerer:
         plan = plan_for(self.plans, stmt, LoopPlan)
         depths = [1]
         clause = plan.collapse
-        if clause is not None and isinstance(clause.expr, IntLit) \
-                and 1 < clause.expr.value <= len(plan.chain):
+        if clause is not None and not isinstance(clause.expr, IntLit):
+            depths = range(1, len(plan.chain) + 1)
+        elif clause is not None and 1 < clause.expr.value <= len(plan.chain):
             depths.append(clause.expr.value)
         reductions = [name for _op, name in plan.reductions]
         lanes: Dict[int, _ScopedCode] = {}
@@ -1481,7 +1526,7 @@ class _Lowerer:
         return slot, self.lower_expr(expr.indices[0]), base.name, expr.loc
 
     def _lower_index_resolver(self, expr: Index) -> Callable:
-        """Mirror of ``Interpreter._resolve_index``: (I, S) -> (array, ix)."""
+        """The tree walker's ``_resolve_index``: (I, S) -> (array, ix)."""
         slot_index = self._slot_index(expr)
         if slot_index is not None:
             slot, index_c, name, loc = slot_index

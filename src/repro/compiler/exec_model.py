@@ -25,6 +25,7 @@ which vendor it is simulating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout, PresentError
@@ -153,9 +154,9 @@ class ComputePlan:
         self.reductions = _construct_reductions(d)
         self.copy_only = _is_copy_only_region(body)
         self.implicit_names = _implicit_candidates(body)
-        #: the body lowered to a device slot frame (closures backend only;
-        #: set lazily by repro.compiler.closures.LoweredProgram.region_code
-        #: and kept as long as this plan, by every lowering sharing it)
+        #: the body lowered to a device slot frame (set lazily by
+        #: repro.compiler.closures.LoweredProgram.region_code and kept as
+        #: long as this plan, by every lowering sharing it)
         self.device_code = None
 
 
@@ -233,8 +234,8 @@ class AccExecutor:
         #: per-function processed declare mappings
         self._declare_stack: List[Tuple[Function, List[Mapping]]] = []
         #: node id -> (node, ComputePlan | LoopPlan); the interpreter
-        #: hands over the dict (under the closures backend, its lowering's,
-        #: which is the parse's: plans live as long as the parse does)
+        #: hands over the dict (its lowering's, which is the parse's:
+        #: plans live as long as the parse does)
         self._plans: Dict[int, tuple] = interp.plans
 
     def _plan(self, stmt: Stmt, kind):
@@ -461,14 +462,10 @@ class AccExecutor:
 
     def _run_scoped(self, body: Stmt, env, defs: Dict[str, Cell]) -> None:
         """Run a construct body in a child scope of ``env`` holding
-        ``defs``: the site's lowered body over its slot frame under
-        closures, an Env child under the tree walker."""
-        run_scoped = getattr(env, "run_scoped", None)
-        if run_scoped is not None and run_scoped(self.interp, defs):
-            return
-        scope = env.child()
-        scope.vars.update(defs)
-        self.interp.exec_stmt(body, scope)
+        ``defs``.  The lowering hands every construct with a body an env
+        that carries the body, lowered with it (see
+        ``repro.compiler.closures``)."""
+        env.run_scoped(self.interp, defs)
 
     # --------------------------------------------------------- compute regions
 
@@ -568,7 +565,7 @@ class AccExecutor:
         from repro.compiler.interp import Env  # local import avoids cycle
 
         behavior = self.behavior
-        d, body, mode = plan.directive, plan.body, plan.mode
+        d, mode = plan.directive, plan.mode
         device.kernels_launched += 1
 
         mappings, deviceptr_binds = self._enter_data_clauses(d, env, device)
@@ -657,20 +654,7 @@ class AccExecutor:
             mappings=mappings,
             scalar_syncs=scalar_syncs,
         )
-        # the body runs in a child scope of region_env holding the gang's
-        # (or the kernel's) private bindings: an Env child under the tree
-        # walker, a copy of the region's slot frame under closures.  Either
-        # way run_scope returns that scope, for reading reduction partials
-        lowered = self.interp._lowered
-        if lowered is not None:
-            run_scope = lowered.region_code(plan).scope_runner(
-                self.interp, region_env.vars)
-        else:
-            def run_scope(defs: Dict[str, Cell]):
-                scope = region_env.child()
-                scope.vars.update(defs)
-                self.interp.exec_stmt(body, scope)
-                return scope
+        run_scope = self._region_scope_runner(plan, region_env)
 
         outer_region = self.region
         self.region = region
@@ -812,12 +796,7 @@ class AccExecutor:
             for op, name in reductions
         }
 
-        # the lane scope: a child Env under the tree walker, the loop
-        # site's lowered lane body over the slot frame under closures
-        frame_lane = getattr(env, "lane", None)
-        lane = frame_lane(len(loops)) if frame_lane is not None else None
-        interp = self.interp
-        body = loops[-1].body
+        run_tuples = self._lane_runner(env, loops)
 
         def run_lane(lane_tuples: Sequence[Tuple[int, ...]]) -> None:
             defs: Dict[str, Cell] = {}
@@ -834,18 +813,7 @@ class AccExecutor:
                 cell = Cell(0, name=l.var)
                 defs[l.var] = cell
                 var_cells.append(cell)
-            if lane is not None:
-                lane.run(interp, env.frame, defs, var_cells, lane_tuples)
-            else:
-                lane_env = env.child()
-                lane_env.vars.update(defs)
-                for values in lane_tuples:
-                    interp.steps += 1
-                    if interp.steps > interp.limits.max_steps:
-                        raise ExecutionTimeout("step budget exceeded in device loop")
-                    for cell, v in zip(var_cells, values):
-                        cell.value = v
-                    interp.exec_stmt(body, lane_env.child())
+            run_tuples(defs, var_cells, lane_tuples)
             for op, name in reductions:
                 accum[name] = reduction_combine(op, accum[name], red_cells[name].value)
 
@@ -890,6 +858,24 @@ class AccExecutor:
             else:
                 final = reduction_combine(op, originals[name], accum[name])
                 targets[name].value = coerce_scalar(_type_base(targets[name]), final)
+
+    # ------------------------------------------------------ lowered bodies
+
+    def _region_scope_runner(self, plan: ComputePlan, region_env):
+        """``run(defs)``: run the region body in a child scope of
+        ``region_env`` holding a gang's (or the kernel's) private
+        bindings ``defs`` — a copy of the region's device slot frame —
+        and return that scope, for reading reduction partials."""
+        return self.interp.lowered.region_code(plan).scope_runner(
+            self.interp, region_env.vars)
+
+    def _lane_runner(self, env, loops: List[For]):
+        """``run(defs, var_cells, tuples)``: run one lane — the body of the
+        innermost of ``loops`` once per iteration tuple, with the loop
+        variables' ``var_cells`` set to it — in a scope holding the
+        lane's bindings ``defs``.  That is the loop site's lane body at
+        this collapse depth, lowered over the site's slot frame."""
+        return partial(env.lane(len(loops)).run, self.interp, env.frame)
 
     # --------------------------------------------------------------- helpers
 

@@ -1,10 +1,14 @@
-"""AST interpreter (host execution engine).
+"""Interpreter runtime (host execution engine).
 
 Executes a :class:`repro.ir.Program` against a simulated
-:class:`~repro.accsim.machine.Machine`.  All OpenACC construct statements are
-delegated to an :class:`~repro.compiler.exec_model.AccExecutor`, which owns
-the device-side execution model; everything else here is ordinary dynamic
-evaluation with C/Fortran numeric semantics:
+:class:`~repro.accsim.machine.Machine` by running the program's closure
+lowering (:mod:`repro.compiler.closures`).  All OpenACC construct
+statements are delegated to an
+:class:`~repro.compiler.exec_model.AccExecutor`, which owns the
+device-side execution model.  This module is the runtime both share: the
+per-run :class:`Interpreter` state (machine, globals, output, RNG, step
+budget), the lexical :class:`Env`, the control-flow signals, the builtin
+table and the C/Fortran numeric semantics:
 
 * integer division truncates toward zero (both languages);
 * ``&&`` / ``||`` short-circuit; comparisons yield int 0/1;
@@ -14,6 +18,10 @@ evaluation with C/Fortran numeric semantics:
 
 Execution is bounded by a step budget so the harness can classify runaway
 programs as the paper's "executes forever" runtime error class.
+
+The reference tree walker these semantics were first written as lives in
+``tests/treewalk.py``: a subclass of :class:`Interpreter` that the
+differential tests substitute for this one and compare against.
 """
 
 from __future__ import annotations
@@ -22,47 +30,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
+from repro.accsim.errors import AccRuntimeError
 from repro.accsim.machine import Machine
 from repro.accsim.runtime import AccRuntime
 from repro.accsim.device import ExecProfile
 from repro.accsim.values import ArrayValue, Cell, DevicePointer, coerce_scalar
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
-from repro.ir.astnodes import (
-    AccConstruct,
-    AccLoop,
-    AccStandalone,
-    Assign,
-    Binary,
-    Block,
-    Break,
-    Call,
-    Cast,
-    Conditional,
-    Continue,
-    DeclStmt,
-    Expr,
-    ExprStmt,
-    FloatLit,
-    For,
-    Function,
-    Ident,
-    If,
-    Index,
-    IntLit,
-    Program,
-    Return,
-    Stmt,
-    StringLit,
-    Unary,
-    VarDecl,
-    While,
-)
+from repro.ir.astnodes import Expr, For, Function, Program, VarDecl
 from repro.spec.devices import (
-    ACC_DEVICE_DEFAULT,
-    ACC_DEVICE_HOST,
-    ACC_DEVICE_NONE,
-    ACC_DEVICE_NOT_HOST,
     VENDOR_DEVICE_TYPES,
     DeviceType,
     device_type_by_name,
@@ -72,14 +47,6 @@ from repro.spec.devices import (
 # ---------------------------------------------------------------------------
 # control-flow signals
 # ---------------------------------------------------------------------------
-
-
-#: interpreter execution backends: the closure-compilation backend (see
-#: repro.compiler.closures), the production path, and the reference tree
-#: walker, kept as the differential oracle tests check it against
-BACKENDS = ("tree", "closures")
-#: the backend every entry point runs unless told otherwise
-DEFAULT_BACKEND = "closures"
 
 
 class InterpreterReuseError(RuntimeError):
@@ -166,6 +133,13 @@ class ExecutionResult:
 
 
 class Interpreter:
+    """Per-run execution state over a program's closure lowering.
+
+    ``lowered`` is the program's :class:`~repro.compiler.closures.
+    LoweredProgram` (lowered here when not given); it is pure, so callers
+    share one across runs, threads and interpreters.
+    """
+
     def __init__(
         self,
         program: Program,
@@ -173,32 +147,20 @@ class Interpreter:
         machine: Optional[Machine] = None,
         env_vars: Optional[Dict[str, str]] = None,
         rng_seed: int = 12345,
-        backend: str = DEFAULT_BACKEND,
         lowered=None,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown interpreter backend {backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
-            )
+        from repro.compiler.closures import invoke_function, lower_program
+
         self.program = program
         self.behavior = behavior
-        self.backend = backend
-        if backend == "closures":
-            from repro.compiler.closures import invoke_function, lower_program
-
-            if lowered is None:
-                lowered = lower_program(program)
-            self._lowered = lowered
-            self._invoke = invoke_function
-            #: static construct plans (see AccExecutor): the lowering's,
-            #: so they are shared by every run of it and, through the
-            #: compiled program, by every behaviour compiled from its parse
-            self.plans = lowered.plans
-        else:
-            self._lowered = None
-            self._invoke = None
-            self.plans = {}
+        if lowered is None:
+            lowered = lower_program(program)
+        self.lowered = lowered
+        self._invoke = invoke_function
+        #: static construct plans (see AccExecutor): the lowering's, so
+        #: they are shared by every run of it and, through the compiled
+        #: program, by every behaviour compiled from its parse
+        self.plans = lowered.plans
         self._env_vars = dict(env_vars) if env_vars else None
         self._rng_seed = rng_seed
         self._owns_machine = machine is None
@@ -215,7 +177,6 @@ class Interpreter:
         self._rng_state = rng_seed
         self.globals = Env()
         self._install_constants()
-        self._user_functions = {fn.name: fn for fn in program.functions}
         self._has_run = False
 
     def _fresh_machine(self) -> Machine:
@@ -233,15 +194,19 @@ class Interpreter:
         )
 
     def _attach_machine(self, machine: Machine) -> None:
-        from repro.compiler.exec_model import AccExecutor  # cycle-free import
-
         self.machine = machine
-        self.acc = AccExecutor(self)
+        self.acc = self._executor()
         self.runtime = AccRuntime(machine, hooks=self.acc)
         if self._env_vars:
             from repro.accsim.envvars import apply_environment
 
             apply_environment(machine, self._env_vars)
+
+    def _executor(self):
+        """The run's OpenACC construct executor."""
+        from repro.compiler.exec_model import AccExecutor  # cycle-free import
+
+        return AccExecutor(self)
 
     # ------------------------------------------------------------------ run
 
@@ -299,111 +264,16 @@ class Interpreter:
     # ----------------------------------------------------------- functions
 
     def call_function(self, fn: Function, args: Sequence[object]) -> object:
-        if self._lowered is not None:
-            lowered_fn = self._lowered.functions.get(fn.name)
-            if lowered_fn is not None:
-                return self._invoke(self, lowered_fn, args)
-        env = self.globals.child()
-        if len(args) != len(fn.params):
-            raise AccRuntimeError(
-                f"{fn.name}: expected {len(fn.params)} arguments, got {len(args)}"
-            )
-        for param, arg in zip(fn.params, args):
-            if isinstance(arg, Cell):
-                env.define(param.name, arg)  # by-reference (Fortran)
-            else:
-                env.define(param.name, Cell(arg, type=param.type, name=param.name))
-        self.acc.enter_function(fn, env)
-        try:
-            self.exec_block(fn.body, env)
-            result: object = 0
-        except ReturnSignal as signal:
-            result = signal.value if signal.value is not None else 0
-        finally:
-            self.acc.exit_function(fn)
-        return result
+        return self._invoke(self, self.lowered.functions[fn.name], args)
 
-    # ----------------------------------------------------------- statements
-
-    def exec_stmt(self, stmt: Stmt, env: Env) -> None:
-        if self._lowered is not None:
-            self._lowered.stmt_closure(stmt)(self, env)
-            return
-        self.steps += 1
-        if self.steps > self.limits.max_steps:
-            raise ExecutionTimeout(
-                f"step budget {self.limits.max_steps} exceeded at {stmt.loc}"
-            )
-
-        kind = type(stmt)
-        if kind is Block:
-            self.exec_block(stmt, env)
-        elif kind is DeclStmt:
-            for decl in stmt.decls:
-                self._declare(decl, env)
-        elif kind is Assign:
-            self.exec_assign(stmt, env)
-        elif kind is ExprStmt:
-            self.eval(stmt.expr, env)
-        elif kind is If:
-            if _truthy(self.eval(stmt.cond, env)):
-                self.exec_stmt(stmt.then, env.child())
-            elif stmt.other is not None:
-                self.exec_stmt(stmt.other, env.child())
-        elif kind is For:
-            self.exec_for(stmt, env)
-        elif kind is While:
-            while _truthy(self.eval(stmt.cond, env)):
-                self.steps += 1
-                if self.steps > self.limits.max_steps:
-                    raise ExecutionTimeout(f"step budget exceeded at {stmt.loc}")
-                try:
-                    self.exec_stmt(stmt.body, env.child())
-                except BreakSignal:
-                    break
-                except ContinueSignal:
-                    continue
-        elif kind is Return:
-            value = self.eval(stmt.value, env) if stmt.value is not None else None
-            raise ReturnSignal(value)
-        elif kind is Break:
-            raise BreakSignal()
-        elif kind is Continue:
-            raise ContinueSignal()
-        elif kind is AccConstruct:
-            self.acc.exec_construct(stmt, env)
-        elif kind is AccLoop:
-            self.acc.exec_acc_loop(stmt, env)
-        elif kind is AccStandalone:
-            self.acc.exec_standalone(stmt, env)
-        else:  # pragma: no cover - parser produces no other kinds
-            raise AccRuntimeError(f"cannot execute statement {kind.__name__}")
-
-    def exec_block(self, block: Block, env: Env) -> None:
-        scope = env.child()
-        for stmt in block.stmts:
-            self.exec_stmt(stmt, scope)
+    # ------------------------------------------------- executor callbacks
+    # The executor evaluates clause expressions and loop bounds, and runs
+    # sequential loops, against an Env: these run the lowering's Env
+    # closures for the node (built on first use).
 
     def exec_for(self, loop: For, env: Env) -> None:
         """Execute a canonical counted loop sequentially."""
-        if self._lowered is not None:
-            self._lowered.for_closure(loop)(self, env)
-            return
-        scope = env.child()
-        cell = scope.lookup(loop.var)
-        if cell is None:
-            cell = scope.define(loop.var, Cell(0, name=loop.var))
-        for i in self.iteration_values(loop, env):
-            self.steps += 1
-            if self.steps > self.limits.max_steps:
-                raise ExecutionTimeout(f"step budget exceeded at {loop.loc}")
-            cell.value = i
-            try:
-                self.exec_stmt(loop.body, scope.child())
-            except BreakSignal:
-                break
-            except ContinueSignal:
-                continue
+        self.lowered.for_closure(loop)(self, env)
 
     def iteration_values(self, loop: For, env: Env) -> range:
         """The iteration-variable value sequence of a canonical loop.
@@ -423,182 +293,8 @@ class Interpreter:
             stop = bound - 1 if loop.inclusive else bound
         return range(start, stop, step)
 
-    def exec_assign(self, stmt: Assign, env: Env) -> None:
-        value = self.eval(stmt.value, env)
-        target = stmt.target
-        if isinstance(target, Ident):
-            cell = env.lookup(target.name)
-            if cell is None:
-                # C tolerates assignment to undeclared only via globals in
-                # generated code; treat as implicit int definition at global
-                # scope to be forgiving for template-authored helpers.
-                cell = self.globals.define(target.name, Cell(0, name=target.name))
-            if stmt.op:
-                value = self._binary_value(stmt.op, _cell_scalar(cell), value, stmt)
-            base = cell.type.base if cell.type is not None and cell.type.pointer == 0 else None
-            if isinstance(value, (int, float)) and not isinstance(cell.value, (ArrayValue, DevicePointer)):
-                cell.value = coerce_scalar(base, value)
-            else:
-                cell.value = value
-        elif isinstance(target, Index):
-            array, indices = self._resolve_index(target, env)
-            if stmt.op:
-                value = self._binary_value(stmt.op, array.get(indices), value, stmt)
-            array.set(indices, value)
-        elif isinstance(target, Unary) and target.op == "*":
-            pointee = self.eval(target.operand, env)
-            array = self._pointer_array(pointee, target)
-            if stmt.op:
-                value = self._binary_value(stmt.op, array.get([array.lowers[0]]), value, stmt)
-            array.set([array.lowers[0]], value)
-        else:
-            raise AccRuntimeError(f"invalid assignment target at {stmt.loc}")
-
-    # ---------------------------------------------------------- expressions
-
     def eval(self, expr: Expr, env: Env):
-        if self._lowered is not None:
-            return self._lowered.expr_closure(expr)(self, env)
-        kind = type(expr)
-        if kind is IntLit:
-            return expr.value
-        if kind is FloatLit:
-            return expr.value
-        if kind is StringLit:
-            return expr.value
-        if kind is Ident:
-            return self._eval_ident(expr, env)
-        if kind is Index:
-            array, indices = self._resolve_index(expr, env)
-            return array.get(indices)
-        if kind is Binary:
-            return self._eval_binary(expr, env)
-        if kind is Unary:
-            return self._eval_unary(expr, env)
-        if kind is Conditional:
-            if _truthy(self.eval(expr.cond, env)):
-                return self.eval(expr.then, env)
-            return self.eval(expr.other, env)
-        if kind is Call:
-            return self.eval_call(expr, env)
-        if kind is Cast:
-            return self._eval_cast(expr, env)
-        raise AccRuntimeError(f"cannot evaluate expression {kind.__name__}")
-
-    def _eval_ident(self, expr: Ident, env: Env):
-        cell = env.lookup(expr.name)
-        if cell is None:
-            raise AccRuntimeError(f"undefined variable {expr.name!r} at {expr.loc}")
-        return cell.value
-
-    def _eval_binary(self, expr: Binary, env: Env):
-        op = expr.op
-        if op == "&&":
-            return 1 if (_truthy(self.eval(expr.left, env)) and _truthy(self.eval(expr.right, env))) else 0
-        if op == "||":
-            return 1 if (_truthy(self.eval(expr.left, env)) or _truthy(self.eval(expr.right, env))) else 0
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        return self._binary_value(op, left, right, expr)
-
-    def _binary_value(self, op: str, left, right, node):
-        return binary_value(op, left, right, node)
-
-    def _eval_unary(self, expr: Unary, env: Env):
-        if expr.op == "*":
-            pointee = self.eval(expr.operand, env)
-            array = self._pointer_array(pointee, expr)
-            return array.get([array.lowers[0]])
-        value = self.eval(expr.operand, env)
-        if expr.op == "-":
-            return -value
-        if expr.op == "!":
-            return 0 if _truthy(value) else 1
-        if expr.op == "~":
-            return ~int(value)
-        raise AccRuntimeError(f"unknown unary operator {expr.op!r} at {expr.loc}")
-
-    def _eval_cast(self, expr: Cast, env: Env):
-        value = self.eval(expr.operand, env)
-        if expr.type.pointer > 0:
-            # (T*)malloc(nbytes) / (T*)acc_malloc(nbytes)
-            if isinstance(value, _MallocResult):
-                size = _SIZEOF.get(expr.type.base, 8)
-                count = value.nbytes // size
-                return ArrayValue((count,), expr.type.base)
-            return value  # pointer-to-pointer casts are identity here
-        if isinstance(value, _MallocResult):
-            raise AccRuntimeError("malloc result used without pointer cast")
-        return coerce_scalar(expr.type.base, value)
-
-    def _resolve_index(self, expr: Index, env: Env):
-        """Resolve an Index node to (ArrayValue, concrete indices)."""
-        base = expr.base
-        if isinstance(base, Ident):
-            cell = env.lookup(base.name)
-            if cell is None:
-                raise AccRuntimeError(f"undefined array {base.name!r} at {expr.loc}")
-            value = cell.value
-            if isinstance(value, DevicePointer):
-                elem = cell.type.base if cell.type is not None else "int"
-                value = value.as_array(elem)
-            if not isinstance(value, ArrayValue):
-                raise AccRuntimeError(
-                    f"variable {base.name!r} is not an array at {expr.loc}"
-                )
-            indices = [_as_int(self.eval(ix, env)) for ix in expr.indices]
-            return value, indices
-        value = self.eval(base, env)
-        if isinstance(value, DevicePointer):
-            value = value.as_array("int")
-        if not isinstance(value, ArrayValue):
-            raise AccRuntimeError(f"indexing a non-array at {expr.loc}")
-        indices = [_as_int(self.eval(ix, env)) for ix in expr.indices]
-        return value, indices
-
-    def _pointer_array(self, value, node) -> ArrayValue:
-        if isinstance(value, DevicePointer):
-            return value.as_array("int")
-        if isinstance(value, ArrayValue):
-            return value
-        raise AccRuntimeError(f"dereference of a non-pointer at {node.loc}")
-
-    # ---------------------------------------------------------------- calls
-
-    def eval_call(self, expr: Call, env: Env):
-        name = expr.name
-        # user functions take precedence except inside compute regions,
-        # where exec_model vets them during region analysis
-        fn = self._user_functions.get(name)
-        if fn is not None:
-            args = []
-            for param, arg in zip(fn.params, expr.args):
-                if (
-                    self.program.language == "fortran"
-                    and isinstance(arg, Ident)
-                ):
-                    cell = env.lookup(arg.name)
-                    if cell is None:
-                        raise AccRuntimeError(
-                            f"undefined variable {arg.name!r} at {arg.loc}"
-                        )
-                    args.append(cell)
-                elif isinstance(arg, Ident) and isinstance(
-                    _maybe_cell_value(env, arg.name), (ArrayValue, DevicePointer)
-                ):
-                    args.append(self.eval(arg, env))
-                else:
-                    args.append(self.eval(arg, env))
-            if len(expr.args) != len(fn.params):
-                raise AccRuntimeError(
-                    f"{name}: expected {len(fn.params)} args, got {len(expr.args)}"
-                )
-            return self.call_function(fn, args)
-        handler = _BUILTINS.get(name)
-        if handler is not None:
-            args = [self.eval(a, env) for a in expr.args]
-            return handler(self, args, expr)
-        raise AccRuntimeError(f"call to unknown function {name!r} at {expr.loc}")
+        return self.lowered.expr_closure(expr)(self, env)
 
     # -------------------------------------------------------- declarations
 
@@ -680,10 +376,11 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 def binary_value(op: str, left, right, node):
-    """C/Fortran binary-operator semantics shared by both backends.
+    """C/Fortran binary-operator semantics (the lowering's fallback for
+    operators it does not specialise).
 
     ``node`` supplies the source location for error diagnostics; the error
-    strings are part of suite reports and must match across backends.
+    strings are part of suite reports.
     """
     if op == "+":
         return left + right
@@ -732,11 +429,6 @@ def _cell_scalar(cell: Cell):
     if isinstance(cell.value, (ArrayValue, DevicePointer)):
         raise AccRuntimeError(f"scalar operation on array {cell.name!r}")
     return cell.value
-
-
-def _maybe_cell_value(env: Env, name: str):
-    cell = env.lookup(name)
-    return cell.value if cell is not None else None
 
 
 def _default_lower(language: str) -> int:

@@ -27,7 +27,6 @@ from repro.compiler.frontend import (
     validation_facts,
 )
 from repro.compiler.interp import (
-    DEFAULT_BACKEND,
     ExecutionLimits,
     ExecutionResult,
     Interpreter,
@@ -123,17 +122,16 @@ class CompiledProgram:
         state["_lowered"] = None
         return state
 
-    def runner(self, backend: str = DEFAULT_BACKEND, tracer=None,
+    def runner(self, tracer=None,
                name: Optional[str] = None) -> "ProgramRunner":
         """A per-phase batched executor (see :class:`ProgramRunner`)."""
-        return ProgramRunner(self, backend=backend, tracer=tracer, name=name)
+        return ProgramRunner(self, tracer=tracer, name=name)
 
     def run(
         self,
         env_vars: Optional[Dict[str, str]] = None,
         limits: Optional[ExecutionLimits] = None,
         rng_seed: int = 12345,
-        backend: str = DEFAULT_BACKEND,
     ) -> ExecutionResult:
         """Execute on a fresh simulated machine (one harness iteration)."""
         interp = Interpreter(
@@ -141,8 +139,7 @@ class CompiledProgram:
             behavior=self.behavior,
             env_vars=env_vars,
             rng_seed=rng_seed,
-            backend=backend,
-            lowered=self.lowered() if backend == "closures" else None,
+            lowered=self.lowered(),
         )
         return interp.run(limits=limits)
 
@@ -152,19 +149,17 @@ class ProgramRunner:
 
     The harness runs every phase M times.  Everything that is a pure
     function of (program, behavior) is built here once and shared across
-    those iterations: the lowered closure program (``backend="closures"``)
-    and the machine's :class:`ExecProfile` (read-only at runtime).  Every
+    those iterations: the lowered closure program and the machine's :class:`ExecProfile` (read-only at runtime).  Every
     iteration still gets a *fresh* :class:`Machine` and interpreter, so
     device counters, globals and RNG state match a cold run exactly —
     reports stay byte-identical with the unbatched path.
     """
 
-    def __init__(self, compiled: CompiledProgram, backend: str = DEFAULT_BACKEND,
-                 tracer=None, name: Optional[str] = None):
+    def __init__(self, compiled: CompiledProgram, tracer=None,
+                 name: Optional[str] = None):
         from repro.accsim.device import ExecProfile
 
         self.compiled = compiled
-        self.backend = backend
         behavior = compiled.behavior
         self._profile = ExecProfile(
             default_num_gangs=behavior.default_num_gangs,
@@ -174,14 +169,10 @@ class ProgramRunner:
             mapping=behavior.mapping_description,
         )
         #: whether the lowering was already attached to the compiled
-        #: program (None when the tree backend never looks); instrumentation
-        #: only — mirrors PhaseResult.cache_hit for the compile cache
-        self.lower_hit: Optional[bool] = None
-        if backend == "closures":
-            self.lower_hit = compiled._lowered is not None
-            self._lowered = compiled.lowered(tracer=tracer, name=name)
-        else:
-            self._lowered = None
+        #: program; instrumentation only — mirrors PhaseResult.cache_hit
+        #: for the compile cache
+        self.lower_hit = compiled._lowered is not None
+        self._lowered = compiled.lowered(tracer=tracer, name=name)
 
     def close(self) -> None:
         """Detach a lowering this runner attached to the compiled program.
@@ -194,7 +185,7 @@ class ProgramRunner:
         code are not the lowering's: they stay with the parse
         (``CompiledProgram.plans``), shared by every behaviour and phase.
         """
-        if self.lower_hit is False:
+        if not self.lower_hit:
             self.compiled._lowered = None
 
     def run(
@@ -217,7 +208,6 @@ class ProgramRunner:
             machine=machine,
             env_vars=env_vars,
             rng_seed=rng_seed,
-            backend=self.backend,
             lowered=self._lowered,
         )
         return interp.run(limits=limits)

@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.compiler.interp import BACKENDS as INTERPRETER_BACKENDS
-from repro.compiler.interp import DEFAULT_BACKEND
 from repro.faults import FaultPlan
 
 #: execution policies understood by :mod:`repro.harness.engine`
@@ -67,11 +65,6 @@ class HarnessConfig:
     #: template first, and mark units with error diagnostics STATIC_ERROR
     #: (a corpus defect) instead of compiling/running them
     lint: bool = False
-    #: interpreter backend: 'closures' (repro.compiler.closures, the
-    #: default and the production path) or 'tree' (the reference walker,
-    #: kept as the differential oracle).  Purely an execution knob — both
-    #: backends produce byte-identical reports for the same configuration
-    backend: str = DEFAULT_BACKEND
     #: live telemetry (repro.obs.live): append a repro.obs.live/v1 NDJSON
     #: stream of unit events and campaign snapshots to this file.  Pure
     #: observation — reports stay byte-identical with it on or off
@@ -108,11 +101,6 @@ class HarnessConfig:
             raise ValueError(
                 "template_timeout_s must be > 0 when set "
                 f"(got {self.template_timeout_s})"
-            )
-        if self.backend not in INTERPRETER_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {', '.join(INTERPRETER_BACKENDS)}"
             )
         for knob in ("live_stream", "prom"):
             value = getattr(self, knob)

@@ -112,8 +112,8 @@ class PhaseResult:
     compile_s: float = 0.0
     run_s: float = 0.0
     cache_hit: bool = False
-    #: lowering-cache outcome for the closures backend (None under the tree
-    #: backend, which never lowers) — instrumentation like cache_hit
+    #: lowering-cache outcome (None when the phase never ran) —
+    #: instrumentation like cache_hit
     lower_hit: Optional[bool] = None
 
     @property
@@ -441,12 +441,10 @@ class ValidationRunner:
                     total_units=len(templates), replayed=len(replayed),
                     compiler=self.behavior.label,
                     policy=config.policy, workers=config.workers,
-                    backend=config.backend,
                 )
             # replayed units count toward progress immediately, marked so
             for i in sorted(replayed):
-                live.unit(i, keys[i], replayed[i],
-                          backend=config.backend, replayed=True)
+                live.unit(i, keys[i], replayed[i], replayed=True)
             pending_indices = [i for i in range(len(templates))
                                if i not in replayed]
             journal_cb = on_complete
@@ -457,8 +455,7 @@ class ValidationRunner:
                     # torn journal append never loses the fsync'd record
                     journal_cb(index, template, result)
                 i = pending_indices[index]
-                live.unit(i, keys[i], result,
-                          backend=config.backend, replayed=False)
+                live.unit(i, keys[i], result, replayed=False)
 
             on_complete = live_complete
 
@@ -618,7 +615,6 @@ class ValidationRunner:
             # program and machine profile across the phase's M iterations
             # (each iteration still executes on a fresh machine)
             runner = compiled.runner(
-                backend=self.config.backend,
                 tracer=tracer if tracer.enabled else None,
                 name=template.name,
             )

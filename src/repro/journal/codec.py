@@ -11,9 +11,9 @@ Campaign keys are canonical JSON-safe dicts binding a journal to one
 campaign: the suite selection, the compiler behaviour under test, the
 result-affecting harness config, the seeds, and the code version.  Pure
 execution knobs (``policy``, ``workers``, ``compile_cache``,
-``retry_backoff_s``, ``backend``) are deliberately excluded — the engine
-guarantees they never change results, so a campaign may be resumed under
-a different policy, pool size or interpreter backend.
+``retry_backoff_s``) are deliberately excluded — the engine guarantees
+they never change results, so a campaign may be resumed under a different
+policy or pool size.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from repro.harness.runner import (
 from repro.journal.wal import JOURNAL_FORMAT, JournalMismatchError
 
 #: config fields that can never change results (engine determinism
-#: guarantee — ``backend`` is covered by the cross-backend equivalence
-#: gate in tests; the live-telemetry knobs only *observe* a run) and
-#: therefore stay out of the campaign key
+#: guarantee; the live-telemetry knobs only *observe* a run) and therefore
+#: stay out of the campaign key
 _EXECUTION_ONLY_CONFIG = {"policy", "workers", "compile_cache",
-                          "retry_backoff_s", "backend",
+                          "retry_backoff_s",
                           "live_stream", "status", "prom"}
 
 

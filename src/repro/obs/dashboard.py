@@ -242,6 +242,13 @@ def _perf_chart_svg(entries: List[dict]) -> str:
     )
 
 
+def _engine_ips(engine: dict, interpreter: str) -> str:
+    """An engine iterations/sec cell; "—" where the run did not measure
+    it (entries after the tree walker left the engine have no ``tree``)."""
+    ips = engine.get(interpreter, {}).get("iterations_per_sec")
+    return "—" if ips is None else f"{ips:,.1f}"
+
+
 def render_perf_html(entries: List[dict]) -> str:
     """Render bench-history entries as a perf-trajectory HTML page."""
     if not entries:
@@ -260,8 +267,8 @@ def render_perf_html(entries: List[dict]) -> str:
             f"<td class='n'>{m['tree_steps_per_sec']:,}</td>"
             f"<td class='n'>{m['closures_steps_per_sec']:,}</td>"
             f"<td class='n'>{m['speedup']:.2f}x</td>"
-            f"<td class='n'>{eng.get('tree', {}).get('iterations_per_sec', 0):,.1f}</td>"
-            f"<td class='n'>{eng.get('closures', {}).get('iterations_per_sec', 0):,.1f}</td>"
+            f"<td class='n'>{_engine_ips(eng, 'tree')}</td>"
+            f"<td class='n'>{_engine_ips(eng, 'closures')}</td>"
             f"<td class='n'>{e.get('generation', {}).get('templates_per_sec', 0):,.1f}</td>"
             f"<td class='n'>{e.get('fig8a', {}).get('wall_s', 0):.2f}</td>"
             "</tr>"

@@ -17,7 +17,7 @@ campaign needs observability *during* the run.  This module is that layer:
   optional :class:`~repro.obs.metrics.MetricsRegistry` snapshot) into a
   campaign snapshot: progress fraction, ETA, units/sec, per-phase
   pass/fail/harness-error counts, compile- and lowering-cache hit rates,
-  retry/quarantine counts and per-backend timing histograms.
+  retry/quarantine counts and a unit timing summary.
 * Three sinks — :class:`NDJSONStreamSink` (append-only ``repro.obs.live/v1``
   stream, one flushed line per record so a reader tailing the file sees at
   worst one torn final line; the final snapshot is *also* written
@@ -33,7 +33,7 @@ campaign needs observability *during* the run.  This module is that layer:
 
 Telemetry *observes* a run and never changes it: suite reports are
 byte-identical with live telemetry enabled or disabled, under every
-execution policy and backend.
+execution policy.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.compiler.interp import DEFAULT_BACKEND
 from repro.ioutil import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,7 +126,7 @@ class TelemetryBus:
 
 
 def unit_fields(index: int, unit: str, result: "TestResult", *,
-                backend: str = DEFAULT_BACKEND, replayed: bool = False) -> dict:
+                replayed: bool = False) -> dict:
     """The JSON-safe fields of one ``unit.finished`` event.
 
     Phase accounting mirrors :func:`repro.harness.engine.build_metrics`
@@ -141,7 +140,6 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
         "unit": unit,
         "index": index,
         "replayed": replayed,
-        "backend": backend,
         "passed": result.passed,
         "failure_kind": kind.value if kind is not None else None,
         "elapsed_s": result.elapsed_s,
@@ -212,8 +210,8 @@ class ProgressTally:
     failure_kinds: Dict[str, int] = field(default_factory=dict)
     #: phase mode -> {"pass": n, "fail": n, "harness_error": n, "static_error": n}
     phase_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: backend -> [count, sum, min, max] of unit durations
-    backend_timing: Dict[str, List[float]] = field(default_factory=dict)
+    #: [count, sum, min, max] of unit durations (empty before the first)
+    unit_timing: List[float] = field(default_factory=list)
 
     @property
     def progress(self) -> Optional[float]:
@@ -285,11 +283,10 @@ class ProgressTally:
                 counts["pass"] += 1
             else:
                 counts["fail"] += 1
-        backend = str(fields.get("backend", "?"))
         elapsed = float(fields.get("elapsed_s", 0.0))
-        timing = self.backend_timing.get(backend)
-        if timing is None:
-            self.backend_timing[backend] = [1, elapsed, elapsed, elapsed]
+        timing = self.unit_timing
+        if not timing:
+            timing[:] = [1, elapsed, elapsed, elapsed]
         else:
             timing[0] += 1
             timing[1] += elapsed
@@ -363,6 +360,7 @@ class SnapshotReporter:
         if t.total_units > 0 and units_per_sec > 0.0:
             remaining = max(0, t.total_units - t.units_done)
             eta_s = remaining / units_per_sec
+        count, total_s, lo, hi = t.unit_timing or (0, 0.0, 0.0, 0.0)
         record = {
             "type": "snapshot",
             "final": final,
@@ -395,12 +393,8 @@ class SnapshotReporter:
                 "misses": t.lower_cache_misses,
                 "hit_rate": round(t.lower_cache_hit_rate, 6),
             },
-            "backend_timing": {
-                backend: {"count": int(c), "sum": round(s, 6),
-                          "min": round(lo, 6), "max": round(hi, 6)}
-                for backend, (c, s, lo, hi)
-                in sorted(t.backend_timing.items())
-            },
+            "unit_timing": {"count": int(count), "sum": round(total_s, 6),
+                            "min": round(lo, 6), "max": round(hi, 6)},
             "dropped_events": dropped,
         }
         if metrics is not None:
@@ -623,15 +617,10 @@ def render_prometheus(snapshot: dict) -> str:
              cache.get("misses", 0)))
     family("cache_lookups_total", "counter",
            "Compile/lowering cache lookups by outcome.", cache_samples)
-    timing_samples = []
-    for backend, timing in sorted(
-            (snapshot.get("backend_timing") or {}).items()):
-        timing_samples.append(
-            ("_count", {"backend": backend}, timing.get("count", 0)))
-        timing_samples.append(
-            ("_sum", {"backend": backend}, timing.get("sum", 0.0)))
-    family("unit_seconds", "summary",
-           "Unit wall-clock seconds by interpreter backend.", timing_samples)
+    timing = snapshot.get("unit_timing") or {}
+    family("unit_seconds", "summary", "Unit wall-clock seconds.",
+           [("_count", None, timing.get("count", 0)),
+            ("_sum", None, timing.get("sum", 0.0))])
     family("units_per_second", "gauge",
            "Fresh (non-replayed) unit completion rate.",
            [("", None, snapshot.get("units_per_sec", 0.0))])
@@ -839,13 +828,12 @@ class LiveTelemetry:
             self.tally.fold(record)
 
     def unit(self, index: int, unit: str, result: "TestResult", *,
-             backend: str = DEFAULT_BACKEND, replayed: bool = False) -> None:
+             replayed: bool = False) -> None:
         """Publish one finished unit and emit a snapshot when due."""
         with self._lock:
             if self._closed:
                 return
-            fields = unit_fields(index, unit, result, backend=backend,
-                                 replayed=replayed)
+            fields = unit_fields(index, unit, result, replayed=replayed)
             record = self.bus.publish("unit.finished", **fields)
             self.tally.fold(record)
             if self.reporter.due():
@@ -860,7 +848,7 @@ class LiveTelemetry:
             record = self.bus.publish(
                 "unit.finished",
                 unit=unit, index=self.tally.units_done,
-                replayed=replayed, backend=str(report.config.backend),
+                replayed=replayed,
                 passed=not check.flagged, failure_kind=None,
                 elapsed_s=report.elapsed_s,
                 iterations=sum(
@@ -1034,12 +1022,11 @@ def render_tally_text(tally: ProgressTally,
                 for verdict, count in sorted(counts.items()) if count
             )
         )
-    for backend, (count, total_s, lo, hi) in sorted(
-            tally.backend_timing.items()):
-        mean = total_s / count if count else 0.0
+    if tally.unit_timing:
+        count, total_s, lo, hi = tally.unit_timing
         lines.append(
-            f"  backend {backend:10s} : {count} units, mean {mean:.4f}s "
-            f"(min {lo:.4f}s, max {hi:.4f}s)"
+            f"  unit time          : {count} units, mean "
+            f"{total_s / count:.4f}s (min {lo:.4f}s, max {hi:.4f}s)"
         )
     if final is not None:
         lines.append(f"  final snapshot     : wall {final.get('wall_s')}s, "

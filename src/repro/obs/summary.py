@@ -18,7 +18,7 @@ from repro.obs.sink import TraceData
 #: cache events recognised in the timeline
 _CACHE_EVENTS = {"compile.cache_hit": "hit", "compile.cache_miss": "miss"}
 
-#: lowering-cache events (closures backend); not part of the compile
+#: lowering-cache events; not part of the compile
 #: timeline — lowering happens once per CompiledProgram, post-compile
 _LOWER_EVENTS = {"lower.cache_hit": "hit", "lower.cache_miss": "miss"}
 
@@ -35,8 +35,7 @@ class TraceSummary:
     execute_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: lowering-cache counters (``lower.cache_hits``/``lower.cache_misses``;
-    #: populated only by closures-backend runs)
+    #: lowering-cache counters (``lower.cache_hits``/``lower.cache_misses``)
     lower_hits: int = 0
     lower_misses: int = 0
     #: span name -> (count, summed duration)

@@ -42,3 +42,13 @@ def run_c(compiler: Compiler, source: str, env_vars=None):
 
 def run_f(compiler: Compiler, source: str, env_vars=None):
     return compiler.compile(source, "fortran").run(env_vars=env_vars)
+
+
+@pytest.fixture()
+def tree_oracle():
+    """A context manager: inside it, the compiler pipeline runs programs on
+    the reference tree walker (``tests/treewalk.py``) instead of their
+    closure lowering, so a test can run the same thing both ways."""
+    from tests.treewalk import oracle
+
+    return oracle

@@ -145,6 +145,27 @@ def test_removed_server_commands_are_invalid_choices(command, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["tree", "closures"])
+def test_removed_backend_option_is_rejected(backend, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--language", "c", "--backend", backend])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+def test_validate_report_byte_identical_on_the_tree_walker(tmp_path, capsys,
+                                                          tree_oracle):
+    """The whole C suite at M=2 renders the same text report on the
+    production interpreter and on the reference tree walker."""
+    args = ["validate", "--language", "c", "--iterations", "2", "--output"]
+    assert main(args + [str(tmp_path / "closures.txt")]) == 0
+    with tree_oracle():
+        assert main(args + [str(tmp_path / "tree.txt")]) == 0
+    capsys.readouterr()
+    closures = (tmp_path / "closures.txt").read_bytes()
+    assert closures and closures == (tmp_path / "tree.txt").read_bytes()
+
+
 class TestTitanCommand:
     def test_titan_sweep(self, capsys):
         assert main(["titan", "--nodes", "6", "--sample", "2",

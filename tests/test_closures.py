@@ -1,17 +1,19 @@
-"""Tests for the closure-compilation backend (:mod:`repro.compiler.closures`)
-and the interpreter correctness fixes that shipped with it.
+"""Tests for the closure lowering (:mod:`repro.compiler.closures`), the
+one interpreter, and the interpreter correctness fixes that shipped with it.
 
-The backend's contract is observable equivalence with the reference tree
-walker: same :class:`ExecutionResult` (value, output, steps, device
-counters), same error strings, over every template the suite ships.  The
-differential below enforces that over the full corpus, and the engine-level
-tests assert byte-identical report renderings across backends and execution
-policies.
+The lowering's contract is observable equivalence with the reference tree
+walker (``tests/treewalk.py``): same :class:`ExecutionResult` (value,
+output, steps, device counters), same error strings, over every template
+the suite ships.  The differential below enforces that over the full
+corpus, and the engine-level tests assert byte-identical report renderings
+against the tree walker under every execution policy.  Parametrised cases
+named ``tree`` run the tree walker, ``closures`` the production interpreter.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,6 @@ import pytest
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
 from repro.accsim.machine import Machine
 from repro.compiler import (
-    BACKENDS,
     CompileCache,
     Compiler,
     ExecutionLimits,
@@ -32,8 +33,13 @@ from repro.compiler.vendors import VENDORS, vendor_versions
 from repro.harness import HarnessConfig, ValidationRunner, render_csv, render_text
 from repro.harness.titan import default_degradation, default_stacks
 from repro.ir.astnodes import For
+from repro.spec.versions import ACC_20
 from repro.suite import openacc10_suite
 from repro.templates import generate_cross, generate_functional
+from tests.treewalk import TreeInterpreter, oracle
+
+#: interpreter per parametrised case name
+_INTERPRETERS = {"tree": TreeInterpreter, "closures": Interpreter}
 
 #: a program whose result exercises host compute, an acc region (device
 #: counters move) and function calls — if any per-run state leaks between
@@ -58,6 +64,20 @@ int main() {
 
 def _compile(source: str, name: str = "t.c"):
     return Compiler().compile(source, "c", name)
+
+
+def _outcomes(compiled, errors=Exception, **run_kwargs):
+    """``compiled.run(**run_kwargs)`` on production and on the tree walker,
+    by case name; a run that raises one of ``errors`` yields its type name
+    and message instead of a result."""
+    outcomes = {}
+    for backend in ("closures", "tree"):
+        with oracle() if backend == "tree" else nullcontext():
+            try:
+                outcomes[backend] = compiled.run(**run_kwargs)
+            except errors as exc:  # noqa: BLE001 - differential
+                outcomes[backend] = (type(exc).__name__, str(exc))
+    return outcomes
 
 
 class _SlowCompiler:
@@ -89,11 +109,10 @@ class _SlowCompiler:
 
 
 class TestRunReuse:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_owned_machine_run_twice_is_identical(self, backend):
         compiled = _compile(_STATEFUL_SRC)
-        interp = Interpreter(compiled.program, compiled.behavior,
-                             backend=backend)
+        interp = _INTERPRETERS[backend](compiled.program, compiled.behavior)
         first = interp.run()
         second = interp.run()
         # the regression: globals/output/device counters leaked across
@@ -101,11 +120,11 @@ class TestRunReuse:
         assert first == second
         assert second.bytes_to_device == first.bytes_to_device
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_caller_supplied_machine_reuse_raises(self, backend):
         compiled = _compile(_STATEFUL_SRC)
-        interp = Interpreter(compiled.program, compiled.behavior,
-                             machine=Machine(), backend=backend)
+        interp = _INTERPRETERS[backend](compiled.program, compiled.behavior,
+                                        machine=Machine())
         interp.run()
         with pytest.raises(InterpreterReuseError):
             interp.run()
@@ -116,11 +135,10 @@ class TestRunReuse:
         assert not issubclass(InterpreterReuseError, AccRuntimeError)
         assert issubclass(InterpreterReuseError, RuntimeError)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_reset_covers_limits_and_output(self, backend):
         compiled = _compile(_STATEFUL_SRC)
-        interp = Interpreter(compiled.program, compiled.behavior,
-                             backend=backend)
+        interp = _INTERPRETERS[backend](compiled.program, compiled.behavior)
         first = interp.run()
         # a second run under a tighter budget must time out: proof the
         # budget is re-read, not frozen at first-run state
@@ -153,7 +171,7 @@ class TestLazyIterationValues:
         assert isinstance(values, range)
         assert len(values) == 2_000_000_000
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_huge_trip_count_hits_step_budget_not_allocator(self, backend):
         # 2e9 iterations materialised as a list is ~16 GB; lazily it is an
         # O(1) range and the step budget stops the loop almost immediately
@@ -165,10 +183,9 @@ class TestLazyIterationValues:
           return acc;
         }
         """
-        compiled = _compile(source)
+        interp = _INTERPRETERS[backend](_compile(source).program)
         with pytest.raises(ExecutionTimeout):
-            compiled.run(limits=ExecutionLimits(max_steps=5_000),
-                         backend=backend)
+            interp.run(limits=ExecutionLimits(max_steps=5_000))
 
 
 def _walk_stmts(block):
@@ -330,14 +347,9 @@ class TestCrossBackendCorpus:
                         gen.source, template.language, template.name)
                 except Exception:
                     continue  # compile errors never reach a backend
-                env = template.environment or None
-                outcomes = {}
-                for backend in BACKENDS:
-                    try:
-                        outcomes[backend] = compiled.run(
-                            env_vars=env, rng_seed=20140519, backend=backend)
-                    except Exception as exc:  # noqa: BLE001 - differential
-                        outcomes[backend] = (type(exc).__name__, str(exc))
+                outcomes = _outcomes(compiled,
+                                     env_vars=template.environment or None,
+                                     rng_seed=20140519)
                 assert outcomes["closures"] == outcomes["tree"], (
                     f"backend divergence on {template.name} "
                     f"({template.language}, {gen.mode})"
@@ -351,10 +363,8 @@ class TestCrossBackendCorpus:
         compiled = _compile(_STATEFUL_SRC)
         lowered = compiled.lowered()
         assert compiled.lowered() is lowered  # cached on the instance
-        a = Interpreter(compiled.program, compiled.behavior,
-                        backend="closures", lowered=lowered)
-        b = Interpreter(compiled.program, compiled.behavior,
-                        backend="closures", lowered=lowered)
+        a = Interpreter(compiled.program, compiled.behavior, lowered=lowered)
+        b = Interpreter(compiled.program, compiled.behavior, lowered=lowered)
         assert a.run() == b.run()  # shared lowering, independent state
 
     def test_lowering_survives_pickling_boundary(self):
@@ -366,18 +376,26 @@ class TestCrossBackendCorpus:
         # closures are not picklable: the clone must drop the lowering and
         # rebuild it on demand, not fail
         assert clone._lowered is None
-        assert clone.run(backend="closures") == compiled.run(backend="tree")
+        with oracle():
+            tree = compiled.run()
+        assert clone.run() == tree
 
-    def test_unknown_backend_rejected(self):
+    def test_interpreter_choice_is_not_an_option(self):
+        # the removed backend option: no config field, no parameter
         compiled = _compile(_STATEFUL_SRC)
-        with pytest.raises(ValueError, match="backend"):
-            Interpreter(compiled.program, compiled.behavior, backend="jit")
-        with pytest.raises(ValueError, match="backend"):
-            HarnessConfig(backend="jit")
+        with pytest.raises(TypeError):
+            HarnessConfig(backend="closures")
+        with pytest.raises(TypeError):
+            Interpreter(compiled.program, compiled.behavior,
+                        backend="closures")
+        with pytest.raises(TypeError):
+            compiled.run(backend="closures")
+        with pytest.raises(TypeError):
+            compiled.runner(backend="closures")
 
 
 # ---------------------------------------------------------------------------
-# engine-level byte identity across backends and policies
+# engine-level byte identity with the tree walker, under every policy
 # ---------------------------------------------------------------------------
 
 
@@ -391,28 +409,29 @@ def _engine_run(suite, **config_kwargs):
 class TestReportByteIdentity:
     @pytest.fixture(scope="class")
     def tree_report(self, suite10):
-        return _engine_run(suite10, backend="tree")
+        with oracle():
+            return _engine_run(suite10)
 
     def test_serial_full_corpus(self, suite10, tree_report):
-        report = _engine_run(suite10, backend="closures")
+        report = _engine_run(suite10)
         assert render_csv(report) == render_csv(tree_report)
         assert render_text(report) == render_text(tree_report)
 
     @pytest.mark.parametrize("policy,workers",
                              [("thread", 4), ("process", 2)])
     def test_pooled_closures_match_serial_tree(self, suite10, policy,
-                                               workers):
+                                               workers, tree_oracle):
         prefixes = ["parallel", "loop", "data"]
-        serial = _engine_run(suite10, backend="tree",
-                             feature_prefixes=prefixes)
-        pooled = _engine_run(suite10, backend="closures", policy=policy,
+        with tree_oracle():
+            serial = _engine_run(suite10, feature_prefixes=prefixes)
+        pooled = _engine_run(suite10, policy=policy,
                              workers=workers, feature_prefixes=prefixes)
         assert render_csv(pooled) == render_csv(serial)
         assert render_text(pooled) == render_text(serial)
 
 
 # ---------------------------------------------------------------------------
-# cross-backend differential under every vendor behaviour
+# tree-walker differential under every vendor behaviour
 # ---------------------------------------------------------------------------
 
 #: features whose templates reach the vendor decision points the static
@@ -473,19 +492,20 @@ _UNSHIPPED_TOGGLES = (
 
 class TestCrossBackendVendors:
     @pytest.mark.parametrize("behavior,language", _vendor_behaviours())
-    def test_reports_identical(self, suite10, behavior, language):
+    def test_reports_identical(self, suite10, behavior, language,
+                               tree_oracle):
         sample = [t for t in suite10.for_language(language)
                   if t.feature in _VENDOR_SAMPLE_FEATURES]
         assert len(sample) == len(_VENDOR_SAMPLE_FEATURES)
-        cache = CompileCache()  # both backends run the same compiles
-        rendered = {}
-        for backend in BACKENDS:
-            config = HarnessConfig(iterations=1, languages=(language,),
-                                   backend=backend)
+        cache = CompileCache()  # both interpreters run the same compiles
+        config = HarnessConfig(iterations=1, languages=(language,))
+
+        def render():
             runner = ValidationRunner(behavior, config, cache=cache)
-            rendered[backend] = render_csv(
-                runner.run_suite(suite10, templates=sample))
-        assert rendered["closures"] == rendered["tree"]
+            return render_csv(runner.run_suite(suite10, templates=sample))
+        closures = render()
+        with tree_oracle():
+            assert closures == render()
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +577,86 @@ class TestFrameCorners:
     def test_matches_tree_walker(self, name):
         source, expected = _FRAME_CORNERS[name]
         compiled = _compile(source, name + ".c")
-        outcomes = {}
-        for backend in BACKENDS:
-            try:
-                outcomes[backend] = compiled.run(backend=backend)
-            except AccRuntimeError as exc:
-                outcomes[backend] = (type(exc).__name__, str(exc))
+        outcomes = _outcomes(compiled, errors=AccRuntimeError)
+        assert outcomes["closures"] == outcomes["tree"]
+        if expected is not None:
+            assert outcomes["tree"].value == expected
+
+
+#: constructs the executor meets away from the frames' usual sites, each
+#: (source, behaviour, expected value): a 2.0 routine's loop run inside a
+#: region (lanes on a host frame), a computed collapse depth, and two
+#: nestings OpenACC forbids but the compiler accepts — a data construct in
+#: a loop body that runs sequentially (Env closures), and an if(false)
+#: compute construct inside a region (a device frame's host run)
+_BODY_CORNERS = {
+    "routine_loop_in_region": ("""
+#pragma acc routine
+int bump(int *a, int n) {
+  #pragma acc loop
+  for (int j = 0; j < n; j = j + 1) { a[j] = a[j] + 1; }
+  return 0;
+}
+int main() {
+  int a[8];
+  for (int i = 0; i < 8; i = i + 1) { a[i] = i; }
+  #pragma acc parallel copy(a[0:8])
+  {
+    bump(a, 8);
+  }
+  return a[7];
+}
+""", REFERENCE_BEHAVIOR.with_(spec_version=ACC_20), 8),
+    "computed_collapse": ("""
+int main() {
+  int c = 2;
+  int a[16];
+  #pragma acc parallel copy(a[0:16]) num_gangs(1)
+  {
+    #pragma acc loop collapse(c)
+    for (int i = 0; i < 4; i = i + 1)
+      for (int j = 0; j < 4; j = j + 1) { a[i * 4 + j] = i + j; }
+  }
+  return a[15];
+}
+""", REFERENCE_BEHAVIOR, 6),
+    "data_in_sequential_loop": ("""
+int main() {
+  int a[8];
+  int b[8];
+  for (int i = 0; i < 8; i = i + 1) { a[i] = i; b[i] = 0; }
+  #pragma acc parallel copy(a[0:8]) copy(b[0:8]) num_gangs(1)
+  {
+    #pragma acc loop
+    for (int i = 0; i < 8; i = i + 1) {
+      #pragma acc data copy(b[0:8])
+      { b[i] = a[i]; }
+    }
+  }
+  return b[7];
+}
+""", REFERENCE_BEHAVIOR.with_(ignore_loop_directive=True), None),
+    "iffalse_compute_in_region": ("""
+int main() {
+  int a[8];
+  for (int i = 0; i < 8; i = i + 1) { a[i] = i; }
+  #pragma acc parallel copy(a[0:8]) num_gangs(1)
+  {
+    #pragma acc parallel if(0)
+    { a[1] = 5; }
+  }
+  return a[1];
+}
+""", REFERENCE_BEHAVIOR, 5),
+}
+
+
+class TestConstructBodies:
+    @pytest.mark.parametrize("name", sorted(_BODY_CORNERS))
+    def test_matches_tree_walker(self, name):
+        source, behavior, expected = _BODY_CORNERS[name]
+        compiled = Compiler(behavior).compile(source, "c", name + ".c")
+        outcomes = _outcomes(compiled, errors=AccRuntimeError)
         assert outcomes["closures"] == outcomes["tree"]
         if expected is not None:
             assert outcomes["tree"].value == expected
@@ -576,34 +670,34 @@ class TestFrameCorners:
 class TestRegionPlans:
     def test_plans_and_region_code_are_built_once(self):
         compiled = _compile(_STATEFUL_SRC)
-        compiled.run(backend="closures")
+        compiled.run()
         lowered = compiled.lowered()
         plans = dict(lowered.plans)
         codes = {k: plan.device_code for k, (_node, plan) in plans.items()
                  if hasattr(plan, "device_code")}
         assert plans and any(code is not None for code in codes.values())
-        compiled.run(backend="closures")
+        compiled.run()
         assert lowered.plans == plans
         for k, (_node, plan) in lowered.plans.items():
             assert plans[k][1] is plan
             if k in codes:
                 assert plan.device_code is codes[k]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_program_dies_with_its_lowering(self, backend):
         import gc
         import weakref
 
         compiled = _compile(_STATEFUL_SRC)
-        runner = compiled.runner(backend=backend)
-        runner.run()
+        runner = compiled.runner()
+        with oracle() if backend == "tree" else nullcontext():
+            runner.run()
         program = weakref.ref(compiled.program)
-        lowered = weakref.ref(compiled._lowered) \
-            if compiled._lowered is not None else None
+        lowered = weakref.ref(compiled._lowered)
         del compiled, runner
         gc.collect()
         # no module-level cache may pin the AST: plans live on the parse
         # (shared through the compiled program, here its only owner), and
         # the lowering on its compiled program
         assert program() is None
-        assert lowered is None or lowered() is None
+        assert lowered() is None

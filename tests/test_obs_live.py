@@ -10,7 +10,7 @@ Covers the PR's acceptance criteria:
 * snapshots are monotone (units_done, wall clock) under an injected
   clock and in real streams;
 * reports are byte-identical with telemetry on or off, across all three
-  execution policies and both interpreter backends;
+  execution policies;
 * journal resume: replayed units count toward progress and are marked
   ``replayed``; the resumed report matches an uninterrupted run;
 * the tolerant reader: a torn tail is skipped and counted, a wrong
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
@@ -139,10 +140,10 @@ def test_unit_fields_lowering_cache(suite10):
     fields = unit_fields(0, "u", _result(template, hit))
     assert fields["lower_cache_hits"] == 1
     assert fields["lower_cache_misses"] == 0
-    # tree backend: lower_hit is None -> neither counter moves
-    tree = PhaseResult(mode="functional", source="",
-                       iterations=[IterationOutcome(ok=True, value=0)])
-    fields = unit_fields(0, "u", _result(template, tree))
+    # lower_hit is None (the phase never ran) -> neither counter moves
+    unrun = PhaseResult(mode="functional", source="",
+                        iterations=[IterationOutcome(ok=True, value=0)])
+    fields = unit_fields(0, "u", _result(template, unrun))
     assert fields["lower_cache_hits"] == 0
     assert fields["lower_cache_misses"] == 0
 
@@ -153,7 +154,7 @@ def test_unit_fields_lowering_cache(suite10):
 
 
 def _unit_event(**fields):
-    base = {"unit": "u", "index": 0, "replayed": False, "backend": "tree",
+    base = {"unit": "u", "index": 0, "replayed": False,
             "passed": True, "failure_kind": None, "elapsed_s": 0.25,
             "iterations": 2, "compile_cache_hits": 1,
             "compile_cache_misses": 0, "lower_cache_hits": 0,
@@ -187,7 +188,7 @@ def test_tally_folds_campaign_events():
     assert tally.retries == 1 and tally.quarantined == 1
     assert tally.phase_counts["functional"] == {
         "pass": 1, "fail": 1, "harness_error": 0, "static_error": 0}
-    assert tally.backend_timing["tree"][0] == 2
+    assert tally.unit_timing == [2, 0.5, 0.25, 0.25]
 
 
 def test_snapshots_are_monotone_under_injected_clock():
@@ -240,17 +241,16 @@ def test_snapshot_units_per_sec_counts_fresh_units_only():
 @pytest.mark.parametrize("policy,workers", [
     ("serial", 1), ("thread", 2), ("process", 2),
 ])
-@pytest.mark.parametrize("backend", ["tree", "closures"])
 def test_reports_identical_with_and_without_telemetry(
-        tmp_path, suite10, policy, workers, backend):
+        tmp_path, suite10, policy, workers):
     plain = ValidationRunner(_PGI, _quick_config(
-        policy=policy, workers=workers, backend=backend))
+        policy=policy, workers=workers))
     baseline = plain.run_suite(suite10)
 
     stream = tmp_path / "run.ndjson"
     prom = tmp_path / "run.prom"
     live = ValidationRunner(_PGI, _quick_config(
-        policy=policy, workers=workers, backend=backend,
+        policy=policy, workers=workers,
         live_stream=str(stream), prom=str(prom)))
     observed = live.run_suite(suite10)
 
@@ -441,11 +441,13 @@ def test_prometheus_render_passes_own_linter():
                          "fields": {"total_units": 2}})
     reporter.tally.fold(_unit_event(passed=False,
                                     failure_kind="wrong_value"))
-    reporter.tally.fold(_unit_event(backend="closures",
-                                    lower_cache_hits=1))
+    reporter.tally.fold(_unit_event(lower_cache_hits=1))
     text = render_prometheus(reporter.snapshot(final=True))
     assert lint_prometheus(text) == []
     assert "repro_campaign_units_done_total 2" in text
+    # one unit timing, no label
+    assert "repro_campaign_unit_seconds_count 2" in text
+    assert "repro_campaign_unit_seconds_sum 0.5" in text
     assert 'failure_kinds{kind="wrong_value"}' not in text  # spec'd name
     assert 'repro_campaign_failures_total{kind="wrong_value"} 1' in text
 
@@ -498,15 +500,13 @@ def test_lowering_cache_counters_hit_and_miss():
     tracer = Tracer()
     compiled = Compiler().compile("int main() { return 0; }", "c")
     with tracer.span("suite-run"):
-        first = compiled.runner(backend="closures", tracer=tracer, name="t")
-        second = compiled.runner(backend="closures", tracer=tracer, name="t")
+        first = compiled.runner(tracer=tracer, name="t")
+        second = compiled.runner(tracer=tracer, name="t")
     assert first.lower_hit is False
     assert second.lower_hit is True
     snapshot = tracer.metrics.snapshot()
     assert snapshot["counters"]["lower.cache_misses"] == 1
     assert snapshot["counters"]["lower.cache_hits"] == 1
-    # tree backend never lowers
-    assert compiled.runner(backend="tree", tracer=tracer).lower_hit is None
 
     trace = parse_trace(trace_to_jsonl(tracer, meta={"command": "t"}))
     summary = summarize_trace(trace)
@@ -520,8 +520,7 @@ def test_journal_round_trips_lower_hit(tmp_path, suite10):
         validate_campaign_key
     from repro.journal.codec import decode_result
 
-    config = _quick_config(backend="closures",
-                           feature_prefixes=["parallel.if"])
+    config = _quick_config(feature_prefixes=["parallel.if"])
     campaign = validate_campaign_key("1.0", _PGI, config)
     path = tmp_path / "j.journal"
     runner = ValidationRunner(_PGI, config)
@@ -604,6 +603,30 @@ def test_cli_obs_tail_follow_reads_to_final(tmp_path, capsys):
     assert "FINAL" in out
 
 
+#: a stream written while the interpreter was still a choice: every unit
+#: carries ``backend`` and snapshots carry ``backend_timing``
+_BACKEND_STREAM = os.path.join(os.path.dirname(__file__), "data",
+                               "live_v1_backend_fields.ndjson")
+
+
+def test_stream_with_backend_fields_folds_and_summarizes(capsys):
+    tally = read_live(_BACKEND_STREAM).tally()
+    assert (tally.units_done, tally.passed) == (2, 2)
+    # both units land in the one unit timing
+    count, total_s, lo, hi = tally.unit_timing
+    assert count == 2 and lo <= hi
+    assert total_s == pytest.approx(0.097765, abs=1e-5)
+
+    assert main(["obs", "tail", _BACKEND_STREAM]) == 0
+    assert "FINAL" in capsys.readouterr().out
+    assert main(["obs", "tail", _BACKEND_STREAM, "--summarize"]) == 0
+    out = capsys.readouterr().out
+    assert "units done         : 2/2" in out
+    assert "unit time          : 2 units, mean 0.0489s" in out
+    assert "backend" not in out
+    assert "run metrics" in out
+
+
 def test_cli_obs_tail_missing_file(tmp_path, capsys):
     assert main(["obs", "tail", str(tmp_path / "nope.ndjson")]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -640,6 +663,31 @@ def test_cli_obs_perf_renders_history(tmp_path, capsys):
     assert main(["obs", "perf", str(history)]) == 0
     page = capsys.readouterr().out
     assert "<script>alert(1)" not in page
+
+
+def test_cli_obs_perf_renders_engine_with_and_without_tree(tmp_path,
+                                                          capsys):
+    # history lines recorded while the engine benchmark also ran the tree
+    # walker carry engine.tree; later lines measure the interpreter only
+    old = {
+        "schema": "bench-hotpath/1", "git_sha": "old1234",
+        "microbench": {"tree_steps_per_sec": 900000,
+                       "closures_steps_per_sec": 5000000,
+                       "speedup": 5.56, "steps": 1, "reps": 3},
+        "engine": {"closures": {"iterations_per_sec": 240.0},
+                   "speedup": 1.04,
+                   "tree": {"iterations_per_sec": 231.5}},
+    }
+    new = dict(old, git_sha="new5678",
+               engine={"closures": {"iterations_per_sec": 260.0}})
+    history = tmp_path / "h.jsonl"
+    history.write_text(json.dumps(old) + "\n" + json.dumps(new) + "\n")
+    assert main(["obs", "perf", str(history)]) == 0
+    page = capsys.readouterr().out
+    rows = [row for row in page.split("<tr>") if "<td>" in row]
+    assert len(rows) == 2
+    assert "<td class='n'>231.5</td>" in rows[0]
+    assert "<td class='n'>—</td><td class='n'>260.0</td>" in rows[1]
 
 
 def test_cli_obs_perf_empty_input(tmp_path, capsys):

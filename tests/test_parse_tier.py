@@ -19,6 +19,7 @@ import pickle
 import sys
 import threading
 import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import List, Set
 
@@ -62,6 +63,7 @@ from repro.ir.astnodes import (
 )
 from repro.spec.versions import ACC_20
 from repro.templates import generate_cross, generate_functional
+from tests.treewalk import oracle
 
 _SWEEP = HarnessConfig(iterations=1, run_cross=False)
 
@@ -547,9 +549,11 @@ _ROUTINE_BEHAVIOURS = (
 
 
 def _run_phase(compiled, backend: str = "closures"):
-    runner = compiled.runner(backend=backend)
+    """One phase run; ``backend="tree"`` runs it on the tree walker."""
+    runner = compiled.runner()
     try:
-        return runner.run()
+        with oracle() if backend == "tree" else nullcontext():
+            return runner.run()
     finally:
         runner.close()
 
