@@ -13,18 +13,18 @@ current scope.  Lowering is a pure function of the AST — closures never
 capture an interpreter — so one :class:`LoweredProgram` is shared across
 all M iterations of a phase and across threads.
 
-Three lowering tiers:
+Two lowering tiers, one name-resolution model (slot frames):
 
-* **Tier A (slot frames)** — host function bodies.  A compile-time lexical
-  resolver mirrors exactly where the tree walker would create
-  ``env.child()`` scopes and assigns every declaration site a distinct
-  integer slot in a flat per-call frame (a plain Python list).  Name uses
-  become ``S[slot]`` loads; unresolved names fall through to
-  ``I.globals`` — correct because local scopes can only ever contain
-  parameters, ``DeclStmt`` declarations and loop variables (implicit
-  assignment targets are defined at global scope, and
-  :class:`~repro.compiler.exec_model.AccExecutor` never defines into an
-  env it was handed, only into children it creates).
+* **Host frames** — function bodies.  A compile-time lexical resolver
+  mirrors exactly where the tree walker would create ``env.child()``
+  scopes and assigns every declaration site a distinct integer slot in a
+  flat per-call frame (a plain Python list).  Name uses become ``S[slot]``
+  loads; unresolved names fall through to ``I.globals`` — correct because
+  local scopes can only ever contain parameters, ``DeclStmt`` declarations
+  and loop variables (implicit assignment targets are defined at global
+  scope, and :class:`~repro.compiler.exec_model.AccExecutor` never defines
+  into an env it was handed, only into children it creates).  Global
+  declarations lower the same way over an empty scope.
 
 * **Device frames** — compute-region bodies, lowered on a region's first
   entry against its :class:`~repro.compiler.exec_model.ComputePlan`.  The
@@ -34,22 +34,19 @@ Three lowering tiers:
   root slot the region does not bind stays None and reads as an undefined
   variable, as the region's parentless Env chain would.
 
-* **Tier B (env closures)** — expressions and loops the executor hands
-  back with an :class:`Env` through ``interp.eval``/``exec_for`` (clause
-  expressions, loop bounds, the sequential run of a loop whose directive a
-  behaviour ignores).  These are lowered on demand and memoised per node,
-  with the same ``Env`` semantics as the tree walker.
-
-The executor runs construct bodies only through code the lowering attached
-to the env it hands over.  At a construct inside a frame, that env is a
-:class:`FrameEnv`: an Env face over the live frame with the construct's
-lowered bodies (its scoped body, its lanes at each collapse depth).  Work
-it defers must not see the frame move on, so it snapshots an async compute
-region with ``FrameEnv.child()`` — an Env over the lexically visible
-cells, chained to ``I.globals`` for host frames — and standalone
-directives (whose updates may defer) get such a snapshot directly: exactly
-the env chain the tree walker would have given them.  A construct inside
-Tier-B code gets a :class:`_BodyEnv` carrying its Env-lowered body.
+Every OpenACC statement is lowered to a *construct site*: the lexical view
+of its frame plus everything the executor may evaluate or run there — its
+directive's clause expressions and section bounds (and, on a host frame,
+the section bounds of the function's pending ``declare`` directives), the
+start, bound and step of its ``loop``'s collapse chain, its lanes at each
+collapse depth, and its scoped body (a ``data``/``host_data`` body, the
+host run of an if(false) compute region, or a loop's sequential run).  The
+executor receives a :class:`FrameEnv`, an Env face over the live frame
+seen from the site, and evaluates and runs only through the site's
+closures; a closure the site lacks is a lowering bug and raises.  Work it
+defers (an async region or update) must not see the frame move on, so it
+snapshots the FrameEnv with ``child()``: a FrameEnv over a copy of the
+frame list, which keeps the same cells (bindings, not values).
 
 The hard constraint is observable equivalence with the reference tree
 walker (``tests/treewalk.py``): step accounting, error strings (they
@@ -61,7 +58,7 @@ values over the full shipped corpus.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set,
 )
 
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
@@ -277,7 +274,7 @@ def _hot_cond(op: str, left, right) -> Optional[Callable]:
 
 
 # ---------------------------------------------------------------------------
-# compile-time scope resolver (Tier A)
+# compile-time scope resolver
 # ---------------------------------------------------------------------------
 
 
@@ -328,12 +325,12 @@ class _FrameScope:
                 return slot
         return None
 
-    def visible(self) -> Tuple[Tuple[str, int], ...]:
-        """All visible (name, slot) bindings, inner scopes shadowing outer."""
+    def visible(self) -> Dict[str, int]:
+        """All visible name -> slot bindings, inner scopes shadowing outer."""
         merged: Dict[str, int] = {}
         for scope in self._stack:
             merged.update(scope)
-        return tuple(merged.items())
+        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +341,15 @@ class _FrameScope:
 class LoweredFunction:
     """One function body lowered to a frame-based closure."""
 
-    __slots__ = ("fn", "nslots", "param_slots", "entry_visible", "body")
+    __slots__ = ("fn", "nslots", "param_slots", "entry", "body")
 
     def __init__(self, fn: Function, nslots: int, param_slots: List[int],
-                 entry_visible: Tuple[Tuple[str, int], ...], body: Callable):
+                 entry: "_Site", body: Callable):
         self.fn = fn
         self.nslots = nslots
         self.param_slots = param_slots
-        self.entry_visible = entry_visible
+        #: the site of function entry, where pending declares first resolve
+        self.entry = entry
         self.body = body
 
 
@@ -368,8 +366,7 @@ def invoke_function(I, lowered: LoweredFunction, args: Sequence[object]):
             frame[slot] = arg  # by-reference (Fortran)
         else:
             frame[slot] = Cell(arg, type=param.type, name=param.name)
-    env = _bridge_env(I.globals, frame, lowered.entry_visible)
-    I.acc.enter_function(fn, env)
+    I.acc.enter_function(fn, FrameEnv(frame, lowered.entry, I.globals))
     try:
         lowered.body(I, frame)
         result: object = 0
@@ -380,105 +377,94 @@ def invoke_function(I, lowered: LoweredFunction, args: Sequence[object]):
     return result
 
 
-def _bridge_env(parent: Optional[Env], frame: List[Optional[Cell]],
-                visible: Tuple[Tuple[str, int], ...]) -> Env:
-    """An Env over the lexically visible frame cells, chained to ``parent``
-    (the globals for host frames; none for device frames, whose scope
-    chain ends at the region)."""
-    env = Env(parent=parent)
-    env_vars = env.vars
-    for name, slot in visible:
-        cell = frame[slot]
-        if cell is not None:
-            env_vars[name] = cell
-    return env
-
-
 # ---------------------------------------------------------------------------
 # construct sites and device frames (compute-region bodies)
 # ---------------------------------------------------------------------------
 
 
 class _Site:
-    """The lexical view of a slot frame at one point of a body."""
+    """The lexical view of a slot frame at one OpenACC statement, with
+    everything the executor may evaluate or run there."""
 
-    __slots__ = ("names", "visible", "lanes", "scoped")
+    __slots__ = ("names", "exprs", "lanes", "scoped")
 
-    def __init__(self, visible: Tuple[Tuple[str, int], ...],
-                 lanes: Optional[Dict[int, "_ScopedCode"]] = None,
-                 scoped: Optional["_ScopedCode"] = None):
-        self.visible = visible
-        self.names = dict(visible)
-        #: collapse depth -> lowered lane body (device ``loop`` sites)
-        self.lanes = lanes or {}
+    def __init__(self, names: Dict[str, int],
+                 exprs: Optional[Dict[int, Callable]] = None):
+        #: the visible name -> slot bindings
+        self.names = names
+        #: id(expr) -> closure: the clause expressions, section bounds and
+        #: collapse-chain bounds the executor evaluates at this site.  No
+        #: key can be recycled: the code holding the site also holds its
+        #: statement (or function), from which every keyed node is reachable
+        self.exprs = exprs if exprs is not None else {}
+        #: collapse depth -> lowered lane body (``loop`` sites)
+        self.lanes: Dict[int, _ScopedCode] = {}
         #: the lowered body the executor runs in a scope of its own: a
-        #: ``data``/``host_data`` body, or the host run of an if(false)
-        #: compute region or an orphaned loop
-        self.scoped = scoped
+        #: ``data``/``host_data`` body, the host run of an if(false)
+        #: compute region, or a loop's sequential run
+        self.scoped: Optional[_ScopedCode] = None
 
 
 class FrameEnv:
     """A slot frame seen from one site, with the face of an :class:`Env`
     the executor needs: ``lookup`` for clause operands, reduction targets
-    and private shapes; ``child`` for its Env fallbacks (a bridge Env over
-    the visible cells); and the site's lowered bodies, if any.
+    and private shapes; ``child`` for a snapshot; and the site's lowered
+    closures.
 
     ``parent`` is the globals for a host frame and None for a device
     frame, whose scope chain ends at the region.  A FrameEnv reads the
     frame live, so the executor snapshots it with ``child()`` before it
-    defers an async region, and standalone directives never get one.
+    defers work.
     """
 
-    __slots__ = ("frame", "site", "parent")
+    __slots__ = ("slots", "site", "parent")
 
-    def __init__(self, frame: List[Optional[Cell]], site: _Site,
+    def __init__(self, slots: List[Optional[Cell]], site: _Site,
                  parent: Optional[Env] = None):
-        self.frame = frame
+        self.slots = slots
         self.site = site
         self.parent = parent
 
     def lookup(self, name: str) -> Optional[Cell]:
         slot = self.site.names.get(name)
         if slot is not None:
-            cell = self.frame[slot]
+            cell = self.slots[slot]
             if cell is not None:
                 return cell
         return self.parent.lookup(name) if self.parent is not None else None
 
-    def child(self) -> Env:
-        return _bridge_env(self.parent, self.frame, self.site.visible)
+    def child(self) -> "FrameEnv":
+        """A snapshot for deferred work: the same site over a copy of the
+        frame list, so it keeps today's cells (bindings, not values)."""
+        return FrameEnv(self.slots[:], self.site, self.parent)
 
-    def lane(self, depth: int) -> Optional["_ScopedCode"]:
-        return self.site.lanes.get(depth)
+    def eval(self, I, expr: Expr):
+        """Evaluate one of the site's clause or loop-bound expressions."""
+        code = self.site.exprs.get(id(expr))
+        if code is None:
+            raise _missing("expression", expr)
+        return code(I, self.slots)
 
-    def run_scoped(self, I, defs: Dict[str, Cell]) -> bool:
-        """Run the site's construct body with ``defs`` bound; False when
-        the site has no lowered body."""
+    def lane(self, depth: int) -> "_ScopedCode":
+        code = self.site.lanes.get(depth)
+        if code is None:
+            raise _missing(f"lane at collapse depth {depth}", None)
+        return code
+
+    def run_scoped(self, I, defs: Dict[str, Cell]) -> None:
+        """Run the site's scoped body with ``defs`` bound."""
         code = self.site.scoped
         if code is None:
-            return False
-        code.bind(self.frame, defs)
-        code.body(I, self.frame)
-        return True
+            raise _missing("scoped body", None)
+        code.bind(self.slots, defs)
+        code.body(I, self.slots)
 
 
-class _BodyEnv(Env):
-    """The Env a Tier-B construct runs in: an empty child of its scope
-    (so lookups see exactly that scope), carrying the construct body
-    lowered with it."""
-
-    __slots__ = ("body",)
-
-    def __init__(self, parent: Env, body: Callable):
-        super().__init__(parent)
-        self.body = body
-
-    def run_scoped(self, I, defs: Dict[str, Cell]) -> bool:
-        """Run the body in a child scope holding ``defs``."""
-        scope = self.child()
-        scope.vars.update(defs)
-        self.body(I, scope)
-        return True
+def _missing(what: str, node) -> RuntimeError:
+    """The error for a closure a site lacks: a lowering bug, never a
+    simulated-program failure."""
+    where = f" at {node.loc}" if node is not None else ""
+    return RuntimeError(f"lowering bug: construct site has no {what}{where}")
 
 
 class _ScopedCode:
@@ -594,16 +580,13 @@ class LoweredProgram:
         self.plans = plans
         self.functions: Dict[str, LoweredFunction] = {}
         for fn in program.functions:
-            lowerer = _Lowerer(program, frame=True, lowered_fns=self.functions,
+            lowerer = _Lowerer(program, lowered_fns=self.functions,
                                plans=plans)
             self.functions[fn.name] = lowerer.lower_function(fn)
-        self._env_lowerer = _Lowerer(program, frame=False,
-                                     lowered_fns=self.functions)
-        # Tier-B memos, keyed by node identity.  The node itself is pinned
-        # in the value so a collected node can never recycle a key's id().
-        # Benign data race under the GIL: worst case a node lowers twice.
-        self._exprs: Dict[int, Tuple[Expr, Callable]] = {}
-        self._fors: Dict[int, Tuple[For, Callable]] = {}
+        #: one definer per global declaration, in order, each ``f(I)``
+        lowerer = _Lowerer(program, lowered_fns=self.functions, plans=plans)
+        self.globals = tuple(lowerer.lower_global(decl)
+                             for decl in program.globals)
 
     def region_code(self, plan: ComputePlan) -> RegionCode:
         """The plan's region body lowered to a device frame, built on the
@@ -614,34 +597,16 @@ class LoweredProgram:
         (``Interpreter.call_function``)."""
         code = plan.device_code
         if code is None:
-            lowerer = _Lowerer(self.program, frame=True, plans=self.plans,
-                               device=True)
+            lowerer = _Lowerer(self.program, plans=self.plans, device=True)
             code = lowerer.lower_region(plan)
             plan.device_code = code
         return code
 
-    # Tier-B entry points (dispatch targets of Interpreter.eval/exec_for
-    # when the executor calls back in with an Env).
-
-    def expr_closure(self, expr: Expr) -> Callable:
-        entry = self._exprs.get(id(expr))
-        if entry is None or entry[0] is not expr:
-            entry = (expr, self._env_lowerer.lower_expr(expr))
-            self._exprs[id(expr)] = entry
-        return entry[1]
-
-    def for_closure(self, loop: For) -> Callable:
-        entry = self._fors.get(id(loop))
-        if entry is None or entry[0] is not loop:
-            entry = (loop, self._env_lowerer.lower_for_core(loop))
-            self._fors[id(loop)] = entry
-        return entry[1]
-
 
 def lower_program(program: Program,
                   plans: Optional[Dict[int, tuple]] = None) -> LoweredProgram:
-    """Lower every function of ``program`` into closures (Tier A) and set
-    up the on-demand Tier-B lowerer.  Pure: safe to share and reuse.
+    """Lower every function and global declaration of ``program`` into
+    closures over slot frames.  Pure: safe to share and reuse.
 
     ``plans`` is the program's static construct plan table to read and
     fill (a fresh one when not given)."""
@@ -691,45 +656,54 @@ def _op_fn(op: str, node) -> Callable:
 
 
 class _Lowerer:
-    """Lowers statements/expressions to closures over ``(I, S)``.
+    """Lowers statements/expressions to closures over ``(I, S)``, where
+    ``S`` is a slot frame and names are resolved at lowering time."""
 
-    ``frame=True`` is Tier A (``S`` is a slot frame, names resolved at
-    lowering time); ``frame=False`` is Tier B (``S`` is an :class:`Env`,
-    names resolved by chain walk at runtime, same as the tree walker).
-    """
-
-    def __init__(self, program: Program, frame: bool,
+    def __init__(self, program: Program,
                  lowered_fns: Optional[Dict[str, LoweredFunction]] = None,
                  plans: Optional[Dict[int, tuple]] = None,
                  device: bool = False):
         self.program = program
         self.language = program.language
         self.functions = {fn.name: fn for fn in program.functions}
-        self.frame = frame
-        self.sc = _FrameScope() if frame else None
+        self.sc = _FrameScope()
         # shared (still-filling) LoweredProgram.functions dict: call sites
         # resolve through it at runtime, skipping the call_function bounce
         self.lowered_fns = lowered_fns
         self.plans = plans
         #: a device frame: the scope chain ends at the region (no globals)
         self.device = device
-        #: lowering code that runs only sequentially outside any region:
-        #: an if(false) region's host run, a loop ``exec_for`` runs.  A
-        #: ``loop`` there never runs lanes
+        #: lowering code that runs only sequentially: an if(false)
+        #: region's host run, a loop's sequential run.  A ``loop`` there
+        #: never runs lanes
         self.host_run = False
+        #: the ``declare`` directives of the function being lowered: the
+        #: executor resolves them at every host site of the function
+        self.declares: Sequence = ()
 
     # -------------------------------------------------------------- function
 
     def lower_function(self, fn: Function) -> LoweredFunction:
         sc = self.sc
         param_slots = [sc.declare(p.name) for p in fn.params]
-        entry_visible = sc.visible()
+        self.declares = fn.declares
+        entry = _Site(sc.visible(), self._lower_site_exprs(()))
         # the function body block gets no step bump (exec_block has none)
         body = self._lower_block_body(fn.body)
         return LoweredFunction(
             fn=fn, nslots=sc.nslots, param_slots=param_slots,
-            entry_visible=entry_visible, body=body,
+            entry=entry, body=body,
         )
+
+    def lower_global(self, decl: VarDecl) -> Callable:
+        """``f(I)`` defining one global declaration into ``I.globals``:
+        lowered over an empty scope, every name it reads resolves there."""
+        make = self._decl_value(decl)
+        name, typ = decl.name, decl.type
+
+        def define(I):
+            I.globals.define(name, Cell(make(I, []), type=typ, name=name))
+        return define
 
     def lower_region(self, plan: ComputePlan) -> RegionCode:
         """Lower a compute-region body against a device frame whose root
@@ -742,35 +716,26 @@ class _Lowerer:
 
     def _lower_block_body(self, block: Block) -> Callable:
         """The inside of a block: child scope + statements, no step bump."""
-        if self.frame:
-            self.sc.push()
-            stmt_cs = tuple(self.lower_stmt(s) for s in block.stmts)
-            self.sc.pop()
-            # frame scoping is entirely lowering-time, so short bodies
-            # collapse to direct calls with no runtime scope work at all
-            if len(stmt_cs) == 1:
-                return stmt_cs[0]
-            if len(stmt_cs) == 2:
-                first, second = stmt_cs
-
-                def run(I, S):
-                    first(I, S)
-                    second(I, S)
-                return run
-            if not stmt_cs:
-                return lambda I, S: None
+        self.sc.push()
+        stmt_cs = tuple(self.lower_stmt(s) for s in block.stmts)
+        self.sc.pop()
+        # frame scoping is entirely lowering-time, so short bodies
+        # collapse to direct calls with no runtime scope work at all
+        if len(stmt_cs) == 1:
+            return stmt_cs[0]
+        if len(stmt_cs) == 2:
+            first, second = stmt_cs
 
             def run(I, S):
-                for c in stmt_cs:
-                    c(I, S)
+                first(I, S)
+                second(I, S)
             return run
-
-        stmt_cs = tuple(self.lower_stmt(s) for s in block.stmts)
+        if not stmt_cs:
+            return lambda I, S: None
 
         def run(I, S):
-            scope = S.child()
             for c in stmt_cs:
-                c(I, scope)
+                c(I, S)
         return run
 
     # ------------------------------------------------------------ statements
@@ -817,23 +782,13 @@ class _Lowerer:
 
     def _lower_block_stmt(self, stmt: Block) -> Callable:
         loc = stmt.loc
-        if self.frame:
-            # fuse the node's step bump with the statement loop: one closure
-            # per block execution instead of a bump wrapper plus a body run
-            self.sc.push()
-            stmt_cs = tuple(self.lower_stmt(s) for s in stmt.stmts)
-            self.sc.pop()
-            if len(stmt_cs) == 1:
-                inner = stmt_cs[0]
-
-                def run(I, S):
-                    I.steps += 1
-                    if I.steps > I._max_steps:
-                        raise ExecutionTimeout(
-                            f"step budget {I.limits.max_steps} exceeded at {loc}"
-                        )
-                    inner(I, S)
-                return run
+        # fuse the node's step bump with the statement loop: one closure
+        # per block execution instead of a bump wrapper plus a body run
+        self.sc.push()
+        stmt_cs = tuple(self.lower_stmt(s) for s in stmt.stmts)
+        self.sc.pop()
+        if len(stmt_cs) == 1:
+            inner = stmt_cs[0]
 
             def run(I, S):
                 I.steps += 1
@@ -841,11 +796,8 @@ class _Lowerer:
                     raise ExecutionTimeout(
                         f"step budget {I.limits.max_steps} exceeded at {loc}"
                     )
-                for c in stmt_cs:
-                    c(I, S)
+                inner(I, S)
             return run
-
-        inner = self._lower_block_body(stmt)
 
         def run(I, S):
             I.steps += 1
@@ -853,7 +805,8 @@ class _Lowerer:
                 raise ExecutionTimeout(
                     f"step budget {I.limits.max_steps} exceeded at {loc}"
                 )
-            inner(I, S)
+            for c in stmt_cs:
+                c(I, S)
         return run
 
     def _lower_decl_stmt(self, stmt: DeclStmt) -> Callable:
@@ -871,8 +824,20 @@ class _Lowerer:
         return run
 
     def _lower_decl(self, decl: VarDecl) -> Callable:
-        """One declaration; mirrors ``Interpreter._declare`` exactly."""
-        name = decl.name
+        """One declaration into a fresh slot; mirrors the tree walker's
+        ``_declare`` exactly."""
+        make = self._decl_value(decl)
+        name, typ = decl.name, decl.type
+        # declare *after* lowering the initialiser: an init referencing the
+        # same name sees the outer binding, as at runtime
+        slot = self.sc.declare(name)
+
+        def run(I, S):
+            S[slot] = Cell(make(I, S), type=typ, name=name)
+        return run
+
+    def _decl_value(self, decl: VarDecl) -> Callable:
+        """``make(I, S)``: the initial value of a declared variable."""
         typ = decl.type
         if decl.dims:
             dim_cs = tuple(self.lower_expr(d) for d in decl.dims)
@@ -908,19 +873,7 @@ class _Lowerer:
                 if init_c is not None:
                     return coerce_scalar(base, init_c(I, S))
                 return zero
-
-        # declare *after* lowering the initialiser: an init referencing the
-        # same name sees the outer binding, as at runtime
-        if self.frame:
-            slot = self.sc.declare(name)
-
-            def run(I, S):
-                S[slot] = Cell(make(I, S), type=typ, name=name)
-            return run
-
-        def run(I, S):
-            S.define(name, Cell(make(I, S), type=typ, name=name))
-        return run
+        return make
 
     def _lower_assign(self, stmt: Assign) -> Callable:
         value_c = self.lower_expr(stmt.value)
@@ -930,8 +883,8 @@ class _Lowerer:
 
         if isinstance(target, Ident):
             name = target.name
-            slot = self.sc.resolve(name) if self.frame else None
-            if combine is None and self.frame and self.sc.bound(slot):
+            slot = self.sc.resolve(name)
+            if combine is None and self.sc.bound(slot):
                 # hottest statement shape: plain assignment to a local.  A
                 # slot-resolved target's cell always exists by the time the
                 # assignment runs (its declaration executes first — no goto),
@@ -1049,30 +1002,14 @@ class _Lowerer:
     def _lower_if(self, stmt: If) -> Callable:
         cond_c = self._lower_cond(stmt.cond)
         loc = stmt.loc
-        if self.frame:
-            self.sc.push()
-            then_c = self.lower_stmt(stmt.then)
-            self.sc.pop()
-            other_c = None
-            if stmt.other is not None:
-                self.sc.push()
-                other_c = self.lower_stmt(stmt.other)
-                self.sc.pop()
-
-            def run(I, S):
-                I.steps += 1
-                if I.steps > I._max_steps:
-                    raise ExecutionTimeout(
-                        f"step budget {I.limits.max_steps} exceeded at {loc}"
-                    )
-                if cond_c(I, S):
-                    then_c(I, S)
-                elif other_c is not None:
-                    other_c(I, S)
-            return run
-
+        self.sc.push()
         then_c = self.lower_stmt(stmt.then)
-        other_c = self.lower_stmt(stmt.other) if stmt.other is not None else None
+        self.sc.pop()
+        other_c = None
+        if stmt.other is not None:
+            self.sc.push()
+            other_c = self.lower_stmt(stmt.other)
+            self.sc.pop()
 
         def run(I, S):
             I.steps += 1
@@ -1081,38 +1018,17 @@ class _Lowerer:
                     f"step budget {I.limits.max_steps} exceeded at {loc}"
                 )
             if cond_c(I, S):
-                then_c(I, S.child())
+                then_c(I, S)
             elif other_c is not None:
-                other_c(I, S.child())
+                other_c(I, S)
         return run
 
     def _lower_while(self, stmt: While) -> Callable:
         cond_c = self._lower_cond(stmt.cond)
         loc = stmt.loc
-        if self.frame:
-            self.sc.push()
-            body_c = self.lower_stmt(stmt.body)
-            self.sc.pop()
-
-            def run(I, S):
-                I.steps += 1
-                if I.steps > I._max_steps:
-                    raise ExecutionTimeout(
-                        f"step budget {I.limits.max_steps} exceeded at {loc}"
-                    )
-                while cond_c(I, S):
-                    I.steps += 1
-                    if I.steps > I._max_steps:
-                        raise ExecutionTimeout(f"step budget exceeded at {loc}")
-                    try:
-                        body_c(I, S)
-                    except BreakSignal:
-                        break
-                    except ContinueSignal:
-                        continue
-            return run
-
+        self.sc.push()
         body_c = self.lower_stmt(stmt.body)
+        self.sc.pop()
 
         def run(I, S):
             I.steps += 1
@@ -1125,7 +1041,7 @@ class _Lowerer:
                 if I.steps > I._max_steps:
                     raise ExecutionTimeout(f"step budget exceeded at {loc}")
                 try:
-                    body_c(I, S.child())
+                    body_c(I, S)
                 except BreakSignal:
                     break
                 except ContinueSignal:
@@ -1146,9 +1062,9 @@ class _Lowerer:
         return run
 
     def lower_for_core(self, loop: For) -> Callable:
-        """The loop itself, without the statement-node step bump (this is
-        also the dispatch target of ``Interpreter.exec_for``, which the
-        tree walker likewise runs without a node bump)."""
+        """The loop itself, without the statement-node step bump (also a
+        loop site's sequential run, which the tree walker's ``exec_for``
+        likewise runs without a node bump)."""
         start_c = self.lower_expr(loop.start)
         bound_c = self.lower_expr(loop.bound)
         step_c = self.lower_expr(loop.step)
@@ -1156,54 +1072,15 @@ class _Lowerer:
         var = loop.var
         loc = loop.loc
 
-        if self.frame:
-            sc = self.sc
-            sc.push()
-            outer_slot = sc.resolve(var)
-            # a bound outer binding is reused; otherwise the loop gets a
-            # slot of its own, filled at entry as the chain walk would
-            var_slot = None if sc.bound(outer_slot) else sc.declare(var)
-            body_c = self.lower_stmt(loop.body)
-            sc.pop()
-            device = self.device
-
-            def run(I, S):
-                start = _as_int(start_c(I, S))
-                bound = _as_int(bound_c(I, S))
-                step = _as_int(step_c(I, S))
-                if step == 0:
-                    raise AccRuntimeError(f"zero loop step at {loc}")
-                if step > 0:
-                    stop = bound + 1 if inclusive else bound
-                else:
-                    stop = bound - 1 if inclusive else bound
-                if var_slot is None:
-                    cell = S[outer_slot]
-                else:
-                    # the tree walker's scope.lookup: an (unbound-marked)
-                    # outer slot's cell, else the globals (host frames
-                    # only); only a nowhere-defined var gets a fresh cell
-                    cell = S[outer_slot] if outer_slot is not None else None
-                    if cell is None and not device:
-                        cell = I.globals.lookup(var)
-                    if cell is None:
-                        cell = Cell(0, name=var)
-                    S[var_slot] = cell
-                max_steps = I._max_steps
-                for i in range(start, stop, step):
-                    I.steps += 1
-                    if I.steps > max_steps:
-                        raise ExecutionTimeout(f"step budget exceeded at {loc}")
-                    cell.value = i
-                    try:
-                        body_c(I, S)
-                    except BreakSignal:
-                        break
-                    except ContinueSignal:
-                        continue
-            return run
-
+        sc = self.sc
+        sc.push()
+        outer_slot = sc.resolve(var)
+        # a bound outer binding is reused; otherwise the loop gets a
+        # slot of its own, filled at entry as the chain walk would
+        var_slot = None if sc.bound(outer_slot) else sc.declare(var)
         body_c = self.lower_stmt(loop.body)
+        sc.pop()
+        device = self.device
 
         def run(I, S):
             start = _as_int(start_c(I, S))
@@ -1215,10 +1092,18 @@ class _Lowerer:
                 stop = bound + 1 if inclusive else bound
             else:
                 stop = bound - 1 if inclusive else bound
-            scope = S.child()
-            cell = scope.lookup(var)
-            if cell is None:
-                cell = scope.define(var, Cell(0, name=var))
+            if var_slot is None:
+                cell = S[outer_slot]
+            else:
+                # the tree walker's scope.lookup: an (unbound-marked)
+                # outer slot's cell, else the globals (host frames
+                # only); only a nowhere-defined var gets a fresh cell
+                cell = S[outer_slot] if outer_slot is not None else None
+                if cell is None and not device:
+                    cell = I.globals.lookup(var)
+                if cell is None:
+                    cell = Cell(0, name=var)
+                S[var_slot] = cell
             max_steps = I._max_steps
             for i in range(start, stop, step):
                 I.steps += 1
@@ -1226,7 +1111,7 @@ class _Lowerer:
                     raise ExecutionTimeout(f"step budget exceeded at {loc}")
                 cell.value = i
                 try:
-                    body_c(I, scope.child())
+                    body_c(I, S)
                 except BreakSignal:
                     break
                 except ContinueSignal:
@@ -1272,44 +1157,8 @@ class _Lowerer:
 
     def _lower_acc(self, stmt: Stmt, method: str) -> Callable:
         loc = stmt.loc
-        if self.frame:
-            visible = self.sc.visible()
-            device = self.device
-            site = self._construct_site(stmt, visible)
-            if site is not None:
-                def run(I, S):
-                    I.steps += 1
-                    if I.steps > I._max_steps:
-                        raise ExecutionTimeout(
-                            f"step budget {I.limits.max_steps} exceeded at {loc}"
-                        )
-                    getattr(I.acc, method)(
-                        stmt, FrameEnv(S, site, None if device else I.globals))
-                return run
-
-            def run(I, S):
-                I.steps += 1
-                if I.steps > I._max_steps:
-                    raise ExecutionTimeout(
-                        f"step budget {I.limits.max_steps} exceeded at {loc}"
-                    )
-                env = _bridge_env(None if device else I.globals, S, visible)
-                getattr(I.acc, method)(stmt, env)
-            return run
-
-        if isinstance(stmt, AccConstruct):
-            # the executor runs the body in a child scope of the env it
-            # gets, so that env carries the body
-            body_c = self.lower_stmt(stmt.body)
-
-            def run(I, S):
-                I.steps += 1
-                if I.steps > I._max_steps:
-                    raise ExecutionTimeout(
-                        f"step budget {I.limits.max_steps} exceeded at {loc}"
-                    )
-                I.acc.exec_construct(stmt, _BodyEnv(S, body_c))
-            return run
+        device = self.device
+        site = self._construct_site(stmt)
 
         def run(I, S):
             I.steps += 1
@@ -1317,49 +1166,59 @@ class _Lowerer:
                 raise ExecutionTimeout(
                     f"step budget {I.limits.max_steps} exceeded at {loc}"
                 )
-            getattr(I.acc, method)(stmt, S)
+            getattr(I.acc, method)(
+                stmt, FrameEnv(S, site, None if device else I.globals))
         return run
 
-    def _construct_site(self, stmt: Stmt,
-                        visible: Tuple[Tuple[str, int], ...]
-                        ) -> Optional[_Site]:
-        """The lowered bodies the executor may run for ``stmt`` on this
-        frame, or None when it gets a bridge Env instead.
-
-        A site's FrameEnv reads the frame live; the executor snapshots it
-        with ``child()`` before deferring an async region.  Standalone
-        directives, whose async updates defer inside the executor, get a
-        bridge, and so does a combined construct nested in a region, whose
-        host run (if any) is the executor's ``exec_for``.
-        """
-        device = self.device
+    def _construct_site(self, stmt: Stmt) -> _Site:
+        """What the executor may evaluate or run for ``stmt`` on this
+        frame: its clause expressions, and its loop bounds, lanes and
+        sequential run (loops) or its scoped body (constructs)."""
+        site = _Site(self.sc.visible(), self._lower_site_exprs(
+            (stmt.directive,)))
         kind = stmt.directive.kind
         if isinstance(stmt, AccLoop):
-            site = None
             if kind == "loop" and not self.host_run:
-                # lanes (on a host frame, for a 2.0 routine that runs the
-                # loop inside a region)
-                site = self._lower_loop_site(stmt, visible)
-            if not device:
-                # the sequential host run of an orphaned loop or an
-                # if(false) combined construct
-                site = site or _Site(visible)
-                site.scoped = _ScopedCode((), self._lower_host_run(
-                    lambda: self.lower_for_core(stmt.loop)))
-            return site
-        if isinstance(stmt, AccConstruct):
+                # lanes (on a host frame too, for a 2.0 routine that runs
+                # the loop inside a region)
+                self._lower_loop_site(stmt, site)
+            # the sequential run: an orphaned loop, an if(false) combined
+            # construct, a loop whose directive the behaviour ignores
+            site.scoped = _ScopedCode((), self._lower_host_run(
+                lambda: self.lower_for_core(stmt.loop)))
+        elif isinstance(stmt, AccConstruct):
             if kind in ("data", "host_data"):
                 # a scope holding the names deviceptr/use_device may rebind
                 clause = "deviceptr" if kind == "data" else "use_device"
                 names = dict.fromkeys(
                     n for c in stmt.directive.clauses_named(clause)
                     for n in c.var_names)
-                return _Site(visible, scoped=self._lower_scoped(
-                    names, set(), stmt.body))
-            # the host run of an if(false) compute region
-            return _Site(visible, scoped=self._lower_host_run(
-                lambda: self._lower_scoped((), set(), stmt.body)))
-        return None
+                site.scoped = self._lower_scoped(names, set(), stmt.body)
+            else:
+                # the host run of an if(false) compute region
+                site.scoped = self._lower_host_run(
+                    lambda: self._lower_scoped((), set(), stmt.body))
+        return site
+
+    def _lower_site_exprs(self, directives) -> Dict[int, Callable]:
+        """id(expr) -> closure over this scope for every clause expression
+        and section bound of ``directives`` — and, on a host frame, of the
+        function's ``declare`` directives, which the executor resolves
+        (while pending) at every host site."""
+        if not self.device:
+            directives = tuple(directives) + tuple(self.declares)
+        exprs: Dict[int, Callable] = {}
+        for directive in directives:
+            for clause in directive.clauses:
+                found = [clause.expr]
+                for ref in clause.refs:
+                    if ref.sections:
+                        section = ref.sections[0]
+                        found += (section.start, section.length)
+                for expr in found:
+                    if expr is not None:
+                        exprs[id(expr)] = self.lower_expr(expr)
+        return exprs
 
     def _lower_host_run(self, lower: Callable):
         """``lower()`` with ``host_run`` set."""
@@ -1368,16 +1227,19 @@ class _Lowerer:
         self.host_run = outer
         return code
 
-    def _lower_loop_site(self, stmt: AccLoop,
-                         visible: Tuple[Tuple[str, int], ...]) -> _Site:
-        """Lower a ``loop``'s lane bodies: for no collapse, and for its
-        constant ``collapse(N)`` if it has one — or for every depth of its
-        loop nest when the count is computed."""
+    def _lower_loop_site(self, stmt: AccLoop, site: _Site) -> None:
+        """Lower a ``loop``'s collapse-chain bounds (evaluated at the site)
+        and its lane bodies: for no collapse, and for its constant
+        ``collapse(N)`` if it has one — or for every depth of its loop nest
+        when the count is computed."""
         # imported here, like the executor itself (repro.compiler.interp),
         # so importing the package does not load the execution model
         from repro.compiler.exec_model import LoopPlan, plan_for
 
         plan = plan_for(self.plans, stmt, LoopPlan)
+        for loop in plan.chain:
+            for expr in (loop.start, loop.bound, loop.step):
+                site.exprs[id(expr)] = self.lower_expr(expr)
         depths = [1]
         clause = plan.collapse
         if clause is not None and not isinstance(clause.expr, IntLit):
@@ -1385,7 +1247,7 @@ class _Lowerer:
         elif clause is not None and 1 < clause.expr.value <= len(plan.chain):
             depths.append(clause.expr.value)
         reductions = [name for _op, name in plan.reductions]
-        lanes: Dict[int, _ScopedCode] = {}
+        lanes = site.lanes
         for depth in depths:
             loop_vars = [l.var for l in plan.chain[:depth]]
             # privates may be ignored by the behaviour; the executor
@@ -1394,7 +1256,6 @@ class _Lowerer:
                 dict.fromkeys(plan.private_names + reductions + loop_vars),
                 set(reductions + loop_vars), plan.chain[depth - 1].body,
                 child=True)
-        return _Site(visible, lanes)
 
     def _lower_scoped(self, names, always, body: Stmt,
                       child: bool = False) -> _ScopedCode:
@@ -1471,43 +1332,33 @@ class _Lowerer:
 
     def _cell_ref(self, name: str) -> Callable:
         """A closure resolving ``name`` to its Cell (or None if undefined)."""
-        if self.frame:
-            slot = self.sc.resolve(name)
-            if slot is not None and (self.device or self.sc.bound(slot)):
-                return lambda I, S: S[slot]
-            if self.device:
-                return lambda I, S: None
-            if slot is not None:
-                # a host slot a construct may leave unbound: the chain walk
-                # goes on to the globals
-                return lambda I, S: S[slot] or I.globals.lookup(name)
-            return lambda I, S: I.globals.lookup(name)
-        return lambda I, S: S.lookup(name)
+        slot = self.sc.resolve(name)
+        if slot is not None and (self.device or self.sc.bound(slot)):
+            return lambda I, S: S[slot]
+        if self.device:
+            return lambda I, S: None
+        if slot is not None:
+            # a host slot a construct may leave unbound: the chain walk
+            # goes on to the globals
+            return lambda I, S: S[slot] or I.globals.lookup(name)
+        return lambda I, S: I.globals.lookup(name)
 
     def _lower_ident(self, expr: Ident) -> Callable:
         name = expr.name
         loc = expr.loc
-        if self.frame:
-            slot = self.sc.resolve(name)
-            if self.sc.bound(slot):
-                def run(I, S):
-                    return S[slot].value
-                return run
-            getter = self._cell_ref(name)
-
+        slot = self.sc.resolve(name)
+        if self.sc.bound(slot):
             def run(I, S):
-                cell = getter(I, S)
-                if cell is None:
-                    raise AccRuntimeError(
-                        f"undefined variable {name!r} at {loc}"
-                    )
-                return cell.value
+                return S[slot].value
             return run
+        getter = self._cell_ref(name)
 
         def run(I, S):
-            cell = S.lookup(name)
+            cell = getter(I, S)
             if cell is None:
-                raise AccRuntimeError(f"undefined variable {name!r} at {loc}")
+                raise AccRuntimeError(
+                    f"undefined variable {name!r} at {loc}"
+                )
             return cell.value
         return run
 
@@ -1517,8 +1368,7 @@ class _Lowerer:
         None.  Such accesses skip the getter call and the index list build
         but keep every check, in order."""
         base = expr.base
-        if not (self.frame and isinstance(base, Ident)
-                and len(expr.indices) == 1):
+        if not (isinstance(base, Ident) and len(expr.indices) == 1):
             return None
         slot = self.sc.resolve(base.name)
         if slot is None or not (self.device or self.sc.bound(slot)):
@@ -1570,7 +1420,7 @@ class _Lowerer:
         kind = type(expr)
         if kind is IntLit or kind is FloatLit:
             return ("const", expr.value)
-        if kind is Ident and self.frame:
+        if kind is Ident:
             slot = self.sc.resolve(expr.name)
             if self.sc.bound(slot):
                 return ("slot", slot)

@@ -31,6 +31,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout, PresentError
 from repro.accsim.memory import Mapping
 from repro.accsim.values import ArrayValue, Cell, DevicePointer, coerce_scalar
+# loop bounds convert as the lowered loops do (a non-number raises
+# AccRuntimeError); clause values through this module's _as_int
+from repro.compiler.interp import Env, _as_int as _loop_int
 from repro.ir.acc import Clause, DataRef, Directive
 from repro.ir.astnodes import (
     AccConstruct,
@@ -328,7 +331,7 @@ class AccExecutor:
             return
         if_clause = d.clause("if")
         if if_clause is not None and not self.behavior.ignore_if_clause:
-            if not _truthy(self.interp.eval(if_clause.expr, env)):
+            if not _truthy(self._eval(if_clause.expr, env)):
                 return
         device = self.interp.machine.current_device()
 
@@ -351,10 +354,13 @@ class AccExecutor:
         async_clause = d.clause("async")
         if async_clause is not None and not self.behavior.ignore_async:
             tag = (
-                _as_int(self.interp.eval(async_clause.expr, env))
+                _as_int(self._eval(async_clause.expr, env))
                 if async_clause.expr is not None
                 else None
             )
+            # the update runs at a later wait: capture the scope as it is
+            # now (a live slot frame may have moved on by then)
+            env = env.child()
             device.queues.enqueue(tag, do_update, "update")
         else:
             do_update()
@@ -363,13 +369,13 @@ class AccExecutor:
         device = self.interp.machine.current_device()
         wait_clause = d.clause("wait")
         if wait_clause is not None and wait_clause.expr is not None:
-            device.queues.wait(_as_int(self.interp.eval(wait_clause.expr, env)))
+            device.queues.wait(_as_int(self._eval(wait_clause.expr, env)))
         else:
             device.queues.wait_all()
 
     def _exec_enter_data(self, d: Directive, env) -> None:
         if_clause = d.clause("if")
-        if if_clause is not None and not _truthy(self.interp.eval(if_clause.expr, env)):
+        if if_clause is not None and not _truthy(self._eval(if_clause.expr, env)):
             return
         device = self.interp.machine.current_device()
         for clause in d.clauses:
@@ -384,7 +390,7 @@ class AccExecutor:
 
     def _exec_exit_data(self, d: Directive, env) -> None:
         if_clause = d.clause("if")
-        if if_clause is not None and not _truthy(self.interp.eval(if_clause.expr, env)):
+        if if_clause is not None and not _truthy(self._eval(if_clause.expr, env)):
             return
         device = self.interp.machine.current_device()
         for clause in d.clauses:
@@ -422,7 +428,7 @@ class AccExecutor:
         if_clause = d.clause("if")
         active = True
         if if_clause is not None and not self.behavior.ignore_if_clause:
-            active = _truthy(self.interp.eval(if_clause.expr, env))
+            active = _truthy(self._eval(if_clause.expr, env))
         device = self.interp.machine.current_device()
         mappings: List[Mapping] = []
         deviceptr_binds: Dict[str, Cell] = {}
@@ -454,17 +460,23 @@ class AccExecutor:
                 )
         self._run_scoped(stmt.body, env, defs)
 
+    # ------------------------------------------------------ lowered code
+    # The lowering hands every OpenACC statement a FrameEnv carrying what
+    # the executor may evaluate or run there (see repro.compiler.closures);
+    # these seams are the only way the executor reaches that code.
+
+    def _eval(self, expr: Expr, env):
+        """The value of a clause expression or loop bound of ``env``'s
+        site."""
+        return env.eval(self.interp, expr)
+
     def _exec_for(self, loop: For, env) -> None:
-        """``exec_for``, through the site's lowered loop if it has one."""
-        run_scoped = getattr(env, "run_scoped", None)
-        if run_scoped is None or not run_scoped(self.interp, {}):
-            self.interp.exec_for(loop, env)
+        """Run ``loop`` (the loop of ``env``'s site) sequentially."""
+        env.run_scoped(self.interp, {})
 
     def _run_scoped(self, body: Stmt, env, defs: Dict[str, Cell]) -> None:
         """Run a construct body in a child scope of ``env`` holding
-        ``defs``.  The lowering hands every construct with a body an env
-        that carries the body, lowered with it (see
-        ``repro.compiler.closures``)."""
+        ``defs``."""
         env.run_scoped(self.interp, defs)
 
     # --------------------------------------------------------- compute regions
@@ -494,7 +506,7 @@ class AccExecutor:
 
         if_clause = d.clause("if")
         if if_clause is not None and not behavior.ignore_if_clause:
-            if not _truthy(self.interp.eval(if_clause.expr, env)):
+            if not _truthy(self._eval(if_clause.expr, env)):
                 # region executes on the host, no data movement
                 self._degraded += 1
                 try:
@@ -530,7 +542,7 @@ class AccExecutor:
         run_async = async_clause is not None and not behavior.ignore_async
         tag: Optional[int] = None
         if async_clause is not None and async_clause.expr is not None:
-            tag = _as_int(self.interp.eval(async_clause.expr, env))
+            tag = _as_int(self._eval(async_clause.expr, env))
 
         wedged = (
             async_clause is not None
@@ -562,8 +574,6 @@ class AccExecutor:
         self, plan: ComputePlan, env, device,
         num_gangs: int, num_workers: int, vector_length: int,
     ) -> None:
-        from repro.compiler.interp import Env  # local import avoids cycle
-
         behavior = self.behavior
         d, mode = plan.directive, plan.mode
         device.kernels_launched += 1
@@ -728,7 +738,7 @@ class AccExecutor:
         loop = stmt.loop
 
         if behavior.ignore_loop_directive:
-            self.interp.exec_for(loop, env)
+            self._exec_for(loop, env)
             return
 
         plan = self._plan(stmt, LoopPlan)
@@ -875,7 +885,7 @@ class AccExecutor:
         variables' ``var_cells`` set to it — in a scope holding the
         lane's bindings ``defs``.  That is the loop site's lane body at
         this collapse depth, lowered over the site's slot frame."""
-        return partial(env.lane(len(loops)).run, self.interp, env.frame)
+        return partial(env.lane(len(loops)).run, self.interp, env.slots)
 
     # --------------------------------------------------------------- helpers
 
@@ -901,21 +911,40 @@ class AccExecutor:
         collapse = 1
         clause = plan.collapse
         if clause is not None and not self.behavior.ignore_collapse:
-            collapse = _as_int(self.interp.eval(clause.expr, env))
+            collapse = _as_int(self._eval(clause.expr, env))
         if collapse > len(plan.chain):
             raise AccRuntimeError(
                 f"collapse({collapse}) requires tightly nested loops at "
                 f"{plan.chain[0].loc}"
             )
         loops = plan.chain[:max(collapse, 1)]
-        spaces = [self.interp.iteration_values(l, env) for l in loops]
+        spaces = [self._iteration_values(l, env) for l in loops]
         return loops, _IterationSpace(spaces)
+
+    def _iteration_values(self, loop: For, env) -> range:
+        """The iteration-variable values of a canonical loop, its bounds
+        evaluated at ``env``'s site.
+
+        Returned as a lazy ``range`` — a huge trip count must cost O(1)
+        memory here so the step budget (not the allocator) is what stops a
+        runaway loop.
+        """
+        start = _loop_int(self._eval(loop.start, env))
+        bound = _loop_int(self._eval(loop.bound, env))
+        step = _loop_int(self._eval(loop.step, env))
+        if step == 0:
+            raise AccRuntimeError(f"zero loop step at {loop.loc}")
+        if step > 0:
+            stop = bound + 1 if loop.inclusive else bound
+        else:
+            stop = bound - 1 if loop.inclusive else bound
+        return range(start, stop, step)
 
     def _clause_int(self, d: Directive, name: str, env, default):
         clause = d.clause(name)
         if clause is None or clause.expr is None:
             return default
-        return _as_int(self.interp.eval(clause.expr, env))
+        return _as_int(self._eval(clause.expr, env))
 
     def _section_bounds(self, ref: DataRef, cell: Cell, env):
         """Evaluate a data-clause section to (start, length) or (None, None)."""
@@ -925,12 +954,12 @@ class AccExecutor:
         value = cell.value
         start = None
         if section.start is not None:
-            start = _as_int(self.interp.eval(section.start, env))
+            start = _as_int(self._eval(section.start, env))
         elif isinstance(value, ArrayValue):
             start = value.lowers[0]
         length = None
         if section.length is not None:
-            length = _as_int(self.interp.eval(section.length, env))
+            length = _as_int(self._eval(section.length, env))
         elif isinstance(value, ArrayValue):
             length = value.length - (start - value.lowers[0])
         return start, length

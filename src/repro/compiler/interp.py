@@ -7,8 +7,8 @@ statements are delegated to an
 :class:`~repro.compiler.exec_model.AccExecutor`, which owns the
 device-side execution model.  This module is the runtime both share: the
 per-run :class:`Interpreter` state (machine, globals, output, RNG, step
-budget), the lexical :class:`Env`, the control-flow signals, the builtin
-table and the C/Fortran numeric semantics:
+budget), :class:`Env`, the control-flow signals, the builtin table and the
+C/Fortran numeric semantics:
 
 * integer division truncates toward zero (both languages);
 * ``&&`` / ``||`` short-circuit; comparisons yield int 0/1;
@@ -18,6 +18,11 @@ table and the C/Fortran numeric semantics:
 
 Execution is bounded by a step budget so the harness can classify runaway
 programs as the paper's "executes forever" runtime error class.
+
+Every local name, clause expression and loop bound resolves through the
+lowering's slot frames.  :class:`Env` is still what holds the run's
+globals and a compute region's mapped cells (the names a device frame is
+seeded from), and it is the tree walker's scope chain.
 
 The reference tree walker these semantics were first written as lives in
 ``tests/treewalk.py``: a subclass of :class:`Interpreter` that the
@@ -34,9 +39,9 @@ from repro.accsim.errors import AccRuntimeError
 from repro.accsim.machine import Machine
 from repro.accsim.runtime import AccRuntime
 from repro.accsim.device import ExecProfile
-from repro.accsim.values import ArrayValue, Cell, DevicePointer, coerce_scalar
+from repro.accsim.values import ArrayValue, Cell, DevicePointer
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
-from repro.ir.astnodes import Expr, For, Function, Program, VarDecl
+from repro.ir.astnodes import Function, Program
 from repro.spec.devices import (
     VENDOR_DEVICE_TYPES,
     DeviceType,
@@ -78,7 +83,13 @@ class ReturnSignal(Exception):
 
 
 class Env:
-    """Lexically chained name -> Cell map."""
+    """Lexically chained name -> Cell map.
+
+    Production resolves every local name through slot frames
+    (:mod:`repro.compiler.closures`); an Env holds the run's globals and a
+    compute region's mapped cells, and is the scope chain of the reference
+    tree walker (``tests/treewalk.py``).
+    """
 
     __slots__ = ("vars", "parent")
 
@@ -239,8 +250,7 @@ class Interpreter:
             self._install_constants()
         self._has_run = True
         self.steps = 0
-        for decl in self.program.globals:
-            self._declare(decl, self.globals)
+        self._define_globals()
         fn = self.program.function(entry)
         try:
             value = self.call_function(fn, [])
@@ -266,57 +276,10 @@ class Interpreter:
     def call_function(self, fn: Function, args: Sequence[object]) -> object:
         return self._invoke(self, self.lowered.functions[fn.name], args)
 
-    # ------------------------------------------------- executor callbacks
-    # The executor evaluates clause expressions and loop bounds, and runs
-    # sequential loops, against an Env: these run the lowering's Env
-    # closures for the node (built on first use).
-
-    def exec_for(self, loop: For, env: Env) -> None:
-        """Execute a canonical counted loop sequentially."""
-        self.lowered.for_closure(loop)(self, env)
-
-    def iteration_values(self, loop: For, env: Env) -> range:
-        """The iteration-variable value sequence of a canonical loop.
-
-        Returned as a lazy ``range`` — a huge trip count must cost O(1)
-        memory here so the step budget (not the allocator) is what stops a
-        runaway loop.
-        """
-        start = _as_int(self.eval(loop.start, env))
-        bound = _as_int(self.eval(loop.bound, env))
-        step = _as_int(self.eval(loop.step, env))
-        if step == 0:
-            raise AccRuntimeError(f"zero loop step at {loop.loc}")
-        if step > 0:
-            stop = bound + 1 if loop.inclusive else bound
-        else:
-            stop = bound - 1 if loop.inclusive else bound
-        return range(start, stop, step)
-
-    def eval(self, expr: Expr, env: Env):
-        return self.lowered.expr_closure(expr)(self, env)
-
-    # -------------------------------------------------------- declarations
-
-    def _declare(self, decl: VarDecl, env: Env) -> Cell:
-        if decl.dims:
-            shape = [_as_int(self.eval(d, env)) for d in decl.dims]
-            lowers = [
-                (_as_int(self.eval(l, env)) if l is not None else _default_lower(self.program.language))
-                for l in (decl.lowers or [None] * len(shape))
-            ]
-            value: object = ArrayValue(shape, decl.type.base, lowers)
-            if decl.init is not None:
-                fill = self.eval(decl.init, env)
-                value.data.fill(fill)
-        elif decl.type.pointer > 0:
-            value = self.eval(decl.init, env) if decl.init is not None else None
-        else:
-            if decl.init is not None:
-                value = coerce_scalar(decl.type.base, self.eval(decl.init, env))
-            else:
-                value = coerce_scalar(decl.type.base, 0)
-        return env.define(decl.name, Cell(value, type=decl.type, name=decl.name))
+    def _define_globals(self) -> None:
+        """Define the program's global declarations into ``globals``."""
+        for define in self.lowered.globals:
+            define(self)
 
     # ------------------------------------------------------------- builtins
 

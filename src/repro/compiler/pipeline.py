@@ -178,7 +178,7 @@ class ProgramRunner:
         """Detach a lowering this runner attached to the compiled program.
 
         A campaign keeps every compiled program in its compile cache, and
-        a lowering's host closures (Tier A) weigh about as much again as
+        a lowering's host closures weigh about as much again as
         the parse, while a program rarely runs in a second phase.  So the
         harness drops the lowering after the phase; a later phase of the
         same program lowers afresh.  The region plans and their device

@@ -29,10 +29,11 @@ from repro.compiler import (
     lower_program,
 )
 from repro.compiler.behavior import REFERENCE_BEHAVIOR
+from repro.compiler.exec_model import AccExecutor
 from repro.compiler.vendors import VENDORS, vendor_versions
 from repro.harness import HarnessConfig, ValidationRunner, render_csv, render_text
 from repro.harness.titan import default_degradation, default_stacks
-from repro.ir.astnodes import For
+from repro.ir.astnodes import IntLit
 from repro.spec.versions import ACC_20
 from repro.suite import openacc10_suite
 from repro.templates import generate_cross, generate_functional
@@ -149,27 +150,34 @@ class TestRunReuse:
 
 
 # ---------------------------------------------------------------------------
-# lazy iteration_values (the huge-trip-count regression)
+# lazy iteration values (the huge-trip-count regression)
 # ---------------------------------------------------------------------------
 
 
 class TestLazyIterationValues:
-    def test_iteration_values_returns_lazy_range(self):
-        compiled = _compile(
-            "int main() {"
-            "  for (int i = 0; i < 2000000000; i = i + 1) { }"
-            "  return 0;"
-            "}"
-        )
-        interp = Interpreter(compiled.program, compiled.behavior)
-        loops = [s for fn in compiled.program.functions
-                 for s in _walk_stmts(fn.body) if isinstance(s, For)]
-        assert loops, "fixture program must contain a for loop"
-        values = interp.iteration_values(loops[0], interp.globals)
-        # the regression materialised this as list(range(...)) — ~16 GB for
-        # a 2e9 trip count; a lazy range is O(1) whatever the bounds
-        assert isinstance(values, range)
-        assert len(values) == 2_000_000_000
+    def test_iteration_values_returns_lazy_range(self, monkeypatch):
+        # the executor's iteration-space helper, asked at a real loop site
+        # on both interpreters (production evaluates the bounds through the
+        # site's closures, the tree walker through its Env)
+        compiled = _compile("""
+int main() {
+  #pragma acc loop
+  for (int i = 0; i < 2000000000; i = i + 1) { }
+  return 0;
+}
+""")
+        spaces = []
+
+        def capture(executor, stmt, env):
+            spaces.append(executor._iteration_values(stmt.loop, env))
+        monkeypatch.setattr(AccExecutor, "exec_acc_loop", capture)
+        _outcomes(compiled)
+        assert len(spaces) == 2
+        for values in spaces:
+            # the regression materialised this as list(range(...)) — ~16 GB
+            # for a 2e9 trip count; a lazy range is O(1) whatever the bounds
+            assert isinstance(values, range)
+            assert len(values) == 2_000_000_000
 
     @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_huge_trip_count_hits_step_budget_not_allocator(self, backend):
@@ -186,22 +194,6 @@ class TestLazyIterationValues:
         interp = _INTERPRETERS[backend](_compile(source).program)
         with pytest.raises(ExecutionTimeout):
             interp.run(limits=ExecutionLimits(max_steps=5_000))
-
-
-def _walk_stmts(block):
-    for stmt in getattr(block, "stmts", []):
-        yield stmt
-        yield from _walk_stmts(stmt)  # nested Block statements
-        body = getattr(stmt, "body", None)
-        if body is not None:
-            yield from _walk_stmts(body)
-        then = getattr(stmt, "then", None)
-        if then is not None:
-            yield from _walk_stmts(then)
-        loop = getattr(stmt, "loop", None)
-        if loop is not None:
-            yield loop
-            yield from _walk_stmts(loop.body)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +429,19 @@ class TestReportByteIdentity:
 #: features whose templates reach the vendor decision points the static
 #: region plans feed — Cray's copy-only region elimination, kernels
 #: auto-parallelisation, collapse, privatisation and reductions — plus the
-#: async/update/if paths the injected bugs act on
+#: async/update/if paths the injected bugs act on, and every construct
+#: site kind whose clauses the executor evaluates
 _VENDOR_SAMPLE_FEATURES = (
     "kernels", "kernels loop", "kernels.copy", "loop.collapse",
     "loop.private", "loop.vector", "parallel.copy", "parallel.copyout",
     "parallel.firstprivate", "parallel.reduction", "parallel.async",
     "parallel.if", "update.host", "runtime.acc_async_test",
+    # every other site the executor evaluates a clause at: update/wait
+    # tags and conditions, data-construct conditions and sections, pending
+    # declares, host_data, and the parallelism sizes
+    "update.async", "update.if", "update.device", "wait", "data.if",
+    "declare.create", "host_data.use_device", "parallel.num_gangs",
+    "kernels.if",
 )
 
 
@@ -471,7 +470,8 @@ def _vendor_behaviours():
             add(default_degradation(healthy, k), "c",
                 f"titan-{stack}-degraded{k}")
     # the wrong-code toggles no shipped version sets, each on its own:
-    # they reach the frames' fallback and aliasing paths
+    # they reach the frames' aliasing paths and the sequential run of a
+    # device loop site (ignore_loop_directive)
     for toggle in _UNSHIPPED_TOGGLES:
         add(REFERENCE_BEHAVIOR.with_(**toggle), "c",
             "reference+" + "+".join(toggle))
@@ -569,6 +569,64 @@ int main() {
   return a[7];
 }
 """, 7),
+    # a deferred update keeps the site's bindings, not their values: its
+    # section length reads n at the wait, after n = 8, so all 8 elements
+    # come back (8 * 2; 4 * 2 had it captured n's value)
+    "async_update_sees_later_value": ("""
+int main() {
+  int n = 4;
+  int a[8] = 0;
+  #pragma acc data copyin(a[0:8])
+  {
+    #pragma acc parallel loop present(a[0:8])
+    for (int i = 0; i < 8; i = i + 1) { a[i] = 2; }
+    #pragma acc update host(a[0:n]) async(1)
+    n = 8;
+    #pragma acc wait(1)
+  }
+  int s = 0;
+  for (int i = 0; i < 8; i = i + 1) { s = s + a[i]; }
+  return s;
+}
+""", 16),
+    # ... and a later rebinding of the slot is not seen: each deferred
+    # update keeps its own iteration's `s` (1 * 10 + 5)
+    "async_update_in_loop": ("""
+int main() {
+  int a[8] = 0;
+  #pragma acc data copyin(a[0:8])
+  {
+    #pragma acc parallel loop present(a[0:8])
+    for (int i = 0; i < 8; i = i + 1) { a[i] = i + 1; }
+    for (int k = 0; k < 2; k = k + 1) {
+      int s = k * 4;
+      #pragma acc update host(a[s:1]) async(1)
+    }
+    #pragma acc wait(1)
+  }
+  return a[0] * 10 + a[4];
+}
+""", 15),
+    # a declare naming a later local stays pending at function entry and
+    # resolves at the next construct site, over that site's scope
+    "declare_pending_until_region": ("""
+int main() {
+  int n = 8;
+  int a[8];
+  #pragma acc declare create(a[0:n])
+  #pragma acc parallel loop present(a[0:n])
+  for (int i = 0; i < n; i = i + 1) { a[i] = i; }
+  return 0;
+}
+""", 0),
+    # global declarations: a scalar, and an array filled by its initialiser
+    "global_declarations": ("""
+int n = 3;
+int g[6] = 2;
+int main() {
+  return n + g[5];
+}
+""", 5),
 }
 
 
@@ -587,8 +645,9 @@ class TestFrameCorners:
 #: (source, behaviour, expected value): a 2.0 routine's loop run inside a
 #: region (lanes on a host frame), a computed collapse depth, and two
 #: nestings OpenACC forbids but the compiler accepts — a data construct in
-#: a loop body that runs sequentially (Env closures), and an if(false)
-#: compute construct inside a region (a device frame's host run)
+#: the sequential run of a device loop whose directive the behaviour
+#: ignores, and an if(false) compute construct inside a region (a device
+#: frame's host run)
 _BODY_CORNERS = {
     "routine_loop_in_region": ("""
 #pragma acc routine
@@ -660,6 +719,29 @@ class TestConstructBodies:
         assert outcomes["closures"] == outcomes["tree"]
         if expected is not None:
             assert outcomes["tree"].value == expected
+
+    def test_site_without_a_closure_raises(self, monkeypatch):
+        # the executor reaches code only through its site: a closure the
+        # lowering did not attach is a lowering bug, never a name walk
+        compiled = _compile("""
+int main() {
+  int n = 4;
+  #pragma acc wait(1)
+  return n;
+}
+""")
+        probed = []
+
+        def probe(executor, stmt, env):
+            assert executor._eval(stmt.directive.clause("wait").expr, env) == 1
+            with pytest.raises(RuntimeError, match="lowering bug"):
+                executor._eval(IntLit(value=1), env)
+            with pytest.raises(RuntimeError, match="lowering bug"):
+                executor._run_scoped(stmt, env, {})
+            probed.append(stmt)
+        monkeypatch.setattr(AccExecutor, "exec_standalone", probe)
+        assert compiled.run().value == 4
+        assert len(probed) == 1
 
 
 # ---------------------------------------------------------------------------

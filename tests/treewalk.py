@@ -12,9 +12,12 @@ and step counts.
   :class:`~repro.compiler.interp.Interpreter` (machine, globals, builtins,
   step budget) and replaces how statements and expressions execute.
 * :class:`TreeExecutor` subclasses the construct executor
-  (:class:`~repro.compiler.exec_model.AccExecutor`) and runs construct
-  bodies, region bodies and loop lanes in child Envs through
-  :meth:`TreeInterpreter.exec_stmt` instead of lowered code.
+  (:class:`~repro.compiler.exec_model.AccExecutor`) and overrides its
+  seams to the lowered code: it evaluates clause expressions and loop
+  bounds with :meth:`TreeInterpreter.eval`, runs sequential loops with
+  :meth:`TreeInterpreter.exec_for`, and runs construct bodies, region
+  bodies and loop lanes in child Envs through
+  :meth:`TreeInterpreter.exec_stmt`.
 * :func:`oracle` swaps :class:`TreeInterpreter` in for the interpreter
   class the compiler pipeline builds, so a whole campaign (compile cache,
   runner, engine, renderers) runs on the tree walker.
@@ -39,6 +42,7 @@ from repro.compiler.interp import (
     _SIZEOF,
     _as_int,
     _cell_scalar,
+    _default_lower,
     _truthy,
     BreakSignal,
     ContinueSignal,
@@ -73,12 +77,19 @@ from repro.ir.astnodes import (
     Stmt,
     StringLit,
     Unary,
+    VarDecl,
     While,
 )
 
 
 class TreeExecutor(AccExecutor):
-    """The construct executor with Env-child bodies (no lowered code)."""
+    """The construct executor over Envs (no lowered code)."""
+
+    def _eval(self, expr: Expr, env):
+        return self.interp.eval(expr, env)
+
+    def _exec_for(self, loop: For, env) -> None:
+        self.interp.exec_for(loop, env)
 
     def _run_scoped(self, body: Stmt, env, defs: Dict[str, Cell]) -> None:
         scope = env.child()
@@ -120,6 +131,10 @@ class TreeInterpreter(Interpreter):
 
     def _executor(self):
         return TreeExecutor(self)
+
+    def _define_globals(self) -> None:
+        for decl in self.program.globals:
+            self._declare(decl, self.globals)
 
     # ----------------------------------------------------------- functions
 
@@ -208,7 +223,7 @@ class TreeInterpreter(Interpreter):
         cell = scope.lookup(loop.var)
         if cell is None:
             cell = scope.define(loop.var, Cell(0, name=loop.var))
-        for i in self.iteration_values(loop, env):
+        for i in self.acc._iteration_values(loop, env):
             self.steps += 1
             if self.steps > self.limits.max_steps:
                 raise ExecutionTimeout(f"step budget exceeded at {loop.loc}")
@@ -219,6 +234,27 @@ class TreeInterpreter(Interpreter):
                 break
             except ContinueSignal:
                 continue
+
+    def _declare(self, decl: VarDecl, env: Env) -> Cell:
+        if decl.dims:
+            shape = [_as_int(self.eval(d, env)) for d in decl.dims]
+            lowers = [
+                (_as_int(self.eval(l, env)) if l is not None
+                 else _default_lower(self.program.language))
+                for l in (decl.lowers or [None] * len(shape))
+            ]
+            value: object = ArrayValue(shape, decl.type.base, lowers)
+            if decl.init is not None:
+                fill = self.eval(decl.init, env)
+                value.data.fill(fill)
+        elif decl.type.pointer > 0:
+            value = self.eval(decl.init, env) if decl.init is not None else None
+        else:
+            if decl.init is not None:
+                value = coerce_scalar(decl.type.base, self.eval(decl.init, env))
+            else:
+                value = coerce_scalar(decl.type.base, 0)
+        return env.define(decl.name, Cell(value, type=decl.type, name=decl.name))
 
     def exec_assign(self, stmt: Assign, env: Env) -> None:
         value = self.eval(stmt.value, env)
