@@ -280,7 +280,6 @@ def _lint_code_filter(values):
 
 
 def cmd_lint(args) -> int:
-    from repro.obs.metrics import MetricsRegistry
     from repro.staticcheck import (
         SHIPPED_BASELINE,
         LintCache,
@@ -323,9 +322,8 @@ def cmd_lint(args) -> int:
         baseline = SHIPPED_BASELINE
 
     cache = None
-    metrics = MetricsRegistry()
     if args.cache:
-        cache = LintCache(args.cache, metrics=metrics)
+        cache = LintCache(args.cache)
 
     factories = {
         "1.0": openacc10_suite,
@@ -887,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "iteration, worker, stall, journal; modifiers: "
                         "seed, stall-s, max-fires, persistent)")
     p.add_argument("--trace", metavar="FILE",
-                   help="record a span/event/metrics trace to FILE (JSONL)")
+                   help="record a span/event trace to FILE (JSONL)")
     p.add_argument("--profile", action="store_true",
                    help="add accsim profiling (iteration steps, bytes "
                         "moved, async-queue waits) to the trace")
@@ -923,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SPEC",
                    help="deterministic fault injection (see validate)")
     p.add_argument("--trace", metavar="FILE",
-                   help="record a span/event/metrics trace to FILE (JSONL)")
+                   help="record a span/event trace to FILE (JSONL)")
     p.add_argument("--profile", action="store_true",
                    help="add accsim profiling to the trace")
     _add_journal_flags(p)

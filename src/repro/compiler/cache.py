@@ -219,9 +219,10 @@ class CompileCache:
         tries again itself: a crash is never shared, as it is never cached.
 
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``compile.cache_hit``/``compile.cache_miss`` events and counters;
-        cached errors are hits, fresh errors additionally bump
-        ``compile.errors``.
+        ``compile.cache_hit``/``compile.cache_miss`` events (and
+        ``compile.crashed`` for a crash); cached errors are hits.  A fresh
+        compile error shows in the runner's ``compile`` span: an ``error``
+        attribute with ``cache_hit`` false.
         """
         k = self.key(source, language, name, compiler.behavior)
         observe = tracer is not None and tracer.enabled
@@ -247,18 +248,14 @@ class CompileCache:
             if observe:
                 tracer.event("compile.cache_hit", template=name,
                              language=language)
-                tracer.metrics.counter("compile.cache_hits").inc()
             return CacheOutcome(program=program, error=error, hit=True)
         if observe:
             tracer.event("compile.cache_miss", template=name,
                          language=language)
-            tracer.metrics.counter("compile.cache_misses").inc()
         try:
             program = compiler.compile(source, language, name)
         except CompileError as err:
             self._store(k, (None, err), flight)
-            if observe:
-                tracer.metrics.counter("compile.errors").inc()
             return CacheOutcome(program=None, error=err, hit=False)
         except BaseException as err:
             # Account the miss (the attempt really went to the compiler) but
@@ -271,7 +268,6 @@ class CompileCache:
             if observe:
                 tracer.event("compile.crashed", template=name,
                              language=language, error=repr(err))
-                tracer.metrics.counter("compile.crashes").inc()
             crash = CompilerCrashError(
                 f"internal compiler crash: {err!r}", cause=err
             )

@@ -223,11 +223,6 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
     config = runner.config
     tracer = runner.tracer
     cancel = getattr(runner, "cancel", None)
-    # live telemetry (repro.obs.live): set by run_suite in the coordinating
-    # process for serial/thread runs; process-pool workers rebuild their
-    # runner without it (sinks live only in the parent), so their retries
-    # surface via the returned results, not live events
-    live = getattr(runner, "live", None)
     unit_key = f"{template.feature}:{template.language}"
     error: Optional[BaseException] = None
     for n in range(config.retries + 1):
@@ -246,19 +241,12 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
             if tracer.enabled:
                 tracer.event("engine.retry", template=unit_key,
                              attempt=attempt, error=repr(err))
-                tracer.metrics.counter("engine.retry").inc()
-            if live is not None:
-                live.event("engine.retry", template=unit_key,
-                           attempt=attempt)
             backoff = config.retry_backoff_s * (2 ** n)
             if backoff > 0:
                 runner.sleeper(backoff)
     if tracer.enabled:
         tracer.event("engine.harness_error", template=unit_key,
                      error=repr(error))
-        tracer.metrics.counter("engine.harness_error").inc()
-    if live is not None:
-        live.event("engine.harness_error", template=unit_key)
     return harness_error_result(template, error)
 
 
@@ -352,11 +340,14 @@ def _exit_when_orphaned(parent: int) -> None:
 
 
 def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
-                         trace_profile: bool = None) -> None:
+                         tracer_cls: Optional[type] = None,
+                         profile: bool = False) -> None:
     """Pool initializer: build this worker's runner (own compile cache).
 
-    ``trace_profile`` is None when the parent runs untraced; otherwise the
-    worker gets its own :class:`repro.obs.Tracer` with that profile flag,
+    ``tracer_cls`` is None when the parent reports no events; otherwise
+    the worker gets its own tracer of that class (a
+    :class:`repro.obs.Tracer` or a span-free
+    :class:`repro.obs.EventTracer`) with the parent's profile flag,
     drained back to the parent after every work unit.
     """
     global _WORKER_RUNNER
@@ -374,11 +365,10 @@ def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
     # write end, so no EOF ever arrives): exit once the parent is gone
     threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
                      name="orphan-watch", daemon=True).start()
-    tracer = None
-    if trace_profile is not None:
-        from repro.obs import Tracer
+    from repro.obs import NULL_TRACER
 
-        tracer = Tracer(profile=trace_profile)
+    tracer = (tracer_cls(profile=profile) if tracer_cls is not None
+              else NULL_TRACER)
     _WORKER_RUNNER = ValidationRunner(behavior, config, tracer=tracer)
 
 
@@ -423,8 +413,9 @@ class ProcessEngine:
         cancel = cancel if cancel is not None else CancelToken()
         cancel.check()
         tracer = runner.tracer
+        # each worker records into a fresh tracer of the parent's kind
         initargs = (runner.behavior, runner.config,
-                    tracer.profile if tracer.enabled else None)
+                    type(tracer) if tracer.enabled else None, tracer.profile)
         #: template index -> engine-level attempt number
         pending: Dict[int, int] = {i: 0 for i in range(len(templates))}
         done: Dict[int, Tuple["TestResult", str, Optional[dict]]] = {}
@@ -463,6 +454,11 @@ class ProcessEngine:
                             )
                         done[index] = (result, worker, trace_payload)
                         pending.pop(index, None)
+                        if trace_payload is not None:
+                            # the unit's events reach the subscribers (the
+                            # live stream) now; the trace adopts the payload
+                            # in template order once the pool is done
+                            tracer.relay(trace_payload)
                         if on_complete is not None:
                             # results ship back to this (parent) process as
                             # they finish; the journal append happens here,
@@ -478,12 +474,6 @@ class ProcessEngine:
                     tracer.event("engine.worker_lost",
                                  lost_units=len(pending),
                                  pool_deaths=pool_deaths)
-                    tracer.metrics.counter("engine.worker_lost").inc()
-                live = getattr(runner, "live", None)
-                if live is not None:
-                    live.event("engine.worker_lost",
-                               lost_units=len(pending),
-                               pool_deaths=pool_deaths)
                 pending = {i: attempt + 1 for i, attempt in pending.items()}
         if pending and tracer.enabled:
             tracer.event("engine.serial_fallback", units=len(pending),

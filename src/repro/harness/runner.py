@@ -39,7 +39,7 @@ from repro.faults import FaultInjector, FaultyCompiler, NULL_INJECTOR
 from repro.frontend import parse_source
 from repro.harness.config import HarnessConfig
 from repro.harness.stats import certainty
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, EventTracer
 from repro.suite.registry import SuiteRegistry
 from repro.templates import TestTemplate, generate_cross, generate_functional
 
@@ -262,7 +262,6 @@ class ValidationRunner:
         config: Optional[HarnessConfig] = None,
         cache: Optional[CompileCache] = None,
         tracer=None,
-        live=None,
     ):
         self.config = config or HarnessConfig()
         if cache is None and self.config.compile_cache:
@@ -274,19 +273,19 @@ class ValidationRunner:
             behavior if behavior is not None else REFERENCE_BEHAVIOR,
             frontend=cache,
         )
-        #: a repro.obs.Tracer; the default NULL_TRACER records nothing
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: a repro.obs.live.LiveTelemetry pipeline, or None.  Deliberately
-        #: NOT auto-built here from the config's live knobs: process-pool
-        #: workers rebuild a runner from the same config, and sinks (stream
-        #: files, .prom writers) must only ever be opened by the
-        #: coordinating process — run_suite builds them when needed
-        self.live = live
+        #: a repro.obs.Tracer: every event of the run is reported to it.
+        #: Without one, a config with live-telemetry knobs gets a span-free
+        #: EventTracer for run_suite's pipeline to subscribe to (the sinks
+        #: themselves are only ever opened by run_suite, in the
+        #: coordinating process); otherwise NULL_TRACER records nothing
+        if tracer is None:
+            tracer = EventTracer() if self.config.live_enabled else NULL_TRACER
+        self.tracer = tracer
         #: the campaign's repro.harness.engine.CancelToken while run_suite
         #: is executing (the retry layer polls it between attempts); None
-        #: otherwise.  Like ``live``, never auto-built here: process-pool
-        #: workers rebuild a runner from the same config and their units
-        #: are cancelled pool-wide by the coordinating parent instead
+        #: otherwise.  Never auto-built here: process-pool workers rebuild
+        #: a runner from the same config and their units are cancelled
+        #: pool-wide by the coordinating parent instead
         self.cancel = None
         #: the retry layer's backoff sleep — injectable so tests are instant
         self.sleeper = time.sleep
@@ -338,9 +337,6 @@ class ValidationRunner:
                 certainty=result.certainty,
                 failure_kind=kind.value if kind is not None else None,
             )
-            tracer.metrics.counter("templates.run").inc()
-            if kind is not None:
-                tracer.metrics.counter(f"templates.failed.{kind.value}").inc()
         return result
 
     def run_suite(
@@ -395,17 +391,16 @@ class ValidationRunner:
         )
         tracer = self.tracer
 
-        # -- live telemetry: build the sink pipeline the config asks for.
-        # Only here, never in __init__ — process-pool workers construct a
-        # runner from this same config, and only the coordinating process
-        # may open the stream/prom sinks.
-        live = self.live
-        owns_live = False
-        if live is None and config.live_enabled:
+        # -- live telemetry: build the sink pipeline the config asks for,
+        # unless the tracer already feeds one (a Titan harness owns the
+        # pipeline of its node checks).  Only here, never in __init__ —
+        # process-pool workers construct a runner from this same config,
+        # and only the coordinating process may open the sinks.
+        live = None
+        if config.live_enabled and not tracer.subscribers:
             from repro.obs.live import LiveTelemetry
 
             live = LiveTelemetry.from_config(config)
-            owns_live = live is not None
 
         # -- journal replay: partition into replayed and still-pending units
         replayed: Dict[int, TestResult] = {}
@@ -422,9 +417,6 @@ class ValidationRunner:
                 payload = journal.get(key)
                 if payload is not None:
                     replayed[i] = decode_result(payload, template)
-            if replayed and tracer.enabled:
-                tracer.event("journal.replayed", units=len(replayed))
-                tracer.metrics.counter("journal.replayed").inc(len(replayed))
             pending_keys = [keys[i] for i in range(len(templates))
                             if i not in replayed]
 
@@ -434,14 +426,15 @@ class ValidationRunner:
             on_complete = journal_complete
 
         if live is not None:
-            if live.began:
-                live.extend_total(len(templates))
-            else:
-                live.begin(
-                    total_units=len(templates), replayed=len(replayed),
-                    compiler=self.behavior.label,
-                    policy=config.policy, workers=config.workers,
-                )
+            live.begin(
+                total_units=len(templates), replayed=len(replayed),
+                compiler=self.behavior.label,
+                policy=config.policy, workers=config.workers,
+            )
+            live.attach(tracer)
+        if replayed and tracer.enabled:
+            tracer.event("journal.replayed", units=len(replayed))
+        if live is not None:
             # replayed units count toward progress immediately, marked so
             for i in sorted(replayed):
                 live.unit(i, keys[i], replayed[i], replayed=True)
@@ -461,10 +454,8 @@ class ValidationRunner:
 
         pending = [templates[i] for i in range(len(templates))
                    if i not in replayed]
-        # expose the live pipeline and the cancel token to the retry layer
-        # for the duration of the run (engine.retry / engine.worker_lost
-        # events; prompt drain out of a backoff ladder)
-        self.live = live
+        # expose the cancel token to the retry layer for the duration of
+        # the run (prompt drain out of a backoff ladder)
         previous_cancel = self.cancel
         self.cancel = cancel
         try:
@@ -480,13 +471,11 @@ class ValidationRunner:
             # interrupted (drain, injected tear, Ctrl-C): finalize the
             # sinks with a non-report final snapshot so the stream is
             # readable and the .prom file reflects the last known state
-            if owns_live and live is not None:
+            if live is not None:
                 live.end(None)
             raise
         finally:
             self.cancel = previous_cancel
-            if owns_live:
-                self.live = None
         # spans recorded off the main thread (thread pools) or adopted from
         # worker processes have no parent: stitch them under this run's root
         tracer.reparent_orphans(root)
@@ -505,23 +494,19 @@ class ValidationRunner:
         report.metrics = build_metrics(
             report, engine.policy, engine.workers, outcomes
         )
-        if owns_live and live is not None:
+        if live is not None:
             # the final snapshot embeds the authoritative RunMetrics block:
             # integer tallies folded from the stream reconcile exactly, and
             # readers take the float timings from here (float summation
             # order varies across completion orders)
             live.end(report)
         if tracer.enabled:
+            metrics = report.metrics
             root.set(templates=len(report.results),
-                     pass_rate=report.pass_rate())
-            metrics = tracer.metrics
-            metrics.gauge("run.wall_s").set(report.metrics.wall_s)
-            metrics.gauge("run.cache_hit_rate").set(
-                report.metrics.cache_hit_rate
-            )
-            metrics.gauge("run.worker_utilization").set(
-                report.metrics.worker_utilization
-            )
+                     pass_rate=report.pass_rate(),
+                     wall_s=metrics.wall_s,
+                     cache_hit_rate=metrics.cache_hit_rate,
+                     worker_utilization=metrics.worker_utilization)
         return report
 
     # -------------------------------------------------------------- internals
@@ -545,10 +530,10 @@ class ValidationRunner:
         with tracer.span("lint", key=tkey) as span:
             diags = errors_only(lint_template(template, parse=parse))
             if tracer.enabled:
-                span.set(diagnostics=len(diags))
-                tracer.metrics.counter("lint.checked").inc()
+                codes: Dict[str, int] = {}
                 for d in diags:
-                    tracer.metrics.counter(f"lint.diagnostic.{d.code}").inc()
+                    codes[d.code] = codes.get(d.code, 0) + 1
+                span.set(diagnostics=len(diags), codes=codes)
         if not diags:
             return None
         if tracer.enabled:
@@ -625,23 +610,34 @@ class ValidationRunner:
                         self.faults.iteration_site(f"{pkey}:{k}")
                         outcome = self._run_once(runner, env_vars, limits, seed)
                         phase.iterations.append(outcome)
-                        if tracer.enabled:
-                            self._observe_iteration(pkey, seed, outcome)
+                        if not outcome.ok and tracer.enabled:
+                            tracer.event(
+                                "iteration.failed", template=pkey, seed=seed,
+                                kind=(outcome.kind.value
+                                      if outcome.kind is not None else None),
+                            )
                         self._check_deadline(deadline, pkey)
                 finally:
                     runner.close()
             phase.run_s = execute_span.duration
             if tracer.enabled:
-                execute_span.set(iterations=len(phase.iterations),
-                                 incorrect=phase.incorrect_runs)
+                its = phase.iterations
+                steps = [it.steps for it in its]
+                execute_span.set(iterations=len(its),
+                                 incorrect=phase.incorrect_runs,
+                                 steps=sum(steps),
+                                 steps_max=max(steps, default=0))
                 if tracer.profile:
-                    its = phase.iterations
-                    execute_span.set(
-                        steps=sum(it.steps for it in its),
-                        bytes_to_device=sum(it.bytes_to_device for it in its),
-                        bytes_to_host=sum(it.bytes_to_host for it in its),
-                        queue_waits=sum(it.queue_waits for it in its),
-                    )
+                    # the phase's execution profile: sum and max over its
+                    # iterations (queue depth is a level, so max only)
+                    for name in ("bytes_to_device", "bytes_to_host",
+                                 "queue_waits"):
+                        values = [getattr(it, name) for it in its]
+                        execute_span.set(**{
+                            name: sum(values),
+                            f"{name}_max": max(values, default=0)})
+                    execute_span.set(queue_max_pending=max(
+                        (it.queue_max_pending for it in its), default=0))
         return phase
 
     @staticmethod
@@ -656,27 +652,6 @@ class ValidationRunner:
             raise TemplateTimeout(
                 f"template {key} exceeded its wall-clock budget"
             )
-
-    def _observe_iteration(self, pkey: str, seed: int,
-                           outcome: IterationOutcome) -> None:
-        """Record one iteration into the (enabled) tracer."""
-        metrics = self.tracer.metrics
-        metrics.counter("iterations.run").inc()
-        metrics.histogram("iteration.steps").observe(outcome.steps)
-        if not outcome.ok:
-            metrics.counter("iterations.failed").inc()
-            self.tracer.event(
-                "iteration.failed", template=pkey, seed=seed,
-                kind=outcome.kind.value if outcome.kind is not None else None,
-            )
-        if self.tracer.profile:
-            metrics.histogram("profile.bytes_to_device").observe(
-                outcome.bytes_to_device)
-            metrics.histogram("profile.bytes_to_host").observe(
-                outcome.bytes_to_host)
-            metrics.histogram("profile.queue_max_pending").observe(
-                outcome.queue_max_pending)
-            metrics.counter("profile.queue_waits").inc(outcome.queue_waits)
 
     @staticmethod
     def _run_once(runnable, env_vars, limits, seed) -> IterationOutcome:

@@ -27,7 +27,7 @@ from repro.compiler import CompileCache, CompilerBehavior
 from repro.harness.config import HarnessConfig
 from repro.harness.engine import CancelToken
 from repro.harness.runner import FailureKind, SuiteRunReport, ValidationRunner
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, EventTracer
 from repro.spec.devices import ACC_DEVICE_NVIDIA, ACC_DEVICE_OPENCL
 from repro.suite.registry import SuiteRegistry
 
@@ -187,30 +187,32 @@ class TitanHarness:
         tracer=None,
         recheck: int = 1,
         journal=None,
-        live=None,
         cancel=None,
     ):
         self.cluster = cluster
         self.suite = suite
         # production sweeps favour quick turnaround: 1 iteration, no cross
         self.config = config or HarnessConfig(iterations=1, run_cross=False)
-        #: a repro.obs.live.LiveTelemetry pipeline publishing one unit per
-        #: node/stack check.  Built from the config's live knobs when not
-        #: injected — and the knobs are then *stripped* from the config
-        #: handed to the inner per-check ValidationRunners, so each inner
-        #: run_suite does not open its own competing sinks
-        if live is None and self.config.live_enabled:
-            from repro.obs.live import LiveTelemetry
-
-            live = LiveTelemetry.from_config(self.config)
-        if self.config.live_enabled:
-            self.config = replace(self.config, live_stream=None,
-                                  status=False, prom=None)
-        self.live = live
         if feature_prefixes is not None:
             self.config.feature_prefixes = feature_prefixes
         #: a repro.obs.Tracer shared by every node check of this harness
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: (a span-free EventTracer when only live telemetry asks for one)
+        if tracer is None:
+            tracer = EventTracer() if self.config.live_enabled else NULL_TRACER
+        self.tracer = tracer
+        #: a repro.obs.live.LiveTelemetry pipeline publishing one unit per
+        #: node/stack check, subscribed to the tracer, so the inner
+        #: per-check runs stream their engine events into it and do not
+        #: open sinks of their own.  Sweeps grow its unit total as they
+        #: draw their samples; triage re-checks and probes as they happen
+        self.live = None
+        if self.config.live_enabled:
+            from repro.obs.live import LiveTelemetry
+
+            self.live = LiveTelemetry.from_config(self.config)
+            self.live.begin(total_units=0, command="titan",
+                            nodes=len(cluster.nodes))
+            self.live.attach(self.tracer)
         #: times a flagged node/stack is re-checked before quarantining
         self.recheck = max(0, recheck)
         #: node id -> QuarantineRecord for persistently flagged nodes
@@ -254,8 +256,9 @@ class TitanHarness:
         return self._template_map
 
     def finish(self) -> None:
-        """Finalize the live-telemetry pipeline (final snapshot + sink
-        close).  Idempotent; a no-op when no live sinks are configured."""
+        """Finalize the live-telemetry pipeline (unsubscribe, final
+        snapshot, sink close).  Idempotent; a no-op when no live sinks are
+        configured."""
         if self.live is not None:
             self.live.end(None)
 
@@ -276,7 +279,7 @@ class TitanHarness:
                 from repro.journal import decode_check
 
                 if self.tracer.enabled:
-                    self.tracer.metrics.counter("journal.replayed").inc()
+                    self.tracer.event("journal.replayed", units=1, unit=unit)
                 check = decode_check(payload, self._templates_by_key(),
                                      config or self.config)
                 if self.live is not None:
@@ -298,9 +301,9 @@ class TitanHarness:
         if self.live is not None:
             self.live.check(unit, check)
         if self.tracer.enabled:
-            self.tracer.metrics.counter("titan.checks").inc()
+            self.tracer.event("titan.checked", node=node.node_id, stack=stack,
+                              flagged=check.flagged)
             if check.flagged:
-                self.tracer.metrics.counter("titan.flagged").inc()
                 self.tracer.event(
                     "titan.node_flagged", node=node.node_id, stack=stack,
                     healthy=node.healthy, pass_rate=check.pass_rate,
@@ -320,11 +323,7 @@ class TitanHarness:
                     if n.node_id not in self.quarantined]
         sample = rng.sample(eligible, min(sample_size, len(eligible)))
         if self.live is not None:
-            if not self.live.began:
-                self.live.begin(total_units=0, command="titan",
-                                nodes=len(self.cluster.nodes))
-            # a sweep's unit total is known the moment the sample is drawn;
-            # triage re-checks and recovery probes extend it as they happen
+            # a sweep's unit total is known the moment the sample is drawn
             self.live.extend_total(len(sample) * len(stacks))
         checks: List[StackCheck] = []
         with self.tracer.span(
@@ -376,7 +375,8 @@ class TitanHarness:
             for r in range(self.recheck):
                 self.cancel.check()
                 if self.tracer.enabled:
-                    self.tracer.metrics.counter("titan.rechecks").inc()
+                    self.tracer.event("titan.recheck", node=check.node_id,
+                                      stack=check.stack, round=r + 1)
                 if self.live is not None:
                     self.live.extend_total(1)
                 again = self.check_node(
@@ -400,14 +400,9 @@ class TitanHarness:
                         stack=check.stack, healthy=check.healthy,
                         harness_errors=check.harness_errors,
                     )
-                    self.tracer.metrics.counter("titan.quarantined").inc()
-                if self.live is not None:
-                    self.live.event("titan.quarantined", node=check.node_id,
-                                    stack=check.stack)
             elif self.tracer.enabled:
                 self.tracer.event("titan.flag_transient", node=check.node_id,
                                   stack=check.stack)
-                self.tracer.metrics.counter("titan.transient").inc()
         return quarantined
 
     def probe_quarantined(self, epoch: int = 0) -> List[int]:
@@ -426,17 +421,14 @@ class TitanHarness:
                 unit=f"probe{epoch}:node{node_id}:{record.stack}",
             )
             if self.tracer.enabled:
-                self.tracer.metrics.counter("titan.probes").inc()
+                self.tracer.event("titan.probe", node=node_id,
+                                  stack=record.stack, epoch=epoch)
             if not check.flagged:
                 recovered.append(node_id)
                 if self.tracer.enabled:
                     self.tracer.event("titan.recovered", node=node_id,
                                       stack=record.stack,
                                       probes=record.probes)
-                    self.tracer.metrics.counter("titan.recovered").inc()
-                if self.live is not None:
-                    self.live.event("titan.recovered", node=node_id,
-                                    stack=record.stack)
         for node_id in recovered:
             del self.quarantined[node_id]
         return recovered

@@ -1,35 +1,32 @@
-"""Observability: structured tracing, event log and metrics (``repro.obs``).
+"""Observability: structured tracing and one event stream (``repro.obs``).
 
 The harness is as much bookkeeping as testing — per-run reports, bug
 analyses and Titan's longitudinal tracking all depend on knowing what
 happened *inside* a run.  This package supplies that layer:
 
 * :mod:`~repro.obs.trace` — span-based tracer with deterministic IDs,
-  worker marshalling (process pools) and a zero-overhead null mode;
-* :mod:`~repro.obs.metrics` — counter/gauge/histogram primitives;
+  the one event call (:meth:`~repro.obs.trace.Tracer.event`) and its
+  subscribers, worker marshalling (process pools) and a zero-overhead
+  null mode.  Every count the harness reports is a count of events or an
+  aggregate of span attributes;
 * :mod:`~repro.obs.sink` — JSONL serialization and the trace reader;
 * :mod:`~repro.obs.summary` — ``repro trace summarize`` aggregation;
-* :mod:`~repro.obs.dashboard` — standalone HTML trace/metrics and
+* :mod:`~repro.obs.dashboard` — standalone HTML trace and
   perf-trajectory dashboards;
-* :mod:`~repro.obs.live` — live campaign telemetry: bounded in-process
-  event bus, progress snapshots, NDJSON stream / TTY status / Prometheus
-  textfile sinks, and the ``repro obs tail`` reader.
+* :mod:`~repro.obs.live` — live campaign telemetry: a pipeline that
+  subscribes to the run's tracer, progress snapshots, NDJSON stream / TTY
+  status / Prometheus textfile sinks, and the ``repro obs tail`` reader.
 
 Tracing is opt-in: everything runs against :data:`NULL_TRACER` unless a
 real :class:`Tracer` is injected (CLI ``--trace``/``--profile``).  Live
-telemetry is likewise opt-in (CLI ``--live-stream``/``--status``/``--prom``)
-and observational only: reports are byte-identical with it on or off.
+telemetry is likewise opt-in (CLI ``--live-stream``/``--status``/``--prom``);
+without a tracer it runs on a span-free :class:`EventTracer`.  Both are
+observational only: reports are byte-identical with them on or off.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-)
 from repro.obs.trace import (
     Event,
+    EventTracer,
     NULL_TRACER,
     NullTracer,
     Span,
@@ -54,7 +51,6 @@ from repro.obs.live import (
     ProgressTally,
     SnapshotReporter,
     StatusLineSink,
-    TelemetryBus,
     lint_prometheus,
     parse_live,
     read_live,
@@ -64,13 +60,13 @@ from repro.obs.live import (
 )
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_METRICS",
-    "Event", "NULL_TRACER", "NullTracer", "Span", "TRACE_FORMAT", "Tracer",
+    "Event", "EventTracer", "NULL_TRACER", "NullTracer", "Span",
+    "TRACE_FORMAT", "Tracer",
     "TraceData", "parse_trace", "read_trace", "trace_to_jsonl", "write_trace",
     "TraceSummary", "render_summary_text", "summarize_trace",
     "render_trace_html", "render_perf_html",
     "LIVE_FORMAT", "LiveStream", "LiveTelemetry", "NDJSONStreamSink",
     "PrometheusSink", "ProgressTally", "SnapshotReporter", "StatusLineSink",
-    "TelemetryBus", "lint_prometheus", "parse_live", "read_live",
+    "lint_prometheus", "parse_live", "read_live",
     "render_prometheus", "render_status_line", "render_tally_text",
 ]

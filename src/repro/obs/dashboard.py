@@ -1,9 +1,9 @@
-"""HTML trace/metrics dashboard (the observability sibling of
+"""HTML trace dashboard (the observability sibling of
 :func:`repro.harness.report.render_html`).
 
 Self-contained single-file HTML: summary tiles, per-phase breakdown, the
-top-N slowest templates with proportional bars, counters/gauges/histogram
-tables and the most recent events.  Every trace-derived string passes
+top-N slowest templates with proportional bars, per-event-name counts and
+the first events of the run.  Every trace-derived string passes
 through ``html.escape`` — span keys, event fields and attribute values all
 originate in template/feature names and failure details, which the
 escaping regression tests deliberately poison with markup.
@@ -64,27 +64,10 @@ def render_trace_html(trace: TraceData, top: int = 20,
             f"<td><div class='bar' style='width:{width:.1f}%'></div></td></tr>"
         )
 
-    metric_rows: List[str] = []
-    for name in sorted(trace.counters):
-        metric_rows.append(
-            f"<tr><td>{_esc(name)}</td><td>counter</td>"
-            f"<td class='n' colspan='4'>{trace.counters[name]}</td></tr>"
-        )
-    for name in sorted(trace.gauges):
-        metric_rows.append(
-            f"<tr><td>{_esc(name)}</td><td>gauge</td>"
-            f"<td class='n' colspan='4'>{trace.gauges[name]:.6g}</td></tr>"
-        )
-    for name in sorted(trace.histograms):
-        count, total, lo, hi = trace.histograms[name]
-        mean = total / count if count else 0.0
-        lo_s = f"{lo:.6g}" if lo is not None else "-"
-        hi_s = f"{hi:.6g}" if hi is not None else "-"
-        metric_rows.append(
-            f"<tr><td>{_esc(name)}</td><td>histogram</td>"
-            f"<td class='n'>n={count}</td><td class='n'>mean={mean:.6g}</td>"
-            f"<td class='n'>min={lo_s}</td><td class='n'>max={hi_s}</td></tr>"
-        )
+    count_rows: List[str] = [
+        f"<tr><td>{_esc(name)}</td><td class='n'>{count}</td></tr>"
+        for name, count in sorted(summary.event_counts.items())
+    ]
 
     event_rows: List[str] = []
     for event in trace.events[:event_limit]:
@@ -133,10 +116,10 @@ def render_trace_html(trace: TraceData, top: int = 20,
 <tr><th>template</th><th>duration (s)</th><th>verdict</th><th>relative</th></tr>
 {chr(10).join(slow_rows)}
 </table>
-<h2>Metrics</h2>
+<h2>Event counts</h2>
 <table>
-<tr><th>name</th><th>kind</th><th colspan='4'>value</th></tr>
-{chr(10).join(metric_rows)}
+<tr><th>event</th><th>count</th></tr>
+{chr(10).join(count_rows)}
 </table>
 <h2>Events (first {min(event_limit, len(trace.events))} of {len(trace.events)})</h2>
 <table>

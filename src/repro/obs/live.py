@@ -1,20 +1,25 @@
 """Live campaign telemetry (``repro.obs.live``).
 
-PR 2's tracer records a run and writes the trace *afterwards*; a week-long
+The tracer records a run and writes the trace *afterwards*; a week-long
 campaign needs observability *during* the run.  This module is that layer:
 
-* :class:`TelemetryBus` — a bounded, thread-safe in-process event bus.
-  Engines publish typed records from the per-unit completion callbacks
-  (the same coordinating-thread hook the journal uses), the bus keeps the
-  most recent ``capacity`` records for in-process consumers and fans
-  every record out to the attached sinks.  Publishing never blocks on a
-  full buffer: the oldest record is dropped and counted, so telemetry can
-  never stall a campaign.
-* :class:`ProgressTally` — the pure fold from unit events to campaign
+* :class:`LiveTelemetry` — the campaign-scoped pipeline.  It subscribes to
+  the run's :class:`~repro.obs.trace.Tracer`, so every event the harness
+  reports (``engine.retry``, ``compile.cache_miss``, ``titan.quarantined``,
+  ...) reaches the stream through the one :meth:`Tracer.event` call that
+  also puts it in the trace.  The campaign owner adds the records only the
+  pipeline has: the stream header, ``campaign.start``/``campaign.extend``,
+  one ``unit.finished`` per unit and the snapshots.  Every record is
+  stamped with a sequence number and handed to each sink under the
+  pipeline lock, so sinks need no locking of their own and record order is
+  total.  It is built from :class:`~repro.harness.config.HarnessConfig`
+  knobs (``live_stream``/``status``/``prom``) by
+  :meth:`~repro.harness.runner.ValidationRunner.run_suite` or
+  :class:`~repro.harness.titan.TitanHarness`.
+* :class:`ProgressTally` — the pure fold from stream events to campaign
   totals, shared by the live reporter and ``repro obs tail --summarize``
   so the stream and the final report reconcile by construction.
-* :class:`SnapshotReporter` — periodically folds the tally (plus an
-  optional :class:`~repro.obs.metrics.MetricsRegistry` snapshot) into a
+* :class:`SnapshotReporter` — periodically folds the tally into a
   campaign snapshot: progress fraction, ETA, units/sec, per-phase
   pass/fail/harness-error counts, compile- and lowering-cache hit rates,
   retry/quarantine counts and a unit timing summary.
@@ -25,11 +30,6 @@ campaign needs observability *during* the run.  This module is that layer:
   :class:`StatusLineSink` (a TTY status line for interactive runs) and
   :class:`PrometheusSink` (a textfile-exporter ``*.prom`` file rewritten
   atomically on every snapshot).
-* :class:`LiveTelemetry` — the campaign-scoped pipeline object wired
-  through :class:`~repro.harness.runner.ValidationRunner` and
-  :class:`~repro.harness.titan.TitanHarness`, built from
-  :class:`~repro.harness.config.HarnessConfig` knobs
-  (``live_stream``/``status``/``prom``) or CLI flags.
 
 Telemetry *observes* a run and never changes it: suite reports are
 byte-identical with live telemetry enabled or disabled, under every
@@ -44,7 +44,6 @@ import re
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
@@ -56,69 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: format tag written into the stream's meta record, checked by the reader
 LIVE_FORMAT = "repro.obs.live/v1"
-
-#: default bounded-buffer capacity of the bus
-DEFAULT_CAPACITY = 4096
-
-
-# ---------------------------------------------------------------------------
-# the bus
-# ---------------------------------------------------------------------------
-
-
-class TelemetryBus:
-    """Bounded, thread-safe event bus with attached sinks.
-
-    Records are plain JSON-safe dicts carrying a ``type`` (``meta``,
-    ``event`` or ``snapshot``) and a monotonically increasing ``seq``.
-    The bus keeps the newest :attr:`capacity` records for in-process
-    consumers and forwards every record to each subscribed sink under the
-    bus lock — sinks therefore never need their own locking, and record
-    order is total.  When the buffer is full the *oldest* buffered record
-    is evicted (sinks already streamed it) and :attr:`dropped` counts the
-    eviction, so a runaway campaign can never grow the buffer unboundedly.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.dropped = 0
-        self._records: deque = deque()
-        self._sinks: List[object] = []
-        self._lock = threading.RLock()
-        self._seq = 0
-
-    def subscribe(self, sink) -> None:
-        """Attach a sink (an object with ``emit(record)``)."""
-        with self._lock:
-            self._sinks.append(sink)
-
-    def publish(self, kind: str, **fields) -> dict:
-        """Publish one typed event; returns the stamped record."""
-        return self.publish_record(
-            {"type": "event", "kind": kind, "fields": fields}
-        )
-
-    def publish_record(self, record: dict) -> dict:
-        """Publish a pre-built record (snapshots, meta headers)."""
-        with self._lock:
-            record = dict(record)
-            record["seq"] = self._seq
-            self._seq += 1
-            if len(self._records) >= self.capacity:
-                self._records.popleft()
-                self.dropped += 1
-            self._records.append(record)
-            for sink in self._sinks:
-                sink.emit(record)
-        return record
-
-    def records(self) -> List[dict]:
-        """Snapshot of the currently buffered records (newest-capacity)."""
-        with self._lock:
-            return list(self._records)
-
 
 # ---------------------------------------------------------------------------
 # the fold: unit events -> campaign totals
@@ -180,7 +116,7 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
 
 @dataclass
 class ProgressTally:
-    """Campaign totals folded from bus events.
+    """Campaign totals folded from stream events.
 
     Every field only ever increases (or is set once, for ``total_units``),
     which is what makes snapshot progress monotone.  The same fold backs
@@ -230,7 +166,7 @@ class ProgressTally:
         return self.lower_cache_hits / total if total else 0.0
 
     def fold(self, record: dict) -> None:
-        """Fold one bus record; snapshots and unknown kinds are ignored."""
+        """Fold one stream record; snapshots and unknown kinds are ignored."""
         if record.get("type") != "event":
             return
         kind = record.get("kind")
@@ -340,8 +276,7 @@ class SnapshotReporter:
         return True
 
     def snapshot(self, final: bool = False,
-                 metrics: Optional[dict] = None,
-                 dropped: int = 0) -> dict:
+                 metrics: Optional[dict] = None) -> dict:
         """Build one snapshot record from the current tally.
 
         ``metrics`` is an optional authoritative
@@ -395,7 +330,6 @@ class SnapshotReporter:
             },
             "unit_timing": {"count": int(count), "sum": round(total_s, 6),
                             "min": round(lo, 6), "max": round(hi, 6)},
-            "dropped_events": dropped,
         }
         if metrics is not None:
             record["run_metrics"] = metrics
@@ -629,9 +563,6 @@ def render_prometheus(snapshot: dict) -> str:
            [("", None, snapshot.get("eta_s"))])
     family("wall_seconds", "gauge", "Campaign wall-clock seconds so far.",
            [("", None, snapshot.get("wall_s", 0.0))])
-    family("events_dropped_total", "counter",
-           "Bus records evicted from the bounded in-process buffer.",
-           [("", None, snapshot.get("dropped_events", 0))])
     return "\n".join(out) + "\n"
 
 
@@ -742,31 +673,31 @@ class PrometheusSink:
 
 
 class LiveTelemetry:
-    """Bus + tally + reporter + sinks for one campaign.
+    """Tally + reporter + sinks for one campaign, fed by a tracer.
 
-    The engines' per-unit completion callbacks (coordinating thread) are
-    the publishing hook for unit events; the retry layer publishes from
-    worker threads, serialized by the bus lock.  Closing is idempotent and
-    always finalizes the sinks with a final snapshot, even when the
-    campaign is interrupted mid-run (graceful drain, injected faults).
+    :meth:`attach` subscribes the pipeline to the run's tracer; from then
+    until :meth:`end` every event the tracer reports is streamed and
+    folded (:meth:`publish`), from whichever thread reports it, serialized
+    by the pipeline lock.  Process-pool workers' events arrive through the
+    parent tracer's :meth:`~repro.obs.trace.Tracer.relay` when their unit
+    completes.  Closing is idempotent and always finalizes the sinks with
+    a final snapshot, even when the campaign is interrupted mid-run
+    (graceful drain, injected faults).
     """
 
     def __init__(self, sinks: Sequence[object],
                  every_units: int = 1, min_interval_s: float = 0.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 capacity: int = DEFAULT_CAPACITY):
-        self.bus = TelemetryBus(capacity=capacity)
+                 clock: Callable[[], float] = time.monotonic):
         self.sinks = list(sinks)
-        for sink in self.sinks:
-            self.bus.subscribe(sink)
         self.tally = ProgressTally()
         self.reporter = SnapshotReporter(
             self.tally, every_units=every_units,
             min_interval_s=min_interval_s, clock=clock,
         )
         self._lock = threading.RLock()
+        self._seq = 0
+        self._tracer = None
         self._closed = False
-        self._began = False
 
     # ------------------------------------------------------------- lifecycle
 
@@ -788,107 +719,102 @@ class LiveTelemetry:
         if not sinks:
             return None
         # time-throttled snapshots: the NDJSON stream still carries every
-        # unit event (flushed per line), but snapshot folding — and the
+        # event (flushed per line), but snapshot folding — and the
         # atomic+fsync .prom rewrite — happens at most ~5x/sec, keeping
         # live telemetry inside its <= 1.15x overhead budget.  The final
         # snapshot is always emitted on end().
         return cls(sinks, min_interval_s=0.2)
 
-    @property
-    def began(self) -> bool:
-        return self._began
-
     def begin(self, total_units: int = 0, replayed: int = 0, **meta) -> None:
         """Emit the stream header and the campaign.start event."""
         with self._lock:
-            if self._began:
-                return
-            self._began = True
             self.reporter.begin()
             header = {"type": "meta", "format": LIVE_FORMAT}
             header.update(meta)
-            self.bus.publish_record(header)
-            self.bus.publish("campaign.start", total_units=total_units,
-                             replayed=replayed, **meta)
-            self.tally.fold({"type": "event", "kind": "campaign.start",
-                             "fields": {"total_units": total_units}})
+            self._emit(header)
+            self.publish("campaign.start", dict(
+                total_units=total_units, replayed=replayed, **meta))
+
+    def attach(self, tracer) -> None:
+        """Subscribe to ``tracer``'s events until :meth:`end`."""
+        self._tracer = tracer
+        tracer.subscribe(self.publish)
 
     def extend_total(self, units: int) -> None:
         """Grow the campaign's unit total (Titan rechecks/probes)."""
-        self.event("campaign.extend", units=units)
+        self.publish("campaign.extend", {"units": units})
 
     # ------------------------------------------------------------ publishing
 
-    def event(self, kind: str, **fields) -> None:
-        """Publish a typed event and fold it into the tally."""
+    def _emit(self, record: dict) -> dict:
+        """Stamp a fresh record and hand it to every sink (lock held)."""
+        record["seq"] = self._seq
+        self._seq += 1
+        for sink in self.sinks:
+            sink.emit(record)
+        return record
+
+    def publish(self, kind: str, fields: Dict[str, object]) -> None:
+        """Stream one typed event and fold it into the tally (the tracer
+        subscription; the owner's own records come through here too)."""
         with self._lock:
             if self._closed:
                 return
-            record = self.bus.publish(kind, **fields)
-            self.tally.fold(record)
+            self.tally.fold(
+                self._emit({"type": "event", "kind": kind, "fields": fields}))
+
+    def _finished(self, fields: Dict[str, object]) -> None:
+        with self._lock:
+            self.publish("unit.finished", fields)
+            if not self._closed and self.reporter.due():
+                self.emit_snapshot()
 
     def unit(self, index: int, unit: str, result: "TestResult", *,
              replayed: bool = False) -> None:
         """Publish one finished unit and emit a snapshot when due."""
-        with self._lock:
-            if self._closed:
-                return
-            fields = unit_fields(index, unit, result, replayed=replayed)
-            record = self.bus.publish("unit.finished", **fields)
-            self.tally.fold(record)
-            if self.reporter.due():
-                self.emit_snapshot()
+        self._finished(unit_fields(index, unit, result, replayed=replayed))
 
     def check(self, unit: str, check, *, replayed: bool = False) -> None:
         """Publish one finished Titan node/stack check as a unit."""
         report = check.report
-        with self._lock:
-            if self._closed:
-                return
-            record = self.bus.publish(
-                "unit.finished",
-                unit=unit, index=self.tally.units_done,
-                replayed=replayed,
-                passed=not check.flagged, failure_kind=None,
-                elapsed_s=report.elapsed_s,
-                iterations=sum(
-                    len(p.iterations) for r in report.results
-                    for p in (r.functional, r.cross)
-                    if p is not None and p.harness_error is None
-                    and p.static_error is None
-                ),
-                node=check.node_id, stack=check.stack, healthy=check.healthy,
-                pass_rate=check.pass_rate,
-                harness_error_units=check.harness_errors,
-            )
-            self.tally.fold(record)
-            if self.reporter.due():
-                self.emit_snapshot()
+        self._finished(dict(
+            unit=unit, index=self.tally.units_done,
+            replayed=replayed,
+            passed=not check.flagged, failure_kind=None,
+            elapsed_s=report.elapsed_s,
+            iterations=sum(
+                len(p.iterations) for r in report.results
+                for p in (r.functional, r.cross)
+                if p is not None and p.harness_error is None
+                and p.static_error is None
+            ),
+            node=check.node_id, stack=check.stack, healthy=check.healthy,
+            pass_rate=check.pass_rate,
+            harness_error_units=check.harness_errors,
+        ))
 
     def emit_snapshot(self, final: bool = False,
                       metrics: Optional[dict] = None) -> dict:
         with self._lock:
-            snapshot = self.reporter.snapshot(
-                final=final, metrics=metrics, dropped=self.bus.dropped,
-            )
-            self.bus.publish_record(snapshot)
-            return snapshot
+            return self._emit(
+                self.reporter.snapshot(final=final, metrics=metrics))
 
     # --------------------------------------------------------------- closing
 
     def end(self, report: Optional["SuiteRunReport"] = None) -> None:
-        """Emit the final snapshot and close every sink (idempotent)."""
+        """Unsubscribe, emit the final snapshot and close every sink
+        (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            if self._tracer is not None:
+                self._tracer.unsubscribe(self.publish)
+                self._tracer = None
             metrics = run_metrics_fields(report) if report is not None else None
-            snapshot = self.reporter.snapshot(
-                final=True, metrics=metrics, dropped=self.bus.dropped,
-            )
             # close sinks with the *stamped* record, so the atomic
             # .snapshot.json sidecar matches the stream's last line exactly
-            snapshot = self.bus.publish_record(snapshot)
+            snapshot = self.emit_snapshot(final=True, metrics=metrics)
             for sink in self.sinks:
                 close = getattr(sink, "close", None)
                 if close is not None:

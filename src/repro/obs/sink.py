@@ -1,7 +1,7 @@
 """JSONL trace sink and reader.
 
 One line per record, ``type`` first: a ``meta`` header, then spans (sorted
-by ID), events (by sequence number) and metrics (by name).  Sorting makes
+by ID) and events (by sequence number).  Sorting makes
 the stream layout deterministic for a given set of records, so two runs of
 the same configuration differ only in measured values — IDs, names, parents
 and counts line up row for row (the deterministic-ID property of
@@ -12,16 +12,22 @@ The reader is the other half: ``read_trace``/``parse_trace`` reconstruct a
 :mod:`repro.obs.dashboard` consume.  Floats survive the round-trip exactly
 (``json`` emits ``repr``-style shortest-form floats), which is what lets
 ``repro trace summarize`` reconcile with ``RunMetrics`` without slack.
+Traces written before counts became event counts also carry ``counter``,
+``gauge`` and ``histogram`` records; the reader accepts and skips them
+(every one restated an event or a span attribute the file also holds).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ioutil import atomic_write_text
 from repro.obs.trace import Event, Span, TRACE_FORMAT, Tracer
+
+#: record types of older traces that restated events and span attributes
+_LEGACY_RECORDS = frozenset({"counter", "gauge", "histogram"})
 
 
 def trace_to_jsonl(tracer: Tracer, meta: Optional[dict] = None) -> str:
@@ -30,7 +36,6 @@ def trace_to_jsonl(tracer: Tracer, meta: Optional[dict] = None) -> str:
     if meta:
         header.update(meta)
     lines = [json.dumps(header, sort_keys=True)]
-    snapshot = tracer.metrics.snapshot()
     for span in sorted(tracer.spans, key=lambda s: s.span_id):
         record = span.to_dict()
         record["type"] = "span"
@@ -39,19 +44,6 @@ def trace_to_jsonl(tracer: Tracer, meta: Optional[dict] = None) -> str:
         record = event.to_dict()
         record["type"] = "event"
         lines.append(json.dumps(record, sort_keys=True))
-    for name in sorted(snapshot["counters"]):
-        lines.append(json.dumps(
-            {"type": "counter", "name": name,
-             "value": snapshot["counters"][name]}, sort_keys=True))
-    for name in sorted(snapshot["gauges"]):
-        lines.append(json.dumps(
-            {"type": "gauge", "name": name,
-             "value": snapshot["gauges"][name]}, sort_keys=True))
-    for name in sorted(snapshot["histograms"]):
-        count, total, lo, hi = snapshot["histograms"][name]
-        lines.append(json.dumps(
-            {"type": "histogram", "name": name, "count": count,
-             "sum": total, "min": lo, "max": hi}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -73,11 +65,6 @@ class TraceData:
     meta: Dict[str, object] = field(default_factory=dict)
     spans: List[Span] = field(default_factory=list)
     events: List[Event] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    #: name -> (count, sum, min, max)
-    histograms: Dict[str, Tuple[int, float, Optional[float], Optional[float]]] = \
-        field(default_factory=dict)
     #: lines skipped in tolerant mode (torn tail, truncated records)
     malformed: int = 0
 
@@ -132,15 +119,8 @@ def parse_trace(text: str, strict: bool = True) -> TraceData:
                 trace.spans.append(Span.from_dict(record))
             elif kind == "event":
                 trace.events.append(Event.from_dict(record))
-            elif kind == "counter":
-                trace.counters[record["name"]] = record["value"]
-            elif kind == "gauge":
-                trace.gauges[record["name"]] = record["value"]
-            elif kind == "histogram":
-                trace.histograms[record["name"]] = (
-                    record["count"], record["sum"],
-                    record.get("min"), record.get("max"),
-                )
+            elif kind in _LEGACY_RECORDS:
+                pass
             else:
                 raise ValueError(
                     f"trace line {lineno}: unknown record type {kind!r}")

@@ -3,7 +3,8 @@
 Folds a recorded trace back into the numbers an engineer asks first:
 where did the time go (per-phase breakdown), which templates were slowest
 (top-N by span duration), and how did the compile cache behave over the
-run (hit/miss timeline).  The per-phase totals are sums of the *same*
+run (hit/miss timeline).  Every count is a count of events; the
+per-phase totals are sums of the *same*
 span durations the runner copied into ``PhaseResult.compile_s``/``run_s``,
 so they reconcile with :class:`repro.harness.engine.RunMetrics` exactly.
 """
@@ -18,10 +19,6 @@ from repro.obs.sink import TraceData
 #: cache events recognised in the timeline
 _CACHE_EVENTS = {"compile.cache_hit": "hit", "compile.cache_miss": "miss"}
 
-#: lowering-cache events; not part of the compile
-#: timeline — lowering happens once per CompiledProgram, post-compile
-_LOWER_EVENTS = {"lower.cache_hit": "hit", "lower.cache_miss": "miss"}
-
 
 @dataclass
 class TraceSummary:
@@ -33,9 +30,10 @@ class TraceSummary:
     compile_s: float = 0.0
     #: summed duration of all ``execute`` spans (matches RunMetrics.execute_s)
     execute_s: float = 0.0
+    #: ``compile.cache_hit``/``compile.cache_miss`` event counts
     cache_hits: int = 0
     cache_misses: int = 0
-    #: lowering-cache counters (``lower.cache_hits``/``lower.cache_misses``)
+    #: ``lower.cache_hit``/``lower.cache_miss`` event counts
     lower_hits: int = 0
     lower_misses: int = 0
     #: span name -> (count, summed duration)
@@ -82,10 +80,6 @@ def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
         for s in templates[:top]
     ]
 
-    summary.cache_hits = trace.counters.get("compile.cache_hits", 0)
-    summary.cache_misses = trace.counters.get("compile.cache_misses", 0)
-    summary.lower_hits = trace.counters.get("lower.cache_hits", 0)
-    summary.lower_misses = trace.counters.get("lower.cache_misses", 0)
     for event in trace.events:
         summary.event_counts[event.name] = \
             summary.event_counts.get(event.name, 0) + 1
@@ -97,6 +91,11 @@ def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
         elif event.name == "iteration.failed":
             kind = str(event.fields.get("kind", "?"))
             summary.failure_kinds[kind] = summary.failure_kinds.get(kind, 0) + 1
+    counts = summary.event_counts
+    summary.cache_hits = counts.get("compile.cache_hit", 0)
+    summary.cache_misses = counts.get("compile.cache_miss", 0)
+    summary.lower_hits = counts.get("lower.cache_hit", 0)
+    summary.lower_misses = counts.get("lower.cache_miss", 0)
     return summary
 
 

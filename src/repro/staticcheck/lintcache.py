@@ -12,9 +12,9 @@ and is keyed at the *file* level by a catalog version — a digest of
 invalidates every entry at once rather than silently replaying stale
 findings.  Diagnostics round-trip losslessly (code, message, severity,
 location, hint), which is what makes a warm ``repro lint`` run
-byte-identical to the cold one; hit/miss counters feed the obs bus
-(``lint.cache.hit`` / ``lint.cache.miss``) so the live telemetry page and
-the CI cache smoke can see the ratio.
+byte-identical to the cold one; the ``hits``/``misses`` counts
+(:meth:`LintCache.stats`, printed by ``repro lint --cache``) let the CI
+cache smoke see the ratio.
 """
 
 from __future__ import annotations
@@ -97,14 +97,13 @@ def _diag_from_dict(data: Dict) -> Diagnostic:
 class LintCache:
     """One cache file's worth of template lint results."""
 
-    def __init__(self, path, metrics=None):
+    def __init__(self, path):
         self.path = Path(path)
         self.version = catalog_version()
         self.entries: Dict[str, List[Dict]] = {}
         self.hits = 0
         self.misses = 0
         self.stale = False  # version mismatch discarded a previous file
-        self._metrics = metrics
         self._load()
 
     def _load(self) -> None:
@@ -128,12 +127,8 @@ class LintCache:
         cached = self.entries.get(template_key(template))
         if cached is None:
             self.misses += 1
-            if self._metrics is not None:
-                self._metrics.counter("lint.cache.miss").inc()
             return None
         self.hits += 1
-        if self._metrics is not None:
-            self._metrics.counter("lint.cache.hit").inc()
         try:
             return [_diag_from_dict(d) for d in cached]
         except (KeyError, ValueError):

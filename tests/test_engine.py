@@ -448,26 +448,17 @@ class TestConcurrentCampaigns:
         outcome: dict = {}
 
         def campaign_a():
-            runner = ValidationRunner(_BUGGY, config_a)
-            live = runner.live
+            from repro.obs import EventTracer
 
-            class _Probe:
-                def emit(self, record):
-                    started.set()
-
-                def close(self, final=None):
-                    pass
-
-            from repro.obs.live import LiveTelemetry
-
-            runner.live = LiveTelemetry([_Probe()])
+            # the first event A reports proves it is running
+            tracer = EventTracer()
+            tracer.subscribe(lambda name, fields: started.set())
+            runner = ValidationRunner(_BUGGY, config_a, tracer=tracer)
             try:
                 runner.run_suite(openacc10_suite(), cancel=token_a)
                 outcome["a"] = "finished"
             except CampaignInterrupted:
                 outcome["a"] = "interrupted"
-            finally:
-                runner.live = live
 
         def campaign_b():
             outcome["b"] = self._csv(config_b)

@@ -14,6 +14,10 @@ Covers the PR's acceptance criteria:
 
 from __future__ import annotations
 
+import json
+import os
+from collections import Counter
+
 import pytest
 
 from repro.cli import main
@@ -35,7 +39,7 @@ from repro.harness.runner import (
 from repro.harness.runner import TestResult as _TestResult
 from repro.templates import TestTemplate as _TestTemplate
 from repro.obs import (
-    MetricsRegistry,
+    EventTracer,
     NULL_TRACER,
     Tracer,
     parse_trace,
@@ -99,11 +103,9 @@ class TestTracer:
         with worker.span("template", key="t:c") as span:
             worker.event("iteration.failed", kind="wrong_value")
             span.set(passed=False)
-        worker.metrics.counter("templates.run").inc()
         payload = worker.drain()
         # drain resets the worker completely
         assert worker.spans == [] and worker.events == []
-        assert worker.metrics.snapshot()["counters"] == {}
 
         parent = Tracer()
         parent.event("already.here")
@@ -114,7 +116,63 @@ class TestTracer:
         # adopted event renumbered after the parent's own
         assert [(e.seq, e.name) for e in parent.events] == [
             (0, "already.here"), (1, "iteration.failed")]
-        assert parent.metrics.snapshot()["counters"] == {"templates.run": 1}
+        # the adopted event keeps its link to the adopted span
+        assert parent.events[1].span_id == "template[t:c]"
+
+    def test_adopt_rederives_colliding_span_ids(self):
+        # workers reset their ID set after every unit: a second unit with
+        # the same keys must not duplicate IDs already in the parent
+        parent = Tracer()
+        with parent.span("template", key="t:c"):
+            pass
+        worker = Tracer()
+        with worker.span("template", key="t:c") as outer:
+            with worker.span("phase", key="t:c:functional"):
+                worker.event("iteration.failed", kind="timeout")
+        assert outer.span_id == "template[t:c]"
+        parent.adopt(worker.drain(), worker="pid-1")
+        ids = [s.span_id for s in parent.spans]
+        assert len(ids) == len(set(ids))
+        adopted = {s.name: s for s in parent.spans[1:]}
+        assert adopted["template"].span_id == "template[t:c]~2"
+        assert adopted["phase"].parent_id == "template[t:c]~2"
+        assert parent.events[0].span_id == adopted["phase"].span_id
+
+    def test_subscribers_see_events_and_relayed_payloads(self):
+        seen = []
+        tracer = Tracer()
+        tracer.subscribe(lambda name, fields: seen.append((name, fields)))
+        tracer.event("compile.cache_miss", template="a.c")
+        worker = Tracer()
+        worker.event("engine.retry", attempt=0)
+        payload = worker.drain()
+        tracer.relay(payload)
+        # relay notifies without recording; adopt records without notifying
+        assert [e.name for e in tracer.events] == ["compile.cache_miss"]
+        tracer.adopt(payload)
+        assert [e.name for e in tracer.events] == \
+            ["compile.cache_miss", "engine.retry"]
+        assert seen == [("compile.cache_miss", {"template": "a.c"}),
+                        ("engine.retry", {"attempt": 0})]
+
+    def test_event_tracer_forwards_events_and_records_no_spans(self):
+        tracer = EventTracer()
+        with tracer.span("template", key="t:c") as span:
+            span.set(passed=True)
+            # no subscriber yet (a pool worker): kept for drain()
+            tracer.event("iteration.failed", kind="timeout")
+        assert tracer.enabled and tracer.spans == []
+        payload = tracer.drain()
+        assert payload["spans"] == []
+        assert [(e["name"], e["span"]) for e in payload["events"]] == \
+            [("iteration.failed", None)]
+        # with a subscriber (the coordinating process) nothing is kept
+        seen = []
+        tracer.subscribe(lambda name, fields: seen.append(name))
+        tracer.event("compile.cache_miss", template="a.c")
+        tracer.adopt(payload)
+        assert seen == ["compile.cache_miss"]
+        assert tracer.events == []
 
     def test_reparent_orphans(self):
         tracer = Tracer()
@@ -123,7 +181,7 @@ class TestTracer:
         orphan = {"spans": [{"id": "template[x:c]", "name": "template",
                              "key": "x:c", "parent": None, "worker": "w",
                              "t0": 0.0, "dur_s": 0.5, "attrs": {}}],
-                  "events": [], "metrics": {}}
+                  "events": []}
         tracer.adopt(orphan, worker="pid-7")
         tracer.reparent_orphans(root)
         adopted = [s for s in tracer.spans if s.name == "template"][0]
@@ -136,40 +194,12 @@ class TestTracer:
         with NULL_TRACER.span("anything", key="k") as span:
             span.set(ignored=True)
             NULL_TRACER.event("ignored")
-            NULL_TRACER.metrics.counter("ignored").inc()
-            NULL_TRACER.metrics.histogram("ignored").observe(3)
+            NULL_TRACER.subscribe(lambda name, fields: None)
             time.sleep(0.001)
         assert span.duration > 0.0  # the runner's timers still work
         assert NULL_TRACER.spans == [] and NULL_TRACER.events == []
+        assert NULL_TRACER.subscribers == ()  # the shared instance stays bare
         assert not NULL_TRACER.enabled
-
-
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.counter("c").inc(4)
-        registry.gauge("g").set(1.5)
-        for value in (2.0, 8.0, 5.0):
-            registry.histogram("h").observe(value)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"c": 5}
-        assert snapshot["gauges"] == {"g": 1.5}
-        assert snapshot["histograms"] == {"h": (3, 15.0, 2.0, 8.0)}
-
-    def test_merge_folds_all_kinds(self):
-        a = MetricsRegistry()
-        a.counter("c").inc(2)
-        a.histogram("h").observe(1.0)
-        b = MetricsRegistry()
-        b.counter("c").inc(3)
-        b.gauge("g").set(7.0)
-        b.histogram("h").observe(9.0)
-        a.merge(b.snapshot())
-        snapshot = a.snapshot()
-        assert snapshot["counters"] == {"c": 5}
-        assert snapshot["gauges"] == {"g": 7.0}
-        assert snapshot["histograms"] == {"h": (2, 10.0, 1.0, 9.0)}
 
 
 class TestSink:
@@ -178,9 +208,6 @@ class TestSink:
         with tracer.span("run", key="r", policy="serial") as root:
             with tracer.span("template", key="t:c"):
                 tracer.event("iteration.failed", kind="timeout", seed=3)
-        tracer.metrics.counter("templates.run").inc()
-        tracer.metrics.gauge("run.wall_s").set(0.25)
-        tracer.metrics.histogram("iteration.steps").observe(11)
         text = trace_to_jsonl(tracer, meta={"command": "test"})
         trace = parse_trace(text)
         assert trace.meta["command"] == "test"
@@ -192,9 +219,9 @@ class TestSink:
         assert restored.duration == original.duration  # floats exact via json
         assert [(e.name, e.fields) for e in trace.events] == \
             [("iteration.failed", {"kind": "timeout", "seed": 3})]
-        assert trace.counters == {"templates.run": 1}
-        assert trace.gauges == {"run.wall_s": 0.25}
-        assert trace.histograms == {"iteration.steps": (1, 11, 11, 11)}
+        # spans and events are the only records a trace carries
+        assert {json.loads(line)["type"] for line in text.splitlines()} == \
+            {"meta", "span", "event"}
 
     def test_parse_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unsupported format"):
@@ -215,7 +242,6 @@ class TestTornTraces:
             with tracer.span("template", key="t:c"):
                 pass
         tracer.event("done", ok=True)
-        tracer.metrics.counter("templates.run").inc()
         return trace_to_jsonl(tracer, meta={"command": "validate"})
 
     def test_tolerant_parse_counts_torn_tail(self):
@@ -260,6 +286,31 @@ class TestTornTraces:
         assert "skipped 1 malformed trace line" in capsys.readouterr().err
 
 
+class TestOlderTraces:
+    """A trace written before counts became event counts carries
+    counter/gauge/histogram records; it must still read and summarize
+    exactly as it did when it was written."""
+
+    _DATA = os.path.join(os.path.dirname(__file__), "data")
+    _TRACE = os.path.join(_DATA, "trace_v1_metric_records.jsonl")
+
+    def test_strict_parse_accepts_metric_records(self):
+        with open(self._TRACE) as handle:
+            text = handle.read()
+        assert '"type": "counter"' in text and '"type": "histogram"' in text
+        trace = parse_trace(text, strict=True)
+        assert trace.malformed == 0
+        assert trace.spans_named("run") and trace.events
+
+    def test_summarize_is_byte_identical_to_its_writer(self, capsys):
+        assert main(["trace", "summarize", self._TRACE]) == 0
+        captured = capsys.readouterr()
+        with open(os.path.join(
+                self._DATA, "trace_v1_metric_records.summary.txt")) as handle:
+            assert captured.out == handle.read()
+        assert "malformed" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # traced suite runs: determinism, worker marshalling, reconciliation
 # ---------------------------------------------------------------------------
@@ -291,12 +342,30 @@ class TestTracedSuiteRun:
         assert render_csv(process_report) == render_csv(serial_report)
         assert render_html(process_report) == render_html(serial_report)
 
-    def test_span_ids_identical_across_policies(self, traced_runs):
+    def test_span_ids_identical_across_policies(self, traced_runs, suite10):
         _, serial_tracer = traced_runs["serial"]
         _, process_tracer = traced_runs["process"]
         serial_ids = sorted(s.span_id for s in serial_tracer.spans)
         process_ids = sorted(s.span_id for s in process_tracer.spans)
         assert serial_ids == process_ids
+
+        # one tracer shared by two runs (a vendor sweep, a Titan harness):
+        # adopted worker spans must not collide with the first run's IDs
+        def twice(policy, workers):
+            tracer = Tracer()
+            config = HarnessConfig(
+                iterations=1, languages=("c",), policy=policy,
+                workers=workers, feature_prefixes=["loop"])
+            for _ in range(2):
+                ValidationRunner(_BUGGY, config,
+                                 tracer=tracer).run_suite(suite10)
+            return [s.span_id for s in tracer.spans]
+
+        serial_ids = twice("serial", 1)
+        process_ids = twice("process", 2)
+        assert len(set(serial_ids)) == len(serial_ids)
+        assert len(set(process_ids)) == len(process_ids)
+        assert sorted(serial_ids) == sorted(process_ids)
 
     def test_worker_spans_reparented_under_suite_root(self, traced_runs):
         process_report, tracer = traced_runs["process"]
@@ -332,24 +401,45 @@ class TestTracedSuiteRun:
 
     def test_failure_events_and_counters(self, traced_runs):
         report, tracer = traced_runs["serial"]
-        snapshot = tracer.metrics.snapshot()
-        counters = snapshot["counters"]
-        assert counters["templates.run"] == len(report.results)
-        assert counters["iterations.run"] == report.metrics.iterations_run
+        # counts are counts of spans and events
+        templates = [s for s in tracer.spans if s.name == "template"]
+        assert len(templates) == len(report.results)
+        failed_kinds = Counter(s.attrs["failure_kind"] for s in templates
+                               if s.attrs["failure_kind"] is not None)
+        assert dict(failed_kinds) == report.metrics.failure_kinds
+        executes = [s for s in tracer.spans if s.name == "execute"]
+        assert sum(s.attrs["iterations"] for s in executes) == \
+            report.metrics.iterations_run
         failed = [e for e in tracer.events if e.name == "iteration.failed"]
         assert failed, "buggy behaviour must produce failure events"
         kinds = {e.fields["kind"] for e in failed}
         assert "wrong_value" in kinds
-        # compile errors surface as cached-compile counters, not iterations
-        assert counters["compile.errors"] >= 1
+        assert len(failed) == sum(s.attrs["incorrect"] for s in executes)
+        # compile errors surface as errored compile spans, not iterations
+        errors = [s for s in tracer.spans if s.name == "compile"
+                  and s.attrs["error"] is not None
+                  and not s.attrs["cache_hit"]]
+        assert len(errors) >= 1
+        # the run-level figures are attributes of the run root span
+        root = [s for s in tracer.spans if s.name == "run"][0]
+        assert root.attrs["wall_s"] == report.metrics.wall_s
+        assert root.attrs["cache_hit_rate"] == report.metrics.cache_hit_rate
+        assert root.attrs["worker_utilization"] == \
+            report.metrics.worker_utilization
 
     def test_profile_histograms_present(self, traced_runs):
+        # the per-phase execution profile: sum and max on execute spans
         _, tracer = traced_runs["serial"]
-        histograms = tracer.metrics.snapshot()["histograms"]
-        count, total, _, _ = histograms["profile.bytes_to_device"]
-        assert count > 0 and total > 0  # data clauses moved real bytes
-        steps_count, steps_total, _, _ = histograms["iteration.steps"]
-        assert steps_count > 0 and steps_total > 0
+        executes = [s for s in tracer.spans if s.name == "execute"]
+        assert sum(s.attrs["bytes_to_device"] for s in executes) > 0
+        assert sum(s.attrs["steps"] for s in executes) > 0
+        for span in executes:
+            attrs = span.attrs
+            assert attrs["steps_max"] <= attrs["steps"]
+            assert attrs["bytes_to_device_max"] <= attrs["bytes_to_device"]
+            assert attrs["bytes_to_host_max"] <= attrs["bytes_to_host"]
+            assert attrs["queue_waits_max"] <= attrs["queue_waits"]
+            assert attrs["queue_max_pending"] >= 0
 
 
 class TestTitanTracing:
@@ -376,13 +466,12 @@ class TestTitanTracing:
         run_roots = [s for s in tracer.spans if s.name == "run"]
         assert {s.parent_id for s in run_roots} == \
             {s.span_id for s in node_checks}
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters["titan.checks"] == len(checks)
+        counts = Counter(e.name for e in tracer.events)
+        assert counts["titan.checked"] == len(checks)
         flagged = [c for c in checks if c.flagged]
         events = [e for e in tracer.events if e.name == "titan.node_flagged"]
         assert len(events) == len(flagged)
         if flagged:
-            assert counters["titan.flagged"] == len(flagged)
             assert {e.fields["node"] for e in events} == \
                 {c.node_id for c in flagged}
 
@@ -447,7 +536,7 @@ class TestHtmlEscaping:
                 tracer.event("iteration.failed",
                              template=_POISON_FEATURE, kind="<&>")
         tracer.reparent_orphans(root)
-        tracer.metrics.counter("evil<metric>&count").inc()
+        tracer.event("evil<metric>&count")
         trace = parse_trace(trace_to_jsonl(
             tracer, meta={"command": "<script>cmd</script>"}))
         page = render_trace_html(trace)

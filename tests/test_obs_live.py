@@ -2,8 +2,9 @@
 
 Covers the PR's acceptance criteria:
 
-* the bounded bus: sequence stamping, eviction + dropped accounting,
-  sink fan-out;
+* the pipeline: sequence stamping and sink fan-out; it subscribes to
+  the run's tracer, so the stream's event counts equal the trace's under
+  every execution policy and inside Titan checks;
 * ``unit_fields``/``ProgressTally`` mirror the ``build_metrics`` skip
   rule, so a tally folded from the stream reconciles *exactly* with the
   report's :class:`~repro.harness.engine.RunMetrics` integers;
@@ -49,7 +50,6 @@ from repro.obs.live import (
     ProgressTally,
     SnapshotReporter,
     StatusLineSink,
-    TelemetryBus,
     lint_prometheus,
     parse_live,
     read_live,
@@ -70,34 +70,70 @@ def _quick_config(**kw) -> HarnessConfig:
 
 
 # ---------------------------------------------------------------------------
-# the bus
+# the pipeline
 # ---------------------------------------------------------------------------
 
 
-def test_bus_stamps_sequence_and_bounds_memory():
-    bus = TelemetryBus(capacity=4)
-    for i in range(10):
-        bus.publish("tick", i=i)
-    records = bus.records()
-    assert len(records) == 4
-    assert bus.dropped == 6
-    # sequence numbers keep counting across evictions
-    assert [r["seq"] for r in records] == [6, 7, 8, 9]
-    assert records[-1]["fields"] == {"i": 9}
+class _ListSink:
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
 
 
-def test_bus_fans_out_to_sinks():
-    bus = TelemetryBus()
-    seen = []
+def test_pipeline_fans_out_to_sinks():
+    sink = _ListSink()
+    telemetry = LiveTelemetry([sink])
+    telemetry.begin(total_units=1, command="test")
+    tracer = Tracer()
+    telemetry.attach(tracer)
+    tracer.event("engine.retry", template="a:c", attempt=0)
+    telemetry.end()
+    tracer.event("engine.retry", template="late:c", attempt=0)  # detached
+    assert [r.get("kind", r["type"]) for r in sink.records] == \
+        ["meta", "campaign.start", "engine.retry", "snapshot"]
+    assert [r["seq"] for r in sink.records] == [0, 1, 2, 3]
+    assert sink.records[2]["fields"] == {"template": "a:c", "attempt": 0}
+    assert sink.records[3]["retries"] == 1
+    assert tracer.subscribers == ()
 
-    class Sink:
-        def emit(self, record):
-            seen.append(record)
 
-    bus.subscribe(Sink())
-    bus.publish("a", x=1)
-    bus.publish("b")
-    assert [r["kind"] for r in seen] == ["a", "b"]
+def test_pipeline_keeps_every_event_reported_from_many_threads():
+    # threads reporting into one tracer must each reach the stream once,
+    # with a gap-free sequence: a lost update would break either count
+    import sys
+    import threading
+
+    sink = _ListSink()
+    telemetry = LiveTelemetry([sink])
+    telemetry.begin(total_units=0, command="stress")
+    tracer = Tracer()
+    telemetry.attach(tracer)
+    threads_n, per_thread = 8, 200
+
+    def report():
+        for attempt in range(per_thread):
+            tracer.event("engine.retry", attempt=attempt)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=report) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    telemetry.end()
+    total = threads_n * per_thread
+    assert len(tracer.events) == total
+    assert sum(1 for r in sink.records if r.get("kind") == "engine.retry") \
+        == total
+    assert [r["seq"] for r in sink.records] == list(range(len(sink.records)))
+    assert telemetry.tally.retries == total
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +404,7 @@ def test_resume_marks_replayed_units(tmp_path, suite10):
 def _write_stream(path, torn=False):
     telemetry = LiveTelemetry([NDJSONStreamSink(str(path))])
     telemetry.begin(total_units=2, command="test")
-    telemetry.event("unit.finished", **_unit_event()["fields"])
+    telemetry.publish("unit.finished", _unit_event()["fields"])
     telemetry.end()
     if torn:
         with open(path, "a", encoding="utf-8") as fh:
@@ -504,9 +540,8 @@ def test_lowering_cache_counters_hit_and_miss():
         second = compiled.runner(tracer=tracer, name="t")
     assert first.lower_hit is False
     assert second.lower_hit is True
-    snapshot = tracer.metrics.snapshot()
-    assert snapshot["counters"]["lower.cache_misses"] == 1
-    assert snapshot["counters"]["lower.cache_hits"] == 1
+    assert [e.name for e in tracer.events] == \
+        ["lower.cache_miss", "lower.cache_hit"]
 
     trace = parse_trace(trace_to_jsonl(tracer, meta={"command": "t"}))
     summary = summarize_trace(trace)
@@ -761,7 +796,7 @@ def test_cli_obs_tail_follow_idle_timeout_exits_1(tmp_path, capsys):
     stream = tmp_path / "dead.ndjson"
     telemetry = LiveTelemetry([NDJSONStreamSink(str(stream))])
     telemetry.begin(total_units=2, command="test")
-    telemetry.event("unit.finished", **_unit_event()["fields"])
+    telemetry.publish("unit.finished", _unit_event()["fields"])
     # no .end(): the writer died — the stream has no final snapshot
     assert main(["obs", "tail", str(stream), "--follow",
                  "--poll-s", "0.01", "--idle-timeout-s", "0.1"]) == 1
@@ -789,7 +824,7 @@ def test_cli_obs_tail_follow_detects_shrinking_file(tmp_path, capsys):
     telemetry = LiveTelemetry([NDJSONStreamSink(str(stream))])
     telemetry.begin(total_units=100, command="test")
     for _ in range(60):  # long enough that the rewrite below shrinks it
-        telemetry.event("unit.finished", **_unit_event()["fields"])
+        telemetry.publish("unit.finished", _unit_event()["fields"])
     # no final snapshot yet — the follower keeps following
 
     def rotate():
@@ -806,3 +841,62 @@ def test_cli_obs_tail_follow_detects_shrinking_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "shrank" in captured.err
     assert "FINAL" in captured.out
+
+
+# ---------------------------------------------------------------------------
+# one event stream: the live stream carries exactly the trace's events
+# ---------------------------------------------------------------------------
+
+#: records only the pipeline's owner publishes (never tracer events)
+_OWNER_KINDS = {"unit.finished", "campaign.start", "campaign.extend"}
+
+#: 50% of compiles crash once (seed 3) under a retry budget of 2
+_RETRY_PLAN = "compile=0.5,seed=3"
+
+
+def _event_counts(trace_events, stream):
+    from collections import Counter
+
+    traced = Counter(e.name for e in trace_events)
+    streamed = Counter(r["kind"] for r in stream.events()
+                       if r["kind"] not in _OWNER_KINDS)
+    return traced, streamed
+
+
+@pytest.mark.parametrize("policy,workers", [
+    ("serial", 1), ("thread", 2), ("process", 2),
+])
+def test_live_stream_events_match_trace_under_every_policy(
+        tmp_path, suite10, policy, workers):
+    stream = tmp_path / "run.ndjson"
+    tracer = Tracer()
+    config = HarnessConfig(
+        iterations=1, languages=("c",), feature_prefixes=["parallel"],
+        policy=policy, workers=workers, retries=2, retry_backoff_s=0.0,
+        fault_plan=FaultPlan.parse(_RETRY_PLAN), live_stream=str(stream))
+    ValidationRunner(_PGI, config, tracer=tracer).run_suite(suite10)
+    parsed = read_live(str(stream))
+    traced, streamed = _event_counts(tracer.events, parsed)
+    assert traced["engine.retry"] == 11
+    assert streamed["engine.retry"] == 11
+    assert parsed.tally().retries == 11
+    assert parsed.final_snapshot["retries"] == 11
+    # every event the run reported reached the stream exactly once
+    assert streamed == traced
+
+
+def test_live_stream_events_match_trace_inside_titan(tmp_path, capsys):
+    from repro.obs import read_trace
+
+    stream = tmp_path / "titan.ndjson"
+    trace = tmp_path / "titan.jsonl"
+    assert main(["titan", "--nodes", "4", "--sample", "1", "--retries", "2",
+                 "--inject-faults", _RETRY_PLAN, "--trace", str(trace),
+                 "--live-stream", str(stream)]) == 0
+    capsys.readouterr()
+    parsed = read_live(str(stream))
+    traced, streamed = _event_counts(read_trace(str(trace)).events, parsed)
+    assert traced["engine.retry"] == 24
+    assert streamed["engine.retry"] == 24
+    assert parsed.tally().retries == 24
+    assert streamed == traced

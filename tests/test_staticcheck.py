@@ -663,9 +663,8 @@ class TestHarnessGate:
             config=HarnessConfig(iterations=1, lint=True), tracer=tracer
         )
         runner.run_template(t)
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters.get("lint.checked") == 1
-        assert counters.get("lint.diagnostic.ACC101") == 1
+        [lint] = [s for s in tracer.spans if s.name == "lint"]
+        assert lint.attrs["codes"].get("ACC101") == 1
 
 
 # ---------------------------------------------------------------------------

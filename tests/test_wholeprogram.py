@@ -11,7 +11,6 @@ import pytest
 from repro.compiler import Compiler, CompilerBehavior
 from repro.harness import HarnessConfig, ValidationRunner
 from repro.harness.runner import FailureKind
-from repro.obs.metrics import MetricsRegistry
 from repro.staticcheck import (
     Baseline,
     LintCache,
@@ -728,15 +727,12 @@ int main() {
         assert cache.lookup(b) is None
 
     def test_obs_counters(self, tmp_path):
-        metrics = MetricsRegistry()
-        cache = LintCache(tmp_path / "cache.json", metrics=metrics)
+        cache = LintCache(tmp_path / "cache.json")
         t = template("int main() { return 1; }\n")
         assert cache.lookup(t) is None
         cache.store(t, [])
         assert cache.lookup(t) == []
-        counters = metrics.snapshot()["counters"]
-        assert counters.get("lint.cache.miss") == 1
-        assert counters.get("lint.cache.hit") == 1
+        assert (cache.hits, cache.misses) == (1, 1)
         assert "1 hit(s), 1 miss(es)" in cache.stats()
 
     def test_catalog_version_is_stable(self):
@@ -1072,8 +1068,8 @@ int main() {
         runner = ValidationRunner(
             config=HarnessConfig(iterations=1, lint=True), tracer=tracer)
         runner.run_template(t)
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters.get("lint.diagnostic.ACC501") == 1
+        [lint] = [s for s in tracer.spans if s.name == "lint"]
+        assert lint.attrs["codes"].get("ACC501") == 1
 
 
 # ---------------------------------------------------------------------------
