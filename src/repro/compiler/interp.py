@@ -186,6 +186,10 @@ class Interpreter:
         #: of two in every statement's step-budget check)
         self._max_steps = self.limits.max_steps
         self._rng_state = rng_seed
+        #: whether this run has called ``rand``/``srand``: the only way the
+        #: seed reaches execution, so a run that never set it would give
+        #: the same outcome under every seed (see ProgramRunner.rng_used)
+        self.rng_used = False
         self.globals = Env()
         self._install_constants()
         self._has_run = False
@@ -246,6 +250,7 @@ class Interpreter:
             self._attach_machine(self._fresh_machine())
             self.output = []
             self._rng_state = self._rng_seed
+            self.rng_used = False
             self.globals = Env()
             self._install_constants()
         self._has_run = True
@@ -300,6 +305,7 @@ class Interpreter:
         self.globals.define("NULL", Cell(None, name="NULL"))
 
     def next_rand(self) -> int:
+        self.rng_used = True
         self._rng_state = (self._rng_state * 1103515245 + 12345) % (2**31)
         return self._rng_state % 32768
 
@@ -431,6 +437,9 @@ def _bi_rand(interp, args, expr):
 
 
 def _bi_srand(interp, args, expr):
+    # counts even with a constant argument: the rule stays "any RNG call
+    # executes every iteration", with no reasoning about the argument
+    interp.rng_used = True
     interp._rng_state = _as_int(args[0])
     return 0
 

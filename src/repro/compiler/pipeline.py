@@ -10,7 +10,8 @@ has no ``routine`` directive — Section V-C "Procedure calls"), and
 
 A successful compile yields a :class:`CompiledProgram` that can be run many
 times — each run gets a fresh simulated machine, matching the harness's
-repeat-M-iterations methodology.
+repeat-M-iterations methodology (which executes only the iterations that
+can differ: see :class:`ProgramRunner`).
 """
 
 from __future__ import annotations
@@ -147,10 +148,16 @@ class ProgramRunner:
 
     The harness runs every phase M times.  Everything that is a pure
     function of (program, behavior) is built here once and shared across
-    those iterations: the lowered closure program and the machine's :class:`ExecProfile` (read-only at runtime).  Every
-    iteration still gets a *fresh* :class:`Machine` and interpreter, so
-    device counters, globals and RNG state match a cold run exactly —
-    reports stay byte-identical with the unbatched path.
+    those iterations: the lowered closure program and the machine's
+    :class:`ExecProfile` (read-only at runtime).  Every :meth:`run` gets a
+    *fresh* :class:`Machine` and interpreter, so device counters, globals
+    and RNG state match a cold run exactly.
+
+    Not every iteration reaches :meth:`run`: after each run, ``rng_used``
+    says whether the program called ``rand``/``srand``, the only way the
+    iteration's seed reaches execution.  When iteration 0 did not, the
+    harness reuses its outcome for iterations 1..M-1 instead of running
+    the program again (``ValidationRunner._run_phase``).
     """
 
     def __init__(self, compiled: CompiledProgram, tracer=None,
@@ -171,6 +178,9 @@ class ProgramRunner:
         #: for the compile cache
         self.lower_hit = compiled._lowered is not None
         self._lowered = compiled.lowered(tracer=tracer, name=name)
+        #: whether the last run called ``rand``/``srand`` (also when it
+        #: raised); True before the first run, so nothing is reused unseen
+        self.rng_used = True
 
     def close(self) -> None:
         """Detach a lowering this runner attached to the compiled program.
@@ -208,7 +218,10 @@ class ProgramRunner:
             rng_seed=rng_seed,
             lowered=self._lowered,
         )
-        return interp.run(limits=limits)
+        try:
+            return interp.run(limits=limits)
+        finally:
+            self.rng_used = interp.rng_used
 
 
 class Compiler:

@@ -154,8 +154,11 @@ class RunMetrics:
     cache_hits: int = 0
     cache_misses: int = 0
     templates: int = 0
-    #: total program executions (functional + cross, all iterations)
+    #: verdict iterations (functional + cross): M per phase that ran
     iterations_run: int = 0
+    #: programs actually run; below iterations_run by the iterations
+    #: reused from a seed-independent iteration 0 (PhaseResult.executed)
+    programs_executed: int = 0
     #: busy seconds per worker (thread name / worker pid)
     worker_busy_s: Dict[str, float] = field(default_factory=dict)
     #: failure-kind value -> count, e.g. {"compile_error": 3}
@@ -550,6 +553,7 @@ def build_metrics(
             metrics.compile_s += phase.compile_s
             metrics.execute_s += phase.run_s
             metrics.iterations_run += len(phase.iterations)
+            metrics.programs_executed += phase.executed
             if phase.cache_hit:
                 metrics.cache_hits += 1
             else:

@@ -146,7 +146,8 @@ def render_metrics_text(report: SuiteRunReport) -> str:
     lines.append(f"  compile time (sum) : {m.compile_s:.3f} s")
     lines.append(f"  execute time (sum) : {m.execute_s:.3f} s")
     lines.append(f"  templates          : {m.templates}")
-    lines.append(f"  program runs       : {m.iterations_run}")
+    lines.append(f"  iterations         : {m.iterations_run} "
+                 f"({m.programs_executed} executed)")
     lines.append(
         f"  compile cache      : {m.cache_hits} hits / {m.cache_misses} "
         f"misses ({m.cache_hit_rate:.1%} hit rate)"
@@ -178,6 +179,7 @@ def render_metrics_csv(report: SuiteRunReport) -> str:
     writer.writerow(["execute_s", f"{m.execute_s:.6f}"])
     writer.writerow(["templates", m.templates])
     writer.writerow(["iterations_run", m.iterations_run])
+    writer.writerow(["programs_executed", m.programs_executed])
     writer.writerow(["cache_hits", m.cache_hits])
     writer.writerow(["cache_misses", m.cache_misses])
     writer.writerow(["cache_hit_rate", f"{m.cache_hit_rate:.4f}"])

@@ -1,8 +1,10 @@
 """The validation runner: functional -> cross pipeline (Fig. 3).
 
 For every template: generate the functional program, compile it with the
-implementation under test, run it ``M`` times on fresh simulated machines,
-and classify the outcome using the paper's error taxonomy (Section V):
+implementation under test, run it ``M`` times on fresh simulated machines
+(iterations that cannot differ reuse iteration 0's outcome: see
+``ValidationRunner._run_phase``), and classify the outcome using the
+paper's error taxonomy (Section V):
 
 * ``COMPILE_ERROR`` — "assertion violations or other internal compilation
   errors", e.g. an unsupported feature;
@@ -21,7 +23,7 @@ test can be redesigned), not charged to the compiler.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -115,6 +117,10 @@ class PhaseResult:
     #: lowering-cache outcome (None when the phase never ran) —
     #: instrumentation like cache_hit
     lower_hit: Optional[bool] = None
+    #: programs actually run: 1 when iteration 0 never read the RNG and
+    #: its outcome was reused for the other iterations, else
+    #: ``len(iterations)`` — instrumentation like cache_hit
+    executed: int = 0
 
     @property
     def incorrect_runs(self) -> int:
@@ -598,17 +604,30 @@ class ValidationRunner:
             env_vars = template.environment or None
             # batch per-iteration setup: the runner shares the lowered
             # program and machine profile across the phase's M iterations
-            # (each iteration still executes on a fresh machine)
+            # (each run still executes on a fresh machine)
             runner = compiled.runner(
                 tracer=tracer if tracer.enabled else None,
                 name=template.name,
             )
             phase.lower_hit = runner.lower_hit
             with tracer.span("execute", key=pkey) as execute_span:
+                # iteration 0's outcome while it is seed-independent: the
+                # seed reaches execution only through rand/srand and every
+                # run starts on a fresh machine, so a run that never called
+                # them would give the same outcome under every seed.  The
+                # fault site, events and deadline still go per k
+                replica: Optional[IterationOutcome] = None
                 try:
                     for k, seed in enumerate(self.config.iteration_seeds()):
                         self.faults.iteration_site(f"{pkey}:{k}")
-                        outcome = self._run_once(runner, env_vars, limits, seed)
+                        if replica is not None:
+                            outcome = replace(replica)
+                        else:
+                            outcome = self._run_once(runner, env_vars,
+                                                     limits, seed)
+                            phase.executed += 1
+                            if k == 0 and not runner.rng_used:
+                                replica = outcome
                         phase.iterations.append(outcome)
                         if not outcome.ok and tracer.enabled:
                             tracer.event(
@@ -624,6 +643,7 @@ class ValidationRunner:
                 its = phase.iterations
                 steps = [it.steps for it in its]
                 execute_span.set(iterations=len(its),
+                                 executed=phase.executed,
                                  incorrect=phase.incorrect_runs,
                                  steps=sum(steps),
                                  steps_max=max(steps, default=0))

@@ -157,11 +157,16 @@ def _encode_phase(phase: PhaseResult) -> dict:
         "run_s": phase.run_s,
         "cache_hit": phase.cache_hit,
         "lower_hit": phase.lower_hit,
+        "executed": phase.executed,
         "iterations": [_encode_iteration(it) for it in phase.iterations],
     }
 
 
 def _decode_phase(data: dict) -> PhaseResult:
+    iterations = [_decode_iteration(it) for it in data.get("iterations", [])]
+    # journals written before iterations were replicated lack the key:
+    # those campaigns executed every iteration
+    executed = data.get("executed")
     return PhaseResult(
         mode=data.get("mode", "functional"),
         source=data.get("source", ""),
@@ -173,8 +178,8 @@ def _decode_phase(data: dict) -> PhaseResult:
         cache_hit=bool(data.get("cache_hit", False)),
         lower_hit=(bool(data["lower_hit"])
                    if data.get("lower_hit") is not None else None),
-        iterations=[_decode_iteration(it)
-                    for it in data.get("iterations", [])],
+        executed=int(executed) if executed is not None else len(iterations),
+        iterations=iterations,
     )
 
 

@@ -232,6 +232,17 @@ def _engine_ips(engine: dict, interpreter: str) -> str:
     return "—" if ips is None else f"{ips:,.1f}"
 
 
+def _engine_executed(engine: dict) -> str:
+    """Programs the engine run executed out of its verdict iterations; "—"
+    for entries recorded before iterations were replicated (every
+    iteration ran, and the line has no ``executed``)."""
+    closures = engine.get("closures", {})
+    executed = closures.get("executed")
+    if executed is None:
+        return "—"
+    return f"{executed:,} / {closures.get('iterations', 0):,}"
+
+
 def render_perf_html(entries: List[dict]) -> str:
     """Render bench-history entries as a perf-trajectory HTML page."""
     if not entries:
@@ -252,6 +263,7 @@ def render_perf_html(entries: List[dict]) -> str:
             f"<td class='n'>{m['speedup']:.2f}x</td>"
             f"<td class='n'>{_engine_ips(eng, 'tree')}</td>"
             f"<td class='n'>{_engine_ips(eng, 'closures')}</td>"
+            f"<td class='n'>{_engine_executed(eng)}</td>"
             f"<td class='n'>{e.get('generation', {}).get('templates_per_sec', 0):,.1f}</td>"
             f"<td class='n'>{e.get('fig8a', {}).get('wall_s', 0):.2f}</td>"
             "</tr>"
@@ -299,7 +311,7 @@ def render_perf_html(entries: List[dict]) -> str:
 <table>
 <tr><th>sha</th><th>recorded</th><th>tree steps/s</th>
 <th>closures steps/s</th><th>speedup</th><th>engine tree it/s</th>
-<th>engine closures it/s</th><th>gen templates/s</th><th>fig8a (s)</th></tr>
+<th>engine closures it/s</th><th>engine executed</th><th>gen templates/s</th><th>fig8a (s)</th></tr>
 {chr(10).join(rows)}
 </table>
 <p class='meta'>python {_esc(latest.get('python', '?'))} ·

@@ -80,6 +80,7 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
         "failure_kind": kind.value if kind is not None else None,
         "elapsed_s": result.elapsed_s,
         "iterations": 0,
+        "executed": 0,
         "compile_cache_hits": 0,
         "compile_cache_misses": 0,
         "lower_cache_hits": 0,
@@ -100,6 +101,7 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
             # the unit never reached the compiler: mirror build_metrics
             continue
         fields["iterations"] += len(phase.iterations)
+        fields["executed"] += phase.executed
         fields["compile_s"] += phase.compile_s
         fields["run_s"] += phase.run_s
         if phase.cache_hit:
@@ -136,6 +138,7 @@ class ProgressTally:
     quarantined: int = 0
     recovered: int = 0
     iterations_run: int = 0
+    programs_executed: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     lower_cache_hits: int = 0
@@ -197,7 +200,11 @@ class ProgressTally:
             kind = fields.get("failure_kind")
             if kind is not None:
                 self.failure_kinds[kind] = self.failure_kinds.get(kind, 0) + 1
-        self.iterations_run += int(fields.get("iterations", 0))
+        iterations = int(fields.get("iterations", 0))
+        self.iterations_run += iterations
+        # streams written before iterations were replicated lack the
+        # field: those campaigns executed every iteration
+        self.programs_executed += int(fields.get("executed", iterations))
         self.compile_cache_hits += int(fields.get("compile_cache_hits", 0))
         self.compile_cache_misses += int(fields.get("compile_cache_misses", 0))
         self.lower_cache_hits += int(fields.get("lower_cache_hits", 0))
@@ -318,6 +325,7 @@ class SnapshotReporter:
             "quarantined": t.quarantined,
             "recovered": t.recovered,
             "iterations_run": t.iterations_run,
+            "programs_executed": t.programs_executed,
             "compile_cache": {
                 "hits": t.compile_cache_hits,
                 "misses": t.compile_cache_misses,
@@ -349,6 +357,7 @@ def run_metrics_fields(report: "SuiteRunReport") -> Optional[dict]:
         "execute_s": m.execute_s,
         "templates": m.templates,
         "iterations_run": m.iterations_run,
+        "programs_executed": m.programs_executed,
         "cache_hits": m.cache_hits,
         "cache_misses": m.cache_misses,
         "failure_kinds": dict(sorted(m.failure_kinds.items())),
@@ -538,8 +547,11 @@ def render_prometheus(snapshot: dict) -> str:
            [("", None, (snapshot.get("quarantined", 0)
                         - snapshot.get("recovered", 0)))])
     family("iterations_total", "counter",
-           "Program executions across all phases.",
+           "Verdict iterations across all phases.",
            [("", None, snapshot.get("iterations_run", 0))])
+    family("programs_executed_total", "counter",
+           "Program executions; replicated iterations are not executed.",
+           [("", None, snapshot.get("programs_executed", 0))])
     cache_samples = []
     for cache_name in ("compile", "lower"):
         cache = snapshot.get(f"{cache_name}_cache") or {}
@@ -923,7 +935,8 @@ def render_tally_text(tally: ProgressTally,
             f"{kind}={count}"
             for kind, count in sorted(tally.failure_kinds.items())
         ))
-    lines.append(f"  program runs       : {tally.iterations_run}")
+    lines.append(f"  iterations         : {tally.iterations_run} "
+                 f"({tally.programs_executed} executed)")
     lines.append(
         f"  compile cache      : {tally.compile_cache_hits} hits / "
         f"{tally.compile_cache_misses} misses "

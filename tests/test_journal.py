@@ -241,6 +241,30 @@ class TestCodec:
         assert render_text(clone) == render_text(report)
         assert render_csv(clone) == render_csv(report)
 
+    def test_result_roundtrip_preserves_executed(self):
+        report = ValidationRunner(config=_small_config(iterations=3)) \
+            .run_suite(openacc10_suite())
+        executed = []
+        for result in report.results:
+            decoded = decode_result(encode_result(result), result.template)
+            for phase, back in ((result.functional, decoded.functional),
+                                (result.cross, decoded.cross)):
+                if phase is not None:
+                    assert back.executed == phase.executed
+                    executed.append(back.executed)
+        assert 1 in executed  # seed-independent phases ran once
+
+    def test_payload_without_executed_decodes_as_every_iteration(self):
+        result = ValidationRunner(config=_small_config(iterations=3)) \
+            .run_suite(openacc10_suite()).results[0]
+        payload = encode_result(result)
+        for phase in (payload["functional"], payload["cross"]):
+            if phase is not None:
+                del phase["executed"]
+        decoded = decode_result(payload, result.template)
+        assert decoded.functional.executed == 3
+        assert decoded.functional.iterations == result.functional.iterations
+
     def test_unit_keys_disambiguate_duplicates(self):
         suite = openacc10_suite()
         templates = list(suite.select(languages=("c",),
@@ -282,6 +306,43 @@ class TestRunnerResume:
         assert calls == []  # every unit replayed, none re-run
         assert render_text(second) == render_text(first)
         assert render_csv(second) == render_csv(first)
+
+    def test_journal_written_before_replication_resumes(self, tmp_path,
+                                                        monkeypatch):
+        # written by the harness when it still executed every iteration
+        # (reference compiler, M=3, features parallel.if and update in C);
+        # its phases carry no "executed" key
+        import shutil
+
+        data = os.path.join(os.path.dirname(__file__), "data",
+                            "journal_v1_without_executed.jsonl")
+        path = str(tmp_path / "old.jsonl")
+        shutil.copyfile(data, path)
+        suite = openacc10_suite()
+        behavior = CompilerBehavior()
+        config = _small_config(iterations=3)
+        campaign = validate_campaign_key("1.0", behavior, config)
+
+        calls = []
+        real = ValidationRunner.run_template
+
+        def counting(self, template):
+            calls.append(template.name)
+            return real(self, template)
+
+        monkeypatch.setattr(ValidationRunner, "run_template", counting)
+        journal = JournalWriter.resume(path, campaign)
+        resumed = ValidationRunner(behavior, config).run_suite(
+            suite, journal=journal)
+        journal.close()
+        assert calls == []  # the campaign key still matches: all replayed
+        monkeypatch.undo()
+        fresh = ValidationRunner(behavior, config).run_suite(suite)
+        assert render_text(resumed) == render_text(fresh)
+        assert render_csv(resumed) == render_csv(fresh)
+        metrics = resumed.metrics
+        assert metrics.programs_executed == metrics.iterations_run == 30
+        assert fresh.metrics.programs_executed == 10
 
     def test_partial_journal_runs_only_missing_units(self, tmp_path,
                                                      monkeypatch):

@@ -316,6 +316,7 @@ def test_stream_reconciles_exactly_with_run_metrics(tmp_path, suite10):
     # integer totals folded from per-unit events match the report exactly
     assert tally.units_done == metrics.templates == len(report.results)
     assert tally.iterations_run == metrics.iterations_run
+    assert tally.programs_executed == metrics.programs_executed
     assert tally.compile_cache_hits == metrics.cache_hits
     assert tally.compile_cache_misses == metrics.cache_misses
     assert tally.failure_kinds == metrics.failure_kinds
@@ -651,6 +652,8 @@ def test_stream_with_backend_fields_folds_and_summarizes(capsys):
     count, total_s, lo, hi = tally.unit_timing
     assert count == 2 and lo <= hi
     assert total_s == pytest.approx(0.097765, abs=1e-5)
+    # written before iterations were replicated: every iteration executed
+    assert (tally.iterations_run, tally.programs_executed) == (4, 4)
 
     assert main(["obs", "tail", _BACKEND_STREAM]) == 0
     assert "FINAL" in capsys.readouterr().out
@@ -658,6 +661,7 @@ def test_stream_with_backend_fields_folds_and_summarizes(capsys):
     out = capsys.readouterr().out
     assert "units done         : 2/2" in out
     assert "unit time          : 2 units, mean 0.0489s" in out
+    assert "iterations         : 4 (4 executed)" in out
     assert "backend" not in out
     assert "run metrics" in out
 
@@ -723,6 +727,31 @@ def test_cli_obs_perf_renders_engine_with_and_without_tree(tmp_path,
     assert len(rows) == 2
     assert "<td class='n'>231.5</td>" in rows[0]
     assert "<td class='n'>—</td><td class='n'>260.0</td>" in rows[1]
+
+
+def test_cli_obs_perf_renders_engine_executed_where_recorded(tmp_path,
+                                                             capsys):
+    # lines recorded before iterations were replicated have no
+    # engine.closures.executed: every iteration ran
+    old = {
+        "schema": "bench-hotpath/1", "git_sha": "old1234",
+        "microbench": {"tree_steps_per_sec": 900000,
+                       "closures_steps_per_sec": 5000000,
+                       "speedup": 5.56, "steps": 1, "reps": 3},
+        "engine": {"closures": {"iterations": 456,
+                                "iterations_per_sec": 240.0}},
+    }
+    new = dict(old, git_sha="new5678",
+               engine={"closures": {"iterations": 456, "executed": 228,
+                                    "iterations_per_sec": 480.0}})
+    history = tmp_path / "h.jsonl"
+    history.write_text(json.dumps(old) + "\n" + json.dumps(new) + "\n")
+    assert main(["obs", "perf", str(history)]) == 0
+    page = capsys.readouterr().out
+    assert "<th>engine executed</th>" in page
+    rows = [row for row in page.split("<tr>") if "<td>" in row]
+    assert "<td class='n'>240.0</td><td class='n'>—</td>" in rows[0]
+    assert "<td class='n'>480.0</td><td class='n'>228 / 456</td>" in rows[1]
 
 
 def test_cli_obs_perf_empty_input(tmp_path, capsys):
