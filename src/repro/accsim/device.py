@@ -12,7 +12,6 @@ numbers and capability switches (e.g. PGI "just ignores worker").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.accsim.asyncq import AsyncQueues
 from repro.accsim.memory import DeviceMemory
@@ -23,8 +22,10 @@ from repro.spec.devices import ACC_DEVICE_NVIDIA, DeviceType
 class ExecProfile:
     """Implementation-defined execution model parameters.
 
-    ``mapping`` documents the CUDA-level mapping (Section II), e.g. PGI:
-    gang->thread block, worker ignored, vector->threads.
+    The host device uses these defaults.  An accelerator's profile is any
+    object with these four fields: the compiler passes its behaviour
+    (:class:`~repro.compiler.behavior.CompilerBehavior`), and the region
+    executor reads a default size only when a region omits its clause.
     """
 
     default_num_gangs: int = 16
@@ -32,13 +33,6 @@ class ExecProfile:
     default_vector_length: int = 8
     #: collapse the worker level to 1 lane (PGI 1.0-era behaviour)
     worker_ignored: bool = False
-    #: human-readable description of the gang/worker/vector mapping
-    mapping: str = "gang->block, worker->warp, vector->threads"
-
-    def effective_workers(self, requested: Optional[int]) -> int:
-        if self.worker_ignored:
-            return 1
-        return requested if requested is not None else self.default_num_workers
 
 
 @dataclass

@@ -30,7 +30,9 @@ class Machine:
         accel_device_type: DeviceType = ACC_DEVICE_NVIDIA,
         profile: Optional[ExecProfile] = None,
     ):
-        profile = profile or ExecProfile()
+        # the accelerators' profile (see ExecProfile); the host keeps its own
+        if profile is None:
+            profile = ExecProfile()
         self.host = Device(device_type=ACC_DEVICE_HOST, num=0, profile=ExecProfile())
         self.accelerators: List[Device] = [
             Device(device_type=accel_device_type, num=i, profile=profile)

@@ -10,9 +10,10 @@ regressed, still-failing or stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
+from repro.compiler.cache import CompileCache
 from repro.compiler.vendors import vendor_version
 from repro.harness import HarnessConfig, ValidationRunner
 from repro.suite import SuiteRegistry, openacc10_suite
@@ -56,12 +57,17 @@ def compare_versions(
     suite = suite or openacc10_suite()
     if config is None:
         config = HarnessConfig(iterations=1, run_cross=False)
-    config.languages = (language,)
+    # narrow to this language on a copy: the caller's config is theirs
+    config = replace(config, languages=(language,))
+    # one cache for both versions: each source parses once, and a run the
+    # new version would repeat exactly is served by the execute memo
+    cache = CompileCache() if config.compile_cache else None
 
     outcomes = {}
     for version in (old_version, new_version):
         vv = vendor_version(vendor, version)
-        report = ValidationRunner(vv.behavior(language), config).run_suite(suite)
+        report = ValidationRunner(vv.behavior(language), config,
+                                  cache=cache).run_suite(suite)
         outcomes[version] = {r.feature: r.passed for r in report.results}
 
     diff = VersionDiff(

@@ -24,12 +24,19 @@ documented bug classes, e.g.:
 
 Everything downstream (lowering, runtime) consults only this object, never
 vendor identity, so new vendor models are pure data.
+
+A run consults it through a :class:`BehaviorRecorder`, which notes every
+question the run asks (a field read, or a membership query on a set field)
+and its answer.  The resulting :class:`BehaviorTrace` says which other
+behaviours would have steered the run down the same path: the compile
+cache's execute memo (:mod:`repro.compiler.cache`) reuses the run's outcome
+for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.spec.devices import ACC_DEVICE_NVIDIA, DeviceType
 from repro.spec.versions import ACC_10, SpecVersion
@@ -116,3 +123,145 @@ class CompilerBehavior:
 
 #: The conforming implementation every vendor is validated against.
 REFERENCE_BEHAVIOR = CompilerBehavior()
+
+
+# ---------------------------------------------------------------------------
+# recording view
+# ---------------------------------------------------------------------------
+
+#: set fields a run asks only ``item in field``: each query is recorded
+#: with its answer instead of the whole field
+_QUERY_FIELDS = frozenset({
+    "unsupported_directives", "unsupported_clauses", "unsupported_routines",
+    "ignored_loop_levels", "broken_reductions",
+})
+
+
+@dataclass(frozen=True)
+class BehaviorTrace:
+    """The questions one run asked a behaviour, with the answers it got.
+
+    ``reads`` are whole field values, ``queries`` are ``(field, item,
+    answer)`` membership queries.  ``whole`` is set when the run used the
+    behaviour in any other way (its ``label``, a method, ``==``): then
+    only an equal behaviour answers alike.
+    """
+
+    reads: Tuple[Tuple[str, object], ...] = ()
+    queries: Tuple[Tuple[str, object, bool], ...] = ()
+    whole: Optional[CompilerBehavior] = None
+
+    def answers_alike(self, behavior: CompilerBehavior) -> bool:
+        """Would ``behavior`` answer every recorded question the same way?"""
+        if self.whole is not None:
+            return behavior == self.whole
+        for name, value in self.reads:
+            if getattr(behavior, name) != value:
+                return False
+        for name, item, answer in self.queries:
+            if (item in getattr(behavior, name)) != answer:
+                return False
+        return True
+
+
+class BehaviorRecorder:
+    """A recording view of one :class:`CompilerBehavior`, for one run.
+
+    It reads like the behaviour.  The first read of a name goes through
+    ``__getattr__``, which records it and stores the value (or, for a
+    query field, a :class:`_Membership` view) on the instance, so every
+    later read is a plain attribute hit.  Fail closed: a name that is not
+    a dataclass field (``label``, a method), ``==``, ``hash`` or ``repr``
+    records the whole behaviour; iterating or sizing a query field records
+    the whole field.  A field added to the dataclass later is recorded
+    whole unless it joins ``_QUERY_FIELDS``.  A recorder belongs to the
+    run that made it and never pickles.
+    """
+
+    def __init__(self, behavior: CompilerBehavior):
+        self._behavior = behavior
+        self._reads: Dict[str, object] = {}
+        self._views: List["_Membership"] = []
+        self._whole = False
+
+    def __getattr__(self, name: str):
+        behavior = self._behavior
+        if name in _QUERY_FIELDS:
+            value = _Membership(self, name, getattr(behavior, name))
+            self._views.append(value)
+        elif name in type(behavior).__dataclass_fields__:
+            value = self._reads[name] = getattr(behavior, name)
+        else:
+            self._whole = True
+            return getattr(behavior, name)
+        self.__dict__[name] = value
+        return value
+
+    def _as_whole(self) -> CompilerBehavior:
+        self._whole = True
+        return self._behavior
+
+    def __eq__(self, other) -> bool:
+        return self._as_whole() == other
+
+    def __hash__(self) -> int:
+        return hash(self._as_whole())
+
+    def __repr__(self) -> str:
+        return repr(self._as_whole())
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("a BehaviorRecorder belongs to one run and is never "
+                        "pickled: pickle its behaviour instead")
+
+    def trace(self) -> BehaviorTrace:
+        """Everything recorded so far."""
+        if self._whole:
+            return BehaviorTrace(whole=self._behavior)
+        return BehaviorTrace(
+            reads=tuple(self._reads.items()),
+            queries=tuple((view.name, item, answer)
+                          for view in self._views
+                          for item, answer in view.answers.items()),
+        )
+
+
+class _Membership:
+    """A query field seen through a recorder: ``item in view`` records
+    the query and its answer; any other use records the whole field."""
+
+    __slots__ = ("_recorder", "name", "_values", "answers")
+
+    def __init__(self, recorder: BehaviorRecorder, name: str,
+                 values: FrozenSet):
+        self._recorder = recorder
+        self.name = name
+        self._values = values
+        self.answers: Dict[object, bool] = {}
+
+    def __contains__(self, item) -> bool:
+        answer = item in self._values
+        self.answers[item] = answer
+        return answer
+
+    def _as_whole(self) -> FrozenSet:
+        self._recorder._reads[self.name] = self._values
+        return self._values
+
+    def __iter__(self):
+        return iter(self._as_whole())
+
+    def __len__(self) -> int:
+        return len(self._as_whole())
+
+    def __eq__(self, other) -> bool:
+        return self._as_whole() == other
+
+    def __hash__(self) -> int:
+        return hash(self._as_whole())
+
+    def __repr__(self) -> str:
+        return repr(self._as_whole())
+
+    def __getattr__(self, name: str):
+        return getattr(self._as_whole(), name)

@@ -23,6 +23,23 @@ Both tiers cache errors (negative caching): a source that does not parse,
 or a vendor version that rejects a directive, fails identically on every
 attempt, and the error-heavy beta sweeps benefit the most.
 
+Beside the tiers sits the **execute memo**, keyed on ``(source, language,
+name, env_vars, max_steps)``.  Each key holds a short list of finished
+runs: the :class:`~repro.compiler.behavior.BehaviorTrace` of the questions
+the run asked its behaviour (field reads, and ``item in field`` queries on
+the set fields, each with its answer), the seed when the run read the RNG,
+and the run's outcome.  A run is deterministic given the program, the seed
+and those answers, so a behaviour that answers every recorded question the
+same way (under the same seed, if the run read the RNG) would repeat the
+run exactly: the harness takes the stored outcome and skips lowering,
+machine construction and interpretation.  Recording fails closed: reading
+``label`` or calling a method records the whole behaviour, and iterating
+or sizing a set field records the whole field.  The memo stores traces
+and outcomes only, never programs or lowerings; it is bounded by
+``maxsize`` keys (LRU) and emptied by :meth:`CompileCache.clear`.  Only
+finished iterations are stored: an injected fault, a tripped deadline or
+any exception out of a run stores nothing.
+
 The cache lives as long as its owner: one sweep (``vendor_pass_rates``),
 one :class:`~repro.harness.titan.TitanHarness`, or one runner.  It is
 never process-wide: a process-wide cache would keep every campaign's
@@ -30,14 +47,15 @@ programs alive in a long-running process.  ``compile_cache=False``
 (``--no-compile-cache``) builds none, and every compile parses afresh.
 
 The cache is thread-safe (the ``thread`` execution policy shares one
-runner).  The compile tier is single-flight: threads that miss the same
-key while it is being compiled wait for that one compile and count as
-hits, so a key is compiled (and counted as a miss) once however many
-threads race for it.  The parse tier is locked but not single-flight:
-racing threads may each parse, and all of them get the entry stored
-first.  Under the ``process`` policy each worker process holds its own
-cache and parses for itself; the engine aggregates hit counters from the
-per-phase flags carried by the results.
+runner), with one lock for all of it.  The compile tier is single-flight:
+threads that miss the same key while it is being compiled wait for that
+one compile and count as hits, so a key is compiled (and counted as a
+miss) once however many threads race for it.  The parse tier and the
+memo are locked but not single-flight: racing threads may each parse (or
+run), and a run that is already stored is not stored twice.  Under the
+``process`` policy each worker process holds its own cache and parses and
+runs for itself; the engine aggregates hit counters from the per-phase
+flags carried by the results.
 """
 
 from __future__ import annotations
@@ -45,18 +63,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.compiler.errors import CompileError, CompilerCrashError
 from repro.compiler.frontend import ParsedSource, parse_front
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.compiler.behavior import CompilerBehavior
+    from repro.compiler.behavior import BehaviorTrace, CompilerBehavior
     from repro.compiler.pipeline import CompiledProgram, Compiler
     from repro.ir.astnodes import Program
 
-#: default number of entries kept per tier (LRU beyond this); one full-suite
-#: run against one behaviour needs ~2 entries per template (functional +
+#: default number of keys kept per tier (LRU beyond this); one full-suite
+#: run against one behaviour needs ~2 keys per template (functional +
 #: cross)
 DEFAULT_MAXSIZE = 4096
 
@@ -81,7 +99,9 @@ class CacheStats:
     totals that don't sum to the number of lookups.
 
     ``hits``/``misses``/``entries`` count the compile tier; the ``parse_``
-    fields count the parse tier, where a miss is one frontend run.
+    fields count the parse tier, where a miss is one frontend run; the
+    ``memo_`` fields count the execute memo, where ``memo_entries`` is the
+    number of stored outcomes.
     """
 
     hits: int
@@ -90,6 +110,9 @@ class CacheStats:
     parse_hits: int = 0
     parse_misses: int = 0
     parse_entries: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
+    memo_entries: int = 0
 
     @property
     def lookups(self) -> int:
@@ -112,9 +135,23 @@ class _Flight:
         self.entry: Optional[Tuple[object, object]] = None
 
 
+@dataclass(frozen=True)
+class MemoEntry:
+    """One run stored in the execute memo.
+
+    ``seed`` is None when the run never read the RNG (its outcome holds
+    for every seed), else the seed it ran under.  ``outcome`` is opaque
+    to the cache: the harness stores its ``IterationOutcome``.
+    """
+
+    trace: "BehaviorTrace"
+    seed: Optional[int]
+    outcome: object
+
+
 class CompileCache:
-    """Two bounded LRU tiers: parses, and compile results (successes and
-    errors); see the module docstring."""
+    """Two bounded LRU tiers, parses and compile results (successes and
+    errors), and the execute memo; see the module docstring."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
@@ -129,6 +166,9 @@ class CompileCache:
         self._parses: "OrderedDict[tuple, ParsedSource]" = OrderedDict()
         self.parse_hits = 0
         self.parse_misses = 0
+        self._memo: "OrderedDict[tuple, List[MemoEntry]]" = OrderedDict()
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -144,6 +184,8 @@ class CompileCache:
                 hits=self.hits, misses=self.misses, entries=len(self._entries),
                 parse_hits=self.parse_hits, parse_misses=self.parse_misses,
                 parse_entries=len(self._parses),
+                memo_hits=self.memo_hits, memo_misses=self.memo_misses,
+                memo_entries=sum(len(runs) for runs in self._memo.values()),
             )
 
     def clear(self) -> None:
@@ -154,6 +196,9 @@ class CompileCache:
             self._parses.clear()
             self.parse_hits = 0
             self.parse_misses = 0
+            self._memo.clear()
+            self.memo_hits = 0
+            self.memo_misses = 0
 
     # ----------------------------------------------------------- parse tier
 
@@ -289,3 +334,54 @@ class CompileCache:
             flight.entry = entry
             del self._inflight[k]
         flight.done.set()
+
+    # ---------------------------------------------------------- execute memo
+
+    @staticmethod
+    def memo_key(source: str, language: str, name: str,
+                 env_vars: Optional[Dict[str, str]], max_steps: int) -> tuple:
+        env = tuple(sorted(env_vars.items())) if env_vars else ()
+        return (source, language, name, env, max_steps)
+
+    def recall(self, key: tuple, behavior: "CompilerBehavior", seed: int,
+               tracer=None) -> Optional[MemoEntry]:
+        """A stored run of ``key`` that ``behavior`` and ``seed`` would
+        repeat exactly, or None (a miss).
+
+        ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives an
+        ``execute.memo_hit`` or ``execute.memo_miss`` event.
+        """
+        found = None
+        with self._lock:
+            runs = self._memo.get(key)
+            if runs is not None:
+                self._memo.move_to_end(key)
+                for entry in runs:
+                    if ((entry.seed is None or entry.seed == seed)
+                            and entry.trace.answers_alike(behavior)):
+                        found = entry
+                        break
+            if found is None:
+                self.memo_misses += 1
+            else:
+                self.memo_hits += 1
+        if tracer is not None and tracer.enabled:
+            tracer.event("execute.memo_miss" if found is None
+                         else "execute.memo_hit",
+                         template=key[2], language=key[1])
+        return found
+
+    def remember(self, key: tuple, trace: "BehaviorTrace",
+                 seed: Optional[int], outcome: object) -> None:
+        """Store a finished run: its behaviour trace, the seed it ran under
+        (None when it never read the RNG) and its outcome.  Racing threads
+        that ran the same path store it once."""
+        entry = MemoEntry(trace, seed, outcome)
+        with self._lock:
+            runs = self._memo.setdefault(key, [])
+            self._memo.move_to_end(key)
+            if not any(run.trace == trace and run.seed == seed
+                       for run in runs):
+                runs.append(entry)
+            while len(self._memo) > self.maxsize:
+                self._memo.popitem(last=False)

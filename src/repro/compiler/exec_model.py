@@ -529,14 +529,20 @@ class AccExecutor:
 
         device = self.interp.machine.current_device()
 
-        # clause expressions evaluate on the host at region entry
-        num_gangs = self._clause_int(d, "num_gangs", env, device.profile.default_num_gangs)
-        num_workers = device.profile.effective_workers(
-            self._clause_int(d, "num_workers", env, None)
-        )
-        vector_length = self._clause_int(
-            d, "vector_length", env, device.profile.default_vector_length
-        )
+        # clause expressions evaluate on the host at region entry; the
+        # profile's defaults are read only for the clauses a region omits
+        profile = device.profile
+        num_gangs = self._clause_int(d, "num_gangs", env, None)
+        if num_gangs is None:
+            num_gangs = profile.default_num_gangs
+        num_workers = self._clause_int(d, "num_workers", env, None)
+        if profile.worker_ignored:
+            num_workers = 1
+        elif num_workers is None:
+            num_workers = profile.default_num_workers
+        vector_length = self._clause_int(d, "vector_length", env, None)
+        if vector_length is None:
+            vector_length = profile.default_vector_length
 
         async_clause = d.clause("async")
         run_async = async_clause is not None and not behavior.ignore_async

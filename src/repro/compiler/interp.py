@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.accsim.errors import AccRuntimeError
 from repro.accsim.machine import Machine
 from repro.accsim.runtime import AccRuntime
-from repro.accsim.device import ExecProfile
 from repro.accsim.values import ArrayValue, Cell, DevicePointer
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
 from repro.ir.astnodes import Function, Program
@@ -195,17 +194,13 @@ class Interpreter:
         self._has_run = False
 
     def _fresh_machine(self) -> Machine:
+        # the behaviour is the accelerator's execution profile: the region
+        # executor reads a default size only where a region omits its clause
         behavior = self.behavior
         return Machine(
             accel_count=1,
             accel_device_type=behavior.concrete_device_type,
-            profile=ExecProfile(
-                default_num_gangs=behavior.default_num_gangs,
-                default_num_workers=behavior.default_num_workers,
-                default_vector_length=behavior.default_vector_length,
-                worker_ignored=behavior.worker_ignored,
-                mapping=behavior.mapping_description,
-            ),
+            profile=behavior,
         )
 
     def _attach_machine(self, machine: Machine) -> None:

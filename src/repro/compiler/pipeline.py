@@ -19,7 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
+from repro.compiler.behavior import (
+    REFERENCE_BEHAVIOR,
+    BehaviorRecorder,
+    BehaviorTrace,
+    CompilerBehavior,
+)
 from repro.compiler.errors import CompileError, UnsupportedFeatureError
 from repro.compiler.frontend import (
     ComputeRegion,
@@ -146,33 +151,27 @@ class CompiledProgram:
 class ProgramRunner:
     """Batched per-phase executor for one compiled program.
 
-    The harness runs every phase M times.  Everything that is a pure
-    function of (program, behavior) is built here once and shared across
-    those iterations: the lowered closure program and the machine's
-    :class:`ExecProfile` (read-only at runtime).  Every :meth:`run` gets a
-    *fresh* :class:`Machine` and interpreter, so device counters, globals
-    and RNG state match a cold run exactly.
+    The harness runs every phase M times.  The lowered closure program, a
+    pure function of the program, is built here once and shared across
+    those iterations.  Every :meth:`run` gets a *fresh* :class:`Machine`
+    and interpreter, so device counters, globals and RNG state match a
+    cold run exactly.
 
     Not every iteration reaches :meth:`run`: after each run, ``rng_used``
     says whether the program called ``rand``/``srand``, the only way the
     iteration's seed reaches execution.  When iteration 0 did not, the
     harness reuses its outcome for iterations 1..M-1 instead of running
     the program again (``ValidationRunner._run_phase``).
+
+    Each run consults the behaviour through a fresh
+    :class:`~repro.compiler.behavior.BehaviorRecorder`; ``trace`` holds
+    what the last run asked it, which the compile cache's execute memo
+    keys the run's outcome on.
     """
 
     def __init__(self, compiled: CompiledProgram, tracer=None,
                  name: Optional[str] = None):
-        from repro.accsim.device import ExecProfile
-
         self.compiled = compiled
-        behavior = compiled.behavior
-        self._profile = ExecProfile(
-            default_num_gangs=behavior.default_num_gangs,
-            default_num_workers=behavior.default_num_workers,
-            default_vector_length=behavior.default_vector_length,
-            worker_ignored=behavior.worker_ignored,
-            mapping=behavior.mapping_description,
-        )
         #: whether the lowering was already attached to the compiled
         #: program; instrumentation only — mirrors PhaseResult.cache_hit
         #: for the compile cache
@@ -181,6 +180,8 @@ class ProgramRunner:
         #: whether the last run called ``rand``/``srand`` (also when it
         #: raised); True before the first run, so nothing is reused unseen
         self.rng_used = True
+        #: the behaviour queries of the last run (also when it raised)
+        self.trace: Optional[BehaviorTrace] = None
 
     def close(self) -> None:
         """Detach a lowering this runner attached to the compiled program.
@@ -202,26 +203,20 @@ class ProgramRunner:
         limits: Optional[ExecutionLimits] = None,
         rng_seed: int = 12345,
     ) -> ExecutionResult:
-        from repro.accsim.machine import Machine
-
-        behavior = self.compiled.behavior
-        machine = Machine(
-            accel_count=1,
-            accel_device_type=behavior.concrete_device_type,
-            profile=self._profile,
-        )
-        interp = Interpreter(
-            self.compiled.program,
-            behavior=behavior,
-            machine=machine,
-            env_vars=env_vars,
-            rng_seed=rng_seed,
-            lowered=self._lowered,
-        )
+        recorder = BehaviorRecorder(self.compiled.behavior)
+        interp = None
         try:
+            interp = Interpreter(
+                self.compiled.program,
+                behavior=recorder,
+                env_vars=env_vars,
+                rng_seed=rng_seed,
+                lowered=self._lowered,
+            )
             return interp.run(limits=limits)
         finally:
-            self.rng_used = interp.rng_used
+            self.rng_used = interp is None or interp.rng_used
+            self.trace = recorder.trace()
 
 
 class Compiler:

@@ -159,6 +159,9 @@ class RunMetrics:
     #: programs actually run; below iterations_run by the iterations
     #: reused from a seed-independent iteration 0 (PhaseResult.executed)
     programs_executed: int = 0
+    #: phases the execute memo served (PhaseResult.memo_hit): their runs
+    #: repeated an earlier run under another behaviour's same answers
+    memo_hits: int = 0
     #: busy seconds per worker (thread name / worker pid)
     worker_busy_s: Dict[str, float] = field(default_factory=dict)
     #: failure-kind value -> count, e.g. {"compile_error": 3}
@@ -554,6 +557,8 @@ def build_metrics(
             metrics.execute_s += phase.run_s
             metrics.iterations_run += len(phase.iterations)
             metrics.programs_executed += phase.executed
+            if phase.memo_hit:
+                metrics.memo_hits += 1
             if phase.cache_hit:
                 metrics.cache_hits += 1
             else:

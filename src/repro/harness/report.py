@@ -152,6 +152,7 @@ def render_metrics_text(report: SuiteRunReport) -> str:
         f"  compile cache      : {m.cache_hits} hits / {m.cache_misses} "
         f"misses ({m.cache_hit_rate:.1%} hit rate)"
     )
+    lines.append(f"  execute memo       : {m.memo_hits} phases served")
     lines.append(
         f"  worker utilization : {m.worker_utilization:.1%} across "
         f"{len(m.worker_busy_s)} worker(s)"
@@ -183,6 +184,7 @@ def render_metrics_csv(report: SuiteRunReport) -> str:
     writer.writerow(["cache_hits", m.cache_hits])
     writer.writerow(["cache_misses", m.cache_misses])
     writer.writerow(["cache_hit_rate", f"{m.cache_hit_rate:.4f}"])
+    writer.writerow(["memo_hits", m.memo_hits])
     writer.writerow(["worker_utilization", f"{m.worker_utilization:.4f}"])
     for kind, count in sorted(m.failure_kinds.items()):
         writer.writerow([f"failures.{kind}", count])

@@ -119,8 +119,13 @@ class PhaseResult:
     lower_hit: Optional[bool] = None
     #: programs actually run: 1 when iteration 0 never read the RNG and
     #: its outcome was reused for the other iterations, else
-    #: ``len(iterations)`` — instrumentation like cache_hit
+    #: ``len(iterations)``, less the iterations the execute memo served —
+    #: instrumentation like cache_hit
     executed: int = 0
+    #: whether the compile cache's execute memo served an iteration (an
+    #: earlier run the behaviour would repeat exactly) — instrumentation
+    #: like cache_hit
+    memo_hit: bool = False
 
     @property
     def incorrect_runs(self) -> int:
@@ -602,14 +607,16 @@ class ValidationRunner:
                 return phase
             limits = ExecutionLimits(max_steps=self.config.max_steps)
             env_vars = template.environment or None
-            # batch per-iteration setup: the runner shares the lowered
-            # program and machine profile across the phase's M iterations
-            # (each run still executes on a fresh machine)
-            runner = compiled.runner(
-                tracer=tracer if tracer.enabled else None,
-                name=template.name,
-            )
-            phase.lower_hit = runner.lower_hit
+            observe = tracer if tracer.enabled else None
+            memo = self.cache
+            if memo is not None:
+                memo_key = memo.memo_key(generated.source, template.language,
+                                         template.name, env_vars,
+                                         limits.max_steps)
+            # built on the first iteration the memo cannot serve: the
+            # runner shares the lowered program across the phase's
+            # iterations (each run still executes on a fresh machine)
+            runner = None
             with tracer.span("execute", key=pkey) as execute_span:
                 # iteration 0's outcome while it is seed-independent: the
                 # seed reaches execution only through rand/srand and every
@@ -620,13 +627,28 @@ class ValidationRunner:
                 try:
                     for k, seed in enumerate(self.config.iteration_seeds()):
                         self.faults.iteration_site(f"{pkey}:{k}")
+                        fresh = False
                         if replica is not None:
                             outcome = replace(replica)
                         else:
-                            outcome = self._run_once(runner, env_vars,
-                                                     limits, seed)
-                            phase.executed += 1
-                            if k == 0 and not runner.rng_used:
+                            entry = (memo.recall(memo_key, compiled.behavior,
+                                                 seed, tracer=observe)
+                                     if memo is not None else None)
+                            if entry is not None:
+                                outcome = replace(entry.outcome)
+                                phase.memo_hit = True
+                                seed_free = entry.seed is None
+                            else:
+                                if runner is None:
+                                    runner = compiled.runner(
+                                        tracer=observe, name=template.name)
+                                    phase.lower_hit = runner.lower_hit
+                                outcome = self._run_once(runner, env_vars,
+                                                         limits, seed)
+                                phase.executed += 1
+                                fresh = True
+                                seed_free = not runner.rng_used
+                            if k == 0 and seed_free:
                                 replica = outcome
                         phase.iterations.append(outcome)
                         if not outcome.ok and tracer.enabled:
@@ -636,8 +658,14 @@ class ValidationRunner:
                                       if outcome.kind is not None else None),
                             )
                         self._check_deadline(deadline, pkey)
+                        if fresh and memo is not None:
+                            # only a finished iteration is stored
+                            memo.remember(memo_key, runner.trace,
+                                          None if seed_free else seed,
+                                          replace(outcome))
                 finally:
-                    runner.close()
+                    if runner is not None:
+                        runner.close()
             phase.run_s = execute_span.duration
             if tracer.enabled:
                 its = phase.iterations

@@ -158,6 +158,7 @@ def _encode_phase(phase: PhaseResult) -> dict:
         "cache_hit": phase.cache_hit,
         "lower_hit": phase.lower_hit,
         "executed": phase.executed,
+        "memo_hit": phase.memo_hit,
         "iterations": [_encode_iteration(it) for it in phase.iterations],
     }
 
@@ -179,6 +180,8 @@ def _decode_phase(data: dict) -> PhaseResult:
         lower_hit=(bool(data["lower_hit"])
                    if data.get("lower_hit") is not None else None),
         executed=int(executed) if executed is not None else len(iterations),
+        # journals written before the execute memo lack the key
+        memo_hit=bool(data.get("memo_hit", False)),
         iterations=iterations,
     )
 

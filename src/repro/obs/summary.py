@@ -36,6 +36,9 @@ class TraceSummary:
     #: ``lower.cache_hit``/``lower.cache_miss`` event counts
     lower_hits: int = 0
     lower_misses: int = 0
+    #: ``execute.memo_hit``/``execute.memo_miss`` event counts
+    memo_hits: int = 0
+    memo_misses: int = 0
     #: span name -> (count, summed duration)
     phase_totals: Dict[str, Tuple[int, float]] = field(default_factory=dict)
     #: slowest template spans: (key, duration, passed) best-first
@@ -56,6 +59,11 @@ class TraceSummary:
     def lower_hit_rate(self) -> float:
         total = self.lower_hits + self.lower_misses
         return self.lower_hits / total if total else 0.0
+
+    @property
+    def memo_hit_rate(self) -> float:
+        total = self.memo_hits + self.memo_misses
+        return self.memo_hits / total if total else 0.0
 
 
 def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
@@ -96,6 +104,8 @@ def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
     summary.cache_misses = counts.get("compile.cache_miss", 0)
     summary.lower_hits = counts.get("lower.cache_hit", 0)
     summary.lower_misses = counts.get("lower.cache_miss", 0)
+    summary.memo_hits = counts.get("execute.memo_hit", 0)
+    summary.memo_misses = counts.get("execute.memo_miss", 0)
     return summary
 
 
@@ -116,6 +126,12 @@ def render_summary_text(summary: TraceSummary,
             f"  lowering cache     : {summary.lower_hits} hits / "
             f"{summary.lower_misses} misses "
             f"({summary.lower_hit_rate:.1%} hit rate)"
+        )
+    if summary.memo_hits or summary.memo_misses:
+        lines.append(
+            f"  execute memo       : {summary.memo_hits} hits / "
+            f"{summary.memo_misses} misses "
+            f"({summary.memo_hit_rate:.1%} hit rate)"
         )
     if summary.failure_kinds:
         lines.append("  failed iterations  : " + ", ".join(

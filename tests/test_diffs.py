@@ -49,3 +49,31 @@ class TestCompareVersions:
         assert code == 0
         out = capsys.readouterr().out
         assert "fixed:" in out and "update.async" in out
+
+    def test_callers_config_is_not_narrowed(self, suite10):
+        config = HarnessConfig(iterations=1, run_cross=False,
+                               languages=("c", "fortran"),
+                               features=["parallel", "kernels.copyin"])
+        diff = compare_versions("pgi", "12.10", "13.2", "fortran", suite10,
+                                config)
+        assert config.languages == ("c", "fortran")
+        assert diff.language == "fortran"
+
+    def test_both_versions_share_one_cache(self, suite10, monkeypatch):
+        import repro.analysis.diffs as diffs
+
+        runners = []
+
+        class Recording(diffs.ValidationRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        monkeypatch.setattr(diffs, "ValidationRunner", Recording)
+        config = HarnessConfig(iterations=1, run_cross=False,
+                               features=["parallel", "kernels", "loop"])
+        compare_versions("caps", "3.3.3", "3.3.4", "c", suite10, config)
+        assert len(runners) == 2
+        assert runners[0].cache is not None
+        assert runners[0].cache is runners[1].cache
+        assert runners[0].cache.stats().memo_hits > 0

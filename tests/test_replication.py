@@ -50,12 +50,15 @@ _FEATURES = [
 
 
 def _force_execution(monkeypatch) -> None:
-    """Make every run report an RNG call, so no iteration is replicated."""
+    """Make every run report an RNG call, so no iteration is replicated,
+    and turn the execute memo off, so no iteration is served by it."""
     monkeypatch.setattr(
         ProgramRunner, "rng_used",
         property(lambda self: True, lambda self, value: None),
         raising=False,
     )
+    monkeypatch.setattr(CompileCache, "recall",
+                        lambda self, key, behavior, seed, tracer=None: None)
 
 
 def _template(code: str, feature: str = "parallel"):
@@ -82,6 +85,10 @@ def _executed(reports):
             sum(r.metrics.iterations_run for r in reports))
 
 
+def _memo_hits(reports):
+    return sum(r.metrics.memo_hits for r in reports)
+
+
 # ---------------------------------------------------------------------------
 # the differential oracle: replicated vs executed iterations
 # ---------------------------------------------------------------------------
@@ -101,7 +108,9 @@ def test_vendor_sample_identical_to_forced_execution(suite10, monkeypatch):
     assert {FailureKind.WRONG_VALUE, FailureKind.RUNTIME_CRASH,
             FailureKind.COMPILE_ERROR} <= kinds
     executed, iterations = _executed(replicated)
-    assert iterations == 3 * executed  # no shipped template reads the RNG
+    # no shipped template reads the RNG: a phase runs once or the memo
+    # serves it, and its other iterations are replicated
+    assert iterations == 3 * (executed + _memo_hits(replicated))
     assert _executed(forced) == (iterations, iterations)
 
 
