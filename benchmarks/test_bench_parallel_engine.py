@@ -109,26 +109,29 @@ def test_bench_compile_cache_warm_rerun(benchmark, suite10):
     assert warm.metrics.cache_hit_rate == 1.0
     # identical verdicts either way
     assert render_csv(warm) == render_csv(cold)
-    # the warm run skips every parse+validate; demand a real saving
+    # the warm run skips every parse and every run; demand a real saving
     assert warm_s < cold_s
     assert warm.metrics.compile_s < cold.metrics.compile_s
 
 
 def test_bench_cache_key_isolation(suite10):
-    """Sanity: two behaviours sharing a cache never cross-contaminate."""
+    """Sanity: two behaviours sharing a cache share the parse, never the
+    verdict: each compile validates under its own behaviour."""
     from repro.compiler import CompileCache, Compiler
 
     cache = CompileCache()
     template = suite10.get("declare", "c") or next(iter(suite10))
     generated = generate_functional(template)
     ok = cache.get_or_compile(
-        Compiler(), generated.source, template.language, template.name
+        Compiler(frontend=cache), generated.source, template.language,
+        template.name
     )
-    rejecting = Compiler(
-        vendor_version("caps", "3.1.0").behavior("c")
-    )
+    behavior = vendor_version("caps", "3.1.0").behavior("c")
     second = cache.get_or_compile(
-        rejecting, generated.source, template.language, template.name
+        Compiler(behavior, frontend=cache), generated.source,
+        template.language, template.name
     )
     assert ok.error is None
-    assert not second.hit  # different behaviour -> different key
+    assert second.hit  # the parse is shared...
+    assert second.program is not ok.program  # ...the compile is not
+    assert second.program is None or second.program.behavior is behavior

@@ -866,7 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache hit rate, worker utilization); written next "
                         "to --output as FILE.metrics.txt/.csv, else printed")
     p.add_argument("--no-compile-cache", action="store_true",
-                   help="disable compile memoisation")
+                   help="share no parses or runs across phases (every "
+                        "compile parses, every phase runs its program)")
     p.add_argument("--lint", action="store_true",
                    help="static-check each template before compiling; "
                         "templates with error diagnostics are marked "

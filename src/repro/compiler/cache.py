@@ -1,61 +1,55 @@
-"""Compile cache: share compile work across the runs of one campaign.
+"""Compile cache: share compile and run work across the phases of one campaign.
 
 A Fig. 8 sweep compiles the same 200 generated sources under 16 vendor
 behaviours, and a Titan sweep compiles them again for every node and
-re-check.  A :class:`CompileCache` has two tiers:
+re-check.  A :class:`CompileCache` holds two stores:
 
 * the **parse tier**, keyed on ``(source, language, name)``, holds the
   behaviour-independent half of a compile
   (:class:`~repro.compiler.frontend.ParsedSource`): the parsed program,
   its validation facts and its region plans table (plans and device code,
   filled lazily as the program's regions first run), or the frontend
-  error.  Every behaviour of a sweep reads the same entry, so each source
-  is parsed, and each of its regions planned and lowered to device code,
-  once per sweep;
-* the **compile tier**, keyed on ``(source, language, name, behavior)``,
-  holds whole compile results.  ``CompilerBehavior`` is a frozen
-  (hashable) dataclass, so keying on the whole behaviour, not just its
-  label, guarantees two implementations never alias each other's entries.
-  It hits when the same behaviour compiles a source again: repeated
-  phases, Titan nodes carrying identical stacks, triage re-checks.
+  error (negative caching: a source that does not parse fails identically
+  under every behaviour).  Every behaviour of a sweep reads the same
+  entry, so each source is parsed, and each of its regions planned and
+  lowered to device code, once per sweep.  The behaviour-dependent half,
+  ``Compiler.validate`` over the parse's facts, is a scan of short lists:
+  every phase runs it afresh (:meth:`CompileCache.get_or_compile`) and
+  gets a fresh :class:`~repro.compiler.pipeline.CompiledProgram`, which
+  dies with its phase, lowering and all;
+* the **execute memo**, keyed on ``(source, language, name, env_vars,
+  max_steps)``.  Each key holds a short list of finished runs: the
+  :class:`~repro.compiler.behavior.BehaviorTrace` of the questions the run
+  asked its behaviour (field reads, and ``item in field`` queries on the
+  set fields, each with its answer), the seed when the run read the RNG,
+  and the run's outcome.  A run is deterministic given the program, the
+  seed and those answers, so a behaviour that answers every recorded
+  question the same way (under the same seed, if the run read the RNG)
+  would repeat the run exactly: the harness takes the stored outcome and
+  skips lowering, machine construction and interpretation.  Recording
+  fails closed: reading ``label`` or calling a method records the whole
+  behaviour, and iterating or sizing a set field records the whole field.
+  The memo stores traces and outcomes only, never programs or lowerings.
+  Only finished iterations are stored: an injected fault, a tripped
+  deadline or any exception out of a run stores nothing.
 
-Both tiers cache errors (negative caching): a source that does not parse,
-or a vendor version that rejects a directive, fails identically on every
-attempt, and the error-heavy beta sweeps benefit the most.
-
-Beside the tiers sits the **execute memo**, keyed on ``(source, language,
-name, env_vars, max_steps)``.  Each key holds a short list of finished
-runs: the :class:`~repro.compiler.behavior.BehaviorTrace` of the questions
-the run asked its behaviour (field reads, and ``item in field`` queries on
-the set fields, each with its answer), the seed when the run read the RNG,
-and the run's outcome.  A run is deterministic given the program, the seed
-and those answers, so a behaviour that answers every recorded question the
-same way (under the same seed, if the run read the RNG) would repeat the
-run exactly: the harness takes the stored outcome and skips lowering,
-machine construction and interpretation.  Recording fails closed: reading
-``label`` or calling a method records the whole behaviour, and iterating
-or sizing a set field records the whole field.  The memo stores traces
-and outcomes only, never programs or lowerings; it is bounded by
-``maxsize`` keys (LRU) and emptied by :meth:`CompileCache.clear`.  Only
-finished iterations are stored: an injected fault, a tripped deadline or
-any exception out of a run stores nothing.
+Both stores are bounded by ``maxsize`` keys (LRU) and emptied by
+:meth:`CompileCache.clear`.
 
 The cache lives as long as its owner: one sweep (``vendor_pass_rates``),
 one :class:`~repro.harness.titan.TitanHarness`, or one runner.  It is
 never process-wide: a process-wide cache would keep every campaign's
-programs alive in a long-running process.  ``compile_cache=False``
-(``--no-compile-cache``) builds none, and every compile parses afresh.
+parses alive in a long-running process.  ``compile_cache=False``
+(``--no-compile-cache``) builds none: every compile parses afresh and
+every phase runs its program.
 
 The cache is thread-safe (the ``thread`` execution policy shares one
-runner), with one lock for all of it.  The compile tier is single-flight:
-threads that miss the same key while it is being compiled wait for that
-one compile and count as hits, so a key is compiled (and counted as a
-miss) once however many threads race for it.  The parse tier and the
-memo are locked but not single-flight: racing threads may each parse (or
-run), and a run that is already stored is not stored twice.  Under the
-``process`` policy each worker process holds its own cache and parses and
-runs for itself; the engine aggregates hit counters from the per-phase
-flags carried by the results.
+runner), with one lock for all of it.  Neither store is single-flight:
+racing threads may each parse (or run) the same key, every racer gets
+the entry stored first, and a run that is already stored is not stored
+twice.  Under the ``process`` policy each worker process holds its own
+cache and parses and runs for itself; the engine aggregates hit counters
+from the per-phase flags carried by the results.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.compiler.errors import CompileError, CompilerCrashError
 from repro.compiler.frontend import ParsedSource, parse_front
@@ -73,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.pipeline import CompiledProgram, Compiler
     from repro.ir.astnodes import Program
 
-#: default number of keys kept per tier (LRU beyond this); one full-suite
+#: default number of keys kept per store (LRU beyond this); one full-suite
 #: run against one behaviour needs ~2 keys per template (functional +
 #: cross)
 DEFAULT_MAXSIZE = 4096
@@ -81,7 +75,8 @@ DEFAULT_MAXSIZE = 4096
 
 @dataclass
 class CacheOutcome:
-    """Result of a cached compile: exactly one of program/error is set."""
+    """Result of a compile through the cache: exactly one of program/error
+    is set.  ``hit``: the compile took its parse from the parse tier."""
 
     program: Optional["CompiledProgram"]
     error: Optional[CompileError]
@@ -93,46 +88,22 @@ class CacheStats:
     """A consistent snapshot of the cache counters.
 
     Taken under the cache lock, so ``hits + misses == lookups`` always
-    holds *within one snapshot* — reading the ``hits``/``misses``
+    holds *within one snapshot* for each store — reading the counter
     attributes separately under the thread policy can tear (one counter
     from before a concurrent update, the other from after) and report
     totals that don't sum to the number of lookups.
 
-    ``hits``/``misses``/``entries`` count the compile tier; the ``parse_``
-    fields count the parse tier, where a miss is one frontend run; the
-    ``memo_`` fields count the execute memo, where ``memo_entries`` is the
-    number of stored outcomes.
+    The ``parse_`` fields count the parse tier, where a miss is one
+    frontend run; the ``memo_`` fields count the execute memo, where
+    ``memo_entries`` is the number of stored outcomes.
     """
 
-    hits: int
-    misses: int
-    entries: int
     parse_hits: int = 0
     parse_misses: int = 0
     parse_entries: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
     memo_entries: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class _Flight:
-    """One in-progress compile of a key; ``entry`` is its cached result,
-    or None when the compile crashed (crashes are never cached)."""
-
-    __slots__ = ("done", "entry")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.entry: Optional[Tuple[object, object]] = None
 
 
 @dataclass(frozen=True)
@@ -150,19 +121,14 @@ class MemoEntry:
 
 
 class CompileCache:
-    """Two bounded LRU tiers, parses and compile results (successes and
-    errors), and the execute memo; see the module docstring."""
+    """Two bounded LRU stores, the parse tier and the execute memo; see
+    the module docstring."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, Tuple[object, object]]" = OrderedDict()
         self._lock = threading.Lock()
-        #: keys being compiled right now -> their flight
-        self._inflight: Dict[tuple, _Flight] = {}
-        self.hits = 0
-        self.misses = 0
         self._parses: "OrderedDict[tuple, ParsedSource]" = OrderedDict()
         self.parse_hits = 0
         self.parse_misses = 0
@@ -170,18 +136,10 @@ class CompileCache:
         self.memo_hits = 0
         self.memo_misses = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        return self.stats().hit_rate
-
     def stats(self) -> CacheStats:
-        """Snapshot hits/misses/entries atomically (see CacheStats)."""
+        """Snapshot every counter atomically (see CacheStats)."""
         with self._lock:
             return CacheStats(
-                hits=self.hits, misses=self.misses, entries=len(self._entries),
                 parse_hits=self.parse_hits, parse_misses=self.parse_misses,
                 parse_entries=len(self._parses),
                 memo_hits=self.memo_hits, memo_misses=self.memo_misses,
@@ -190,9 +148,6 @@ class CompileCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
             self._parses.clear()
             self.parse_hits = 0
             self.parse_misses = 0
@@ -236,12 +191,7 @@ class CompileCache:
             raise type(err)(err.message, err.loc)
         return entry.program
 
-    # --------------------------------------------------------- compile tier
-
-    @staticmethod
-    def key(source: str, language: str, name: str,
-            behavior: "CompilerBehavior") -> tuple:
-        return (source, language, name, behavior)
+    # -------------------------------------------------------------- compile
 
     def get_or_compile(
         self,
@@ -251,89 +201,46 @@ class CompileCache:
         name: str,
         tracer=None,
     ) -> CacheOutcome:
-        """Compile through the cache; never raises.
+        """Compile one phase's source; never raises.
 
-        A cached :class:`CompileError` counts as a hit — the second
-        rejection is exactly as informative as the first and much cheaper.
-        A *non*-``CompileError`` exception (an internal compiler crash) is
-        accounted as a miss, wrapped in :class:`CompilerCrashError` and
-        surfaced as the outcome's error — never cached, never raised.
+        Every call reaches ``compiler.compile`` (so the ``compile`` fault
+        site and any test double fire on every phase), which takes its
+        parse from this cache's parse tier when the compiler's frontend
+        is this cache (as it is in the harness).  The outcome's ``hit``
+        says the parse was already in the parse tier when the compile
+        began; under the thread policy, a compile that races another
+        thread's first parse of the same source counts a miss.
 
-        A miss on a key another thread is compiling waits for that compile
-        and takes its result as a hit.  If that compile crashed, the waiter
-        tries again itself: a crash is never shared, as it is never cached.
+        A :class:`CompileError` (a frontend error or a rejection by
+        ``Compiler.validate``) comes back as the outcome's error.  A
+        *non*-``CompileError`` exception (an internal compiler crash) is
+        wrapped in :class:`CompilerCrashError` and surfaced as the
+        outcome's error — never raised.
 
-        ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``compile.cache_hit``/``compile.cache_miss`` events (and
-        ``compile.crashed`` for a crash); cached errors are hits.  A fresh
-        compile error shows in the runner's ``compile`` span: an ``error``
-        attribute with ``cache_hit`` false.
+        ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives a
+        ``compile.cache_hit`` or ``compile.cache_miss`` event (and
+        ``compile.crashed`` for a crash).  A compile error shows in the
+        runner's ``compile`` span as an ``error`` attribute.
         """
-        k = self.key(source, language, name, compiler.behavior)
+        with self._lock:
+            hit = (source, language, name) in self._parses
         observe = tracer is not None and tracer.enabled
-        while True:
-            with self._lock:
-                entry = self._entries.get(k)
-                if entry is not None:
-                    self._entries.move_to_end(k)
-                    self.hits += 1
-                    break
-                flight = self._inflight.get(k)
-                if flight is None:
-                    flight = self._inflight[k] = _Flight()
-                    break
-            flight.done.wait()
-            with self._lock:
-                entry = flight.entry
-                if entry is not None:
-                    self.hits += 1
-                    break
-        if entry is not None:
-            program, error = entry
-            if observe:
-                tracer.event("compile.cache_hit", template=name,
-                             language=language)
-            return CacheOutcome(program=program, error=error, hit=True)
         if observe:
-            tracer.event("compile.cache_miss", template=name,
-                         language=language)
+            tracer.event("compile.cache_hit" if hit else "compile.cache_miss",
+                         template=name, language=language)
         try:
             program = compiler.compile(source, language, name)
         except CompileError as err:
-            self._store(k, (None, err), flight)
-            return CacheOutcome(program=None, error=err, hit=False)
-        except BaseException as err:
-            # Account the miss (the attempt really went to the compiler) but
-            # cache nothing: a transient crash must not poison future
-            # compiles of the same source the way a negative-cached
-            # diagnostic would.  Waiters wake and compile for themselves.
-            self._store(k, None, flight)
-            if not isinstance(err, Exception):
-                raise  # interrupts are not compiler crashes
+            return CacheOutcome(program=None, error=err, hit=hit)
+        except Exception as err:
             if observe:
                 tracer.event("compile.crashed", template=name,
                              language=language, error=repr(err))
             crash = CompilerCrashError(
                 f"internal compiler crash: {err!r}", cause=err
             )
-            return CacheOutcome(program=None, error=crash, hit=False)
-        self._store(k, (program, None), flight)
-        return CacheOutcome(program=program, error=None, hit=False)
-
-    def _store(self, k: tuple, entry: Optional[Tuple[object, object]],
-               flight: _Flight) -> None:
-        """Count the miss, cache ``entry`` (None: a crash, not cached) and
-        hand it to the flight's waiters."""
-        with self._lock:
-            self.misses += 1
-            if entry is not None:
-                self._entries[k] = entry
-                self._entries.move_to_end(k)
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-            flight.entry = entry
-            del self._inflight[k]
-        flight.done.set()
+            return CacheOutcome(program=None, error=crash, hit=hit)
+        return CacheOutcome(program=program, error=None, hit=hit)
 
     # ---------------------------------------------------------- execute memo
 

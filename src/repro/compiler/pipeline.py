@@ -11,7 +11,11 @@ has no ``routine`` directive — Section V-C "Procedure calls"), and
 A successful compile yields a :class:`CompiledProgram` that can be run many
 times — each run gets a fresh simulated machine, matching the harness's
 repeat-M-iterations methodology (which executes only the iterations that
-can differ: see :class:`ProgramRunner`).
+can differ: see :class:`ProgramRunner`).  A compiler whose ``frontend`` is
+a :class:`~repro.compiler.cache.CompileCache` takes its parses from the
+cache's parse tier; the validation half runs on every compile, and the
+harness compiles once per phase, so a compiled program and its lowering
+live as long as the phase that compiled them.
 """
 
 from __future__ import annotations
@@ -86,37 +90,25 @@ class CompiledProgram:
     plans: Dict[int, tuple] = field(default_factory=dict, repr=False,
                                     compare=False)
     #: lazily lowered closure program (repro.compiler.closures), attached to
-    #: this instance so later runs reuse it (the harness detaches it after
-    #: each phase: see ProgramRunner.close) — never pickled (closures
+    #: this instance so later runs reuse it — never pickled (closures
     #: aren't picklable) and never compared
     _lowered: Optional[object] = field(
         default=None, repr=False, compare=False
     )
 
-    def lowered(self, tracer=None, name: Optional[str] = None):
+    def lowered(self):
         """The closure-lowered form, computed once per compiled program.
 
         Benign data race under the thread policy: two threads may lower
         concurrently and one result wins; lowering is pure, so both are
         interchangeable.
-
-        ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``lower.cache_hit``/``lower.cache_miss`` events,
-        mirroring the compile cache's ``compile.cache_hit/miss``: a hit
-        means a previous phase/iteration (or a compile-cache hit carrying
-        the lowering along) already paid the lowering cost.
         """
-        observe = tracer is not None and tracer.enabled
         lowered = self._lowered
         if lowered is None:
-            if observe:
-                tracer.event("lower.cache_miss", template=name or "?")
             from repro.compiler.closures import lower_program
 
             lowered = lower_program(self.program, self.plans)
             self._lowered = lowered
-        elif observe:
-            tracer.event("lower.cache_hit", template=name or "?")
         return lowered
 
     def __getstate__(self):
@@ -126,10 +118,9 @@ class CompiledProgram:
         state["_lowered"] = None
         return state
 
-    def runner(self, tracer=None,
-               name: Optional[str] = None) -> "ProgramRunner":
+    def runner(self) -> "ProgramRunner":
         """A per-phase batched executor (see :class:`ProgramRunner`)."""
-        return ProgramRunner(self, tracer=tracer, name=name)
+        return ProgramRunner(self)
 
     def run(
         self,
@@ -152,10 +143,11 @@ class ProgramRunner:
     """Batched per-phase executor for one compiled program.
 
     The harness runs every phase M times.  The lowered closure program, a
-    pure function of the program, is built here once and shared across
-    those iterations.  Every :meth:`run` gets a *fresh* :class:`Machine`
-    and interpreter, so device counters, globals and RNG state match a
-    cold run exactly.
+    pure function of the program, is built once (on the compiled program)
+    and shared across those iterations; the harness compiles afresh for
+    every phase, so the lowering dies with its phase.  Every :meth:`run`
+    gets a *fresh* :class:`Machine` and interpreter, so device counters,
+    globals and RNG state match a cold run exactly.
 
     Not every iteration reaches :meth:`run`: after each run, ``rng_used``
     says whether the program called ``rand``/``srand``, the only way the
@@ -169,33 +161,14 @@ class ProgramRunner:
     keys the run's outcome on.
     """
 
-    def __init__(self, compiled: CompiledProgram, tracer=None,
-                 name: Optional[str] = None):
+    def __init__(self, compiled: CompiledProgram):
         self.compiled = compiled
-        #: whether the lowering was already attached to the compiled
-        #: program; instrumentation only — mirrors PhaseResult.cache_hit
-        #: for the compile cache
-        self.lower_hit = compiled._lowered is not None
-        self._lowered = compiled.lowered(tracer=tracer, name=name)
+        self._lowered = compiled.lowered()
         #: whether the last run called ``rand``/``srand`` (also when it
         #: raised); True before the first run, so nothing is reused unseen
         self.rng_used = True
         #: the behaviour queries of the last run (also when it raised)
         self.trace: Optional[BehaviorTrace] = None
-
-    def close(self) -> None:
-        """Detach a lowering this runner attached to the compiled program.
-
-        A campaign keeps every compiled program in its compile cache, and
-        a lowering's host closures weigh about as much again as
-        the parse, while a program rarely runs in a second phase.  So the
-        harness drops the lowering after the phase; a later phase of the
-        same program lowers afresh.  The region plans and their device
-        code are not the lowering's: they stay with the parse
-        (``CompiledProgram.plans``), shared by every behaviour and phase.
-        """
-        if not self.lower_hit:
-            self.compiled._lowered = None
 
     def run(
         self,

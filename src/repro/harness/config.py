@@ -46,7 +46,8 @@ class HarnessConfig:
     policy: str = "serial"
     #: pool size for the thread/process policies (ignored by 'serial')
     workers: int = 1
-    #: memoise compiles across phases/runs (see repro.compiler.cache)
+    #: share parses and runs across phases (see repro.compiler.cache): the
+    #: parse tier and the execute memo
     compile_cache: bool = True
     #: bounded retry budget per work unit: a template whose run dies on a
     #: harness fault (injected or real) is re-run up to this many times

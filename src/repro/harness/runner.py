@@ -113,10 +113,9 @@ class PhaseResult:
     #: so serial and parallel reports stay byte-identical)
     compile_s: float = 0.0
     run_s: float = 0.0
+    #: whether the compile took its parse from the compile cache's parse
+    #: tier (an earlier phase, or the lint gate, parsed the same source)
     cache_hit: bool = False
-    #: lowering-cache outcome (None when the phase never ran) —
-    #: instrumentation like cache_hit
-    lower_hit: Optional[bool] = None
     #: programs actually run: 1 when iteration 0 never read the RNG and
     #: its outcome was reused for the other iterations, else
     #: ``len(iterations)``, less the iterations the execute memo served —
@@ -607,7 +606,6 @@ class ValidationRunner:
                 return phase
             limits = ExecutionLimits(max_steps=self.config.max_steps)
             env_vars = template.environment or None
-            observe = tracer if tracer.enabled else None
             memo = self.cache
             if memo is not None:
                 memo_key = memo.memo_key(generated.source, template.language,
@@ -615,7 +613,8 @@ class ValidationRunner:
                                          limits.max_steps)
             # built on the first iteration the memo cannot serve: the
             # runner shares the lowered program across the phase's
-            # iterations (each run still executes on a fresh machine)
+            # iterations (each run still executes on a fresh machine),
+            # and both die with the phase
             runner = None
             with tracer.span("execute", key=pkey) as execute_span:
                 # iteration 0's outcome while it is seed-independent: the
@@ -624,48 +623,42 @@ class ValidationRunner:
                 # them would give the same outcome under every seed.  The
                 # fault site, events and deadline still go per k
                 replica: Optional[IterationOutcome] = None
-                try:
-                    for k, seed in enumerate(self.config.iteration_seeds()):
-                        self.faults.iteration_site(f"{pkey}:{k}")
-                        fresh = False
-                        if replica is not None:
-                            outcome = replace(replica)
+                for k, seed in enumerate(self.config.iteration_seeds()):
+                    self.faults.iteration_site(f"{pkey}:{k}")
+                    fresh = False
+                    if replica is not None:
+                        outcome = replace(replica)
+                    else:
+                        entry = (memo.recall(memo_key, compiled.behavior,
+                                             seed, tracer=tracer)
+                                 if memo is not None else None)
+                        if entry is not None:
+                            outcome = replace(entry.outcome)
+                            phase.memo_hit = True
+                            seed_free = entry.seed is None
                         else:
-                            entry = (memo.recall(memo_key, compiled.behavior,
-                                                 seed, tracer=observe)
-                                     if memo is not None else None)
-                            if entry is not None:
-                                outcome = replace(entry.outcome)
-                                phase.memo_hit = True
-                                seed_free = entry.seed is None
-                            else:
-                                if runner is None:
-                                    runner = compiled.runner(
-                                        tracer=observe, name=template.name)
-                                    phase.lower_hit = runner.lower_hit
-                                outcome = self._run_once(runner, env_vars,
-                                                         limits, seed)
-                                phase.executed += 1
-                                fresh = True
-                                seed_free = not runner.rng_used
-                            if k == 0 and seed_free:
-                                replica = outcome
-                        phase.iterations.append(outcome)
-                        if not outcome.ok and tracer.enabled:
-                            tracer.event(
-                                "iteration.failed", template=pkey, seed=seed,
-                                kind=(outcome.kind.value
-                                      if outcome.kind is not None else None),
-                            )
-                        self._check_deadline(deadline, pkey)
-                        if fresh and memo is not None:
-                            # only a finished iteration is stored
-                            memo.remember(memo_key, runner.trace,
-                                          None if seed_free else seed,
-                                          replace(outcome))
-                finally:
-                    if runner is not None:
-                        runner.close()
+                            if runner is None:
+                                runner = compiled.runner()
+                            outcome = self._run_once(runner, env_vars,
+                                                     limits, seed)
+                            phase.executed += 1
+                            fresh = True
+                            seed_free = not runner.rng_used
+                        if k == 0 and seed_free:
+                            replica = outcome
+                    phase.iterations.append(outcome)
+                    if not outcome.ok and tracer.enabled:
+                        tracer.event(
+                            "iteration.failed", template=pkey, seed=seed,
+                            kind=(outcome.kind.value
+                                  if outcome.kind is not None else None),
+                        )
+                    self._check_deadline(deadline, pkey)
+                    if fresh and memo is not None:
+                        # only a finished iteration is stored
+                        memo.remember(memo_key, runner.trace,
+                                      None if seed_free else seed,
+                                      replace(outcome))
             phase.run_s = execute_span.duration
             if tracer.enabled:
                 its = phase.iterations

@@ -228,7 +228,8 @@ class TitanHarness:
         self.cancel = cancel if cancel is not None else CancelToken()
         #: one compile cache for every check of this harness, triage
         #: re-checks and recovery probes included: each source is parsed
-        #: once, and nodes carrying identical stacks share whole compiles
+        #: once, and a run another stack would repeat is served by the
+        #: execute memo
         self.cache = CompileCache() if self.config.compile_cache else None
         self._template_map: Optional[Dict[str, object]] = None
 

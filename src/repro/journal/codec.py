@@ -156,7 +156,6 @@ def _encode_phase(phase: PhaseResult) -> dict:
         "compile_s": phase.compile_s,
         "run_s": phase.run_s,
         "cache_hit": phase.cache_hit,
-        "lower_hit": phase.lower_hit,
         "executed": phase.executed,
         "memo_hit": phase.memo_hit,
         "iterations": [_encode_iteration(it) for it in phase.iterations],
@@ -164,6 +163,8 @@ def _encode_phase(phase: PhaseResult) -> dict:
 
 
 def _decode_phase(data: dict) -> PhaseResult:
+    # older journals also carry "lower_hit", the flag of a retired
+    # lowering cache: ignored
     iterations = [_decode_iteration(it) for it in data.get("iterations", [])]
     # journals written before iterations were replicated lack the key:
     # those campaigns executed every iteration
@@ -177,8 +178,6 @@ def _decode_phase(data: dict) -> PhaseResult:
         compile_s=float(data.get("compile_s", 0.0)),
         run_s=float(data.get("run_s", 0.0)),
         cache_hit=bool(data.get("cache_hit", False)),
-        lower_hit=(bool(data["lower_hit"])
-                   if data.get("lower_hit") is not None else None),
         executed=int(executed) if executed is not None else len(iterations),
         # journals written before the execute memo lack the key
         memo_hit=bool(data.get("memo_hit", False)),

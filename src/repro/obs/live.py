@@ -21,7 +21,7 @@ campaign needs observability *during* the run.  This module is that layer:
   so the stream and the final report reconcile by construction.
 * :class:`SnapshotReporter` — periodically folds the tally into a
   campaign snapshot: progress fraction, ETA, units/sec, per-phase
-  pass/fail/harness-error counts, compile- and lowering-cache hit rates,
+  pass/fail/harness-error counts, the compile-cache hit rate,
   retry/quarantine counts and a unit timing summary.
 * Three sinks — :class:`NDJSONStreamSink` (append-only ``repro.obs.live/v1``
   stream, one flushed line per record so a reader tailing the file sees at
@@ -83,8 +83,6 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
         "executed": 0,
         "compile_cache_hits": 0,
         "compile_cache_misses": 0,
-        "lower_cache_hits": 0,
-        "lower_cache_misses": 0,
         "compile_s": 0.0,
         "run_s": 0.0,
         "phases": {},
@@ -108,11 +106,6 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
             fields["compile_cache_hits"] += 1
         else:
             fields["compile_cache_misses"] += 1
-        if phase.lower_hit is not None:
-            if phase.lower_hit:
-                fields["lower_cache_hits"] += 1
-            else:
-                fields["lower_cache_misses"] += 1
     return fields
 
 
@@ -141,8 +134,6 @@ class ProgressTally:
     programs_executed: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
-    lower_cache_hits: int = 0
-    lower_cache_misses: int = 0
     compile_s: float = 0.0
     execute_s: float = 0.0
     #: failure-kind value -> count (result-level dominant kinds)
@@ -162,11 +153,6 @@ class ProgressTally:
     def compile_cache_hit_rate(self) -> float:
         total = self.compile_cache_hits + self.compile_cache_misses
         return self.compile_cache_hits / total if total else 0.0
-
-    @property
-    def lower_cache_hit_rate(self) -> float:
-        total = self.lower_cache_hits + self.lower_cache_misses
-        return self.lower_cache_hits / total if total else 0.0
 
     def fold(self, record: dict) -> None:
         """Fold one stream record; snapshots and unknown kinds are ignored."""
@@ -207,8 +193,6 @@ class ProgressTally:
         self.programs_executed += int(fields.get("executed", iterations))
         self.compile_cache_hits += int(fields.get("compile_cache_hits", 0))
         self.compile_cache_misses += int(fields.get("compile_cache_misses", 0))
-        self.lower_cache_hits += int(fields.get("lower_cache_hits", 0))
-        self.lower_cache_misses += int(fields.get("lower_cache_misses", 0))
         self.compile_s += float(fields.get("compile_s", 0.0))
         self.execute_s += float(fields.get("run_s", 0.0))
         for mode, phase in (fields.get("phases") or {}).items():
@@ -330,11 +314,6 @@ class SnapshotReporter:
                 "hits": t.compile_cache_hits,
                 "misses": t.compile_cache_misses,
                 "hit_rate": round(t.compile_cache_hit_rate, 6),
-            },
-            "lower_cache": {
-                "hits": t.lower_cache_hits,
-                "misses": t.lower_cache_misses,
-                "hit_rate": round(t.lower_cache_hit_rate, 6),
             },
             "unit_timing": {"count": int(count), "sum": round(total_s, 6),
                             "min": round(lo, 6), "max": round(hi, 6)},
@@ -552,17 +531,11 @@ def render_prometheus(snapshot: dict) -> str:
     family("programs_executed_total", "counter",
            "Program executions; replicated iterations are not executed.",
            [("", None, snapshot.get("programs_executed", 0))])
-    cache_samples = []
-    for cache_name in ("compile", "lower"):
-        cache = snapshot.get(f"{cache_name}_cache") or {}
-        cache_samples.append(
-            ("", {"cache": cache_name, "outcome": "hit"},
-             cache.get("hits", 0)))
-        cache_samples.append(
-            ("", {"cache": cache_name, "outcome": "miss"},
-             cache.get("misses", 0)))
+    cache = snapshot.get("compile_cache") or {}
     family("cache_lookups_total", "counter",
-           "Compile/lowering cache lookups by outcome.", cache_samples)
+           "Compile cache lookups by outcome.",
+           [("", {"cache": "compile", "outcome": outcome},
+             cache.get(f"{outcome}s", 0)) for outcome in ("hit", "miss")])
     timing = snapshot.get("unit_timing") or {}
     family("unit_seconds", "summary", "Unit wall-clock seconds.",
            [("_count", None, timing.get("count", 0)),
@@ -942,12 +915,6 @@ def render_tally_text(tally: ProgressTally,
         f"{tally.compile_cache_misses} misses "
         f"({tally.compile_cache_hit_rate:.1%} hit rate)"
     )
-    if tally.lower_cache_hits or tally.lower_cache_misses:
-        lines.append(
-            f"  lowering cache     : {tally.lower_cache_hits} hits / "
-            f"{tally.lower_cache_misses} misses "
-            f"({tally.lower_cache_hit_rate:.1%} hit rate)"
-        )
     if tally.retries or tally.worker_lost:
         lines.append(f"  retries / lost     : {tally.retries} / "
                      f"{tally.worker_lost}")

@@ -33,7 +33,8 @@ class TraceSummary:
     #: ``compile.cache_hit``/``compile.cache_miss`` event counts
     cache_hits: int = 0
     cache_misses: int = 0
-    #: ``lower.cache_hit``/``lower.cache_miss`` event counts
+    #: ``lower.cache_hit``/``lower.cache_miss`` event counts (traces
+    #: written before the lowering cache was removed; 0 in newer ones)
     lower_hits: int = 0
     lower_misses: int = 0
     #: ``execute.memo_hit``/``execute.memo_miss`` event counts

@@ -28,7 +28,7 @@ from repro.compiler import (
     InterpreterReuseError,
     lower_program,
 )
-from repro.compiler.behavior import REFERENCE_BEHAVIOR
+from repro.compiler.behavior import REFERENCE_BEHAVIOR, BehaviorTrace
 from repro.compiler.exec_model import AccExecutor
 from repro.compiler.vendors import VENDORS, vendor_versions
 from repro.harness import HarnessConfig, ValidationRunner, render_csv, render_text
@@ -79,29 +79,6 @@ def _outcomes(compiled, errors=Exception, **run_kwargs):
             except errors as exc:  # noqa: BLE001 - differential
                 outcomes[backend] = (type(exc).__name__, str(exc))
     return outcomes
-
-
-class _SlowCompiler:
-    """A compiler slow enough that racing callers overlap; optionally its
-    first compile crashes."""
-
-    def __init__(self, crash_first: bool = False):
-        self._inner = Compiler()
-        self.behavior = self._inner.behavior
-        self.crash_first = crash_first
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def compile(self, source, language, name):
-        import time
-
-        with self._lock:
-            self.calls += 1
-            call = self.calls
-        time.sleep(0.05)
-        if self.crash_first and call == 1:
-            raise RuntimeError("transient compiler crash")
-        return self._inner.compile(source, language, name)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +181,10 @@ int main() {
 class TestCacheStats:
     def test_stats_snapshot_is_consistent_under_contention(self):
         cache = CompileCache(maxsize=64)
-        compiler = Compiler()
+        compiler = Compiler(frontend=cache)
         sources = [f"int main() {{ return {i}; }}" for i in range(8)]
+        behavior = compiler.behavior
+        trace = BehaviorTrace()
         per_thread = 40
         n_threads = 4
         stop = threading.Event()
@@ -213,18 +192,24 @@ class TestCacheStats:
 
         def reader():
             # the regression: hits/misses read as two unlocked loads could
-            # tear mid-update; stats() snapshots both under the cache lock,
-            # so lookups can never exceed the number of completed calls
+            # tear mid-update; stats() snapshots every counter under the
+            # cache lock, so lookups can never exceed the completed calls
             while not stop.is_set():
                 snap = cache.stats()
-                if snap.hits < 0 or snap.misses < 0 or \
-                        snap.lookups > n_threads * per_thread:
+                if snap.parse_hits < 0 or snap.parse_misses < 0 or \
+                        snap.parse_hits + snap.parse_misses > \
+                        n_threads * per_thread or \
+                        snap.memo_hits + snap.memo_misses > \
+                        n_threads * per_thread:
                     bad.append(snap)
 
         def worker(k):
             for i in range(per_thread):
                 source = sources[(i + k) % len(sources)]
                 cache.get_or_compile(compiler, source, "c", "t.c")
+                key = cache.memo_key(source, "c", "t.c", None, 1000)
+                if cache.recall(key, behavior, 0) is None:
+                    cache.remember(key, trace, None, i)
 
         watcher = threading.Thread(target=reader)
         watcher.start()
@@ -239,82 +224,21 @@ class TestCacheStats:
 
         assert not bad
         final = cache.stats()
-        assert final.hits + final.misses == n_threads * per_thread
-        assert final.misses == len(sources)
-        assert final.entries == len(sources)
-        # the legacy attributes stay readable and agree with the snapshot
-        assert (cache.hits, cache.misses) == (final.hits, final.misses)
-
-    @staticmethod
-    def _race(cache, compiler, n_threads=8):
-        """``n_threads`` threads miss the same key at once; returns their
-        outcomes.  A short switch interval makes lost updates likely."""
-        import sys
-
-        start = threading.Barrier(n_threads)
-        outcomes = []
-
-        def worker():
-            start.wait(timeout=10)
-            outcomes.append(cache.get_or_compile(
-                compiler, "int main() { return 0; }", "c", "t.c"))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=worker)
-                       for _ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(outcomes) == n_threads
-        return outcomes
-
-    def test_single_flight_compiles_a_raced_key_once(self):
-        compiler = _SlowCompiler()
-        cache = CompileCache()
-        outcomes = self._race(cache, compiler)
-        # one compile; every waiter takes its result and counts a hit
-        assert compiler.calls == 1
-        assert [o.hit for o in outcomes].count(False) == 1
-        assert len({id(o.program) for o in outcomes}) == 1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.entries) == (7, 1, 1)
-
-    def test_single_flight_never_shares_a_crash(self):
-        from repro.compiler import CompilerCrashError
-
-        compiler = _SlowCompiler(crash_first=True)
-        cache = CompileCache()
-        outcomes = self._race(cache, compiler)
-        # the crash reaches only its own caller and is not cached; one
-        # waiter compiles again and the rest take that result
-        assert compiler.calls == 2
-        crashes = [o for o in outcomes
-                   if isinstance(o.error, CompilerCrashError)]
-        assert len(crashes) == 1 and not crashes[0].hit
-        assert sum(1 for o in outcomes if o.program is not None) == 7
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.entries) == (6, 2, 1)
-
-    def test_hit_rate_delegates_to_snapshot(self):
-        cache = CompileCache()
-        compiler = Compiler()
-        cache.get_or_compile(compiler, "int main() { return 0; }", "c", "t.c")
-        cache.get_or_compile(compiler, "int main() { return 0; }", "c", "t.c")
-        stats = cache.stats()
-        assert stats.lookups == 2 and stats.hits == 1
-        assert cache.hit_rate == pytest.approx(0.5)
-        assert stats.hit_rate == pytest.approx(0.5)
+        lookups = n_threads * per_thread
+        assert final.parse_hits + final.parse_misses == lookups
+        assert final.parse_entries == len(sources)
+        assert final.memo_hits + final.memo_misses == lookups
+        assert final.memo_entries == len(sources)
+        # the counter attributes stay readable and agree with the snapshot
+        assert (cache.parse_hits, cache.parse_misses, cache.memo_hits,
+                cache.memo_misses) == (final.parse_hits, final.parse_misses,
+                                       final.memo_hits, final.memo_misses)
 
     def test_empty_cache_stats(self):
         stats = CompileCache().stats()
-        assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
-        assert stats.hit_rate == 0.0
+        assert stats == type(stats)(parse_hits=0, parse_misses=0,
+                                    parse_entries=0, memo_hits=0,
+                                    memo_misses=0, memo_entries=0)
 
 
 # ---------------------------------------------------------------------------

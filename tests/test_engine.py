@@ -142,17 +142,20 @@ class TestPolicyEquivalence:
 class TestCompileCache:
     def test_repeat_compiles_hit(self):
         cache = CompileCache()
-        cc = Compiler()
+        cc = Compiler(frontend=cache)
         src = "int main(){ return 1; }"
         first = cache.get_or_compile(cc, src, "c", "t.c")
         second = cache.get_or_compile(cc, src, "c", "t.c")
         assert not first.hit and second.hit
-        assert second.program is first.program
-        assert cache.hits == 1 and cache.misses == 1
+        # one parse, but every compile is a fresh program of its phase
+        assert second.program.program is first.program.program
+        assert second.program is not first.program
+        stats = cache.stats()
+        assert (stats.parse_hits, stats.parse_misses) == (1, 1)
 
     def test_negative_caching_of_compile_errors(self):
         cache = CompileCache()
-        cc = Compiler()
+        cc = Compiler(frontend=cache)
         src = "int main(){ this is not C }"
         first = cache.get_or_compile(cc, src, "c", "t.c")
         second = cache.get_or_compile(cc, src, "c", "t.c")
@@ -162,21 +165,22 @@ class TestCompileCache:
     def test_behaviors_never_alias(self):
         cache = CompileCache()
         src = "int main(){\n#pragma acc declare copyin(x)\nint x = 1; return x; }"
-        ok = cache.get_or_compile(Compiler(), src, "c", "t.c")
+        ok = cache.get_or_compile(Compiler(frontend=cache), src, "c", "t.c")
         rejecting = Compiler(CompilerBehavior(
             name="nodeclare", version="0",
             unsupported_directives=frozenset({"declare"}),
-        ))
+        ), frontend=cache)
         rejected = cache.get_or_compile(rejecting, src, "c", "t.c")
         assert ok.error is None
-        assert rejected.error is not None and not rejected.hit
+        # the parse is shared, the verdict is the behaviour's own
+        assert rejected.error is not None and rejected.hit
 
     def test_lru_eviction(self):
         cache = CompileCache(maxsize=2)
-        cc = Compiler()
+        cc = Compiler(frontend=cache)
         for i in range(3):
             cache.get_or_compile(cc, f"int main(){{ return {i}; }}", "c", "t.c")
-        assert len(cache) == 2
+        assert cache.stats().parse_entries == 2
         # the oldest entry was evicted -> recompiling it is a miss
         refetch = cache.get_or_compile(cc, "int main(){ return 0; }", "c", "t.c")
         assert not refetch.hit

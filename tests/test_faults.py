@@ -178,19 +178,20 @@ class TestCacheCrashContract:
 
     def test_crash_accounts_miss_but_is_not_cached(self):
         injector = FaultInjector(FaultPlan(seed=0, compile_crash=1.0))
-        compiler = FaultyCompiler(Compiler(), injector)
         cache = CompileCache()
+        compiler = FaultyCompiler(Compiler(frontend=cache), injector)
         crashed = cache.get_or_compile(compiler, "int main(){return 1;}",
                                        "c", "t.c")
         assert isinstance(crashed.error, CompilerCrashError)
-        assert cache.misses == 1 and cache.hits == 0
-        assert len(cache) == 0  # a transient crash must not poison the cache
+        assert not crashed.hit
+        # a transient crash must not poison the cache
+        assert cache.stats().parse_entries == 0
         # the same source compiles fine on the next attempt (fault healed)
         with injector.attempt("t.c", 1):
             healed = cache.get_or_compile(compiler, "int main(){return 1;}",
                                           "c", "t.c")
         assert healed.error is None and healed.program is not None
-        assert not healed.hit and cache.misses == 2
+        assert not healed.hit and cache.stats().parse_misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -330,14 +330,14 @@ def test_a_hit_still_runs_the_fault_site_and_events_per_iteration():
                               cache=cache, tracer=tracer)
     runner.faults = _FiringInjector(FaultPlan(seed=0))
     phase = runner.run_template(template).functional
-    assert (phase.executed, phase.memo_hit, phase.lower_hit) == \
-        (0, True, None)
+    assert (phase.executed, phase.memo_hit) == (0, True)
     assert len(phase.iterations) == 3
     assert runner.faults.keys == [f"{_PKEY}:{k}" for k in range(3)]
     names = [e.name for e in tracer.events]
     assert names.count("iteration.failed") == 3
     assert names.count("execute.memo_hit") == 1
-    assert names.count("compile.cache_miss") == 1
+    # the second behaviour compiles from the first one's parse
+    assert names.count("compile.cache_hit") == 1
     summary = summarize_trace(TraceData(meta={}, spans=tracer.spans,
                                         events=tracer.events))
     assert (summary.memo_hits, summary.memo_misses) == (1, 0)
@@ -401,7 +401,7 @@ def test_memo_is_bounded_and_cleared():
     assert cache.recall(("src", 2), CompilerBehavior(), 1).outcome == 2
     assert (cache.stats().memo_hits, cache.stats().memo_misses) == (1, 1)
     cache.clear()
-    assert cache.stats() == type(stats)(hits=0, misses=0, entries=0)
+    assert cache.stats() == type(stats)()
 
 
 def test_memo_counters_survive_racing_threads():

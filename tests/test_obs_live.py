@@ -170,18 +170,20 @@ def test_unit_fields_skip_harness_error_phases(suite10):
 
 
 def test_unit_fields_lowering_cache(suite10):
+    # the lowering cache is retired: units carry no lower_cache_* counters,
+    # and an older stream's counters fold into nothing
     template = suite10.get("parallel", "c")
-    hit = PhaseResult(mode="functional", source="", lower_hit=True,
-                      iterations=[IterationOutcome(ok=True, value=0)])
-    fields = unit_fields(0, "u", _result(template, hit))
-    assert fields["lower_cache_hits"] == 1
-    assert fields["lower_cache_misses"] == 0
-    # lower_hit is None (the phase never ran) -> neither counter moves
-    unrun = PhaseResult(mode="functional", source="",
+    phase = PhaseResult(mode="functional", source="",
                         iterations=[IterationOutcome(ok=True, value=0)])
-    fields = unit_fields(0, "u", _result(template, unrun))
-    assert fields["lower_cache_hits"] == 0
-    assert fields["lower_cache_misses"] == 0
+    fields = unit_fields(0, "u", _result(template, phase))
+    assert not [name for name in fields if name.startswith("lower_")]
+    reporter = SnapshotReporter(clock=lambda: 0.0)
+    reporter.begin()
+    reporter.tally.fold(_unit_event(lower_cache_hits=1, lower_cache_misses=1))
+    snapshot = reporter.snapshot(final=True)
+    assert "lower_cache" not in snapshot
+    assert 'cache="lower"' not in render_prometheus(snapshot)
+    assert "lowering cache" not in render_tally_text(reporter.tally)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +195,7 @@ def _unit_event(**fields):
     base = {"unit": "u", "index": 0, "replayed": False,
             "passed": True, "failure_kind": None, "elapsed_s": 0.25,
             "iterations": 2, "compile_cache_hits": 1,
-            "compile_cache_misses": 0, "lower_cache_hits": 0,
-            "lower_cache_misses": 0, "compile_s": 0.1, "run_s": 0.1,
+            "compile_cache_misses": 0, "compile_s": 0.1, "run_s": 0.1,
             "phases": {"functional": {"ok": True, "harness_error": False,
                                       "static_error": False}}}
     base.update(fields)
@@ -525,25 +526,24 @@ def test_live_knobs_do_not_change_campaign_identity(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# lowering-cache instrumentation (satellite)
+# the retired lowering cache: older artifacts still read
 # ---------------------------------------------------------------------------
 
 
-def test_lowering_cache_counters_hit_and_miss():
-    from repro.compiler import Compiler
+def test_lowering_cache_counters_hit_and_miss(suite10):
     from repro.obs import render_summary_text, summarize_trace
     from repro.obs.sink import parse_trace, trace_to_jsonl
 
+    # a run emits no lower.cache_* events...
     tracer = Tracer()
-    compiled = Compiler().compile("int main() { return 0; }", "c")
+    runner = ValidationRunner(_PGI, _quick_config(
+        feature_prefixes=["parallel.if"]), tracer=tracer)
+    runner.run_suite(suite10)
+    assert not [e for e in tracer.events if e.name.startswith("lower.")]
+    # ...but an older trace's are still counted
     with tracer.span("suite-run"):
-        first = compiled.runner(tracer=tracer, name="t")
-        second = compiled.runner(tracer=tracer, name="t")
-    assert first.lower_hit is False
-    assert second.lower_hit is True
-    assert [e.name for e in tracer.events] == \
-        ["lower.cache_miss", "lower.cache_hit"]
-
+        tracer.event("lower.cache_miss", template="t")
+        tracer.event("lower.cache_hit", template="t")
     trace = parse_trace(trace_to_jsonl(tracer, meta={"command": "t"}))
     summary = summarize_trace(trace)
     assert summary.lower_hits == 1 and summary.lower_misses == 1
@@ -551,28 +551,19 @@ def test_lowering_cache_counters_hit_and_miss():
         render_summary_text(summary)
 
 
-def test_journal_round_trips_lower_hit(tmp_path, suite10):
-    from repro.journal import JournalWriter, read_journal, \
-        validate_campaign_key
-    from repro.journal.codec import decode_result
+def test_journal_carrying_lower_hit_decodes(suite10):
+    from repro.journal.codec import decode_result, encode_result
 
-    config = _quick_config(feature_prefixes=["parallel.if"])
-    campaign = validate_campaign_key("1.0", _PGI, config)
-    path = tmp_path / "j.journal"
-    runner = ValidationRunner(_PGI, config)
-    journal = JournalWriter.create(str(path), campaign)
-    report = runner.run_suite(suite10, journal=journal)
-    journal.close()
-
-    assert len(report.results) == 1
-    original = report.results[0]
-    assert original.functional.lower_hit is not None
-
-    loaded = read_journal(str(path))
-    assert len(loaded.records) == 1
-    (payload,) = loaded.records.values()
-    decoded = decode_result(payload, original.template)
-    assert decoded.functional.lower_hit == original.functional.lower_hit
+    runner = ValidationRunner(_PGI, _quick_config(
+        feature_prefixes=["parallel.if"]))
+    (original,) = runner.run_suite(suite10).results
+    payload = encode_result(original)
+    assert "lower_hit" not in payload["functional"]
+    for old in (True, False, None):
+        payload["functional"]["lower_hit"] = old
+        decoded = decode_result(payload, original.template)
+        assert decoded.functional == original.functional
+        assert not hasattr(decoded.functional, "lower_hit")
 
 
 # ---------------------------------------------------------------------------

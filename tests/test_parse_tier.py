@@ -42,7 +42,7 @@ from repro.compiler.interp import builtin_names
 from repro.compiler.pipeline import _KNOWN_ROUTINES
 from repro.compiler.errors import UnsupportedFeatureError
 from repro.compiler.vendors import VENDORS, vendor_versions
-from repro.faults import FaultyCompiler
+from repro.faults import FaultInjector, FaultPlan, FaultyCompiler
 from repro.harness import HarnessConfig, ValidationRunner, render_csv
 from repro.harness.titan import (
     TitanCluster,
@@ -50,6 +50,8 @@ from repro.harness.titan import (
     default_degradation,
     default_stacks,
 )
+from repro.obs import Tracer
+from repro.obs.live import read_live
 from repro.ir.astnodes import (
     AccConstruct,
     AccLoop,
@@ -129,13 +131,16 @@ def _shared_runs(vendor: str, suite, config: HarnessConfig) -> List[str]:
             for language in ("c", "fortran")]
 
 
-def _titan_harness(suite) -> TitanHarness:
-    """A small Titan sweep whose degraded nodes trigger triage re-checks."""
+def _titan_harness(suite, tracer=None, **config) -> TitanHarness:
+    """A small Titan sweep whose degraded nodes trigger triage re-checks;
+    ``config`` overrides the harness config's fields."""
     cluster = TitanCluster(num_nodes=6, degraded_fraction=0.34, seed=3)
     return TitanHarness(
         cluster, suite,
-        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",)),
+        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",),
+                             **config),
         feature_prefixes=["update", "parallel.reduction", "kernels"],
+        tracer=tracer,
     )
 
 
@@ -190,9 +195,50 @@ class TestSharedSweep:
         assert shared_quarantine == fresh_quarantine
         assert shared_quarantine  # the triage re-checks ran
         stats = cache.stats()
-        # identical healthy stacks share whole compiles across nodes
-        assert stats.hits > 0
+        # every node and re-check compiles from the one parse of a source
+        assert stats.parse_hits > 0
         assert stats.parse_misses == stats.parse_entries
+
+    def test_titan_compile_site_fires_once_per_compiled_phase(
+            self, suite10, monkeypatch):
+        fired = []
+        real = FaultInjector.compile_site
+
+        def counting(self, key):
+            fired.append(key)
+            real(self, key)
+
+        monkeypatch.setattr(FaultInjector, "compile_site", counting)
+        tracer = Tracer()
+        # an active plan wraps every check's compiler in FaultyCompiler;
+        # its only site (the journal) never runs in this sweep
+        harness = _titan_harness(suite10, tracer=tracer,
+                                 fault_plan=FaultPlan(seed=0,
+                                                      journal_torn=1.0))
+        harness.sweep(sample_size=6, seed=4)
+        assert harness.quarantined  # the triage re-checks ran
+        compiled = [s.key for s in tracer.spans
+                    if s.name == "compile"]
+        # identical stacks and re-checks compile the same sources again:
+        # every one of those phases reaches the compiler and its fault site
+        assert len(compiled) > len(set(compiled))
+        assert len(fired) == len(compiled)
+
+    def test_titan_transient_compile_crashes_heal(self, suite10):
+        def sweep(tracer=None, **config):
+            harness = _titan_harness(suite10, tracer=tracer, **config)
+            checks = harness.sweep(sample_size=6, seed=4)
+            return ([(c.node_id, c.stack, render_csv(c.report))
+                     for c in checks], sorted(harness.quarantined))
+
+        clean = sweep()
+        assert clean[1]  # the triage re-checks ran
+        tracer = Tracer()
+        assert sweep(tracer=tracer, retries=2, retry_backoff_s=0.0,
+                     fault_plan=FaultPlan(seed=11, compile_crash=0.5)) == clean
+        names = [e.name for e in tracer.events]
+        assert names.count("compile.crashed") > 0
+        assert names.count("engine.retry") == names.count("compile.crashed")
 
     def test_titan_without_compile_cache_shares_nothing(self, suite10):
         harness = TitanHarness(
@@ -204,6 +250,72 @@ class TestSharedSweep:
 
 
 # ---------------------------------------------------------------------------
+# the compile-cache hit: a compile that took its parse from the parse tier
+# ---------------------------------------------------------------------------
+
+
+def _traced_caps_sweep(suite, config, tmp_path):
+    """A shared-cache CAPS sweep, one runner per (version, language), all
+    reporting to one tracer and each streaming live telemetry; returns
+    the reports, the tracer and the folded stream tallies."""
+    cache, tracer = CompileCache(), Tracer()
+    reports, tallies = [], []
+    for vv in vendor_versions("caps"):
+        for language in ("c", "fortran"):
+            stream = str(tmp_path / f"{vv.version}-{language}.ndjson")
+            runner = ValidationRunner(
+                vv.behavior(language),
+                replace(config, languages=(language,), live_stream=stream),
+                cache=cache, tracer=tracer)
+            reports.append(runner.run_suite(suite))
+            tallies.append(read_live(stream).tally())
+    return reports, tracer, tallies
+
+
+def _compile_keys(report) -> List[tuple]:
+    """(source, language, name) of every phase that reached the compiler."""
+    return [(phase.source, result.template.language, result.template.name)
+            for result in report.results
+            for phase in (result.functional, result.cross)
+            if phase is not None and phase.static_error is None
+            and phase.harness_error is None]
+
+
+class TestCompileHits:
+    @pytest.mark.parametrize("policy,workers", [("serial", 1), ("process", 2)])
+    def test_hits_reconcile_with_trace_and_stream(self, suite10, tmp_path,
+                                                  policy, workers):
+        config = replace(_sample_config(suite10), run_cross=True,
+                         policy=policy, workers=workers)
+        reports, tracer, tallies = _traced_caps_sweep(suite10, config,
+                                                      tmp_path)
+        if policy == "serial":
+            # one cache for the sweep: every compile after a source's
+            # first takes its parse from the parse tier
+            keys = [k for report in reports for k in _compile_keys(report)]
+            expected = len(keys) - len(set(keys))
+            assert expected > 0
+        else:
+            # each run's pool workers build private caches, and no source
+            # repeats within one run (functional and cross sources differ):
+            # every compile parses afresh
+            expected = sum(len(keys) - len(set(keys)) for keys in
+                           map(_compile_keys, reports))
+            assert expected == 0
+        hits = sum(report.metrics.cache_hits for report in reports)
+        lookups = hits + sum(report.metrics.cache_misses
+                             for report in reports)
+        assert lookups == sum(len(_compile_keys(r)) for r in reports)
+        assert hits == expected
+        names = [e.name for e in tracer.events]
+        assert names.count("compile.cache_hit") == expected
+        assert names.count("compile.cache_miss") == lookups - expected
+        assert sum(t.compile_cache_hits for t in tallies) == expected
+        assert sum(t.compile_cache_misses for t in tallies) == \
+            lookups - expected
+
+
+# ---------------------------------------------------------------------------
 # the parse tier's own contract
 # ---------------------------------------------------------------------------
 
@@ -211,16 +323,18 @@ class TestSharedSweep:
 class TestParseTier:
     def test_parse_error_identical_under_two_behaviours(self, parse_counter):
         cache = CompileCache()
-        errors = []
+        errors, hits = [], []
         for behavior in (REFERENCE_BEHAVIOR,
                          CompilerBehavior(name="other", version="1")):
             outcome = cache.get_or_compile(Compiler(behavior, frontend=cache),
                                            _BAD_SOURCE, "c", "bad.c")
             assert type(outcome.error) is CompileError
             errors.append(str(outcome.error))
+            hits.append(outcome.hit)
         assert len(parse_counter) == 1
         stats = cache.stats()
-        assert (stats.misses, stats.parse_misses, stats.parse_hits) == (2, 1, 1)
+        assert (stats.parse_misses, stats.parse_hits) == (1, 1)
+        assert hits == [False, True]
         assert errors[0] == errors[1]
         assert errors[0] == str(_uncached_error(_BAD_SOURCE))
 
@@ -239,13 +353,14 @@ class TestParseTier:
         assert cache.parsed(_BAD_SOURCE, "c", "bad.c").error.__traceback__ \
             is None
 
-    def test_compile_site_fires_once_per_whole_compile_miss(self, suite10):
+    def test_compile_site_fires_on_every_compile(self, suite10):
         cache = CompileCache()
         injector = _CountingInjector()
         template = suite10.get("parallel.copy", "c")
         source = generate_functional(template).source
         behaviours = [REFERENCE_BEHAVIOR,
                       REFERENCE_BEHAVIOR.with_(ignore_update=True)]
+        hits = []
         for _ in range(3):
             for behavior in behaviours:
                 compiler = FaultyCompiler(Compiler(behavior, frontend=cache),
@@ -253,10 +368,12 @@ class TestParseTier:
                 outcome = cache.get_or_compile(compiler, source, "c",
                                                template.name)
                 assert outcome.error is None
-        assert injector.fired == len(behaviours)
+                hits.append(outcome.hit)
+        # every compile reaches the compiler; only the parse is shared
+        assert injector.fired == 3 * len(behaviours)
+        assert hits == [False] + [True] * (3 * len(behaviours) - 1)
         stats = cache.stats()
-        assert (stats.misses, stats.hits) == (2, 4)
-        assert (stats.parse_misses, stats.parse_hits) == (1, 1)
+        assert (stats.parse_misses, stats.parse_hits) == (1, 5)
 
     def test_behaviours_share_one_program(self, suite10):
         cache = CompileCache()
@@ -339,7 +456,6 @@ class TestParseTier:
         assert stats.parse_hits + stats.parse_misses == \
             n_threads * len(sources)
         assert stats.parse_entries == len(sources)
-        assert (stats.misses, stats.entries) == (n_threads * len(sources),) * 2
 
     def test_lint_gate_parses_once(self, suite10, parse_counter):
         template = suite10.get("parallel.copy", "c")
@@ -550,12 +666,8 @@ _ROUTINE_BEHAVIOURS = (
 
 def _run_phase(compiled, backend: str = "closures"):
     """One phase run; ``backend="tree"`` runs it on the tree walker."""
-    runner = compiled.runner()
-    try:
-        with oracle() if backend == "tree" else nullcontext():
-            return runner.run()
-    finally:
-        runner.close()
+    with oracle() if backend == "tree" else nullcontext():
+        return compiled.runner().run()
 
 
 def _device_codes(compiled) -> List[RegionCode]:
@@ -581,19 +693,62 @@ class TestPlanLifetimes:
 
     def test_phase_lowering_dies_while_the_cache_lives(self):
         cache = CompileCache()
-        compiled = Compiler(_ROUTINE_BEHAVIOURS[0], frontend=cache).compile(
-            _ROUTINE_SRC, "c", "routine_call.c")
+        outcome = cache.get_or_compile(
+            Compiler(_ROUTINE_BEHAVIOURS[0], frontend=cache), _ROUTINE_SRC,
+            "c", "routine_call.c")
+        compiled = outcome.program
         runner = compiled.runner()
         runner.run()
         lowered = weakref.ref(compiled._lowered)
         # the region calls bump: its host closure must not be pinned by
         # the shared device code
         bump = weakref.ref(compiled._lowered.functions["bump"].body)
-        runner.close()
-        del runner
+        del outcome, compiled, runner
         gc.collect()
+        # the cache holds no compiled program, so the phase's lowering
+        # dies with it; the parse keeps its plans and device code
         assert lowered() is None and bump() is None
-        assert all(code is not None for code in _device_codes(compiled))
+        parsed = cache.parsed(_ROUTINE_SRC, "c", "routine_call.c")
+        codes = [plan.device_code for _node, plan in parsed.plans.values()
+                 if isinstance(plan, ComputePlan)]
+        assert codes and all(code is not None for code in codes)
+
+    def test_no_lowering_outlives_its_phase(self, suite10, monkeypatch):
+        import repro.compiler.closures as closures
+
+        lowerings = []
+        real_lower = closures.lower_program
+
+        def recording(program, plans=None):
+            lowered = real_lower(program, plans)
+            lowerings.append(weakref.ref(lowered))
+            return lowered
+
+        monkeypatch.setattr(closures, "lower_program", recording)
+        live_after_phase = []
+        real_phase = ValidationRunner._run_phase
+
+        def phase_then_collect(self, *args, **kwargs):
+            phase = real_phase(self, *args, **kwargs)
+            gc.collect()
+            live_after_phase.append(sum(ref() is not None
+                                        for ref in lowerings))
+            return phase
+
+        monkeypatch.setattr(ValidationRunner, "_run_phase",
+                            phase_then_collect)
+        cache = CompileCache()
+        config = replace(_sample_config(suite10), run_cross=True,
+                         languages=("c",))
+        runners = [ValidationRunner(vv.behavior("c"), config, cache=cache)
+                   for vv in vendor_versions("caps")[:3]]
+        for runner in runners:
+            runner.run_suite(suite10)
+        # the runners and their shared cache are still alive: neither
+        # holds a compiled program, so each lowering died with its phase
+        assert lowerings and live_after_phase
+        assert set(live_after_phase) == {0}
+        assert cache.stats().parse_entries > 0
 
     def test_parse_plans_and_device_code_die_with_the_cache(self):
         def sweep():
