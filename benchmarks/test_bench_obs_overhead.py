@@ -13,6 +13,8 @@ runner's timers.  Two guarantees are measured here:
   untraced run — generous; typical overhead is a few percent).
 """
 
+import gc
+import statistics
 import time
 
 from benchmarks.conftest import print_series
@@ -25,6 +27,7 @@ def _run(suite, tracer=None, **config_kw):
     behavior = vendor_version("pgi", "13.2").behavior("c")
     config = HarnessConfig(iterations=3, languages=("c",), **config_kw)
     runner = ValidationRunner(behavior, config, tracer=tracer)
+    gc.collect()  # no run pays for its predecessor's garbage
     start = time.perf_counter()
     report = runner.run_suite(suite)
     return report, time.perf_counter() - start
@@ -67,45 +70,69 @@ def test_bench_tracing_overhead(benchmark, suite10):
     )
 
 
+#: alternating live/plain pairs behind the live-telemetry gate: one ratio
+#: of two ~1 s runs read 0.79-1.48x over 60 pairs of unchanged code (2-core
+#: host, median 1.05x), so the gate reads the median of many pairs
+LIVE_PAIRS = 15
+
+
 def test_bench_live_telemetry_overhead(benchmark, suite10, tmp_path):
     """Live telemetry (NDJSON stream + prom textfile) must stay cheap.
 
     Every unit completion writes and flushes one stream line; snapshots
     (and the fsync'd atomic prom rewrite they trigger) are throttled to
-    one per 0.2s.  The gate: a fully telemetered run costs at most 1.15x
-    an untelemetered one.
+    one per 0.2s.  The gate: over :data:`LIVE_PAIRS` alternating pairs of
+    a fully telemetered and an untelemetered run, the median ratio is at
+    most 1.15x.
     """
     from repro.obs.live import lint_prometheus, read_live
 
-    plain_report, plain_s = _run(suite10)
+    def pair(k):
+        stream = tmp_path / f"bench{k}.ndjson"
+        prom = tmp_path / f"bench{k}.prom"
 
-    stream = tmp_path / "bench.ndjson"
-    prom = tmp_path / "bench.prom"
+        def live():
+            return _run(suite10, live_stream=str(stream), prom=str(prom))
 
-    def live_run():
-        return _run(suite10, live_stream=str(stream), prom=str(prom))
+        # alternate which run goes first, so drift charges neither side
+        if k % 2:
+            live_run = live()
+            plain_run = _run(suite10)
+        else:
+            plain_run = _run(suite10)
+            live_run = live()
+        return plain_run, live_run, stream, prom
 
-    live_report, live_s = benchmark.pedantic(live_run, rounds=1, iterations=1)
-    overhead = live_s / plain_s
+    runs = benchmark.pedantic(
+        lambda: [pair(k) for k in range(LIVE_PAIRS)], rounds=1, iterations=1)
+    ratios = sorted(live_s / plain_s
+                    for (_, plain_s), (_, live_s), _, _ in runs)
+    overhead = statistics.median(ratios)
 
-    parsed = read_live(str(stream))
-    print_series("Live telemetry — streamed vs untelemetered, full C suite", [
-        f"plain    {plain_s:7.2f} s",
-        f"live     {live_s:7.2f} s   overhead {overhead:5.2f}x   "
-        f"{len(parsed.records)} stream records, "
-        f"{len(parsed.snapshots())} snapshots",
-    ])
+    rows = []
+    for k, ((plain_report, plain_s), (live_report, live_s), stream,
+            prom) in enumerate(runs):
+        parsed = read_live(str(stream))
+        rows.append(
+            f"pair {k}   plain {plain_s:6.2f} s   live {live_s:6.2f} s   "
+            f"ratio {live_s / plain_s:5.2f}x   "
+            f"{len(parsed.records)} stream records, "
+            f"{len(parsed.snapshots())} snapshots")
+        # telemetry observes the run, it must never change it
+        assert render_csv(live_report) == render_csv(plain_report)
+        # the stream captured every unit and a lint-clean prom export
+        assert len(parsed.events("unit.finished")) == \
+            len(live_report.results)
+        assert parsed.final_snapshot is not None
+        assert lint_prometheus(prom.read_text()) == []
+    rows.append(f"median overhead {overhead:5.2f}x "
+                f"(range {ratios[0]:.2f}-{ratios[-1]:.2f}x)")
+    print_series("Live telemetry — streamed vs untelemetered, full C suite",
+                 rows)
 
-    # telemetry observes the run, it must never change it
-    assert render_csv(live_report) == render_csv(plain_report)
-
-    # the stream captured every unit and a lint-clean prom export
-    assert len(parsed.events("unit.finished")) == len(live_report.results)
-    assert parsed.final_snapshot is not None
-    assert lint_prometheus(prom.read_text()) == []
-
-    # bounded cost: the PR's acceptance gate
+    # bounded cost, on the median pair
     assert overhead <= 1.15, (
-        f"live-telemetry overhead {overhead:.2f}x exceeds the 1.15x budget "
-        f"({plain_s:.2f}s -> {live_s:.2f}s)"
+        f"live-telemetry overhead {overhead:.2f}x (median of "
+        f"{LIVE_PAIRS} pairs: {', '.join(f'{r:.2f}' for r in ratios)}) "
+        f"exceeds the 1.15x budget"
     )

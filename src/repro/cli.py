@@ -858,16 +858,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the report to a file")
     p.add_argument("--policy", default="serial",
                    choices=list(EXECUTION_POLICIES),
-                   help="execution engine (identical reports either way)")
+                   help="execution engine: serial, or a pool of worker "
+                        "processes (identical reports either way)")
     p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
-                   help="pool size for --policy thread/process")
+                   help="pool size for --policy process")
     p.add_argument("--metrics", action="store_true",
                    help="run metrics (wall/compile/execute time, compile-"
                         "cache hit rate, worker utilization); written next "
                         "to --output as FILE.metrics.txt/.csv, else printed")
     p.add_argument("--no-compile-cache", action="store_true",
                    help="share no parses or runs across phases (every "
-                        "compile parses, every phase runs its program)")
+                        "compile parses; a phase reuses only its own "
+                        "seed-free iteration 0)")
     p.add_argument("--lint", action="store_true",
                    help="static-check each template before compiling; "
                         "templates with error diagnostics are marked "

@@ -37,19 +37,21 @@ Both stores are bounded by ``maxsize`` keys (LRU) and emptied by
 :meth:`CompileCache.clear`.
 
 The cache lives as long as its owner: one sweep (``vendor_pass_rates``),
-one :class:`~repro.harness.titan.TitanHarness`, or one runner.  It is
+one :class:`~repro.harness.titan.TitanHarness`, one runner, or, under
+``compile_cache=False`` (``--no-compile-cache``), one phase.  It is
 never process-wide: a process-wide cache would keep every campaign's
-parses alive in a long-running process.  ``compile_cache=False``
-(``--no-compile-cache``) builds none: every compile parses afresh and
-every phase runs its program.
+parses alive in a long-running process.  A phase-private cache shares
+nothing across phases: its compiler has no frontend, so every compile
+parses afresh, and its memo serves only the phase's own repeats of a
+seed-free iteration 0.
 
-The cache is thread-safe (the ``thread`` execution policy shares one
-runner), with one lock for all of it.  Neither store is single-flight:
-racing threads may each parse (or run) the same key, every racer gets
-the entry stored first, and a run that is already stored is not stored
-twice.  Under the ``process`` policy each worker process holds its own
-cache and parses and runs for itself; the engine aggregates hit counters
-from the per-phase flags carried by the results.
+One lock guards all of the cache, so callers may share one across their
+own threads.  Neither store is single-flight: racing threads may each
+parse (or run) the same key, every racer gets the entry stored first,
+and a run that is already stored is not stored twice.  Under the
+``process`` policy each worker process holds its own cache and parses
+and runs for itself; the engine aggregates hit counters from the
+per-phase flags carried by the results.
 """
 
 from __future__ import annotations
@@ -89,9 +91,9 @@ class CacheStats:
 
     Taken under the cache lock, so ``hits + misses == lookups`` always
     holds *within one snapshot* for each store — reading the counter
-    attributes separately under the thread policy can tear (one counter
-    from before a concurrent update, the other from after) and report
-    totals that don't sum to the number of lookups.
+    attributes separately while other threads use the cache can tear (one
+    counter from before a concurrent update, the other from after) and
+    report totals that don't sum to the number of lookups.
 
     The ``parse_`` fields count the parse tier, where a miss is one
     frontend run; the ``memo_`` fields count the execute memo, where
@@ -206,10 +208,9 @@ class CompileCache:
         Every call reaches ``compiler.compile`` (so the ``compile`` fault
         site and any test double fire on every phase), which takes its
         parse from this cache's parse tier when the compiler's frontend
-        is this cache (as it is in the harness).  The outcome's ``hit``
-        says the parse was already in the parse tier when the compile
-        began; under the thread policy, a compile that races another
-        thread's first parse of the same source counts a miss.
+        is this cache (as it is in the harness with a shared cache).  The
+        outcome's ``hit`` says the parse was already in the parse tier when
+        the compile began.
 
         A :class:`CompileError` (a frontend error or a rejection by
         ``Compiler.validate``) comes back as the outcome's error.  A

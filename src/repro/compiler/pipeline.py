@@ -97,12 +97,7 @@ class CompiledProgram:
     )
 
     def lowered(self):
-        """The closure-lowered form, computed once per compiled program.
-
-        Benign data race under the thread policy: two threads may lower
-        concurrently and one result wins; lowering is pure, so both are
-        interchangeable.
-        """
+        """The closure-lowered form, computed once per compiled program."""
         lowered = self._lowered
         if lowered is None:
             from repro.compiler.closures import lower_program
@@ -149,16 +144,14 @@ class ProgramRunner:
     gets a *fresh* :class:`Machine` and interpreter, so device counters,
     globals and RNG state match a cold run exactly.
 
-    Not every iteration reaches :meth:`run`: after each run, ``rng_used``
-    says whether the program called ``rand``/``srand``, the only way the
-    iteration's seed reaches execution.  When iteration 0 did not, the
-    harness reuses its outcome for iterations 1..M-1 instead of running
-    the program again (``ValidationRunner._run_phase``).
-
     Each run consults the behaviour through a fresh
     :class:`~repro.compiler.behavior.BehaviorRecorder`; ``trace`` holds
-    what the last run asked it, which the compile cache's execute memo
-    keys the run's outcome on.
+    what the last run asked it, and ``rng_used`` whether it called
+    ``rand``/``srand``, the only way the iteration's seed reaches
+    execution.  The compile cache's execute memo keys the run's outcome
+    on both: a run that never read the RNG is stored for every seed, so
+    the memo serves iterations 1..M-1 of such a phase without running
+    the program again (``ValidationRunner._run_phase``).
     """
 
     def __init__(self, compiled: CompiledProgram):

@@ -30,9 +30,9 @@ to a fault-free run (DESIGN §5i).
 
 Determinism guarantee: whether a site fires depends only on
 ``(plan.seed, site, key, attempt)`` — never on scheduling, wall-clock or
-process identity — so serial, thread and process runs of the same plan
-inject the same faults, and a healed (retried) run reproduces the
-fault-free run byte for byte.
+process identity — so serial and process runs of the same plan inject
+the same faults, and a healed (retried) run reproduces the fault-free
+run byte for byte.
 """
 
 from repro.faults.plan import FAULT_SITES, FaultPlan

@@ -13,8 +13,8 @@ interpreter runs — no ``PYTHONHASHSEED`` dependence.
 
 The *attempt* is ambient: the engine's retry wrapper brackets each attempt
 of a work unit in :meth:`FaultInjector.attempt`, and every site check in
-that dynamic extent sees the attempt number (thread-local, so the thread
-engine's concurrent units do not interfere).
+that dynamic extent sees the attempt number (thread-local, so units that
+a caller runs concurrently in its own threads do not interfere).
 """
 
 from __future__ import annotations

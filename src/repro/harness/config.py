@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 from repro.faults import FaultPlan
 
 #: execution policies understood by :mod:`repro.harness.engine`
-EXECUTION_POLICIES = ("serial", "thread", "process")
+EXECUTION_POLICIES = ("serial", "process")
 
 
 @dataclass
@@ -20,8 +20,8 @@ class HarnessConfig:
     results feed the certainty statistic pc = 1 - (1 - nf/M)^M.
 
     ``workers``/``policy`` select the execution engine: ``serial`` runs
-    templates in order in-process, ``thread``/``process`` fan the suite out
-    over a pool.  All policies produce identical reports for the same
+    templates in order in-process, ``process`` fans the suite out over a
+    pool of worker processes.  Both produce identical reports for the same
     configuration (template order and per-iteration seeds are derived from
     the config, never from scheduling).
     """
@@ -42,9 +42,9 @@ class HarnessConfig:
     #: base RNG seed; iteration k runs with seed base+k so repeated runs are
     #: reproducible yet not identical
     rng_seed: int = 20140519
-    #: execution policy: 'serial' | 'thread' | 'process'
+    #: execution policy: 'serial' | 'process'
     policy: str = "serial"
-    #: pool size for the thread/process policies (ignored by 'serial')
+    #: pool size for the 'process' policy (ignored by 'serial')
     workers: int = 1
     #: share parses and runs across phases (see repro.compiler.cache): the
     #: parse tier and the execute memo

@@ -3,12 +3,10 @@
 ``ValidationRunner.run_suite`` used to walk the template list strictly
 serially, although the workload — compile, run M times, classify, next
 template — is embarrassingly parallel.  This module supplies the paper's
-"runs on random nodes / tracks large sweeps" scale-out shape as three
+"runs on random nodes / tracks large sweeps" scale-out shape as two
 interchangeable policies behind ``HarnessConfig.policy``/``workers``:
 
 * ``serial`` — the original in-order loop (the default);
-* ``thread`` — a thread pool sharing one runner and one compile cache
-  (useful for I/O-bound behaviours and as a determinism cross-check);
 * ``process`` — a process pool: ``(behavior, config)`` are shipped to each
   worker once via the pool initializer, then work units carry only
   ``(index, template)`` and ship a finished :class:`TestResult` back.
@@ -55,7 +53,6 @@ import time
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     as_completed,
 )
 from dataclasses import dataclass, field
@@ -156,13 +153,14 @@ class RunMetrics:
     templates: int = 0
     #: verdict iterations (functional + cross): M per phase that ran
     iterations_run: int = 0
-    #: programs actually run; below iterations_run by the iterations
-    #: reused from a seed-independent iteration 0 (PhaseResult.executed)
+    #: programs actually run; below iterations_run by the iterations the
+    #: execute memo served (PhaseResult.executed)
     programs_executed: int = 0
-    #: phases the execute memo served (PhaseResult.memo_hit): their runs
-    #: repeated an earlier run under another behaviour's same answers
+    #: phases whose iteration 0 the execute memo served
+    #: (PhaseResult.memo_hit): an earlier phase's run repeated under the
+    #: same behaviour answers
     memo_hits: int = 0
-    #: busy seconds per worker (thread name / worker pid)
+    #: busy seconds per worker ("main", or "pid-<pid>" for a pool worker)
     worker_busy_s: Dict[str, float] = field(default_factory=dict)
     #: failure-kind value -> count, e.g. {"compile_error": 3}
     failure_kinds: Dict[str, int] = field(default_factory=dict)
@@ -283,51 +281,6 @@ class SerialEngine:
             if on_complete is not None:
                 on_complete(index, template, result)
         return outcomes
-
-
-class ThreadEngine:
-    """A thread pool sharing one runner (and its compile cache)."""
-
-    policy = "thread"
-
-    def __init__(self, workers: int):
-        self.workers = workers
-
-    def run(self, templates: Sequence["TestTemplate"],
-            runner: "ValidationRunner",
-            on_complete: Optional[UnitCallback] = None,
-            cancel: Optional[CancelToken] = None) -> EngineOutcomes:
-        if not templates:
-            return []
-        cancel = cancel if cancel is not None else CancelToken()
-        cancel.check()
-
-        def unit(payload: Tuple[int, "TestTemplate"]):
-            index, template = payload
-            result = run_unit_resilient(runner, template)
-            return index, result, threading.current_thread().name
-
-        raw = []
-        with ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="harness"
-        ) as pool:
-            futures = [pool.submit(unit, item) for item in enumerate(templates)]
-            try:
-                # completion order, in this (coordinating) thread: the
-                # journal callback sees each result the moment it exists
-                for future in as_completed(futures):
-                    index, result, worker = future.result()
-                    raw.append((index, result, worker))
-                    if on_complete is not None:
-                        on_complete(index, templates[index], result)
-                    cancel.check()
-            except BaseException:
-                # drain or a callback failure (e.g. an injected journal
-                # tear): drop queued units, let in-flight ones finish
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        raw.sort(key=lambda item: item[0])
-        return [(result, worker) for _, result, worker in raw]
 
 
 # -- process-pool plumbing: one runner per worker process, built once -------
@@ -503,7 +456,6 @@ class ProcessEngine:
 
 _ENGINES = {
     "serial": SerialEngine,
-    "thread": ThreadEngine,
     "process": ProcessEngine,
 }
 assert set(_ENGINES) == set(EXECUTION_POLICIES)

@@ -2,9 +2,10 @@
 
 For every template: generate the functional program, compile it with the
 implementation under test, run it ``M`` times on fresh simulated machines
-(iterations that cannot differ reuse iteration 0's outcome: see
-``ValidationRunner._run_phase``), and classify the outcome using the
-paper's error taxonomy (Section V):
+(the compile cache's execute memo serves every iteration that would repeat
+a stored run, such as iterations 1..M-1 after an iteration 0 that never
+read the RNG: see ``ValidationRunner._run_phase``), and classify the
+outcome using the paper's error taxonomy (Section V):
 
 * ``COMPILE_ERROR`` — "assertion violations or other internal compilation
   errors", e.g. an unsupported feature;
@@ -30,7 +31,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
 from repro.compiler import (
     REFERENCE_BEHAVIOR,
-    CompileError,
     Compiler,
     CompilerBehavior,
     CompilerCrashError,
@@ -116,14 +116,13 @@ class PhaseResult:
     #: whether the compile took its parse from the compile cache's parse
     #: tier (an earlier phase, or the lint gate, parsed the same source)
     cache_hit: bool = False
-    #: programs actually run: 1 when iteration 0 never read the RNG and
-    #: its outcome was reused for the other iterations, else
-    #: ``len(iterations)``, less the iterations the execute memo served —
-    #: instrumentation like cache_hit
+    #: programs actually run: ``len(iterations)`` less the iterations the
+    #: execute memo served (at most 1 when iteration 0 never read the RNG,
+    #: since the memo then serves iterations 1..M-1) — instrumentation like
+    #: cache_hit
     executed: int = 0
-    #: whether the compile cache's execute memo served an iteration (an
-    #: earlier run the behaviour would repeat exactly) — instrumentation
-    #: like cache_hit
+    #: whether the execute memo served iteration 0 (an earlier phase's run
+    #: the behaviour would repeat exactly) — instrumentation like cache_hit
     memo_hit: bool = False
 
     @property
@@ -486,8 +485,8 @@ class ValidationRunner:
             raise
         finally:
             self.cancel = previous_cancel
-        # spans recorded off the main thread (thread pools) or adopted from
-        # worker processes have no parent: stitch them under this run's root
+        # spans adopted from worker processes have no parent: stitch them
+        # under this run's root
         tracer.reparent_orphans(root)
         if replayed:
             # merge back in template order; replayed units are attributed
@@ -570,34 +569,27 @@ class ValidationRunner:
         phase = PhaseResult(mode=mode, source=generated.source)
         tracer = self.tracer
         pkey = f"{tkey or template.feature}:{mode}"
+        # a runner without a shared cache gives the phase a private one:
+        # every phase then takes the same path (crash wrapping, events,
+        # the memo serving a seed-free iteration 0's repeats)
+        cache = self.cache if self.cache is not None else CompileCache()
         # the spans are the timers: compile_s/run_s are copied from the span
         # durations, so a recorded trace reconciles with RunMetrics exactly
         with tracer.span("phase", key=pkey, mode=mode):
-            compiled = None
             with tracer.span("compile", key=pkey) as compile_span:
-                if self.cache is not None:
-                    outcome = self.cache.get_or_compile(
-                        self.compiler, generated.source, template.language,
-                        template.name,
-                        tracer=tracer if tracer.enabled else None,
-                    )
-                    phase.cache_hit = outcome.hit
-                    if isinstance(outcome.error, CompilerCrashError):
-                        # infrastructure fault, not a diagnostic: escalate
-                        # to the engine's retry layer instead of charging
-                        # the implementation with a COMPILE_ERROR verdict
-                        raise outcome.error
-                    if outcome.error is not None:
-                        phase.compile_error = str(outcome.error)
-                    else:
-                        compiled = outcome.program
-                else:
-                    try:
-                        compiled = self.compiler.compile(
-                            generated.source, template.language, template.name
-                        )
-                    except CompileError as err:
-                        phase.compile_error = str(err)
+                outcome = cache.get_or_compile(
+                    self.compiler, generated.source, template.language,
+                    template.name, tracer=tracer if tracer.enabled else None,
+                )
+                phase.cache_hit = outcome.hit
+                if isinstance(outcome.error, CompilerCrashError):
+                    # infrastructure fault, not a diagnostic: escalate to
+                    # the engine's retry layer instead of charging the
+                    # implementation with a COMPILE_ERROR verdict
+                    raise outcome.error
+                if outcome.error is not None:
+                    phase.compile_error = str(outcome.error)
+                compiled = outcome.program
             phase.compile_s = compile_span.duration
             if tracer.enabled:
                 compile_span.set(cache_hit=phase.cache_hit,
@@ -606,46 +598,34 @@ class ValidationRunner:
                 return phase
             limits = ExecutionLimits(max_steps=self.config.max_steps)
             env_vars = template.environment or None
-            memo = self.cache
-            if memo is not None:
-                memo_key = memo.memo_key(generated.source, template.language,
-                                         template.name, env_vars,
-                                         limits.max_steps)
+            memo_key = cache.memo_key(generated.source, template.language,
+                                      template.name, env_vars,
+                                      limits.max_steps)
             # built on the first iteration the memo cannot serve: the
             # runner shares the lowered program across the phase's
             # iterations (each run still executes on a fresh machine),
             # and both die with the phase
             runner = None
             with tracer.span("execute", key=pkey) as execute_span:
-                # iteration 0's outcome while it is seed-independent: the
-                # seed reaches execution only through rand/srand and every
-                # run starts on a fresh machine, so a run that never called
-                # them would give the same outcome under every seed.  The
-                # fault site, events and deadline still go per k
-                replica: Optional[IterationOutcome] = None
+                # the memo serves every run it can: an earlier phase's run
+                # the behaviour would repeat, or this phase's iteration 0
+                # when that never read the RNG (the seed reaches execution
+                # only through rand/srand, and every run starts on a fresh
+                # machine).  The fault site, events and deadline go per k
                 for k, seed in enumerate(self.config.iteration_seeds()):
                     self.faults.iteration_site(f"{pkey}:{k}")
-                    fresh = False
-                    if replica is not None:
-                        outcome = replace(replica)
-                    else:
-                        entry = (memo.recall(memo_key, compiled.behavior,
-                                             seed, tracer=tracer)
-                                 if memo is not None else None)
-                        if entry is not None:
-                            outcome = replace(entry.outcome)
+                    entry = cache.recall(memo_key, compiled.behavior, seed,
+                                         tracer=tracer)
+                    if entry is not None:
+                        outcome = replace(entry.outcome)
+                        if k == 0:
                             phase.memo_hit = True
-                            seed_free = entry.seed is None
-                        else:
-                            if runner is None:
-                                runner = compiled.runner()
-                            outcome = self._run_once(runner, env_vars,
-                                                     limits, seed)
-                            phase.executed += 1
-                            fresh = True
-                            seed_free = not runner.rng_used
-                        if k == 0 and seed_free:
-                            replica = outcome
+                    else:
+                        if runner is None:
+                            runner = compiled.runner()
+                        outcome = self._run_once(runner, env_vars, limits,
+                                                 seed)
+                        phase.executed += 1
                     phase.iterations.append(outcome)
                     if not outcome.ok and tracer.enabled:
                         tracer.event(
@@ -654,11 +634,11 @@ class ValidationRunner:
                                   if outcome.kind is not None else None),
                         )
                     self._check_deadline(deadline, pkey)
-                    if fresh and memo is not None:
+                    if entry is None:
                         # only a finished iteration is stored
-                        memo.remember(memo_key, runner.trace,
-                                      None if seed_free else seed,
-                                      replace(outcome))
+                        cache.remember(memo_key, runner.trace,
+                                       seed if runner.rng_used else None,
+                                       replace(outcome))
             phase.run_s = execute_span.duration
             if tracer.enabled:
                 its = phase.iterations

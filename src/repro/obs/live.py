@@ -81,6 +81,7 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
         "elapsed_s": result.elapsed_s,
         "iterations": 0,
         "executed": 0,
+        "memo_hits": 0,
         "compile_cache_hits": 0,
         "compile_cache_misses": 0,
         "compile_s": 0.0,
@@ -100,6 +101,7 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
             continue
         fields["iterations"] += len(phase.iterations)
         fields["executed"] += phase.executed
+        fields["memo_hits"] += phase.memo_hit
         fields["compile_s"] += phase.compile_s
         fields["run_s"] += phase.run_s
         if phase.cache_hit:
@@ -132,6 +134,7 @@ class ProgressTally:
     recovered: int = 0
     iterations_run: int = 0
     programs_executed: int = 0
+    memo_hits: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     compile_s: float = 0.0
@@ -191,6 +194,8 @@ class ProgressTally:
         # streams written before iterations were replicated lack the
         # field: those campaigns executed every iteration
         self.programs_executed += int(fields.get("executed", iterations))
+        # and streams written before the memo carried no hits
+        self.memo_hits += int(fields.get("memo_hits", 0))
         self.compile_cache_hits += int(fields.get("compile_cache_hits", 0))
         self.compile_cache_misses += int(fields.get("compile_cache_misses", 0))
         self.compile_s += float(fields.get("compile_s", 0.0))
@@ -310,6 +315,7 @@ class SnapshotReporter:
             "recovered": t.recovered,
             "iterations_run": t.iterations_run,
             "programs_executed": t.programs_executed,
+            "memo_hits": t.memo_hits,
             "compile_cache": {
                 "hits": t.compile_cache_hits,
                 "misses": t.compile_cache_misses,
@@ -337,6 +343,7 @@ def run_metrics_fields(report: "SuiteRunReport") -> Optional[dict]:
         "templates": m.templates,
         "iterations_run": m.iterations_run,
         "programs_executed": m.programs_executed,
+        "memo_hits": m.memo_hits,
         "cache_hits": m.cache_hits,
         "cache_misses": m.cache_misses,
         "failure_kinds": dict(sorted(m.failure_kinds.items())),
@@ -529,8 +536,11 @@ def render_prometheus(snapshot: dict) -> str:
            "Verdict iterations across all phases.",
            [("", None, snapshot.get("iterations_run", 0))])
     family("programs_executed_total", "counter",
-           "Program executions; replicated iterations are not executed.",
+           "Program executions; memo-served iterations are not executed.",
            [("", None, snapshot.get("programs_executed", 0))])
+    family("memo_hits_total", "counter",
+           "Phases whose iteration 0 the execute memo served.",
+           [("", None, snapshot.get("memo_hits", 0))])
     cache = snapshot.get("compile_cache") or {}
     family("cache_lookups_total", "counter",
            "Compile cache lookups by outcome.",
@@ -915,6 +925,7 @@ def render_tally_text(tally: ProgressTally,
         f"{tally.compile_cache_misses} misses "
         f"({tally.compile_cache_hit_rate:.1%} hit rate)"
     )
+    lines.append(f"  execute memo       : {tally.memo_hits} phases served")
     if tally.retries or tally.worker_lost:
         lines.append(f"  retries / lost     : {tally.retries} / "
                      f"{tally.worker_lost}")

@@ -44,8 +44,8 @@ Design points that matter to the rest of the system:
   covers the whole run.
 
 Span parentage is tracked per-thread (a thread-local stack), which makes
-nesting automatic in serial code and safely isolated under the thread
-engine.
+nesting automatic in serial code and keeps it isolated when a caller
+shares one tracer across its own threads.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.compiler import Compiler, CompilerBehavior
+from repro.compiler.cache import CompileCache
 from repro.harness import HarnessConfig, ValidationRunner
 from repro.spec.versions import ACC_20
 from repro.suite import openacc10_suite, openacc20_suite
@@ -52,3 +55,18 @@ def tree_oracle():
     from tests.treewalk import oracle
 
     return oracle
+
+
+@pytest.fixture()
+def memo_off(monkeypatch):
+    """A context manager: inside it, every execute-memo lookup misses, so
+    every iteration of every phase runs its program."""
+
+    @contextlib.contextmanager
+    def off():
+        with monkeypatch.context() as patch:
+            patch.setattr(CompileCache, "recall",
+                          lambda self, key, behavior, seed, tracer=None: None)
+            yield
+
+    return off

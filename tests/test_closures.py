@@ -333,8 +333,7 @@ class TestReportByteIdentity:
         assert render_csv(report) == render_csv(tree_report)
         assert render_text(report) == render_text(tree_report)
 
-    @pytest.mark.parametrize("policy,workers",
-                             [("thread", 4), ("process", 2)])
+    @pytest.mark.parametrize("policy,workers", [("process", 2)])
     def test_pooled_closures_match_serial_tree(self, suite10, policy,
                                                workers, tree_oracle):
         prefixes = ["parallel", "loop", "data"]

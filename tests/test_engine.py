@@ -2,8 +2,8 @@
 run metrics.
 
 The central property (the determinism guarantee of
-:mod:`repro.harness.engine`): ``serial``, ``thread`` and ``process``
-policies must produce *identical* reports — same pass rates, failure kinds
+:mod:`repro.harness.engine`): the ``serial`` and ``process`` policies
+must produce *identical* reports — same pass rates, failure kinds
 and certainty values, byte-identical text/CSV renderings — for the same
 configuration.
 """
@@ -68,6 +68,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="policy"):
             HarnessConfig(policy="distributed")
 
+    def test_thread_policy_is_gone(self):
+        # it was never faster than serial under the GIL
+        with pytest.raises(ValueError, match="unknown policy 'thread'"):
+            HarnessConfig(policy="thread")
+
     def test_defaults_are_valid(self):
         config = HarnessConfig()
         assert config.policy == "serial" and config.workers == 1
@@ -105,13 +110,13 @@ class TestPolicyEquivalence:
         return _run("serial", 1)
 
     @pytest.mark.parametrize("policy,workers",
-                             [("thread", 2), ("process", 2), ("process", 4)])
+                             [("process", 2), ("process", 4)])
     def test_reports_byte_identical(self, serial_report, policy, workers):
         report = _run(policy, workers)
         assert render_csv(report) == render_csv(serial_report)
         assert render_text(report) == render_text(serial_report)
 
-    @pytest.mark.parametrize("policy", ["thread", "process"])
+    @pytest.mark.parametrize("policy", ["process"])
     def test_semantics_identical(self, serial_report, policy):
         report = _run(policy, 2)
         assert report.pass_rate() == serial_report.pass_rate()
@@ -122,7 +127,7 @@ class TestPolicyEquivalence:
                [r.template.name for r in serial_report.results]
 
     def test_all_policies_registered(self):
-        assert set(EXECUTION_POLICIES) == {"serial", "thread", "process"}
+        assert set(EXECUTION_POLICIES) == {"serial", "process"}
 
     def test_empty_selection_raises(self):
         # a selection matching nothing used to yield an empty report — a
@@ -409,16 +414,15 @@ class TestConcurrentCampaigns:
         )
 
     def test_two_concurrent_run_suites_byte_identical_to_serial(self):
-        # two campaigns in one process, different configs, racing on
-        # separate threads: each must render exactly like its own serial
-        # equivalent (no shared mutable campaign state)
+        # two serial campaigns in one process, different configs, racing
+        # on separate user threads: each must render exactly like its own
+        # run alone (no shared mutable campaign state)
         import threading
 
         config_a = HarnessConfig(iterations=2, languages=("c",),
                                  feature_prefixes=["loop", "parallel"])
         config_b = HarnessConfig(iterations=1, languages=("c",),
-                                 feature_prefixes=["declare", "update"],
-                                 policy="thread", workers=2)
+                                 feature_prefixes=["declare", "update"])
         expected = {"a": self._csv(config_a), "b": self._csv(config_b)}
         results: dict = {}
 

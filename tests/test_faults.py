@@ -194,6 +194,45 @@ class TestCacheCrashContract:
         assert not healed.hit and cache.stats().parse_misses == 1
 
 
+class TestNoCompileCache:
+    """``compile_cache=False`` gives each phase a private cache: the phase
+    compiles through it exactly as through a shared one, so a crash is
+    wrapped and reported the same way."""
+
+    def test_persistent_compile_crash_renders_identically(self):
+        plan = FaultPlan(seed=7, compile_crash=1.0, persistent=True)
+        shared = _run(["parallel"], retries=1, fault_plan=plan)
+        private = _run(["parallel"], retries=1, fault_plan=plan,
+                       compile_cache=False)
+        assert render_csv(private) == render_csv(shared)
+        assert render_text(private) == render_text(shared)
+        assert "CompilerCrashError" in render_text(private)
+
+    def test_traced_run_reports_every_compile(self):
+        def traced(**config_kwargs):
+            config = HarnessConfig(iterations=2, languages=("c",),
+                                   feature_prefixes=["parallel"],
+                                   compile_cache=False, **config_kwargs)
+            tracer = Tracer()
+            runner = ValidationRunner(config=config, tracer=tracer)
+            runner.sleeper = lambda s: None
+            return runner.run_suite(openacc10_suite()), tracer
+
+        report, tracer = traced()
+        phases = sum(1 for r in report.results
+                     for p in (r.functional, r.cross) if p is not None)
+        assert _count(tracer, "compile.cache_miss") == phases
+        assert report.metrics.cache_misses == phases
+        assert _count(tracer, "compile.cache_hit") == 0
+
+        crashed, tracer = traced(
+            retries=1, fault_plan=FaultPlan(seed=7, compile_crash=1.0,
+                                            persistent=True))
+        attempts = 2 * len(crashed.results)
+        assert _count(tracer, "compile.cache_miss") == attempts
+        assert _count(tracer, "compile.crashed") == attempts
+
+
 # ---------------------------------------------------------------------------
 # engine retry layer: healing, backoff, HARNESS_ERROR degradation
 # ---------------------------------------------------------------------------

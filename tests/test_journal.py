@@ -442,7 +442,7 @@ def _validate_args(tmp_path, policy="serial", **extra):
 
 
 class TestCliResume:
-    @pytest.mark.parametrize("policy", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("policy", ["serial", "process"])
     def test_torn_write_crash_then_resume_byte_identical(
             self, tmp_path, policy, capsys):
         reference = str(tmp_path / "reference.txt")

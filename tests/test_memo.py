@@ -55,12 +55,6 @@ _FEATURES = [
 ]
 
 
-def _memo_off(monkeypatch) -> None:
-    """Every memo lookup misses: each phase runs its program."""
-    monkeypatch.setattr(CompileCache, "recall",
-                        lambda self, key, behavior, seed, tracer=None: None)
-
-
 def _template(code: str, feature: str = "parallel"):
     return parse_template(template_text(
         name="t.c", feature=feature, language="c", code=code))
@@ -90,11 +84,10 @@ def _memo_hits(reports):
 # ---------------------------------------------------------------------------
 
 
-def test_vendor_sample_identical_without_the_memo(suite10, monkeypatch):
+def test_vendor_sample_identical_without_the_memo(suite10, memo_off):
     config = HarnessConfig(iterations=3, features=_FEATURES)
     served = _sample_runs(suite10, config)
-    with monkeypatch.context() as patch:
-        _memo_off(patch)
+    with memo_off():
         executed = _sample_runs(suite10, config)
     assert len(served) == 18
     for fast, slow in zip(served, executed):
@@ -102,13 +95,14 @@ def test_vendor_sample_identical_without_the_memo(suite10, monkeypatch):
         assert render_text(fast) == render_text(slow)
     assert _memo_hits(served) > 0
     assert _memo_hits(executed) == 0
-    ran = sum(r.metrics.programs_executed for r in served)
-    assert ran + _memo_hits(served) == \
-        sum(r.metrics.programs_executed for r in executed)
+    # without the memo every verdict iteration runs its program
+    iterations = sum(r.metrics.iterations_run for r in executed)
+    assert sum(r.metrics.programs_executed for r in executed) == iterations
+    assert sum(r.metrics.programs_executed for r in served) < iterations
 
 
 def test_tree_oracle_identical_without_the_memo(suite10, tree_oracle,
-                                                monkeypatch):
+                                                memo_off):
     # two PGI versions sharing a cache: the second is served by the first
     config = HarnessConfig(iterations=3, languages=("c",),
                            features=_FEATURES)
@@ -122,24 +116,12 @@ def test_tree_oracle_identical_without_the_memo(suite10, tree_oracle,
 
     with tree_oracle():
         served = run_both()
-    with monkeypatch.context() as patch:
-        _memo_off(patch)
+    with memo_off():
         executed = run_both()
     for fast, slow in zip(served, executed):
         assert render_csv(fast) == render_csv(slow)
         assert render_text(fast) == render_text(slow)
     assert served[1].metrics.memo_hits > 0
-
-
-def test_thread_policy_identical_to_serial_over_a_shared_cache(suite10):
-    config = HarnessConfig(iterations=2, features=_FEATURES)
-    serial = _sample_runs(suite10, config)
-    threaded = _sample_runs(suite10, replace(config, policy="thread",
-                                             workers=2))
-    for a, b in zip(serial, threaded):
-        assert render_csv(a) == render_csv(b)
-        assert render_text(a) == render_text(b)
-    assert _memo_hits(threaded) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +317,14 @@ def test_a_hit_still_runs_the_fault_site_and_events_per_iteration():
     assert runner.faults.keys == [f"{_PKEY}:{k}" for k in range(3)]
     names = [e.name for e in tracer.events]
     assert names.count("iteration.failed") == 3
-    assert names.count("execute.memo_hit") == 1
+    # one lookup, and one hit, per served iteration
+    assert names.count("execute.memo_hit") == 3
     # the second behaviour compiles from the first one's parse
     assert names.count("compile.cache_hit") == 1
     summary = summarize_trace(TraceData(meta={}, spans=tracer.spans,
                                         events=tracer.events))
-    assert (summary.memo_hits, summary.memo_misses) == (1, 0)
-    assert "execute memo       : 1 hits / 0 misses" in \
+    assert (summary.memo_hits, summary.memo_misses) == (3, 0)
+    assert "execute memo       : 3 hits / 0 misses" in \
         render_summary_text(summary)
 
 
@@ -432,15 +415,18 @@ def test_memo_counters_survive_racing_threads():
     assert stats.memo_entries == 7  # every racing store of a run kept once
 
 
-def test_no_compile_cache_builds_no_memo(suite10):
-    report = ValidationRunner(vendor_version("caps", "3.3.4").behavior("c"),
-                              HarnessConfig(iterations=1, run_cross=False,
+def test_no_compile_cache_shares_no_run_across_phases(suite10):
+    # each phase gets a private memo: it serves the phase's own repeats of
+    # a seed-free iteration 0, never a run of an earlier phase
+    runner = ValidationRunner(vendor_version("caps", "3.3.4").behavior("c"),
+                              HarnessConfig(iterations=3, run_cross=False,
                                             languages=("c",),
                                             features=["parallel"],
-                                            compile_cache=False)) \
-        .run_suite(suite10)
-    assert report.metrics.memo_hits == 0
-    assert report.metrics.programs_executed == 1
+                                            compile_cache=False))
+    for _ in range(2):
+        metrics = runner.run_suite(suite10).metrics
+        assert (metrics.iterations_run, metrics.programs_executed,
+                metrics.memo_hits) == (3, 1, 0)
 
 
 # ---------------------------------------------------------------------------

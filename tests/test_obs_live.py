@@ -10,7 +10,7 @@ Covers the PR's acceptance criteria:
   report's :class:`~repro.harness.engine.RunMetrics` integers;
 * snapshots are monotone (units_done, wall clock) under an injected
   clock and in real streams;
-* reports are byte-identical with telemetry on or off, across all three
+* reports are byte-identical with telemetry on or off, under both
   execution policies;
 * journal resume: replayed units count toward progress and are marked
   ``replayed``; the resumed report matches an uninterrupted run;
@@ -28,10 +28,12 @@ from __future__ import annotations
 import io
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
+from repro.compiler.cache import CompileCache
 from repro.compiler.vendors import vendor_version
 from repro.faults import FaultPlan, InjectedJournalTear
 from repro.harness import (
@@ -276,7 +278,7 @@ def test_snapshot_units_per_sec_counts_fresh_units_only():
 
 
 @pytest.mark.parametrize("policy,workers", [
-    ("serial", 1), ("thread", 2), ("process", 2),
+    ("serial", 1), ("process", 2),
 ])
 def test_reports_identical_with_and_without_telemetry(
         tmp_path, suite10, policy, workers):
@@ -304,11 +306,18 @@ def test_reports_identical_with_and_without_telemetry(
     assert lint_prometheus(prom.read_text()) == []
 
 
-def test_stream_reconciles_exactly_with_run_metrics(tmp_path, suite10):
+def _reconcile_stream(tmp_path, suite10, policy, workers):
+    """A live stream's integer tallies equal the report's RunMetrics."""
+    config = HarnessConfig(iterations=2, languages=("c",),
+                           feature_prefixes=["parallel", "loop"])
+    # an earlier version's run leaves its outcomes in the shared cache
+    cache = CompileCache()
+    ValidationRunner(vendor_version("pgi", "13.4").behavior("c"), config,
+                     cache=cache).run_suite(suite10)
     stream = tmp_path / "run.ndjson"
-    runner = ValidationRunner(_PGI, HarnessConfig(
-        iterations=2, languages=("c",), feature_prefixes=["parallel", "loop"],
-        live_stream=str(stream)))
+    runner = ValidationRunner(_PGI, replace(
+        config, policy=policy, workers=workers, live_stream=str(stream)),
+        cache=cache)
     report = runner.run_suite(suite10)
     metrics = report.metrics
 
@@ -318,6 +327,14 @@ def test_stream_reconciles_exactly_with_run_metrics(tmp_path, suite10):
     assert tally.units_done == metrics.templates == len(report.results)
     assert tally.iterations_run == metrics.iterations_run
     assert tally.programs_executed == metrics.programs_executed
+    assert tally.memo_hits == metrics.memo_hits
+    if policy == "serial":
+        # served from the earlier version's runs in the shared cache
+        assert metrics.memo_hits > 0
+    else:
+        # pool workers hold private per-run caches, and no source repeats
+        # within one run: no phase's iteration 0 is served
+        assert metrics.memo_hits == 0
     assert tally.compile_cache_hits == metrics.cache_hits
     assert tally.compile_cache_misses == metrics.cache_misses
     assert tally.failure_kinds == metrics.failure_kinds
@@ -329,12 +346,25 @@ def test_stream_reconciles_exactly_with_run_metrics(tmp_path, suite10):
     assert final["run_metrics"]["wall_s"] == metrics.wall_s
     assert final["run_metrics"]["compile_s"] == metrics.compile_s
     assert final["run_metrics"]["iterations_run"] == metrics.iterations_run
+    assert final["run_metrics"]["memo_hits"] == metrics.memo_hits
     # the in-stream snapshots agree with the report too
     assert final["passed"] == tally.passed
     assert final["iterations_run"] == metrics.iterations_run
+    assert final["memo_hits"] == metrics.memo_hits
+    assert f"repro_campaign_memo_hits_total {metrics.memo_hits}" in \
+        render_prometheus(final).splitlines()
     # monotone in the real stream as well
     done = [s["units_done"] for s in parsed.snapshots()]
     assert done == sorted(done)
+
+
+def test_stream_reconciles_exactly_with_run_metrics(tmp_path, suite10):
+    _reconcile_stream(tmp_path, suite10, "serial", 1)
+
+
+def test_stream_reconciles_exactly_with_run_metrics_on_a_process_pool(
+        tmp_path, suite10):
+    _reconcile_stream(tmp_path, suite10, "process", 2)
 
 
 def test_live_telemetry_survives_engine_exception(tmp_path, suite10):
@@ -645,6 +675,8 @@ def test_stream_with_backend_fields_folds_and_summarizes(capsys):
     assert total_s == pytest.approx(0.097765, abs=1e-5)
     # written before iterations were replicated: every iteration executed
     assert (tally.iterations_run, tally.programs_executed) == (4, 4)
+    # and before the execute memo: no phase served
+    assert tally.memo_hits == 0
 
     assert main(["obs", "tail", _BACKEND_STREAM]) == 0
     assert "FINAL" in capsys.readouterr().out
@@ -653,6 +685,7 @@ def test_stream_with_backend_fields_folds_and_summarizes(capsys):
     assert "units done         : 2/2" in out
     assert "unit time          : 2 units, mean 0.0489s" in out
     assert "iterations         : 4 (4 executed)" in out
+    assert "execute memo       : 0 phases served" in out
     assert "backend" not in out
     assert "run metrics" in out
 
@@ -884,7 +917,7 @@ def _event_counts(trace_events, stream):
 
 
 @pytest.mark.parametrize("policy,workers", [
-    ("serial", 1), ("thread", 2), ("process", 2),
+    ("serial", 1), ("process", 2),
 ])
 def test_live_stream_events_match_trace_under_every_policy(
         tmp_path, suite10, policy, workers):

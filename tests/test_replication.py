@@ -1,8 +1,9 @@
 """Replicated iterations: a phase executes iteration 0 and, when that run
-never called ``rand``/``srand``, reuses its outcome for iterations 1..M-1.
+never called ``rand``/``srand``, the execute memo stores its outcome for
+every seed and serves iterations 1..M-1 from it.
 
 The differential oracle here forces every iteration to execute (by making
-each run report an RNG call) and requires byte-identical reports over a
+every execute-memo lookup miss) and requires byte-identical reports over a
 vendor sample, on the interpreter and on the reference tree walker.  The
 remaining tests pin the fail-closed rule (any RNG call executes every
 iteration with its own seed) and what still happens once per iteration:
@@ -17,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.compiler import Compiler, ProgramRunner
+from repro.compiler import Compiler
 from repro.compiler.cache import CompileCache
 from repro.compiler.interp import Interpreter
 from repro.compiler.vendors import vendor_version, vendor_versions
@@ -47,18 +48,6 @@ _FEATURES = [
     "loop.collapse", "update.host", "update.device", "runtime.acc_on_device",
     "runtime.acc_async_test", "wait", "data.create", "declare.copy",
 ]
-
-
-def _force_execution(monkeypatch) -> None:
-    """Make every run report an RNG call, so no iteration is replicated,
-    and turn the execute memo off, so no iteration is served by it."""
-    monkeypatch.setattr(
-        ProgramRunner, "rng_used",
-        property(lambda self: True, lambda self, value: None),
-        raising=False,
-    )
-    monkeypatch.setattr(CompileCache, "recall",
-                        lambda self, key, behavior, seed, tracer=None: None)
 
 
 def _template(code: str, feature: str = "parallel"):
@@ -94,11 +83,10 @@ def _memo_hits(reports):
 # ---------------------------------------------------------------------------
 
 
-def test_vendor_sample_identical_to_forced_execution(suite10, monkeypatch):
+def test_vendor_sample_identical_to_forced_execution(suite10, memo_off):
     config = HarnessConfig(iterations=3, features=_FEATURES)
     replicated = _sample_reports(suite10, config)
-    with monkeypatch.context() as patch:
-        _force_execution(patch)
+    with memo_off():
         forced = _sample_reports(suite10, config)
     assert len(replicated) == 18
     for fast, slow in zip(replicated, forced):
@@ -108,21 +96,20 @@ def test_vendor_sample_identical_to_forced_execution(suite10, monkeypatch):
     assert {FailureKind.WRONG_VALUE, FailureKind.RUNTIME_CRASH,
             FailureKind.COMPILE_ERROR} <= kinds
     executed, iterations = _executed(replicated)
-    # no shipped template reads the RNG: a phase runs once or the memo
-    # serves it, and its other iterations are replicated
+    # no shipped template reads the RNG: a phase runs iteration 0 once or
+    # an earlier phase's run serves it, and the memo serves the others
     assert iterations == 3 * (executed + _memo_hits(replicated))
     assert _executed(forced) == (iterations, iterations)
 
 
 def test_tree_oracle_identical_to_forced_execution(suite10, tree_oracle,
-                                                   monkeypatch):
+                                                   memo_off):
     behavior = vendor_version("pgi", "13.2").behavior("c")
     config = HarnessConfig(iterations=3, languages=("c",),
                            features=_FEATURES)
     with tree_oracle():
         replicated = ValidationRunner(behavior, config).run_suite(suite10)
-        with monkeypatch.context() as patch:
-            _force_execution(patch)
+        with memo_off():
             forced = ValidationRunner(behavior, config).run_suite(suite10)
     closures = ValidationRunner(behavior, config).run_suite(suite10)
     assert render_csv(replicated) == render_csv(forced) == \

@@ -634,14 +634,14 @@ class TestHarnessGate:
     def test_reports_identical_across_policies(self):
         suite = self.make_suite()
         rendered = []
-        for policy, workers in (("serial", 1), ("thread", 4), ("process", 2)):
+        for policy, workers in (("serial", 1), ("process", 2)):
             config = HarnessConfig(
                 iterations=2, lint=True, policy=policy, workers=workers,
                 feature_prefixes=["loop"],
             )
             report = ValidationRunner(config=config).run_suite(suite)
             rendered.append(render_text(report))
-        assert rendered[0] == rendered[1] == rendered[2]
+        assert rendered[0] == rendered[1]
 
     def test_static_error_journal_roundtrip(self):
         from repro.journal.codec import decode_result, encode_result
