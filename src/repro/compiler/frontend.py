@@ -81,7 +81,7 @@ def validation_facts(program: Program) -> ValidationFacts:
         stack: List[Tuple[Node, Tuple[ComputeRegion, ...]]] = [(fn.body, ())]
         while stack:
             node, open_regions = stack.pop()
-            body, inner = None, open_regions
+            kids = children(node)
             if isinstance(node, Call):
                 for region in open_regions:
                     region.calls.append(node)
@@ -97,10 +97,13 @@ def validation_facts(program: Program) -> ValidationFacts:
                     checks.append(region)
                     regions.append(region)
                     inner = open_regions + (region,)
-            stack.extend(
-                (child, inner if child is body else open_regions)
-                for child in reversed(list(children(node)))
-            )
+                    stack.extend([
+                        (child, inner if child is body else open_regions)
+                        for child in reversed(kids)
+                    ])
+                    continue
+            if kids:
+                stack.extend([(child, open_regions) for child in reversed(kids)])
     for region in regions:
         region.calls = tuple(region.calls)
     return ValidationFacts(

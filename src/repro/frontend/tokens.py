@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.frontend.errors import ParseError
 from repro.ir.astnodes import SourceLocation
@@ -22,12 +21,18 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    loc: SourceLocation
-    value: object = None  # numeric payload for INT/FLOAT
+    """One lexeme: its kind, its text, where it starts, and the numeric
+    payload of an INT/FLOAT literal (a PRAGMA token's payload column)."""
+
+    __slots__ = ("kind", "text", "loc", "value")
+
+    def __init__(self, kind: TokenKind, text: str, loc: SourceLocation,
+                 value: object = None):
+        self.kind = kind
+        self.text = text
+        self.loc = loc
+        self.value = value
 
     def is_op(self, *texts: str) -> bool:
         return self.kind is TokenKind.OP and self.text in texts
@@ -42,47 +47,31 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r})"
 
 
-def rebase_tokens(
-    tokens: Sequence[Token], base: SourceLocation, column: int = 1
-) -> List[Token]:
-    """Re-anchor sub-lexed tokens at their position in the original file.
-
-    Directive payloads are lexed standalone (starting at 1:1); diagnostics
-    and parse errors must point at the real source line.  ``column`` is the
-    absolute column the payload starts at in the original line; tokens past
-    the first sub-line (glued continuations) keep only the line rebase.
-    """
-    out: List[Token] = []
-    for tok in tokens:
-        if tok.loc.line == 1:
-            loc = SourceLocation(
-                base.filename, base.line, column + tok.loc.column - 1
-            )
-        else:
-            loc = SourceLocation(
-                base.filename, base.line + tok.loc.line - 1, tok.loc.column
-            )
-        out.append(Token(tok.kind, tok.text, loc, value=tok.value))
-    return out
-
-
 class TokenStream:
-    """Cursor over a token list with the usual LL(k) helpers."""
+    """Cursor over a token list with the usual LL(k) helpers.
+
+    ``current`` is the token at ``pos``; :meth:`advance` and :meth:`seek`
+    are the only ways to move, and keep both up to date.  The list always
+    ends with an EOF token, which the cursor never moves past.
+    """
 
     def __init__(self, tokens: Sequence[Token]):
         self._tokens: List[Token] = list(tokens)
         if not self._tokens or self._tokens[-1].kind is not TokenKind.EOF:
             last_loc = self._tokens[-1].loc if self._tokens else SourceLocation()
             self._tokens.append(Token(TokenKind.EOF, "", last_loc))
+        self._last = len(self._tokens) - 1
         self.pos = 0
+        self.current: Token = self._tokens[0]
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self._tokens) - 1)
-        return self._tokens[idx]
+        idx = self.pos + offset
+        return self._tokens[idx if idx < self._last else self._last]
 
-    @property
-    def current(self) -> Token:
-        return self.peek()
+    def seek(self, pos: int) -> None:
+        """Move back (or forward) to a position read from ``pos``."""
+        self.pos = pos
+        self.current = self._tokens[pos]
 
     def at_end(self) -> bool:
         return self.current.kind is TokenKind.EOF
@@ -91,6 +80,7 @@ class TokenStream:
         tok = self.current
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
+            self.current = self._tokens[self.pos]
         return tok
 
     def match_op(self, *texts: str) -> Optional[Token]:

@@ -12,6 +12,9 @@ Notable behaviours:
 * dot operators (``.and.``, ``.eq.``, ...) are lexed as OP tokens;
   ``.true.`` / ``.false.`` become INT literals 1/0;
 * ``1.0d0`` style kind exponents produce double-precision FLOAT tokens.
+
+After continuation lines are glued, each line is scanned once with one
+master pattern (:data:`_TOKEN_RE`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from typing import List
 from repro.frontend.errors import LexError
 from repro.frontend.tokens import Token, TokenKind
 from repro.ir.astnodes import SourceLocation
+
+IDENT, KEYWORD, INT, FLOAT, STRING, OP, PRAGMA, NEWLINE, EOF = (
+    TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.INT, TokenKind.FLOAT,
+    TokenKind.STRING, TokenKind.OP, TokenKind.PRAGMA, TokenKind.NEWLINE,
+    TokenKind.EOF,
+)
 
 FORTRAN_KEYWORDS = frozenset(
     """
@@ -42,12 +51,41 @@ _OPERATORS = [
     "+", "-", "*", "/", "<", ">", "=", "(", ")", ",", ":", "%",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# number: mantissa with optional d/e exponent; 'd' exponent => double
-_NUMBER_RE = re.compile(
-    r"(?P<mant>(?:\d+\.\d*|\.\d+|\d+))(?:(?P<expchar>[edED])(?P<exp>[+-]?\d+))?"
+def _any_case(word: str) -> str:
+    """A pattern matching ``word`` in any mix of ASCII letter cases."""
+    return "".join(f"[{c}{c.upper()}]" if c.isalpha() else re.escape(c)
+                   for c in word)
+
+
+# One alternative per lexeme of a (continuation-glued) line, in the order
+# the lexer tries them: the first that matches wins, so the operators keep
+# their longest-first order.  A quote doubled inside a string is part of
+# it, so a string must not end just before another of its quotes;
+# ``open_string`` catches a quote that no string closes, ``bad`` any other
+# character.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<space>[ \t\r]+)
+    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<comment>!)
+    | (?P<semicolon>;)
+    | (?P<string>'(?:[^']|'')*'(?!')|"(?:[^"]|"")*"(?!"))
+    | (?P<open_string>['"])
+    | (?P<dot_literal>""" + "|".join(map(_any_case, _DOT_LITERALS)) + r""")
+    | (?P<dot_op>""" + "|".join(map(_any_case, _DOT_OPS)) + r""")
+    | (?P<number>
+        # mantissa with optional d/e exponent; 'd' exponent => double
+        (?P<mant>\d+\.\d*|\.\d+|\d+)(?:(?P<expchar>[edED])(?P<exp>[+-]?\d+))?
+      )
+    | (?P<op>""" + "|".join(map(re.escape, _OPERATORS)) + r""")
+    | (?P<bad>.)
+    """,
+    re.VERBOSE,
 )
+
+_SENTINEL_RE = re.compile(r"!\$acc\b(.*)", re.IGNORECASE)
+_SENTINEL_CONTINUATION_RE = re.compile(r"!\$acc&?(.*)", re.IGNORECASE)
 
 
 def _glue_continuations(source: str) -> str:
@@ -74,119 +112,67 @@ def _glue_continuations(source: str) -> str:
     return "\n".join(out_lines)
 
 
-def tokenize(source: str, filename: str = "<fortran>") -> List[Token]:
-    """Tokenize mini-Fortran source text."""
+def tokenize(source: str, filename: str = "<fortran>", line: int = 1,
+             column: int = 1) -> List[Token]:
+    """Tokenize mini-Fortran source text that starts at ``line``:``column``
+    of ``filename`` (a directive payload is lexed where it stands)."""
     source = _glue_continuations(source)
     tokens: List[Token] = []
+    append = tokens.append
     lines = source.split("\n")
     lineno = 0
     n_lines = len(lines)
+    # the first line's text starts at `column`, every later one at 1
+    shift = column - 1
 
     while lineno < n_lines:
         raw = lines[lineno]
         lineno += 1
-        line = raw
-        col0 = 1
+        row = line + lineno - 1
 
-        def loc(col: int) -> SourceLocation:
-            return SourceLocation(filename, lineno, col)
-
-        stripped = line.lstrip()
-        lead = len(line) - len(stripped)
+        stripped = raw.lstrip()
+        lead = len(raw) - len(stripped)
 
         # OpenACC sentinel (must be checked before general comment)
-        m = re.match(r"!\$acc\b(.*)", stripped, re.IGNORECASE)
+        m = _SENTINEL_RE.match(stripped)
         if m:
             payload = m.group(1)
             pad = len(payload) - len(payload.lstrip())
-            # absolute column of the directive payload for token rebasing
-            payload_col = lead + 1 + m.start(1) + pad
+            # absolute column of the directive payload, where the parser
+            # lexes it in place
+            payload_col = shift + lead + 1 + m.start(1) + pad
             text = payload.strip()
             # directive continuation: trailing '&', next lines start !$acc
             while text.endswith("&") and lineno < n_lines:
-                nxt = lines[lineno].lstrip()
-                m2 = re.match(r"!\$acc&?(.*)", nxt, re.IGNORECASE)
+                m2 = _SENTINEL_CONTINUATION_RE.match(lines[lineno].lstrip())
                 if not m2:
                     break
                 lineno += 1
                 text = text[:-1].strip() + " " + m2.group(1).strip()
-            if text.lower().startswith("end"):
-                # `!$acc end parallel` -> PRAGMA token with 'end ...' payload
-                pass
-            tokens.append(Token(TokenKind.PRAGMA, text, loc(lead + 1),
-                                value=payload_col))
-            tokens.append(Token(TokenKind.NEWLINE, "\n", loc(len(line) + 1)))
+            append(Token(PRAGMA, text,
+                         SourceLocation(filename, row, shift + lead + 1),
+                         value=payload_col))
+            append(Token(NEWLINE, "\n",
+                         SourceLocation(filename, row, shift + len(raw) + 1)))
+            shift = 0
             continue
 
-        i = 0
         emitted = False
-        while i < len(line):
-            ch = line[i]
-            if ch in " \t\r":
-                i += 1
+        for m in _TOKEN_RE.finditer(raw):
+            kind = m.lastgroup
+            if kind == "space":
                 continue
-            if ch == "!":
+            if kind == "comment":
                 break  # comment to end of line
-            if ch == ";":
-                tokens.append(Token(TokenKind.NEWLINE, ";", loc(i + 1)))
-                i += 1
-                emitted = False
-                continue
-
-            # strings (both quote styles, doubled-quote escapes)
-            if ch in "'\"":
-                q = ch
-                j = i + 1
-                buf = []
-                while j < len(line):
-                    if line[j] == q:
-                        if j + 1 < len(line) and line[j + 1] == q:
-                            buf.append(q)
-                            j += 2
-                            continue
-                        break
-                    buf.append(line[j])
-                    j += 1
-                if j >= len(line):
-                    raise LexError("unterminated string", loc(i + 1))
-                tokens.append(
-                    Token(TokenKind.STRING, line[i : j + 1], loc(i + 1), value="".join(buf))
-                )
-                i = j + 1
-                emitted = True
-                continue
-
-            # dot operators and logical literals
-            if ch == ".":
-                low = line[i:].lower()
-                matched = False
-                for lit, val in _DOT_LITERALS.items():
-                    if low.startswith(lit):
-                        tokens.append(Token(TokenKind.INT, lit, loc(i + 1), value=val))
-                        i += len(lit)
-                        matched = True
-                        break
-                if matched:
-                    emitted = True
-                    continue
-                for op in _DOT_OPS:
-                    if low.startswith(op):
-                        tokens.append(Token(TokenKind.OP, op, loc(i + 1)))
-                        i += len(op)
-                        matched = True
-                        break
-                if matched:
-                    emitted = True
-                    continue
-                # fall through: may be a number like `.5`
-
-            # numbers
-            if ch.isdigit() or (
-                ch == "." and i + 1 < len(line) and line[i + 1].isdigit()
-            ):
-                m = _NUMBER_RE.match(line, i)
-                assert m is not None
-                text = m.group(0)
+            loc = SourceLocation(filename, row, shift + m.start() + 1)
+            text = m.group()
+            if kind == "ident":
+                text = text.lower()
+                append(Token(KEYWORD if text in FORTRAN_KEYWORDS else IDENT,
+                             text, loc))
+            elif kind == "op":
+                append(Token(OP, text, loc))
+            elif kind == "number":
                 mant = m.group("mant")
                 expchar = m.group("expchar")
                 if "." in mant or expchar:
@@ -194,47 +180,34 @@ def tokenize(source: str, filename: str = "<fortran>") -> List[Token]:
                         10.0 ** int(m.group("exp")) if expchar else 1.0
                     )
                     is_double = bool(expchar) and expchar.lower() == "d"
-                    tokens.append(
-                        Token(
-                            TokenKind.FLOAT,
-                            text,
-                            loc(i + 1),
-                            value=(value, not is_double),
-                        )
-                    )
+                    append(Token(FLOAT, text, loc, value=(value, not is_double)))
                 else:
-                    tokens.append(Token(TokenKind.INT, text, loc(i + 1), value=int(mant)))
-                i = m.end()
-                emitted = True
+                    append(Token(INT, text, loc, value=int(mant)))
+            elif kind == "semicolon":
+                append(Token(NEWLINE, ";", loc))
+                emitted = False
                 continue
-
-            # identifiers / keywords
-            m = _IDENT_RE.match(line, i)
-            if m:
-                text = m.group(0)
-                lowered = text.lower()
-                kind = (
-                    TokenKind.KEYWORD
-                    if lowered in FORTRAN_KEYWORDS
-                    else TokenKind.IDENT
-                )
-                tokens.append(Token(kind, lowered, loc(i + 1)))
-                i = m.end()
-                emitted = True
-                continue
-
-            # operators
-            for op in _OPERATORS:
-                if line.startswith(op, i):
-                    tokens.append(Token(TokenKind.OP, op, loc(i + 1)))
-                    i += len(op)
-                    break
+            elif kind == "dot_op":
+                append(Token(OP, text.lower(), loc))
+            elif kind == "dot_literal":
+                text = text.lower()
+                append(Token(INT, text, loc, value=_DOT_LITERALS[text]))
+            elif kind == "string":
+                # strings (both quote styles, doubled-quote escapes)
+                quote = text[0]
+                append(Token(STRING, text, loc,
+                             value=text[1:-1].replace(quote * 2, quote)))
+            elif kind == "open_string":
+                raise LexError("unterminated string", loc)
             else:
-                raise LexError(f"unexpected character {ch!r}", loc(i + 1))
+                raise LexError(f"unexpected character {text!r}", loc)
             emitted = True
 
         if emitted:
-            tokens.append(Token(TokenKind.NEWLINE, "\n", loc(len(line) + 1)))
+            append(Token(NEWLINE, "\n",
+                         SourceLocation(filename, row, shift + len(raw) + 1)))
+        shift = 0
 
-    tokens.append(Token(TokenKind.EOF, "", SourceLocation(filename, lineno, 1)))
+    append(Token(EOF, "", SourceLocation(filename, line + n_lines - 1,
+                                         column if n_lines == 1 else 1)))
     return tokens
