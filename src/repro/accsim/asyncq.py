@@ -74,5 +74,9 @@ class AsyncQueues:
             activity.run()
             self.completed += 1
 
+    def discard(self) -> None:
+        """Drop every queued activity unrun."""
+        self._queues.clear()
+
     def pending(self) -> int:
         return sum(len(q) for q in self._queues.values())

@@ -187,7 +187,7 @@ class BehaviorRecorder:
     def __getattr__(self, name: str):
         behavior = self._behavior
         if name in _QUERY_FIELDS:
-            value = _Membership(self, name, getattr(behavior, name))
+            value = _Membership(self._reads, name, getattr(behavior, name))
             self._views.append(value)
         elif name in type(behavior).__dataclass_fields__:
             value = self._reads[name] = getattr(behavior, name)
@@ -228,13 +228,15 @@ class BehaviorRecorder:
 
 class _Membership:
     """A query field seen through a recorder: ``item in view`` records
-    the query and its answer; any other use records the whole field."""
+    the query and its answer; any other use records the whole field in
+    the recorder's ``reads`` (the view holds that dict, not the recorder,
+    which holds the view)."""
 
-    __slots__ = ("_recorder", "name", "_values", "answers")
+    __slots__ = ("_reads", "name", "_values", "answers")
 
-    def __init__(self, recorder: BehaviorRecorder, name: str,
+    def __init__(self, reads: Dict[str, object], name: str,
                  values: FrozenSet):
-        self._recorder = recorder
+        self._reads = reads
         self.name = name
         self._values = values
         self.answers: Dict[object, bool] = {}
@@ -245,7 +247,7 @@ class _Membership:
         return answer
 
     def _as_whole(self) -> FrozenSet:
-        self._recorder._reads[self.name] = self._values
+        self._reads[self.name] = self._values
         return self._values
 
     def __iter__(self):

@@ -229,16 +229,21 @@ class CompileCache:
         if observe:
             tracer.event("compile.cache_hit" if hit else "compile.cache_miss",
                          template=name, language=language)
+        # an error comes back without its traceback, as the parse tier
+        # stores frontend errors: the traceback's frames reach the
+        # caller's, which holds the outcome, a reference cycle
         try:
             program = compiler.compile(source, language, name)
         except CompileError as err:
-            return CacheOutcome(program=None, error=err, hit=hit)
+            return CacheOutcome(program=None, error=err.with_traceback(None),
+                                hit=hit)
         except Exception as err:
             if observe:
                 tracer.event("compile.crashed", template=name,
                              language=language, error=repr(err))
             crash = CompilerCrashError(
-                f"internal compiler crash: {err!r}", cause=err
+                f"internal compiler crash: {err!r}",
+                cause=err.with_traceback(None),
             )
             return CacheOutcome(program=None, error=crash, hit=hit)
         return CacheOutcome(program=program, error=None, hit=hit)

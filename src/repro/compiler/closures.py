@@ -580,11 +580,10 @@ class LoweredProgram:
         self.plans = plans
         self.functions: Dict[str, LoweredFunction] = {}
         for fn in program.functions:
-            lowerer = _Lowerer(program, lowered_fns=self.functions,
-                               plans=plans)
+            lowerer = _Lowerer(program, plans=plans)
             self.functions[fn.name] = lowerer.lower_function(fn)
         #: one definer per global declaration, in order, each ``f(I)``
-        lowerer = _Lowerer(program, lowered_fns=self.functions, plans=plans)
+        lowerer = _Lowerer(program, plans=plans)
         self.globals = tuple(lowerer.lower_global(decl)
                              for decl in program.globals)
 
@@ -593,8 +592,8 @@ class LoweredProgram:
         region's first entry and kept on the plan, so it lives as long as
         the plan and serves every lowering that shares the plans.  It
         therefore holds nothing of this lowering: user calls inside the
-        region resolve through the running interpreter
-        (``Interpreter.call_function``)."""
+        region resolve through the running interpreter (``I.lowered``),
+        as every call site does."""
         code = plan.device_code
         if code is None:
             lowerer = _Lowerer(self.program, plans=self.plans, device=True)
@@ -660,16 +659,12 @@ class _Lowerer:
     ``S`` is a slot frame and names are resolved at lowering time."""
 
     def __init__(self, program: Program,
-                 lowered_fns: Optional[Dict[str, LoweredFunction]] = None,
                  plans: Optional[Dict[int, tuple]] = None,
                  device: bool = False):
         self.program = program
         self.language = program.language
         self.functions = {fn.name: fn for fn in program.functions}
         self.sc = _FrameScope()
-        # shared (still-filling) LoweredProgram.functions dict: call sites
-        # resolve through it at runtime, skipping the call_function bounce
-        self.lowered_fns = lowered_fns
         self.plans = plans
         #: a device frame: the scope chain ends at the region (no globals)
         self.device = device
@@ -1571,22 +1566,16 @@ class _Lowerer:
             mismatch_msg = (
                 f"{name}: expected {len(fn.params)} args, got {len(expr.args)}"
             )
-            lowered_fns = self.lowered_fns
-            if lowered_fns is not None and not mismatch:
 
-                def run(I, S):
-                    args = [c(I, S) for c in arg_cs]
-                    lf = lowered_fns.get(name)
-                    if lf is not None:
-                        return invoke_function(I, lf, args)
-                    return I.call_function(fn, args)
-                return run
-
+            # the callee resolves through the running interpreter's
+            # lowering: a call site holding its lowering's function table
+            # would be held by it, a reference cycle; and region code,
+            # shared by every lowering of the parse, must hold no lowering
             def run(I, S):
                 args = [c(I, S) for c in arg_cs]
                 if mismatch:
                     raise AccRuntimeError(mismatch_msg)
-                return I.call_function(fn, args)
+                return invoke_function(I, I.lowered.functions[name], args)
             return run
 
         handler = _BUILTINS.get(name)

@@ -24,6 +24,7 @@ which vendor it is simulating.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -226,7 +227,11 @@ class AccExecutor:
     """Executes OpenACC statements for one :class:`Interpreter`."""
 
     def __init__(self, interp):
-        self.interp = interp
+        # the interpreter owns its executor, so the link back is weak: a
+        # strong one would make a cycle of every run's interpreter,
+        # machine and memory, left to the cyclic collector to free
+        self._interp = weakref.ref(interp)
+        self.machine = interp.machine
         self.behavior = interp.behavior
         self.region: Optional[RegionState] = None
         #: >0 while executing a compute region body on the host (if(false))
@@ -240,6 +245,11 @@ class AccExecutor:
         #: hands over the dict (its lowering's, which is the parse's:
         #: plans live as long as the parse does)
         self._plans: Dict[int, tuple] = interp.plans
+
+    @property
+    def interp(self):
+        """The interpreter this executor runs for."""
+        return self._interp()
 
     def _plan(self, stmt: Stmt, kind):
         return plan_for(self._plans, stmt, kind)
@@ -266,7 +276,7 @@ class AccExecutor:
 
     def exit_function(self, fn: Function) -> None:
         _fn, processed = self._declare_stack.pop()
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
         for mapping in reversed(processed):
             device.memory.exit(mapping)
 
@@ -283,7 +293,7 @@ class AccExecutor:
         fn, processed = self._declare_stack[-1]
         if not fn.declares:
             return
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
         already = {id(m.cell) for m in processed}
         for directive in fn.declares:
             if directive.kind != "declare":
@@ -333,7 +343,7 @@ class AccExecutor:
         if if_clause is not None and not self.behavior.ignore_if_clause:
             if not _truthy(self._eval(if_clause.expr, env)):
                 return
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
 
         def do_update() -> None:
             for clause in d.clauses:
@@ -366,7 +376,7 @@ class AccExecutor:
             do_update()
 
     def _exec_wait(self, d: Directive, env) -> None:
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
         wait_clause = d.clause("wait")
         if wait_clause is not None and wait_clause.expr is not None:
             device.queues.wait(_as_int(self._eval(wait_clause.expr, env)))
@@ -377,7 +387,7 @@ class AccExecutor:
         if_clause = d.clause("if")
         if if_clause is not None and not _truthy(self._eval(if_clause.expr, env)):
             return
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
         for clause in d.clauses:
             if clause.name not in ("copyin", "create", "present_or_copyin", "present_or_create"):
                 continue
@@ -392,7 +402,7 @@ class AccExecutor:
         if_clause = d.clause("if")
         if if_clause is not None and not _truthy(self._eval(if_clause.expr, env)):
             return
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
         for clause in d.clauses:
             if clause.name not in ("copyout", "delete"):
                 continue
@@ -429,7 +439,7 @@ class AccExecutor:
         active = True
         if if_clause is not None and not self.behavior.ignore_if_clause:
             active = _truthy(self._eval(if_clause.expr, env))
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
         mappings: List[Mapping] = []
         deviceptr_binds: Dict[str, Cell] = {}
         if active:
@@ -442,7 +452,7 @@ class AccExecutor:
 
     def _exec_host_data(self, stmt: AccConstruct, env) -> None:
         d = stmt.directive
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
         defs: Dict[str, Cell] = {}
         use = d.clause("use_device")
         if use is not None:
@@ -527,7 +537,7 @@ class AccExecutor:
                     self._degraded -= 1
                 return
 
-        device = self.interp.machine.current_device()
+        device = self.machine.current_device()
 
         # clause expressions evaluate on the host at region entry; the
         # profile's defaults are read only for the clauses a region omits

@@ -252,14 +252,21 @@ class Interpreter:
         self.steps = 0
         self._define_globals()
         fn = self.program.function(entry)
+        devices = [self.machine.host] + self.machine.accelerators
         try:
             value = self.call_function(fn, [])
         finally:
-            # flush async work so observability counters are stable
-            for dev in [self.machine.host] + self.machine.accelerators:
-                dev.queues.wait_all()
+            # flush async work so observability counters are stable.  An
+            # activity that raises here ends the run: what is still queued
+            # can never run, and is dropped with the run (it holds its
+            # device, a reference cycle while it stays queued)
+            try:
+                for dev in devices:
+                    dev.queues.wait_all()
+            finally:
+                for dev in devices:
+                    dev.queues.discard()
         kernels = sum(d.kernels_launched for d in self.machine.accelerators)
-        devices = [self.machine.host] + self.machine.accelerators
         return ExecutionResult(
             value=_as_int(value),
             output=self.output,

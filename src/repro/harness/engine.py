@@ -235,7 +235,9 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
             with runner.faults.attempt(unit_key, attempt):
                 return runner.run_template(template)
         except Exception as err:
-            error = err
+            # kept without its traceback, whose frames would reach this
+            # one, which holds ``error``: a reference cycle
+            error = err.with_traceback(None)
             if n >= config.retries:
                 break
             if cancel is not None:

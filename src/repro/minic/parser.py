@@ -103,9 +103,6 @@ def parse_expression_text(source: str) -> Expr:
 class CParser:
     def __init__(self, tokens: List[Token]):
         self.ts = TokenStream(tokens)
-        self._directive_parser = DirectiveParser(
-            parse_expr=self.parse_expression, fortran_sections=False
-        )
         self._current_function: Optional[Function] = None
 
     # ------------------------------------------------------------------ top
@@ -281,7 +278,10 @@ class CParser:
         # the payload is lexed where it stands: from its own line and column
         ts = TokenStream(tokenize(tok.text, tok.loc.filename, tok.loc.line,
                                   tok.value))
-        return self._directive_parser.parse(ts, source=f"#pragma acc {tok.text}")
+        # a directive parser per directive: one held by the parser would
+        # point back at it through ``parse_expression``
+        return DirectiveParser(self.parse_expression).parse(
+            ts, source=f"#pragma acc {tok.text}")
 
     def _parse_if(self) -> If:
         tok = self.ts.expect_keyword("if")

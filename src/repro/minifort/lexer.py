@@ -20,7 +20,7 @@ master pattern (:data:`_TOKEN_RE`).
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Optional, Tuple
 
 from repro.frontend.errors import LexError
 from repro.frontend.tokens import Token, TokenKind
@@ -88,47 +88,70 @@ _SENTINEL_RE = re.compile(r"!\$acc\b(.*)", re.IGNORECASE)
 _SENTINEL_CONTINUATION_RE = re.compile(r"!\$acc&?(.*)", re.IGNORECASE)
 
 
-def _glue_continuations(source: str) -> str:
-    """Join `&`-continued lines (both code and !$acc directive lines)."""
-    out_lines: List[str] = []
+def _glue_continuations(source: str) -> List[Tuple[int, str, Optional[list]]]:
+    """Join `&`-continued code lines (``!$acc`` continuations are joined
+    by :func:`tokenize`).
+
+    Each logical line comes back as ``(row, text, pieces)``: ``row`` is
+    the 0-based index of its first physical line, and ``pieces`` (None
+    for a line that continues nothing) maps the glued text back to the
+    source, one ``(offset, row, col)`` per continuation line: the text
+    from ``offset`` on stands at 0-based ``row`` and ``col``.
+    """
+    out: List[Tuple[int, str, Optional[list]]] = []
     lines = source.split("\n")
     i = 0
     while i < len(lines):
-        line = lines[i]
-        # pure directive continuation handling happens in the main loop;
-        # here only glue code-level '&' endings
-        stripped = line.rstrip()
-        body = stripped
-        # strip trailing comment before looking for '&' (but not inside string)
+        first = i
+        body = lines[i].rstrip()
+        pieces = None
         while body.endswith("&") and not body.lstrip().lower().startswith("!$acc"):
-            nxt = lines[i + 1] if i + 1 < len(lines) else ""
+            i += 1
+            nxt = lines[i] if i < len(lines) else ""
             nxt_stripped = nxt.lstrip()
+            col = len(nxt) - len(nxt_stripped)
             if nxt_stripped.startswith("&"):
                 nxt_stripped = nxt_stripped[1:]
-            body = body[:-1].rstrip() + " " + nxt_stripped.rstrip()
-            i += 1
-        out_lines.append(body)
+                col += 1
+            body = body[:-1].rstrip() + " "
+            if pieces is None:
+                pieces = []
+            pieces.append((len(body), i, col))
+            body += nxt_stripped.rstrip()
+        out.append((first, body, pieces))
         i += 1
-    return "\n".join(out_lines)
+    return out
+
+
+def _continued_loc(filename: str, line: int, pieces: list,
+                   offset: int) -> SourceLocation:
+    """Where ``offset`` of a glued line stands in the source (``line`` is
+    the source's first line): on the last continuation line whose text
+    starts at or before it."""
+    start, row, col = next(p for p in reversed(pieces) if p[0] <= offset)
+    return SourceLocation(filename, line + row, col + offset - start + 1)
 
 
 def tokenize(source: str, filename: str = "<fortran>", line: int = 1,
              column: int = 1) -> List[Token]:
     """Tokenize mini-Fortran source text that starts at ``line``:``column``
-    of ``filename`` (a directive payload is lexed where it stands)."""
-    source = _glue_continuations(source)
+    of ``filename`` (a directive payload is lexed where it stands).
+    Every token reports the physical line and column it stands at, on a
+    continuation line too."""
+    logical = _glue_continuations(source)
     tokens: List[Token] = []
     append = tokens.append
-    lines = source.split("\n")
-    lineno = 0
-    n_lines = len(lines)
+    index = 0
+    n_logical = len(logical)
     # the first line's text starts at `column`, every later one at 1
     shift = column - 1
 
-    while lineno < n_lines:
-        raw = lines[lineno]
-        lineno += 1
-        row = line + lineno - 1
+    while index < n_logical:
+        first, raw, pieces = logical[index]
+        index += 1
+        row = line + first
+        # glued text from here on is on a continuation line
+        continued = pieces[0][0] if pieces else len(raw) + 1
 
         stripped = raw.lstrip()
         lead = len(raw) - len(stripped)
@@ -143,11 +166,12 @@ def tokenize(source: str, filename: str = "<fortran>", line: int = 1,
             payload_col = shift + lead + 1 + m.start(1) + pad
             text = payload.strip()
             # directive continuation: trailing '&', next lines start !$acc
-            while text.endswith("&") and lineno < n_lines:
-                m2 = _SENTINEL_CONTINUATION_RE.match(lines[lineno].lstrip())
+            while text.endswith("&") and index < n_logical:
+                m2 = _SENTINEL_CONTINUATION_RE.match(
+                    logical[index][1].lstrip())
                 if not m2:
                     break
-                lineno += 1
+                index += 1
                 text = text[:-1].strip() + " " + m2.group(1).strip()
             append(Token(PRAGMA, text,
                          SourceLocation(filename, row, shift + lead + 1),
@@ -164,7 +188,11 @@ def tokenize(source: str, filename: str = "<fortran>", line: int = 1,
                 continue
             if kind == "comment":
                 break  # comment to end of line
-            loc = SourceLocation(filename, row, shift + m.start() + 1)
+            start = m.start()
+            if start < continued:
+                loc = SourceLocation(filename, row, shift + start + 1)
+            else:
+                loc = _continued_loc(filename, line, pieces, start)
             text = m.group()
             if kind == "ident":
                 text = text.lower()
@@ -204,10 +232,12 @@ def tokenize(source: str, filename: str = "<fortran>", line: int = 1,
             emitted = True
 
         if emitted:
-            append(Token(NEWLINE, "\n",
-                         SourceLocation(filename, row, shift + len(raw) + 1)))
+            append(Token(NEWLINE, "\n", SourceLocation(
+                filename, row, shift + len(raw) + 1) if pieces is None
+                else _continued_loc(filename, line, pieces, len(raw))))
         shift = 0
 
+    n_lines = source.count("\n") + 1
     append(Token(EOF, "", SourceLocation(filename, line + n_lines - 1,
                                          column if n_lines == 1 else 1)))
     return tokens

@@ -105,9 +105,6 @@ def parse_expression_text(source: str) -> Expr:
 class FortranParser:
     def __init__(self, tokens: List[Token]):
         self.ts = TokenStream(tokens)
-        self._directive_parser = DirectiveParser(
-            parse_expr=self.parse_expression, fortran_sections=True
-        )
         # names that denote arrays in the current unit (declared arrays plus
         # array-typed parameters) — used to disambiguate a(i) index vs call
         self._array_names: Set[str] = set()
@@ -624,8 +621,11 @@ class FortranParser:
                               tok.value)
             if t.kind is not TokenKind.NEWLINE
         ]
-        return self._directive_parser.parse(TokenStream(sub_tokens),
-                                            source=f"!$acc {tok.text}")
+        # a directive parser per directive: one held by the parser would
+        # point back at it through ``parse_expression``
+        return DirectiveParser(self.parse_expression,
+                               fortran_sections=True).parse(
+            TokenStream(sub_tokens), source=f"!$acc {tok.text}")
 
     # ------------------------------------------------------------ expressions
 

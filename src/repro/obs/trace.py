@@ -96,9 +96,14 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.t1 = perf_counter()
-        if self._tracer is not None:
-            self._tracer._pop(self)
-            self._tracer._record(self)
+        tracer = self._tracer
+        if tracer is not None:
+            # a closed span is recorded once and then belongs to the
+            # tracer, which holds it: it keeps no link back, which would
+            # make every traced campaign a reference cycle
+            self._tracer = None
+            tracer._pop(self)
+            tracer._record(self)
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

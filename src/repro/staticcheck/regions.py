@@ -20,6 +20,7 @@ Node kinds:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
@@ -44,16 +45,26 @@ COMPUTE_KINDS = ("parallel", "kernels", "parallel loop", "kernels loop")
 
 @dataclass
 class Region:
-    """One node of the region tree."""
+    """One node of the region tree.
+
+    The tree is owned top-down, by its roots: a region holds its children
+    and only a weak link to its parent, so a tree is freed by reference
+    counting as soon as its roots are dropped.
+    """
 
     kind: str  # 'function' | 'compute' | 'data' | 'host_data' | 'accloop' | 'for' | 'standalone'
     node: Node
     directive: Optional[Directive] = None
-    parent: Optional["Region"] = None
     children: List["Region"] = field(default_factory=list)
+    _parent: Optional["weakref.ref[Region]"] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def parent(self) -> Optional["Region"]:
+        return self._parent() if self._parent is not None else None
 
     def add(self, child: "Region") -> "Region":
-        child.parent = self
+        child._parent = weakref.ref(self)
         self.children.append(child)
         return child
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 
 import pytest
 
@@ -70,3 +71,16 @@ def memo_off(monkeypatch):
             yield
 
     return off
+
+
+@pytest.fixture()
+def collector_off():
+    """The cyclic garbage collector disabled for the test, so only
+    reference counting frees objects; its state is restored after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -16,17 +16,19 @@ def c_directive(text: str):
 
     parser = CParser(tokenize("int main(){return 0;}"))
     ts = TokenStream(tokenize(text))
-    return parser._directive_parser.parse(ts, source=text)
+    return DirectiveParser(parser.parse_expression).parse(ts, source=text)
 
 
 def f_directive(text: str):
+    from repro.frontend.directives import DirectiveParser
     from repro.frontend.tokens import TokenKind, TokenStream
     from repro.minifort.lexer import tokenize
     from repro.minifort.parser import FortranParser
 
     parser = FortranParser(tokenize("program t\nend program t\n"))
     toks = [t for t in tokenize(text) if t.kind is not TokenKind.NEWLINE]
-    return parser._directive_parser.parse(TokenStream(toks), source=text)
+    return DirectiveParser(parser.parse_expression, fortran_sections=True).parse(
+        TokenStream(toks), source=text)
 
 
 class TestKinds:

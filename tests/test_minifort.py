@@ -78,6 +78,20 @@ class TestLexer:
         values = [t.value for t in toks if t.kind is TokenKind.INT]
         assert values == [1, 2]
 
+    def test_continued_line_tokens_stand_where_they_are_written(self):
+        toks = tokenize("x = 1 + &\n    2\ny = 3\n")
+        where = {t.text: (t.loc.line, t.loc.column) for t in toks
+                 if t.kind is not TokenKind.NEWLINE}
+        assert where["2"] == (2, 5)
+        assert where["y"] == (3, 1)
+        assert where[""] == (4, 1)  # EOF after the last physical line
+
+    def test_leading_ampersand_continuation_columns(self):
+        toks = tokenize("call f(a, &\n   & b, &\n  c)\n", "t.f", 5, 3)
+        where = [(t.text, t.loc.line, t.loc.column) for t in toks
+                 if t.kind is TokenKind.IDENT]
+        assert where == [("f", 5, 8), ("a", 5, 10), ("b", 6, 6), ("c", 7, 3)]
+
     def test_semicolon_separates(self):
         toks = tokenize("x = 1; y = 2")
         newlines = [t for t in toks if t.kind is TokenKind.NEWLINE]
@@ -98,6 +112,9 @@ class TestLexErrors:
         ("x = 1 @ 2", "t.f:1:7: unexpected character '@'"),
         ("x = 1\n\ty = a & b", "t.f:2:8: unexpected character '&'"),
         ("!$acc parallel\nx = 1 # 2", "t.f:2:7: unexpected character '#'"),
+        ("x = 1 + &\n  2\ny = 3\nz = @\n",
+         "t.f:4:5: unexpected character '@'"),
+        ("x = 1 + &\n  2 @\n", "t.f:2:5: unexpected character '@'"),
     ])
     def test_message_and_location(self, source, message):
         with pytest.raises(LexError) as info:

@@ -691,7 +691,7 @@ class TestPlanLifetimes:
         assert codes[0] and all(code is not None for code in codes[0])
         assert codes[0] == codes[1]
 
-    def test_phase_lowering_dies_while_the_cache_lives(self):
+    def test_phase_lowering_dies_while_the_cache_lives(self, collector_off):
         cache = CompileCache()
         outcome = cache.get_or_compile(
             Compiler(_ROUTINE_BEHAVIOURS[0], frontend=cache), _ROUTINE_SRC,
@@ -704,16 +704,17 @@ class TestPlanLifetimes:
         # the shared device code
         bump = weakref.ref(compiled._lowered.functions["bump"].body)
         del outcome, compiled, runner
-        gc.collect()
         # the cache holds no compiled program, so the phase's lowering
-        # dies with it; the parse keeps its plans and device code
+        # dies with it, freed by reference counting (the collector is
+        # off); the parse keeps its plans and device code
         assert lowered() is None and bump() is None
         parsed = cache.parsed(_ROUTINE_SRC, "c", "routine_call.c")
         codes = [plan.device_code for _node, plan in parsed.plans.values()
                  if isinstance(plan, ComputePlan)]
         assert codes and all(code is not None for code in codes)
 
-    def test_no_lowering_outlives_its_phase(self, suite10, monkeypatch):
+    def test_no_lowering_outlives_its_phase(self, suite10, monkeypatch,
+                                            collector_off):
         import repro.compiler.closures as closures
 
         lowerings = []
@@ -728,15 +729,14 @@ class TestPlanLifetimes:
         live_after_phase = []
         real_phase = ValidationRunner._run_phase
 
-        def phase_then_collect(self, *args, **kwargs):
+        def phase_then_count(self, *args, **kwargs):
             phase = real_phase(self, *args, **kwargs)
-            gc.collect()
             live_after_phase.append(sum(ref() is not None
                                         for ref in lowerings))
             return phase
 
         monkeypatch.setattr(ValidationRunner, "_run_phase",
-                            phase_then_collect)
+                            phase_then_count)
         cache = CompileCache()
         config = replace(_sample_config(suite10), run_cross=True,
                          languages=("c",))
@@ -745,7 +745,8 @@ class TestPlanLifetimes:
         for runner in runners:
             runner.run_suite(suite10)
         # the runners and their shared cache are still alive: neither
-        # holds a compiled program, so each lowering died with its phase
+        # holds a compiled program, so each lowering died with its phase,
+        # freed by reference counting (the collector is off)
         assert lowerings and live_after_phase
         assert set(live_after_phase) == {0}
         assert cache.stats().parse_entries > 0
