@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.accsim.errors import DeviceAllocationError, PresentError
-from repro.accsim.values import ArrayValue, Cell, DevicePointer
+from repro.accsim.values import ELEMENT_BYTES, ArrayValue, Cell, DevicePointer
 
 
 #: accounting size of a scalar transfer (the simulator does not model
@@ -38,13 +36,14 @@ _SCALAR_BYTES = 8
 
 def fill_garbage(array: ArrayValue, salt: int) -> None:
     """Deterministic 'uninitialised device memory' pattern."""
-    flat = array.data.reshape(-1)
-    idx = np.arange(flat.size, dtype=np.int64)
-    pattern = ((salt * 2654435761 + idx * 40503) % 1000003) - 500000
-    if array.type_base in ("float", "double"):
-        flat[...] = pattern.astype(np.float64) * 1e-3
-    else:
-        flat[...] = pattern
+    # element i is ((salt * 2654435761 + i * 40503) % 1000003) - 500000,
+    # scaled by 1e-3 in a floating array
+    scale = 1e-3 if array.type_base in ("float", "double") else 1
+    first = salt * 2654435761
+    array.data = [
+        (n % 1000003 - 500000) * scale
+        for n in range(first, first + 40503 * len(array.data), 40503)
+    ]
 
 
 @dataclass
@@ -206,11 +205,11 @@ class DeviceMemory:
                 start = value.lowers[0]
             if length is None:
                 length = value.length
-            shape = (length,) + value.data.shape[1:]
+            shape = (length,) + value.shape[1:]
             lowers = (start,) + value.lowers[1:]
             device = ArrayValue(shape, value.type_base, lowers)
             fill_garbage(device, self._salt)
-            self.bytes_allocated += device.data.nbytes
+            self.bytes_allocated += device.nbytes
             return Mapping(cell=cell, device_data=device, start=start, length=length)
         if isinstance(value, DevicePointer):
             raise DeviceAllocationError(
@@ -225,7 +224,7 @@ class DeviceMemory:
 
     def _deallocate(self, mapping: Mapping) -> None:
         if isinstance(mapping.device_data, ArrayValue):
-            self.bytes_allocated -= mapping.device_data.data.nbytes
+            self.bytes_allocated -= mapping.device_data.nbytes
         self._present.pop(_present_key(mapping.cell), None)
 
     def _host_to_device(self, mapping: Mapping, start: Optional[int] = None,
@@ -236,7 +235,7 @@ class DeviceMemory:
             length = mapping.length if length is None else length
             values = host.read_section(start, length)
             mapping.device_data.write_section(start, values)
-            self.bytes_to_device += int(values.nbytes)
+            self.bytes_to_device += ELEMENT_BYTES * len(values)
         else:
             mapping.device_data = host
             self.bytes_to_device += _SCALAR_BYTES
@@ -249,7 +248,7 @@ class DeviceMemory:
             length = mapping.length if length is None else length
             values = mapping.device_data.read_section(start, length)
             host.write_section(start, values)
-            self.bytes_to_host += int(values.nbytes)
+            self.bytes_to_host += ELEMENT_BYTES * len(values)
         else:
             mapping.cell.value = mapping.device_data
             self.bytes_to_host += _SCALAR_BYTES

@@ -2,10 +2,16 @@
 
 Every variable binding is a :class:`Cell` (a mutable box) so that device
 mappings can alias host storage by identity — the present table is keyed by
-cell.  Arrays are :class:`ArrayValue` (numpy storage plus declared lower
-bounds, so C 0-based and Fortran 1-based/sectioned indexing share one
-implementation).  Device heap allocations made via ``acc_malloc`` are
-:class:`DevicePointer` handles.
+cell.  Arrays are :class:`ArrayValue` (one flat row-major Python list plus
+declared lower bounds, so C 0-based and Fortran 1-based/sectioned indexing
+share one implementation).  Device heap allocations made via ``acc_malloc``
+are :class:`DevicePointer` handles.
+
+Storage model: integer element types (``int``/``long``/``char``/``bool``)
+hold 64-bit integers and floating types hold doubles.  Every store converts
+the value the way a C assignment to an ``int64_t``/``double`` element would:
+``int()`` truncates toward zero and a result outside int64 raises
+:class:`OverflowError`; ``float()`` for the floating types.
 
 Floating point note: C ``float`` / Fortran ``real`` values are *stored and
 computed in double precision*.  The paper's floating-point reduction oracle
@@ -17,29 +23,35 @@ nothing about directive conformance, so we deliberately keep one precision
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from math import prod
+from typing import List, Optional, Sequence
 
 from repro.accsim.errors import AccRuntimeError
 from repro.ir.types import Type
 
-_NUMPY_DTYPES = {
-    "int": np.int64,
-    "long": np.int64,
-    "char": np.int64,
-    "bool": np.int64,
-    "float": np.float64,
-    "double": np.float64,
+#: accounting size of one array element (int64 or double)
+ELEMENT_BYTES = 8
+
+_INT64_MIN = -(2 ** 63)
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _to_int64(value) -> int:
+    value = int(value)
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return value
+    raise OverflowError("Python int too large to convert to C long")
+
+
+_CONVERTERS = {
+    "int": _to_int64,
+    "long": _to_int64,
+    "char": _to_int64,
+    "bool": _to_int64,
+    "float": float,
+    "double": float,
 }
-
-
-def numpy_dtype(type_base: str):
-    try:
-        return _NUMPY_DTYPES[type_base]
-    except KeyError:
-        raise AccRuntimeError(f"cannot allocate array of {type_base!r}") from None
 
 
 def scalar_default(type_base: str):
@@ -55,11 +67,12 @@ class ArrayValue:
     """An n-dimensional array with declared lower bounds.
 
     ``lowers[d]`` is the index of the first element along dimension ``d``
-    (0 for C, typically 1 for Fortran).
+    (0 for C, typically 1 for Fortran).  ``data`` is the flat row-major
+    element list.
     """
 
-    __slots__ = ("data", "type_base", "lowers", "_shape", "_lo0", "_n0",
-                 "_rank1")
+    __slots__ = ("data", "type_base", "lowers", "shape", "_strides",
+                 "_convert", "_lo0", "_n0", "_rank1")
 
     def __init__(
         self,
@@ -71,84 +84,106 @@ class ArrayValue:
         shape = tuple(int(s) for s in shape)
         if any(s < 0 for s in shape):
             raise AccRuntimeError(f"negative array extent {shape}")
-        self.data = np.zeros(shape, dtype=numpy_dtype(type_base))
-        if fill is not None:
-            self.data.fill(fill)
+        try:
+            self._convert = _CONVERTERS[type_base]
+        except KeyError:
+            raise AccRuntimeError(f"cannot allocate array of {type_base!r}") from None
         self.type_base = type_base
+        self.shape = shape
+        self.data: List = [self._convert(0)] * prod(shape)
+        if fill is not None:
+            self.fill(fill)
         self.lowers = tuple(int(l) for l in (lowers or (0,) * len(shape)))
         if len(self.lowers) != len(shape):
             raise AccRuntimeError("lower-bounds rank mismatch")
-        # precomputed for the element accessors: the shape, and the rank-1
-        # lower bound and extent (the storage never changes shape)
-        self._shape = shape
+        # precomputed for the element accessors (the storage never changes
+        # shape): the distance in ``data`` between neighbours along each
+        # dimension, and the rank-1 lower bound and extent
+        self._strides = tuple(prod(shape[d + 1:]) for d in range(len(shape)))
         self._rank1 = len(shape) == 1
         self._lo0 = self.lowers[0] if shape else 0
         self._n0 = shape[0] if shape else 0
 
+    @property
+    def nbytes(self) -> int:
+        """Accounting size: ``ELEMENT_BYTES`` per element."""
+        return ELEMENT_BYTES * len(self.data)
+
+    def fill(self, value) -> None:
+        """Set every element to ``value`` (converted once)."""
+        self.data = [self._convert(value)] * len(self.data)
+
     # -- indexing ----------------------------------------------------------
 
-    def _offset(self, indices: Sequence[int]) -> Tuple[int, ...]:
-        if len(indices) != len(self._shape):
+    def _offset(self, indices: Sequence[int]) -> int:
+        if len(indices) != len(self.shape):
             raise AccRuntimeError(
-                f"rank mismatch: {len(indices)} subscripts for rank-{len(self._shape)} array"
+                f"rank mismatch: {len(indices)} subscripts for rank-{len(self.shape)} array"
             )
-        off = tuple(int(i) - l for i, l in zip(indices, self.lowers))
-        for o, extent in zip(off, self._shape):
+        off = [int(i) - l for i, l in zip(indices, self.lowers)]
+        flat = 0
+        for o, extent, stride in zip(off, self.shape, self._strides):
             if o < 0 or o >= extent:
                 raise AccRuntimeError(
-                    f"index out of bounds: subscript {indices} for shape {self._shape} "
+                    f"index out of bounds: subscript {indices} for shape {self.shape} "
                     f"(lower bounds {self.lowers})"
                 )
-        return off
+            flat += o * stride
+        return flat
 
     def get(self, indices: Sequence[int]):
-        # ``item`` returns the Python int/float the dtype maps to, exactly
-        # what int()/float() of the numpy scalar would give
         if self._rank1 and len(indices) == 1:
             off = int(indices[0]) - self._lo0
             if 0 <= off < self._n0:
-                return self.data.item(off)
-        return self.data.item(self._offset(indices))
+                return self.data[off]
+        return self.data[self._offset(indices)]
 
     def set(self, indices: Sequence[int], value) -> None:
         if self._rank1 and len(indices) == 1:
             off = int(indices[0]) - self._lo0
             if 0 <= off < self._n0:
-                self.data[off] = value
+                self.data[off] = self._convert(value)
                 return
-        self.data[self._offset(indices)] = value
+        self.data[self._offset(indices)] = self._convert(value)
 
     # -- sections ------------------------------------------------------------
 
     @property
     def length(self) -> int:
         """Extent of the first dimension (the sectioned one)."""
-        return int(self.data.shape[0])
+        return self.shape[0]
 
-    def read_section(self, start: int, length: int) -> np.ndarray:
-        """Copy of rows [start, start+length) in *declared* index space."""
+    def read_section(self, start: int, length: int) -> List:
+        """Copy of rows [start, start+length) in *declared* index space, as
+        a flat row-major list."""
         lo = start - self.lowers[0]
-        if lo < 0 or lo + length > self.data.shape[0]:
+        if lo < 0 or lo + length > self.shape[0]:
             raise AccRuntimeError(
                 f"section [{start}:{start + length}) outside array bounds"
             )
-        return self.data[lo : lo + length].copy()
+        row = self._strides[0]
+        return self.data[lo * row : (lo + length) * row]
 
-    def write_section(self, start: int, values: np.ndarray) -> None:
+    def write_section(self, start: int, values: List) -> None:
+        """Store whole rows from ``start`` on: ``values`` is a flat list read
+        by :meth:`read_section` of an array of the same element type, so the
+        elements are copied as they are."""
+        row = self._strides[0]
+        length = len(values) // row if row else 0
         lo = start - self.lowers[0]
-        if lo < 0 or lo + len(values) > self.data.shape[0]:
+        if lo < 0 or lo + length > self.shape[0]:
             raise AccRuntimeError(
-                f"section write [{start}:{start + len(values)}) outside array bounds"
+                f"section write [{start}:{start + length}) outside array bounds"
             )
-        self.data[lo : lo + len(values)] = values
+        self.data[lo * row : (lo + length) * row] = values
 
     def clone(self) -> "ArrayValue":
-        out = ArrayValue(self.data.shape, self.type_base, self.lowers)
-        out.data[...] = self.data
+        out = ArrayValue(self.shape, self.type_base, self.lowers)
+        out.data = self.data.copy()
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayValue({self.type_base}{list(self.data.shape)}, lowers={self.lowers})"
+        return f"ArrayValue({self.type_base}{list(self.shape)}, lowers={self.lowers})"
 
 
 @dataclass
@@ -172,7 +207,7 @@ class DevicePointer:
             # retyping a raw allocation: preserve length by element count
             fresh = ArrayValue((length,), type_base)
             n = min(length, self.buffer.length)
-            fresh.data[:n] = self.buffer.data[:n]
+            fresh.data[:n] = map(fresh._convert, self.buffer.data[:n])
             self.buffer = fresh
         return self.buffer
 

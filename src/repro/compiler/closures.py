@@ -852,7 +852,7 @@ class _Lowerer:
                 ]
                 value = ArrayValue(shape, base, lowers)
                 if init_c is not None:
-                    value.data.fill(init_c(I, S))
+                    value.fill(init_c(I, S))
                 return value
         elif typ.pointer > 0:
             init_c = self.lower_expr(decl.init) if decl.init is not None else None

@@ -1107,7 +1107,7 @@ def _fresh_private(env, name: str) -> Cell:
     if outer is not None and isinstance(outer.value, ArrayValue):
         src = outer.value
         return Cell(
-            ArrayValue(src.data.shape, src.type_base, src.lowers),
+            ArrayValue(src.shape, src.type_base, src.lowers),
             type=outer.type,
             name=name,
         )

@@ -255,17 +255,18 @@ class Interpreter:
         devices = [self.machine.host] + self.machine.accelerators
         try:
             value = self.call_function(fn, [])
+            # flush async work so observability counters are stable.  Only
+            # a run whose host code returned gets here: when the host raised,
+            # its error is the one that stopped the program, and queued work
+            # that never ran must not replace it
+            for dev in devices:
+                dev.queues.wait_all()
         finally:
-            # flush async work so observability counters are stable.  An
-            # activity that raises here ends the run: what is still queued
-            # can never run, and is dropped with the run (it holds its
-            # device, a reference cycle while it stays queued)
-            try:
-                for dev in devices:
-                    dev.queues.wait_all()
-            finally:
-                for dev in devices:
-                    dev.queues.discard()
+            # what is still queued (after a host error, or after an activity
+            # that raised) can never run, and is dropped with the run (it
+            # holds its device, a reference cycle while it stays queued)
+            for dev in devices:
+                dev.queues.discard()
         kernels = sum(d.kernels_launched for d in self.machine.accelerators)
         return ExecutionResult(
             value=_as_int(value),

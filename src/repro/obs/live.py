@@ -364,7 +364,9 @@ class NDJSONStreamSink:
     tolerant reader (:func:`parse_live`) skips and counts.  On close, the
     final snapshot is appended to the stream *and* written atomically to
     ``<path>.snapshot.json`` so dashboards polling for the end state never
-    see a partial file.
+    see a partial file.  Both are the one line the C JSON encoder writes:
+    an indented dump would run the stdlib's pure-Python encoder, whose
+    closures leave reference cycles behind.
     """
 
     def __init__(self, path: str):
@@ -386,7 +388,7 @@ class NDJSONStreamSink:
         if final is not None:
             atomic_write_text(
                 self.path + ".snapshot.json",
-                json.dumps(final, indent=2, sort_keys=True) + "\n",
+                json.dumps(final, sort_keys=True) + "\n",
             )
 
 

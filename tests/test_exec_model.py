@@ -1,6 +1,8 @@
 """Tests for the OpenACC execution model: gang/worker/vector semantics,
 data environments, reductions, async behaviour and host_data."""
 
+import contextlib
+
 import pytest
 
 from repro.accsim.errors import AccRuntimeError, PresentError
@@ -564,6 +566,39 @@ int main(){
 }
 """
         assert run(without_data, wedged).value == 1
+
+    _QUEUED_CRASH = """
+int main() {
+  int a[4];
+  int z = 0;
+  #pragma acc parallel async(1) copy(a[0:4])
+  { a[0] = 1 / z; }
+  %s
+  return 0;
+}
+"""
+
+    @pytest.mark.parametrize("walker", ["closures", "tree"])
+    def test_host_error_is_not_replaced_by_queued_work(self, walker,
+                                                       tree_oracle):
+        # the host's out-of-bounds read stops the program while the
+        # region that divides by zero is still queued: that region never
+        # runs, so the run reports the host's error
+        src = self._QUEUED_CRASH % "a[1] = a[5];"
+        with tree_oracle() if walker == "tree" else contextlib.nullcontext():
+            with pytest.raises(AccRuntimeError) as got:
+                run(src)
+        assert str(got.value) == ("index out of bounds: subscript [5] for "
+                                  "shape (4,) (lower bounds (0,))")
+
+    @pytest.mark.parametrize("walker", ["closures", "tree"])
+    def test_queued_work_runs_at_exit_after_host_returns(self, walker,
+                                                         tree_oracle):
+        src = self._QUEUED_CRASH % "a[1] = 2;"
+        with tree_oracle() if walker == "tree" else contextlib.nullcontext():
+            with pytest.raises(AccRuntimeError) as got:
+                run(src)
+        assert str(got.value) == "division by zero at <test>:6:14"
 
 
 class TestDeclare:

@@ -281,3 +281,22 @@ def test_campaign_is_freed_by_reference_counting(campaign, suite10, tmp_path,
     assert lifetimes.outcomes and lifetimes.phases
     assert lifetimes.alive == []
     assert cyclic == []
+
+
+def test_live_streamed_campaign_leaves_no_cyclic_garbage(suite10, tmp_path,
+                                                          collector_off):
+    """Not even the stdlib's: the live stream's final snapshot goes
+    through the C JSON encoder, not the pure-Python one (an indented dump)
+    whose closures form cycles."""
+    gc.collect()
+    debug = gc.get_debug()
+    try:
+        _reference_campaign(suite10, tmp_path)
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = [_describe(obj) for obj in gc.garbage]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert (tmp_path / "live.ndjson.snapshot.json").exists()
+    assert cyclic == []

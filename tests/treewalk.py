@@ -246,7 +246,7 @@ class TreeInterpreter(Interpreter):
             value: object = ArrayValue(shape, decl.type.base, lowers)
             if decl.init is not None:
                 fill = self.eval(decl.init, env)
-                value.data.fill(fill)
+                value.fill(fill)
         elif decl.type.pointer > 0:
             value = self.eval(decl.init, env) if decl.init is not None else None
         else:
