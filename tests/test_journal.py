@@ -794,3 +794,66 @@ class TestFsck:
         empty.write_bytes(b"")
         scan = fsck_journal(str(empty))
         assert scan.status == "corrupt" and "empty" in scan.detail
+
+
+# ---------------------------------------------------------------------------
+# fsck's verdict is resume's verdict, on every damage of a real journal
+# ---------------------------------------------------------------------------
+
+
+def _damaged_variants(data: bytes):
+    """(label, bytes-or-None) pairs: every truncation point, one flipped
+    byte at the start, middle and end of each line, a dropped or swapped
+    header, an empty file and a missing one (None)."""
+    for cut in range(len(data)):
+        yield f"truncated at byte {cut}", data[:cut]
+    lines = data.splitlines(keepends=True)
+    start = 0
+    for number, line in enumerate(lines, start=1):
+        for pos in sorted({0, len(line) // 2, len(line) - 1}):
+            flipped = bytearray(data)
+            flipped[start + pos] ^= 0x01
+            yield f"line {number} byte {pos} flipped", bytes(flipped)
+        start += len(line)
+    yield "header dropped", b"".join(lines[1:])
+    yield "header swapped", b"".join([lines[1], lines[0]] + lines[2:])
+    yield "empty", b""
+    yield "missing", None
+
+
+class TestFsckAgreesWithResume:
+    def _journal_bytes(self, tmp_path) -> bytes:
+        path = str(tmp_path / "real.journal")
+        writer = JournalWriter.create(path, CAMPAIGN)
+        writer.append("a:c", {"unit": "a:c"})
+        writer.append("b:c", {"unit": "b:c", "n": [1, 2]})
+        writer.close()
+        writer = JournalWriter.resume(path, CAMPAIGN)
+        writer.append("c:c", {"unit": "c:c"})
+        writer.append("a:c", {"unit": "a:c", "rerun": True})
+        writer.close()
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    def test_resumable_exactly_when_resume_succeeds(self, tmp_path):
+        data = self._journal_bytes(tmp_path)
+        path = str(tmp_path / "damaged.journal")
+        verdicts = set()
+        for label, damaged in _damaged_variants(data):
+            if os.path.exists(path):
+                os.remove(path)
+            if damaged is not None:
+                with open(path, "wb") as handle:
+                    handle.write(damaged)
+            report = fsck_journal(path)
+            try:
+                writer = JournalWriter.resume(path, CAMPAIGN)
+            except JournalCorruptError:
+                assert not report.resumable, label
+                assert report.salvageable_units() == {}, label
+            else:
+                writer.close()
+                assert report.resumable, label
+                assert report.salvageable_units() == writer.records, label
+            verdicts.add(report.status)
+        assert verdicts == {"ok", "torn", "corrupt", "missing"}
