@@ -621,20 +621,21 @@ def _obs_tail(args) -> int:
 def _obs_follow(args) -> int:
     """Poll the stream file and print records as they land.
 
-    Only complete (newline-terminated) lines are consumed, so a record
-    the writer is mid-way through never prints garbled; unparsable
-    complete lines are skipped with a warning.  A file that *shrinks*
-    (rotated or truncated by the writer) is picked up again from the
-    start instead of silently never matching another record.  Exits when
-    the final snapshot arrives, on Ctrl-C, or — with ``--idle-timeout-s``
-    — with exit 1 after that many seconds without new data (a follower
-    of a dead campaign must not hang forever in CI).
+    Each batch of complete (newline-terminated) lines goes through
+    :func:`~repro.obs.live.parse_live`, the reader ``obs tail`` uses, so a
+    record the writer is mid-way through never prints garbled, unparsable
+    lines are skipped with a warning, and a file of another format exits 1
+    at once.  A file that *shrinks* (rotated or truncated by the writer)
+    is picked up again from the start instead of silently never matching
+    another record.  Exits when the final snapshot arrives, on Ctrl-C, or
+    — with ``--idle-timeout-s`` — with exit 1 after that many seconds
+    without new data (a follower of a dead campaign must not hang forever
+    in CI).
     """
-    import json as _json
     import os as _os
     import time as _time
 
-    from repro.obs.live import render_record_line
+    from repro.obs.live import parse_live, render_record_line
 
     offset = 0
     buffered = ""
@@ -658,21 +659,17 @@ def _obs_follow(args) -> int:
                 last_data = _time.monotonic()
                 offset += len(chunk.encode("utf-8"))
                 buffered += chunk
-            while "\n" in buffered:
-                line, buffered = buffered.split("\n", 1)
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = _json.loads(line)
-                except ValueError:
-                    print("warning: skipped malformed stream line",
-                          file=sys.stderr)
-                    continue
-                if not isinstance(record, dict):
-                    continue
-                if record.get("type") == "meta":
-                    continue
+            lines, newline, buffered = buffered.rpartition("\n")
+            try:
+                batch = parse_live(lines + newline, strict=False)
+            except ValueError as err:
+                print(f"cannot read live stream {args.file!r}: {err}",
+                      file=sys.stderr)
+                return 1
+            if batch.malformed:
+                print(f"warning: skipped {batch.malformed} malformed stream "
+                      "line(s)", file=sys.stderr)
+            for record in batch.records:
                 print(render_record_line(record), flush=True)
                 if record.get("type") == "snapshot" and record.get("final"):
                     return 0
@@ -727,47 +724,41 @@ def cmd_obs(args) -> int:
 
 
 def cmd_journal(args) -> int:
-    if args.journal_command == "fsck":
-        return _journal_fsck(args)
-    from repro.journal import JournalError, read_journal
+    """``journal inspect`` and ``journal fsck``: two renderings of one scan.
 
-    try:
-        loaded = read_journal(args.file)
-    except JournalError as err:
-        print(f"journal error: {err}", file=sys.stderr)
-        return 1
-    campaign = loaded.campaign
-    print(f"journal    {loaded.path}")
-    print(f"format     {campaign.get('format', '?')}")
-    print(f"command    {campaign.get('command', '?')}")
-    print(f"code       {campaign.get('code_version', '?')}")
-    for key in ("suite", "compiler", "nodes", "sample", "seed"):
-        if key in campaign:
-            print(f"{key:10s} {campaign[key]}")
-    print(f"units      {len(loaded.records)} journaled")
-    print(f"resumes    {loaded.resumes} (generation {loaded.generation})")
-    if loaded.torn_bytes:
-        print(f"torn tail  {loaded.torn_bytes} byte(s) — will be truncated "
-              "on resume")
-    else:
-        print("torn tail  none (clean shutdown)")
-    if args.units:
-        for unit in sorted(loaded.records):
-            print(f"  {unit}")
-    return 0
-
-
-def _journal_fsck(args) -> int:
-    """Crash-consistency check: exit 0 when the journal is clean or only
-    torn at the tail (a resume salvages it), 1 on corruption."""
+    fsck exits 0 when the journal is clean or only torn at the tail (a
+    resume salvages it) and 1 on corruption; inspect refuses what resume
+    refuses.
+    """
     from repro.journal import fsck_journal, render_fsck
 
-    report = fsck_journal(args.file)
-    print(render_fsck(report))
+    scan = fsck_journal(args.file)
+    if args.journal_command == "fsck":
+        print(render_fsck(scan))
+    elif not scan.resumable:
+        print(f"journal error: journal {scan.path!r}: {scan.detail}",
+              file=sys.stderr)
+        return 1
+    else:
+        campaign = scan.campaign
+        print(f"journal    {scan.path}")
+        print(f"format     {campaign.get('format', '?')}")
+        print(f"command    {campaign.get('command', '?')}")
+        print(f"code       {campaign.get('code_version', '?')}")
+        for key in ("suite", "compiler", "nodes", "sample", "seed"):
+            if key in campaign:
+                print(f"{key:10s} {campaign[key]}")
+        print(f"units      {len(scan.records)} journaled")
+        print(f"resumes    {scan.resumes} (generation {scan.generation})")
+        if scan.torn_bytes:
+            print(f"torn tail  {scan.torn_bytes} byte(s) — will be "
+                  "truncated on resume")
+        else:
+            print("torn tail  none (clean shutdown)")
     if args.units:
-        for unit in sorted(report.salvageable_units()):
+        for unit in sorted(scan.salvageable_units()):
             print(f"  {unit}")
-    return 0 if report.resumable else 1
+    return 0 if scan.resumable else 1
 
 
 def _add_journal_flags(p) -> None:

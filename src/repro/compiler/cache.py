@@ -256,14 +256,10 @@ class CompileCache:
         env = tuple(sorted(env_vars.items())) if env_vars else ()
         return (source, language, name, env, max_steps)
 
-    def recall(self, key: tuple, behavior: "CompilerBehavior", seed: int,
-               tracer=None) -> Optional[MemoEntry]:
+    def recall(self, key: tuple, behavior: "CompilerBehavior",
+               seed: int) -> Optional[MemoEntry]:
         """A stored run of ``key`` that ``behavior`` and ``seed`` would
-        repeat exactly, or None (a miss).
-
-        ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives an
-        ``execute.memo_hit`` or ``execute.memo_miss`` event.
-        """
+        repeat exactly, or None (a miss)."""
         found = None
         with self._lock:
             runs = self._memo.get(key)
@@ -278,10 +274,6 @@ class CompileCache:
                 self.memo_misses += 1
             else:
                 self.memo_hits += 1
-        if tracer is not None and tracer.enabled:
-            tracer.event("execute.memo_miss" if found is None
-                         else "execute.memo_hit",
-                         template=key[2], language=key[1])
         return found
 
     def remember(self, key: tuple, trace: "BehaviorTrace",

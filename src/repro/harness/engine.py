@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.harness.config import EXECUTION_POLICIES, HarnessConfig
+from repro.obs.live import phase_counts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler import CompilerBehavior
@@ -491,32 +492,24 @@ def build_metrics(
     Cache counters come from the per-phase ``cache_hit`` flags carried in
     the results, so they are exact under every policy — including process
     pools, where each worker holds a private cache whose own counters never
-    leave the worker.
+    leave the worker.  The phase counts are
+    :func:`repro.obs.live.phase_counts`, the rule the live stream's
+    ``unit.finished`` events carry.
     """
     metrics = RunMetrics(policy=policy, workers=workers,
                          wall_s=report.elapsed_s, templates=len(report.results))
     for result, worker in outcomes:
         busy = metrics.worker_busy_s.setdefault(worker, 0.0)
         metrics.worker_busy_s[worker] = busy + result.elapsed_s
-        for phase in (result.functional, result.cross):
-            if (
-                phase is None
-                or phase.harness_error is not None
-                or phase.static_error is not None
-            ):
-                # the unit never reached the compiler: charging a cache
-                # miss or phase timings would skew the real counters
-                continue
-            metrics.compile_s += phase.compile_s
-            metrics.execute_s += phase.run_s
-            metrics.iterations_run += len(phase.iterations)
-            metrics.programs_executed += phase.executed
-            if phase.memo_hit:
-                metrics.memo_hits += 1
-            if phase.cache_hit:
-                metrics.cache_hits += 1
-            else:
-                metrics.cache_misses += 1
+    counts = phase_counts(phase for result, _ in outcomes
+                          for phase in (result.functional, result.cross))
+    metrics.compile_s = counts["compile_s"]
+    metrics.execute_s = counts["run_s"]
+    metrics.iterations_run = counts["iterations"]
+    metrics.programs_executed = counts["executed"]
+    metrics.memo_hits = counts["memo_hits"]
+    metrics.cache_hits = counts["compile_cache_hits"]
+    metrics.cache_misses = counts["compile_cache_misses"]
     for kind, count in report.by_failure_kind().items():
         metrics.failure_kinds[kind.value] = count
     return metrics

@@ -614,8 +614,7 @@ class ValidationRunner:
                 # machine).  The fault site, events and deadline go per k
                 for k, seed in enumerate(self.config.iteration_seeds()):
                     self.faults.iteration_site(f"{pkey}:{k}")
-                    entry = cache.recall(memo_key, compiled.behavior, seed,
-                                         tracer=tracer)
+                    entry = cache.recall(memo_key, compiled.behavior, seed)
                     if entry is not None:
                         outcome = replace(entry.outcome)
                         if k == 0:

@@ -2,15 +2,19 @@
 
 The paper's suite runs as week-long campaigns on Titan (Section VII) where
 the *orchestrating process itself* gets preempted, OOM-killed, or loses
-its node.  PR 3 made the harness survive faults inside a run; this package
-makes the campaign survive the harness: every completed work unit is
+its node.  The retry layer makes the harness survive faults inside a run;
+this package makes the campaign survive the harness: every completed work unit is
 appended to a checksummed, fsync'd write-ahead journal the moment an
 engine hands it back, so the campaign can be SIGKILLed at any instant —
 including mid-journal-write — and resumed to a byte-identical report.
 
 * :mod:`~repro.journal.wal` — the JSONL write-ahead log: header record
   binding the journal to a campaign key, per-record SHA-256 checksums,
-  torn-tail detection/truncation, resume markers;
+  resume markers, and the one scan that reads a journal back
+  (:func:`fsck_journal`, applying the torn-tail rule).  The scan has two
+  verdicts on one :class:`JournalScan`: :func:`read_journal` refuses what
+  resume cannot trust, and :mod:`~repro.journal.fsck` renders the same
+  status as clean, salvageable or corrupt;
 * :mod:`~repro.journal.codec` — campaign keys and the payload round-trip
   for :class:`~repro.harness.runner.TestResult` / Titan stack checks.
 
@@ -24,12 +28,13 @@ from repro.journal.wal import (
     JournalCorruptError,
     JournalError,
     JournalMismatchError,
+    JournalScan,
     JournalWriter,
-    LoadedJournal,
+    fsck_journal,
     read_journal,
     record_line,
 )
-from repro.journal.fsck import FsckReport, fsck_journal, render_fsck
+from repro.journal.fsck import render_fsck
 from repro.journal.codec import (
     canonicalize,
     config_fingerprint,
@@ -46,8 +51,8 @@ from repro.journal.codec import (
 __all__ = [
     "JOURNAL_FORMAT",
     "JournalCorruptError", "JournalError", "JournalMismatchError",
-    "JournalWriter", "LoadedJournal", "read_journal", "record_line",
-    "FsckReport", "fsck_journal", "render_fsck",
+    "JournalScan", "JournalWriter", "fsck_journal", "read_journal",
+    "record_line", "render_fsck",
     "canonicalize", "config_fingerprint",
     "decode_check", "decode_result", "encode_check", "encode_result",
     "template_map", "titan_campaign_key", "unit_keys",

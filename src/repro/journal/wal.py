@@ -20,11 +20,17 @@ record, truncated to 16 hex chars)::
   resumes (like every other injected fault).
 
 Torn-tail rule: a crash mid-``write`` leaves trailing bytes that are not a
-complete, checksum-valid line.  On load, such bytes are tolerated **only
-at the very end of the file** — they are counted, reported, and truncated
-before appending resumes.  A bad record with intact records *after* it is
-not a torn tail but corruption, and raises :class:`JournalCorruptError`;
-a journal that lies is worse than no journal.
+complete, checksum-valid line.  Such bytes are tolerated **only at the
+very end of the file** — they are counted, reported, and truncated before
+appending resumes.  A bad record with intact records *after* it is not a
+torn tail but corruption; a journal that lies is worse than no journal.
+
+One scan applies the rule: :func:`fsck_journal` walks the bytes once and
+classifies the file (:class:`JournalScan`) without ever raising on
+damage.  Its two verdicts read that one result — :func:`read_journal`
+(resume, ``journal inspect``) raises :class:`JournalCorruptError` unless
+the status is ``ok`` or ``torn``, and ``journal fsck`` renders it — so
+fsck calls a journal salvageable exactly when resume accepts it.
 """
 
 from __future__ import annotations
@@ -85,11 +91,25 @@ def _verify_line(chunk: bytes) -> Optional[dict]:
 
 
 @dataclass
-class LoadedJournal:
-    """The intact prefix of a journal file."""
+class JournalScan:
+    """What one scan of a journal file found: its status and intact prefix.
+
+    ``status`` is the scan's classification:
+
+    * ``ok`` — every line checksums (a clean shutdown);
+    * ``torn`` — trailing bytes fail to verify *at EOF only*, the state a
+      SIGKILL mid-write leaves; resume truncates them;
+    * ``corrupt`` — a bad line with intact records after it, a missing or
+      torn header, an unknown record type, an empty or unreadable file;
+    * ``missing`` — the path does not exist.
+
+    The intact prefix before the first bad line is scanned either way, so
+    fsck can show what a corrupt journal still holds.
+    """
 
     path: str
-    campaign: dict
+    status: str = "ok"
+    campaign: dict = field(default_factory=dict)
     #: unit key -> payload (last record wins, in case a crash re-ran a unit)
     records: Dict[str, dict] = field(default_factory=dict)
     #: resume generations recorded so far (0 = the original run)
@@ -97,69 +117,102 @@ class LoadedJournal:
     resumes: int = 0
     #: byte length of the intact prefix (the file is valid up to here)
     valid_bytes: int = 0
-    #: trailing bytes dropped by the torn-tail rule (0 = clean shutdown)
-    torn_bytes: int = 0
+    #: bytes past the intact prefix (torn tail or corruption)
+    bad_bytes: int = 0
+    #: 1-based line number of the first bad line (None when ok)
+    first_bad_line: Optional[int] = None
+    detail: str = ""
+
+    @property
+    def clean(self) -> bool:
+        """No corruption, no torn tail."""
+        return self.status == "ok"
+
+    @property
+    def resumable(self) -> bool:
+        """Would ``--resume`` accept this journal (truncating a torn tail)?"""
+        return self.status in ("ok", "torn")
+
+    @property
+    def torn_bytes(self) -> int:
+        """Trailing bytes resume truncates (0 after a clean shutdown)."""
+        return self.bad_bytes if self.status == "torn" else 0
+
+    def salvageable_units(self) -> Dict[str, dict]:
+        """Unit records a resume would replay (none when it would refuse)."""
+        return dict(self.records) if self.resumable else {}
 
 
-def read_journal(path: str) -> LoadedJournal:
-    """Load a journal, verifying checksums and applying the torn-tail rule.
+def fsck_journal(path: str) -> JournalScan:
+    """Scan a journal, verifying checksums and applying the torn-tail rule.
 
-    Pure: never modifies the file (truncation happens on resume).
+    The one reader of journal bytes: tolerant (never raises on damage) and
+    pure (never modifies the file; truncation happens on resume).
     """
+    scan = JournalScan(path=path)
+    if not os.path.exists(path):
+        scan.status, scan.detail = "missing", "file does not exist"
+        return scan
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as err:
-        raise JournalCorruptError(f"cannot read journal {path!r}: {err}") from err
-    loaded = LoadedJournal(path=path, campaign={})
+        scan.status, scan.detail = "corrupt", f"cannot read file: {err}"
+        return scan
+    if not data:
+        scan.status, scan.detail = "corrupt", "file is empty (no header)"
+        return scan
     pos = 0
     lineno = 0
-    saw_header = False
     while pos < len(data):
         lineno += 1
         newline = data.find(b"\n", pos)
-        complete = newline != -1
-        chunk = data[pos:newline] if complete else data[pos:]
-        record = _verify_line(chunk) if complete else None
+        record = _verify_line(data[pos:newline]) if newline != -1 else None
+        kind = record.get("type") if record is not None else None
+        status, detail = "corrupt", ""
         if record is None:
-            # invalid bytes are a torn tail only at the very end of the file
-            if complete and newline + 1 < len(data):
-                raise JournalCorruptError(
-                    f"journal {path!r} line {lineno}: checksum or parse "
-                    "failure with intact records after it — this is "
-                    "corruption, not a torn tail; refusing to trust the file"
-                )
-            if not saw_header:
-                raise JournalCorruptError(
-                    f"journal {path!r}: header record is missing or torn"
-                )
-            loaded.valid_bytes = pos
-            loaded.torn_bytes = len(data) - pos
-            return loaded
-        kind = record.get("type")
-        if not saw_header:
-            if kind != "header" or record.get("format") != JOURNAL_FORMAT:
-                raise JournalCorruptError(
-                    f"journal {path!r}: first record must be a "
-                    f"{JOURNAL_FORMAT} header (got {kind!r})"
-                )
-            loaded.campaign = record.get("campaign") or {}
-            saw_header = True
+            if lineno == 1:
+                detail = "header record is missing or torn"
+            elif newline == -1 or newline + 1 == len(data):
+                status = "torn"
+                detail = (f"{len(data) - pos} trailing byte(s) fail to "
+                          "verify — a torn tail; resume truncates them")
+            else:
+                detail = (f"line {lineno}: checksum or parse failure with "
+                          "intact records after it — corruption, not a torn "
+                          "tail; resume refuses this file")
+        elif lineno == 1:
+            if kind == "header" and record.get("format") == JOURNAL_FORMAT:
+                scan.campaign = record.get("campaign") or {}
+            else:
+                detail = (f"first record must be a {JOURNAL_FORMAT} header "
+                          f"(got {kind!r})")
         elif kind == "unit":
-            loaded.records[record["unit"]] = record.get("payload") or {}
+            scan.records[record["unit"]] = record.get("payload") or {}
         elif kind == "resume":
-            loaded.resumes += 1
-            loaded.generation = max(loaded.generation,
-                                    int(record.get("generation", 0)))
+            scan.resumes += 1
+            scan.generation = max(scan.generation,
+                                  int(record.get("generation", 0)))
         else:
-            raise JournalCorruptError(
-                f"journal {path!r} line {lineno}: unknown record type {kind!r}"
-            )
+            detail = f"line {lineno}: unknown record type {kind!r}"
+        if detail:
+            scan.status, scan.detail = status, detail
+            scan.bad_bytes = len(data) - pos
+            scan.first_bad_line = lineno
+            break
         pos = newline + 1
-    if not saw_header:
-        raise JournalCorruptError(f"journal {path!r} is empty (no header)")
-    loaded.valid_bytes = pos
-    return loaded
+    scan.valid_bytes = pos
+    return scan
+
+
+def read_journal(path: str) -> JournalScan:
+    """The scan of a journal a resume can trust; raises
+    :class:`JournalCorruptError` when the damage exceeds the torn-tail rule.
+    """
+    scan = fsck_journal(path)
+    if not scan.resumable:
+        raise JournalCorruptError(f"journal {path!r}: {scan.detail}")
+    return scan
 
 
 def _diff_campaigns(expected: dict, found: dict) -> str:

@@ -45,13 +45,14 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    TYPE_CHECKING)
 
 from repro.ioutil import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.config import HarnessConfig
-    from repro.harness.runner import SuiteRunReport, TestResult
+    from repro.harness.runner import PhaseResult, SuiteRunReport, TestResult
 
 #: format tag written into the stream's meta record, checked by the reader
 LIVE_FORMAT = "repro.obs.live/v1"
@@ -61,54 +62,55 @@ LIVE_FORMAT = "repro.obs.live/v1"
 # ---------------------------------------------------------------------------
 
 
-def unit_fields(index: int, unit: str, result: "TestResult", *,
-                replayed: bool = False) -> dict:
-    """The JSON-safe fields of one ``unit.finished`` event.
+def phase_counts(phases: Iterable[Optional["PhaseResult"]]) -> dict:
+    """The iteration, memo, compile-cache and timing counts of ``phases``.
 
-    Phase accounting mirrors :func:`repro.harness.engine.build_metrics`
-    exactly — phases that never reached the compiler (harness or static
-    errors) contribute no iterations, timings or cache flags — so a tally
-    folded from these events reconciles with the report's
+    The one phase-accounting rule: a phase that never reached the
+    compiler (harness or static error) counts nothing.  Each
+    ``unit.finished`` event carries these counts for its unit, a Titan
+    check sums them over its results, and
+    :func:`repro.harness.engine.build_metrics` sums them over the run, so
+    a tally folded from the stream reconciles with the report's
     :class:`~repro.harness.engine.RunMetrics` without slack.
     """
+    counts = {"iterations": 0, "executed": 0, "memo_hits": 0,
+              "compile_cache_hits": 0, "compile_cache_misses": 0,
+              "compile_s": 0.0, "run_s": 0.0}
+    for phase in phases:
+        if (phase is None or phase.harness_error is not None
+                or phase.static_error is not None):
+            continue
+        counts["iterations"] += len(phase.iterations)
+        counts["executed"] += phase.executed
+        counts["memo_hits"] += phase.memo_hit
+        counts["compile_s"] += phase.compile_s
+        counts["run_s"] += phase.run_s
+        if phase.cache_hit:
+            counts["compile_cache_hits"] += 1
+        else:
+            counts["compile_cache_misses"] += 1
+    return counts
+
+
+def unit_fields(index: int, unit: str, result: "TestResult", *,
+                replayed: bool = False) -> dict:
+    """The JSON-safe fields of one ``unit.finished`` event."""
     kind = result.failure_kind
-    fields = {
+    phases = (result.functional, result.cross)
+    return {
         "unit": unit,
         "index": index,
         "replayed": replayed,
         "passed": result.passed,
         "failure_kind": kind.value if kind is not None else None,
         "elapsed_s": result.elapsed_s,
-        "iterations": 0,
-        "executed": 0,
-        "memo_hits": 0,
-        "compile_cache_hits": 0,
-        "compile_cache_misses": 0,
-        "compile_s": 0.0,
-        "run_s": 0.0,
-        "phases": {},
-    }
-    for phase in (result.functional, result.cross):
-        if phase is None:
-            continue
-        fields["phases"][phase.mode] = {
+        **phase_counts(phases),
+        "phases": {phase.mode: {
             "ok": phase.all_correct,
             "harness_error": phase.harness_error is not None,
             "static_error": phase.static_error is not None,
-        }
-        if phase.harness_error is not None or phase.static_error is not None:
-            # the unit never reached the compiler: mirror build_metrics
-            continue
-        fields["iterations"] += len(phase.iterations)
-        fields["executed"] += phase.executed
-        fields["memo_hits"] += phase.memo_hit
-        fields["compile_s"] += phase.compile_s
-        fields["run_s"] += phase.run_s
-        if phase.cache_hit:
-            fields["compile_cache_hits"] += 1
-        else:
-            fields["compile_cache_misses"] += 1
-    return fields
+        } for phase in phases if phase is not None},
+    }
 
 
 @dataclass
@@ -234,17 +236,16 @@ class ProgressTally:
 class SnapshotReporter:
     """Folds the tally into periodic campaign snapshots.
 
-    ``every_units`` / ``min_interval_s`` bound the cadence: a snapshot is
-    due once at least ``every_units`` fresh folds *and* at least
-    ``min_interval_s`` seconds have accumulated since the last one.  The
-    clock is injectable so tests are deterministic.
+    ``min_interval_s`` bounds the cadence: a snapshot is due once a fresh
+    unit has been folded *and* at least ``min_interval_s`` seconds have
+    passed since the last one.  The clock is injectable so tests are
+    deterministic.
     """
 
     def __init__(self, tally: Optional[ProgressTally] = None,
-                 every_units: int = 1, min_interval_s: float = 0.0,
+                 min_interval_s: float = 0.0,
                  clock: Callable[[], float] = time.monotonic):
         self.tally = tally if tally is not None else ProgressTally()
-        self.every_units = max(1, every_units)
         self.min_interval_s = max(0.0, min_interval_s)
         self.clock = clock
         self._t0: Optional[float] = None
@@ -263,8 +264,7 @@ class SnapshotReporter:
         return max(0.0, self.clock() - self._t0)
 
     def due(self) -> bool:
-        done = self.tally.units_done
-        if done - self._last_units < self.every_units:
+        if self.tally.units_done == self._last_units:
             return False
         if self._last_t is not None and self.min_interval_s > 0.0:
             if self.clock() - self._last_t < self.min_interval_s:
@@ -683,14 +683,12 @@ class LiveTelemetry:
     """
 
     def __init__(self, sinks: Sequence[object],
-                 every_units: int = 1, min_interval_s: float = 0.0,
+                 min_interval_s: float = 0.0,
                  clock: Callable[[], float] = time.monotonic):
         self.sinks = list(sinks)
         self.tally = ProgressTally()
         self.reporter = SnapshotReporter(
-            self.tally, every_units=every_units,
-            min_interval_s=min_interval_s, clock=clock,
-        )
+            self.tally, min_interval_s=min_interval_s, clock=clock)
         self._lock = threading.RLock()
         self._seq = 0
         self._tracer = None
@@ -779,12 +777,8 @@ class LiveTelemetry:
             replayed=replayed,
             passed=not check.flagged, failure_kind=None,
             elapsed_s=report.elapsed_s,
-            iterations=sum(
-                len(p.iterations) for r in report.results
-                for p in (r.functional, r.cross)
-                if p is not None and p.harness_error is None
-                and p.static_error is None
-            ),
+            **phase_counts(phase for r in report.results
+                           for phase in (r.functional, r.cross)),
             node=check.node_id, stack=check.stack, healthy=check.healthy,
             pass_rate=check.pass_rate,
             harness_error_units=check.harness_errors,

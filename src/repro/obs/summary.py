@@ -3,10 +3,11 @@
 Folds a recorded trace back into the numbers an engineer asks first:
 where did the time go (per-phase breakdown), which templates were slowest
 (top-N by span duration), and how did the compile cache behave over the
-run (hit/miss timeline).  Every count is a count of events; the
-per-phase totals are sums of the *same*
-span durations the runner copied into ``PhaseResult.compile_s``/``run_s``,
-so they reconcile with :class:`repro.harness.engine.RunMetrics` exactly.
+run (hit/miss timeline).  Every count is a count of events, except the
+execute memo's, which sums the ``execute`` spans' ``iterations`` and
+``executed`` attributes; the per-phase totals are sums of the *same* span
+durations the runner copied into ``PhaseResult.compile_s``/``run_s``, so
+they reconcile with :class:`repro.harness.engine.RunMetrics` exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class TraceSummary:
     #: written before the lowering cache was removed; 0 in newer ones)
     lower_hits: int = 0
     lower_misses: int = 0
-    #: ``execute.memo_hit``/``execute.memo_miss`` event counts
+    #: iterations the execute memo served (sum of ``iterations`` minus
+    #: ``executed``) and programs run (sum of ``executed``) over the
+    #: ``execute`` spans; both 0 when no span carries ``executed``
     memo_hits: int = 0
     memo_misses: int = 0
     #: span name -> (count, summed duration)
@@ -79,6 +82,10 @@ def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
             summary.compile_s += span.duration
         elif span.name == "execute":
             summary.execute_s += span.duration
+            executed = span.attrs.get("executed")
+            if executed is not None:
+                summary.memo_hits += span.attrs["iterations"] - executed
+                summary.memo_misses += executed
 
     templates = sorted(
         trace.spans_named("template"),
@@ -105,8 +112,6 @@ def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
     summary.cache_misses = counts.get("compile.cache_miss", 0)
     summary.lower_hits = counts.get("lower.cache_hit", 0)
     summary.lower_misses = counts.get("lower.cache_miss", 0)
-    summary.memo_hits = counts.get("execute.memo_hit", 0)
-    summary.memo_misses = counts.get("execute.memo_miss", 0)
     return summary
 
 

@@ -67,7 +67,7 @@ def memo_off(monkeypatch):
     def off():
         with monkeypatch.context() as patch:
             patch.setattr(CompileCache, "recall",
-                          lambda self, key, behavior, seed, tracer=None: None)
+                          lambda self, key, behavior, seed: None)
             yield
 
     return off

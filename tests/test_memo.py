@@ -317,8 +317,8 @@ def test_a_hit_still_runs_the_fault_site_and_events_per_iteration():
     assert runner.faults.keys == [f"{_PKEY}:{k}" for k in range(3)]
     names = [e.name for e in tracer.events]
     assert names.count("iteration.failed") == 3
-    # one lookup, and one hit, per served iteration
-    assert names.count("execute.memo_hit") == 3
+    # lookups raise no events: the execute span's attributes count them
+    assert not [name for name in names if name.startswith("execute.memo")]
     # the second behaviour compiles from the first one's parse
     assert names.count("compile.cache_hit") == 1
     summary = summarize_trace(TraceData(meta={}, spans=tracer.spans,
@@ -450,6 +450,26 @@ def test_metrics_render_memo_hits(suite10):
     assert "execute memo       : 4 phases served" in \
         render_metrics_text(report)
     assert "memo_hits,4" in render_metrics_csv(report).splitlines()
+
+
+@pytest.mark.parametrize("policy, workers", [("serial", 1), ("process", 2)])
+def test_trace_summary_memo_line_matches_run_metrics(suite10, policy,
+                                                     workers):
+    # the summary reads the memo off the execute spans: served iterations
+    # are hits, programs run are misses, under every policy
+    tracer = Tracer()
+    config = HarnessConfig(iterations=2, languages=("c",),
+                           feature_prefixes=["update", "parallel.if"],
+                           policy=policy, workers=workers)
+    report = ValidationRunner(vendor_version("pgi", "13.2").behavior("c"),
+                              config, tracer=tracer).run_suite(suite10)
+    m = report.metrics
+    summary = summarize_trace(TraceData(meta={}, spans=tracer.spans,
+                                        events=tracer.events))
+    assert summary.memo_misses == m.programs_executed > 0
+    assert summary.memo_hits == m.iterations_run - m.programs_executed > 0
+    assert (f"execute memo       : {summary.memo_hits} hits / "
+            f"{summary.memo_misses} misses") in render_summary_text(summary)
 
 
 def test_journal_round_trips_memo_hit(suite10):

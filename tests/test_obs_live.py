@@ -232,7 +232,7 @@ def test_tally_folds_campaign_events():
 
 def test_snapshots_are_monotone_under_injected_clock():
     now = [100.0]
-    reporter = SnapshotReporter(every_units=1, min_interval_s=1.0,
+    reporter = SnapshotReporter(min_interval_s=1.0,
                                 clock=lambda: now[0])
     reporter.begin()
     snaps = []
@@ -864,6 +864,27 @@ def test_cli_obs_tail_follow_idle_timeout_covers_missing_file(
     assert main(["obs", "tail", str(tmp_path / "never.ndjson"), "--follow",
                  "--poll-s", "0.01", "--idle-timeout-s", "0.1"]) == 1
     assert "no new stream data" in capsys.readouterr().err
+
+
+def test_cli_obs_tail_follow_rejects_a_trace_file_at_once(tmp_path, capsys):
+    # --follow reads through the same parser as plain tail: a file of
+    # another format (a --trace file) is an error, not a dead writer
+    import time as _time
+
+    from repro.obs import write_trace
+
+    trace = tmp_path / "run.jsonl"
+    tracer = Tracer()
+    with tracer.span("suite"):
+        tracer.event("compile.cache_miss", template="t")
+    write_trace(str(trace), tracer)
+    started = _time.monotonic()
+    assert main(["obs", "tail", str(trace), "--follow",
+                 "--poll-s", "0.01", "--idle-timeout-s", "5"]) == 1
+    assert _time.monotonic() - started < 4.0
+    captured = capsys.readouterr()
+    assert "unsupported format" in captured.err
+    assert "#?" not in captured.out
 
 
 def test_cli_obs_tail_follow_detects_shrinking_file(tmp_path, capsys):
