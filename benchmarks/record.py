@@ -9,8 +9,8 @@ them as a JSON artifact:
 * engine iterations/sec — full validation pipeline over a feature subset,
   M iterations per template, with the number of programs actually executed;
 * template generation throughput over the whole shipped corpus;
-* corpus lint throughput, cold (full static analysis) vs warm (incremental
-  cache hits) — the warm/cold speedup gates the lint cache;
+* corpus lint throughput — every pass over every template, as each
+  ``repro lint`` run does;
 * a Fig. 8(a)-style vendor sweep wall-clock point (the end-to-end number a
   researcher actually waits on).
 
@@ -23,7 +23,8 @@ CI regression gate (compares against the committed baseline)::
     PYTHONPATH=src python -m benchmarks.record --compare benchmarks/BENCH_hotpath.json
 
 The gate fails (exit 1) if closures interpreter steps/sec regresses by more
-than ``--fail-threshold`` (default 20%) against the baseline, or if the
+than ``--fail-threshold`` (default 20%) against the baseline, if cold lint
+throughput regresses by more than the same threshold, or if the
 closures-over-tree speedup drops below ``--min-speedup`` (default 3.0).
 The speedup floor is machine-independent — both interpreters run on the
 same box — so it is the primary signal; the absolute steps/sec comparison
@@ -159,31 +160,18 @@ def bench_generation() -> dict:
 
 
 def bench_lint() -> dict:
-    """Corpus lint throughput, cold (full analysis) vs warm (cache hits)."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.staticcheck import LintCache, lint_suite
+    """Corpus lint throughput: every pass over every template of the 1.0
+    suite (``repro lint`` caches no result, so every run is cold)."""
+    from repro.staticcheck import lint_suite
 
     suite = openacc10_suite()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "lint_cache.json"
-        cold_cache = LintCache(path)
-        t0 = time.perf_counter()
-        report = lint_suite(suite, cache=cold_cache)
-        cold_s = time.perf_counter() - t0
-        cold_cache.save()
-
-        t0 = time.perf_counter()
-        lint_suite(suite, cache=LintCache(path))
-        warm_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    report = lint_suite(suite)
+    cold_s = time.perf_counter() - t0
     return {
         "templates": report.checked,
         "cold_wall_s": round(cold_s, 3),
-        "warm_wall_s": round(warm_s, 4),
         "cold_templates_per_sec": round(report.checked / cold_s, 1),
-        "warm_templates_per_sec": round(report.checked / warm_s, 1),
-        "warm_speedup": round(cold_s / warm_s, 1),
     }
 
 
@@ -238,12 +226,6 @@ def check(data: dict, args) -> int:
             f"closures speedup {speedup:.2f}x is below the "
             f"{args.min_speedup:.1f}x floor"
         )
-    lint_speedup = data["lint"]["warm_speedup"]
-    if lint_speedup < args.min_lint_speedup:
-        failures.append(
-            f"warm lint cache speedup {lint_speedup:.1f}x is below the "
-            f"{args.min_lint_speedup:.1f}x floor"
-        )
     if args.compare:
         with open(args.compare, "r", encoding="utf-8") as fh:
             baseline = json.load(fh)
@@ -292,9 +274,6 @@ def main(argv=None) -> int:
                              "baseline (default 0.20 = 20%%)")
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="required closures-over-tree speedup floor")
-    parser.add_argument("--min-lint-speedup", type=float, default=10.0,
-                        help="required warm-over-cold lint cache speedup "
-                             "floor")
     parser.add_argument("--reps", type=int, default=3,
                         help="microbenchmark repetitions (best-of)")
     parser.add_argument("--iterations", type=int, default=2,
@@ -325,8 +304,6 @@ def main(argv=None) -> int:
     print(f"generation           : {data['generation']['templates_per_sec']:>12,.1f} templates/s")
     lint = data["lint"]
     print(f"lint         cold    : {lint['cold_templates_per_sec']:>12,.1f} templates/s")
-    print(f"lint         warm    : {lint['warm_templates_per_sec']:>12,.1f} templates/s"
-          f"  ({lint['warm_speedup']:.1f}x)")
     print(f"fig8a sweep          : {data['fig8a']['wall_s']:>12,.2f} s wall")
 
     if args.output:

@@ -7,10 +7,9 @@ runner's timers.  Two guarantees are measured here:
 * the *disabled* path (the default ``NULL_TRACER``) stays the baseline —
   ``test_bench_parallel_engine`` keeps asserting the untraced speedups, and
   this bench pins the untraced run as the denominator;
-* a fully *enabled* tracer with profiling collects thousands of spans
-  (each ``execute`` span carrying its phase's profile) and events for
-  bounded cost (asserted ≤ 1.6× the
-  untraced run — generous; typical overhead is a few percent).
+* an *enabled* tracer collects thousands of spans (each ``execute`` span
+  carrying its phase's profile) and events for bounded cost (asserted
+  ≤ 1.6× the untraced run — generous; typical overhead is a few percent).
 """
 
 import gc
@@ -36,7 +35,7 @@ def _run(suite, tracer=None, **config_kw):
 def test_bench_tracing_overhead(benchmark, suite10):
     untraced_report, untraced_s = _run(suite10)
 
-    tracer = Tracer(profile=True)
+    tracer = Tracer()
 
     def traced_run():
         return _run(suite10, tracer=tracer)

@@ -14,7 +14,7 @@ Section III (compiler configuration, feature selection, result formats):
 * ``repro titan`` — a Section VII production sweep on the simulated
   cluster;
 * ``repro trace`` — summarize or render a trace recorded with
-  ``validate/titan --trace FILE.jsonl [--profile]``;
+  ``validate/titan --trace FILE.jsonl``;
 * ``repro journal inspect`` — examine the crash-safe campaign journal
   written by ``validate/titan --journal FILE`` (resumable with
   ``--resume FILE``);
@@ -112,21 +112,20 @@ def _fault_plan(text: str) -> FaultPlan:
 
 
 def _make_tracer(args):
-    """Build a Tracer when ``--trace``/``--profile`` ask for one."""
-    if not (args.trace or args.profile):
+    """Build a Tracer when ``--trace`` asks for one."""
+    if not args.trace:
         return None
     from repro.obs import Tracer
 
-    return Tracer(profile=args.profile)
+    return Tracer()
 
 
 def _finish_trace(args, tracer, **meta) -> None:
-    if tracer is None or not args.trace:
+    if not args.trace:
         return
     from repro.obs import write_trace
 
-    write_trace(args.trace, tracer,
-                meta=dict(meta, profile=args.profile))
+    write_trace(args.trace, tracer, meta=meta)
     print(f"wrote {args.trace}")
 
 
@@ -282,7 +281,6 @@ def _lint_code_filter(values):
 def cmd_lint(args) -> int:
     from repro.staticcheck import (
         SHIPPED_BASELINE,
-        LintCache,
         baseline_from_findings,
         lint_suite,
         load_baseline,
@@ -321,10 +319,6 @@ def cmd_lint(args) -> int:
     else:
         baseline = SHIPPED_BASELINE
 
-    cache = None
-    if args.cache:
-        cache = LintCache(args.cache)
-
     factories = {
         "1.0": openacc10_suite,
         "2.0": openacc20_suite,
@@ -341,12 +335,8 @@ def cmd_lint(args) -> int:
                 if (not args.feature or t.feature == args.feature)
                 and (not args.language or t.language == args.language)
             ]
-        reports.append(lint_suite(suite, templates, cache=cache,
-                                  baseline=baseline))
+        reports.append(lint_suite(suite, templates, baseline=baseline))
     merged = merge_reports(reports)
-    if cache is not None:
-        cache.save()
-        print(cache.stats(), file=sys.stderr)
     if merged.checked == 0:
         print("lint selection matched no templates", file=sys.stderr)
         return 1
@@ -829,8 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite the baseline from this run's raw findings "
                         "(to --baseline, or the shipped file)")
-    p.add_argument("--cache", metavar="PATH",
-                   help="incremental lint cache file (created on first run)")
     p.add_argument("--output", help="write the report to this path "
                                     "(atomic) instead of stdout")
 
@@ -880,9 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "seed, stall-s, max-fires, persistent)")
     p.add_argument("--trace", metavar="FILE",
                    help="record a span/event trace to FILE (JSONL)")
-    p.add_argument("--profile", action="store_true",
-                   help="add accsim profiling (iteration steps, bytes "
-                        "moved, async-queue waits) to the trace")
     _add_journal_flags(p)
     _add_live_flags(p)
 
@@ -916,8 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deterministic fault injection (see validate)")
     p.add_argument("--trace", metavar="FILE",
                    help="record a span/event trace to FILE (JSONL)")
-    p.add_argument("--profile", action="store_true",
-                   help="add accsim profiling to the trace")
     _add_journal_flags(p)
     _add_live_flags(p)
 

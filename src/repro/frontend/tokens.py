@@ -93,11 +93,6 @@ class TokenStream:
             return self.advance()
         return None
 
-    def match_ident(self, *texts: str) -> Optional[Token]:
-        if self.current.is_ident(*texts):
-            return self.advance()
-        return None
-
     def expect_op(self, text: str) -> Token:
         tok = self.match_op(text)
         if tok is None:

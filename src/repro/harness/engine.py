@@ -302,15 +302,14 @@ def _exit_when_orphaned(parent: int) -> None:
 
 
 def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
-                         tracer_cls: Optional[type] = None,
-                         profile: bool = False) -> None:
+                         tracer_cls: Optional[type] = None) -> None:
     """Pool initializer: build this worker's runner (own compile cache).
 
     ``tracer_cls`` is None when the parent reports no events; otherwise
     the worker gets its own tracer of that class (a
     :class:`repro.obs.Tracer` or a span-free
-    :class:`repro.obs.EventTracer`) with the parent's profile flag,
-    drained back to the parent after every work unit.
+    :class:`repro.obs.EventTracer`), drained back to the parent after
+    every work unit.
     """
     global _WORKER_RUNNER
     from repro.harness.runner import ValidationRunner
@@ -329,8 +328,7 @@ def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
                      name="orphan-watch", daemon=True).start()
     from repro.obs import NULL_TRACER
 
-    tracer = (tracer_cls(profile=profile) if tracer_cls is not None
-              else NULL_TRACER)
+    tracer = tracer_cls() if tracer_cls is not None else NULL_TRACER
     _WORKER_RUNNER = ValidationRunner(behavior, config, tracer=tracer)
 
 
@@ -377,7 +375,7 @@ class ProcessEngine:
         tracer = runner.tracer
         # each worker records into a fresh tracer of the parent's kind
         initargs = (runner.behavior, runner.config,
-                    type(tracer) if tracer.enabled else None, tracer.profile)
+                    type(tracer) if tracer.enabled else None)
         #: template index -> engine-level attempt number
         pending: Dict[int, int] = {i: 0 for i in range(len(templates))}
         done: Dict[int, Tuple["TestResult", str, Optional[dict]]] = {}

@@ -647,17 +647,16 @@ class ValidationRunner:
                                  incorrect=phase.incorrect_runs,
                                  steps=sum(steps),
                                  steps_max=max(steps, default=0))
-                if tracer.profile:
-                    # the phase's execution profile: sum and max over its
-                    # iterations (queue depth is a level, so max only)
-                    for name in ("bytes_to_device", "bytes_to_host",
-                                 "queue_waits"):
-                        values = [getattr(it, name) for it in its]
-                        execute_span.set(**{
-                            name: sum(values),
-                            f"{name}_max": max(values, default=0)})
-                    execute_span.set(queue_max_pending=max(
-                        (it.queue_max_pending for it in its), default=0))
+                # the phase's execution profile: sum and max over its
+                # iterations (queue depth is a level, so max only)
+                for name in ("bytes_to_device", "bytes_to_host",
+                             "queue_waits"):
+                    values = [getattr(it, name) for it in its]
+                    execute_span.set(**{
+                        name: sum(values),
+                        f"{name}_max": max(values, default=0)})
+                execute_span.set(queue_max_pending=max(
+                    (it.queue_max_pending for it in its), default=0))
         return phase
 
     @staticmethod

@@ -27,16 +27,6 @@ class Type:
     base: str
     pointer: int = 0
 
-    def pointer_to(self) -> "Type":
-        """Return the type of a pointer to this type."""
-        return Type(self.base, self.pointer + 1)
-
-    def deref(self) -> "Type":
-        """Return the pointee type; raises on non-pointers."""
-        if self.pointer == 0:
-            raise ValueError(f"cannot dereference non-pointer type {self}")
-        return Type(self.base, self.pointer - 1)
-
     @property
     def is_integer(self) -> bool:
         return self.pointer == 0 and self.base in ("int", "long", "char", "bool")
@@ -78,17 +68,3 @@ FORTRAN_TYPE_NAMES = {
     "doubleprecision": DOUBLE,
     "logical": BOOL,
 }
-
-
-def join_numeric(a: Type, b: Type) -> Type:
-    """Usual arithmetic conversion for binary expressions.
-
-    ``double`` dominates ``float`` dominates integers; among integers
-    ``long`` dominates ``int``.
-    """
-    if not (a.is_numeric and b.is_numeric):
-        raise ValueError(f"non-numeric operands {a}, {b}")
-    for t in (DOUBLE, FLOAT, LONG):
-        if a == t or b == t:
-            return t
-    return INT

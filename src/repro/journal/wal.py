@@ -90,6 +90,27 @@ def _verify_line(chunk: bytes) -> Optional[dict]:
     return record
 
 
+def _record_fault(record: dict) -> str:
+    """What is wrong with a checksum-valid record after the header ("" when
+    nothing is): a checksum proves the line was written whole, not that
+    its fields are well formed."""
+    kind = record.get("type")
+    if kind == "unit":
+        if not isinstance(record.get("unit"), str):
+            return (f"unit record's 'unit' is not a string "
+                    f"(got {record.get('unit')!r})")
+        if not isinstance(record.get("payload", {}), dict):
+            return "unit record's 'payload' is not an object"
+    elif kind == "resume":
+        generation = record.get("generation", 0)
+        if not isinstance(generation, int) or isinstance(generation, bool):
+            return (f"resume record's 'generation' is not an integer "
+                    f"(got {generation!r})")
+    else:
+        return f"unknown record type {kind!r}"
+    return ""
+
+
 @dataclass
 class JournalScan:
     """What one scan of a journal file found: its status and intact prefix.
@@ -100,7 +121,8 @@ class JournalScan:
     * ``torn`` — trailing bytes fail to verify *at EOF only*, the state a
       SIGKILL mid-write leaves; resume truncates them;
     * ``corrupt`` — a bad line with intact records after it, a missing or
-      torn header, an unknown record type, an empty or unreadable file;
+      torn header, an unknown record type, a record whose checksum is
+      valid but whose fields are wrong, an empty or unreadable file;
     * ``missing`` — the path does not exist.
 
     The intact prefix before the first bad line is scanned either way, so
@@ -187,14 +209,16 @@ def fsck_journal(path: str) -> JournalScan:
             else:
                 detail = (f"first record must be a {JOURNAL_FORMAT} header "
                           f"(got {kind!r})")
-        elif kind == "unit":
-            scan.records[record["unit"]] = record.get("payload") or {}
-        elif kind == "resume":
-            scan.resumes += 1
-            scan.generation = max(scan.generation,
-                                  int(record.get("generation", 0)))
         else:
-            detail = f"line {lineno}: unknown record type {kind!r}"
+            fault = _record_fault(record)
+            if fault:
+                detail = f"line {lineno}: {fault}"
+            elif kind == "unit":
+                scan.records[record["unit"]] = record.get("payload") or {}
+            else:
+                scan.resumes += 1
+                scan.generation = max(scan.generation,
+                                      record.get("generation", 0))
         if detail:
             scan.status, scan.detail = status, detail
             scan.bad_bytes = len(data) - pos

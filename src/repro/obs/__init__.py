@@ -18,7 +18,7 @@ happened *inside* a run.  This package supplies that layer:
   status / Prometheus textfile sinks, and the ``repro obs tail`` reader.
 
 Tracing is opt-in: everything runs against :data:`NULL_TRACER` unless a
-real :class:`Tracer` is injected (CLI ``--trace``/``--profile``).  Live
+real :class:`Tracer` is injected (CLI ``--trace``).  Live
 telemetry is likewise opt-in (CLI ``--live-stream``/``--status``/``--prom``);
 without a tracer it runs on a span-free :class:`EventTracer`.  Both are
 observational only: reports are byte-identical with them on or off.

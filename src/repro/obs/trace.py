@@ -154,17 +154,11 @@ class Event:
 
 
 class Tracer:
-    """Collects spans and events for one run.
-
-    ``profile`` additionally surfaces the accsim execution profile
-    (bytes moved by data clauses, async-queue waits/depth, step counts)
-    as ``execute`` span attributes.
-    """
+    """Collects spans and events for one run."""
 
     enabled = True
 
-    def __init__(self, profile: bool = False):
-        self.profile = profile
+    def __init__(self):
         self.spans: List[Span] = []
         self.events: List[Event] = []
         #: called with (name, fields) for every event, as it is reported;
@@ -389,7 +383,6 @@ class NullTracer:
     its timing instrumentation already)."""
 
     enabled = False
-    profile = False
     spans: List[Span] = []
     events: List[Event] = []
     subscribers: tuple = ()

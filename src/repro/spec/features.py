@@ -96,9 +96,6 @@ class FeatureRegistry:
             out.extend(self.subtree(child.fid))
         return out
 
-    def of_kind(self, kind: FeatureKind) -> List[Feature]:
-        return [f for f in self if f.kind == kind]
-
     def at_version(self, version: SpecVersion) -> "FeatureRegistry":
         """Sub-registry of features available at ``version``."""
         return FeatureRegistry(f for f in self if f.since <= version)

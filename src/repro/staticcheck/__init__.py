@@ -15,9 +15,9 @@ Five passes, one diagnostic vocabulary (see DESIGN.md "Static checking"):
   analysis over queues (``ACC5xx``).
 
 Reporting infrastructure: :mod:`repro.staticcheck.sarif` (SARIF 2.1.0
-export), :mod:`repro.staticcheck.suppress` (inline ``acc-lint``
-suppressions + the checked-in baseline), :mod:`repro.staticcheck.lintcache`
-(incremental template-hash cache).
+export) and :mod:`repro.staticcheck.suppress` (the checked-in baseline,
+the one filter between the passes' findings and the report).  Every run
+analyses every template afresh; no lint result is cached.
 
 Entry points: :func:`lint_source` / :func:`lint_template` for one unit,
 :func:`lint_suite` for a registry (what ``repro lint`` and the CI gate
@@ -63,12 +63,6 @@ from repro.staticcheck.legality import (
     check_program_legality,
     legal_clauses,
 )
-from repro.staticcheck.lintcache import (
-    ANALYSIS_VERSION,
-    LintCache,
-    catalog_version,
-    template_key,
-)
 from repro.staticcheck.regions import Region, build_region_tree, walk_regions
 from repro.staticcheck.sarif import (
     render_lint_sarif,
@@ -77,11 +71,9 @@ from repro.staticcheck.sarif import (
 )
 from repro.staticcheck.suppress import (
     Baseline,
-    apply_suppressions,
     baseline_from_findings,
     load_baseline,
     loads_baseline,
-    parse_suppressions,
     shipped_baseline,
 )
 
@@ -124,14 +116,8 @@ __all__ = [
     "sarif_report",
     "validate_sarif",
     "Baseline",
-    "apply_suppressions",
     "baseline_from_findings",
     "load_baseline",
     "loads_baseline",
-    "parse_suppressions",
     "shipped_baseline",
-    "ANALYSIS_VERSION",
-    "LintCache",
-    "catalog_version",
-    "template_key",
 ]

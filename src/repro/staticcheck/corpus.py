@@ -28,11 +28,7 @@ from repro.staticcheck.diagnostics import (
     sort_diagnostics,
 )
 from repro.staticcheck.legality import check_program_legality
-from repro.staticcheck.suppress import (
-    Baseline,
-    apply_suppressions,
-    shipped_baseline,
-)
+from repro.staticcheck.suppress import Baseline, shipped_baseline
 from repro.templates import (
     TemplateError,
     TestTemplate,
@@ -74,10 +70,7 @@ def lint_source(
     source: str, language: str = "c", name: str = "<lint>",
     version: SpecVersion = ACC_10,
 ) -> List[Diagnostic]:
-    """Parse and lint one standalone program text.
-
-    Inline ``acc-lint: disable`` comments in the source are honoured.
-    """
+    """Parse and lint one standalone program text."""
     try:
         program = parse_source(source, language, name)
     except FrontendError as err:
@@ -86,23 +79,18 @@ def lint_source(
             f"program does not parse: {err.message}",
             loc=err.loc,
         )]
-    diags, _ = apply_suppressions(lint_program(program, version), source)
-    return diags
+    return lint_program(program, version)
 
 
 def lint_template_raw(template: TestTemplate,
                       parse=parse_source) -> List[Diagnostic]:
-    """All passes for one template, minus the baseline allowance.
-
-    Inline suppressions in the generated functional source are applied
-    (they are part of the template's own text); the checked-in baseline
-    is not — callers wanting the net view use :func:`lint_template`.
+    """All passes for one template, before the baseline allowance
+    (callers wanting the net view use :func:`lint_template`).
 
     ``parse`` has :func:`~repro.frontend.parse_source`'s signature; the
     harness passes its compile cache's parse tier, which must return an
     unmodified program (the passes only read it).
     """
-    version = _template_version(template)
     diags: List[Diagnostic] = []
     try:
         functional = generate_functional(template)
@@ -120,10 +108,7 @@ def lint_template_raw(template: TestTemplate,
             loc=err.loc,
         ))
     else:
-        diags.extend(check_program_legality(program, version))
-        diags.extend(check_program_dependence(program))
-        diags.extend(check_program_dataenv(program))
-        diags.extend(check_program_async(program))
+        diags.extend(lint_program(program, _template_version(template)))
 
     if template.has_cross:
         try:
@@ -135,7 +120,6 @@ def lint_template_raw(template: TestTemplate,
         else:
             diags.extend(_check_pair(template, functional.source,
                                      cross.source))
-    diags, _ = apply_suppressions(diags, functional.source)
     return sort_diagnostics(diags)
 
 
@@ -320,29 +304,19 @@ class CorpusLintReport:
 def lint_suite(
     suite,
     templates: Optional[Sequence[TestTemplate]] = None,
-    cache=None,
     baseline=SHIPPED_BASELINE,
 ) -> CorpusLintReport:
     """Lint every (selected) template of one registry.
 
-    ``cache`` is an optional :class:`~repro.staticcheck.lintcache.LintCache`;
-    cached entries hold the raw (pre-baseline) findings, so warm runs are
-    byte-identical to cold ones.  ``baseline`` is a
-    :class:`~repro.staticcheck.suppress.Baseline`, ``None`` for the raw
-    view, or :data:`SHIPPED_BASELINE` (the default) for the checked-in
-    corpus allowance.
+    ``baseline`` is a :class:`~repro.staticcheck.suppress.Baseline`,
+    ``None`` for the raw view, or :data:`SHIPPED_BASELINE` (the default)
+    for the checked-in corpus allowance.
     """
     report = CorpusLintReport(suites=[suite.label])
     pool = list(templates) if templates is not None else list(suite)
     resolved = _resolve_baseline(baseline)
     for template in pool:
-        raw: Optional[List[Diagnostic]] = None
-        if cache is not None:
-            raw = cache.lookup(template)
-        if raw is None:
-            raw = lint_template_raw(template)
-            if cache is not None:
-                cache.store(template, raw)
+        raw = lint_template_raw(template)
         if resolved is not None:
             diags, baselined = resolved.apply(template.name, raw)
         else:

@@ -1,123 +1,32 @@
-"""Inline suppression comments and the checked-in lint baseline.
+"""The checked-in lint baseline: the one filter between the passes and
+the report.
 
-Two mechanisms keep intentional findings out of the lint signal without
-weakening the passes:
-
-**Inline suppressions** live in the template/program source itself::
-
-    c[i] = a[i];           // acc-lint: disable=ACC401
-    // acc-lint: disable-next-line=ACC501,ACC503
-    #pragma acc parallel loop async(1)
-    ! acc-lint: disable-file=ACC503        (Fortran comment form)
-
-``disable`` silences the named codes on its own line, ``disable-next-line``
-on the following line, ``disable-file`` everywhere in the file.  Codes are
-comma-separated; the comment marker is ``//`` in C and ``!`` in Fortran
-(``!$acc`` directive sentinels never match).
-
-**The baseline** is a checked-in JSON inventory of known findings keyed by
-``template name -> code -> count`` — the testsuite corpus deliberately
-probes host/device divergence and async timing (``copyin`` discard
-semantics, ``acc_async_test`` while busy), and those expected findings
-must stay green without being globally disabled.  A baseline entry is an
-*allowance*: up to ``count`` findings of that code are dropped for that
-template, so a template that regresses further still fires.  The shipped
-allowance for the built-in suites lives next to this module in
-``corpus_baseline.json`` and is applied by default; ``repro lint
---update-baseline`` regenerates it from a raw run.
+The testsuite corpus deliberately probes host/device divergence and async
+timing (``copyin`` discard semantics, ``acc_async_test`` while busy), and
+those expected findings must stay green without being globally disabled.
+The baseline is a checked-in JSON inventory of them keyed by
+``template name -> code -> count``.  A baseline entry is an *allowance*:
+up to ``count`` findings of that code are dropped for that template, so a
+template that regresses further still fires.  The shipped allowance for
+the built-in suites lives next to this module in ``corpus_baseline.json``
+and is applied by default; ``repro lint --update-baseline`` regenerates it
+from a raw run.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.staticcheck.diagnostics import CODE_CATALOG, Diagnostic
-
-#: the comment tag this module recognises
-_SUPPRESS_RE = re.compile(
-    r"(?://|(?<!\$)!)\s*acc-lint:\s*"
-    r"(disable(?:-next-line|-file)?)\s*=\s*"
-    r"([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
-)
+from repro.staticcheck.diagnostics import Diagnostic
 
 #: format tag of the baseline file
 BASELINE_FORMAT = "repro.lint-baseline/v1"
 
 #: shipped allowance for the built-in suites
 _SHIPPED_PATH = Path(__file__).with_name("corpus_baseline.json")
-
-
-# ---------------------------------------------------------------------------
-# inline suppressions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Suppressions:
-    """Parsed ``acc-lint`` comments of one source file."""
-
-    file_codes: FrozenSet[str] = frozenset()
-    line_codes: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-
-    @property
-    def empty(self) -> bool:
-        return not self.file_codes and not self.line_codes
-
-    def covers(self, diag: Diagnostic) -> bool:
-        if diag.code in self.file_codes:
-            return True
-        at_line = self.line_codes.get(diag.loc.line)
-        return bool(at_line) and diag.code in at_line
-
-
-def parse_suppressions(source: str) -> Suppressions:
-    """Scan one program text for ``acc-lint`` comments (1-based lines)."""
-    file_codes: set = set()
-    line_codes: Dict[int, set] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        for match in _SUPPRESS_RE.finditer(line):
-            kind = match.group(1)
-            codes = {
-                c.strip().upper() for c in match.group(2).split(",")
-                if c.strip()
-            }
-            codes &= set(CODE_CATALOG)  # unknown codes never match anything
-            if not codes:
-                continue
-            if kind == "disable-file":
-                file_codes |= codes
-            elif kind == "disable-next-line":
-                line_codes.setdefault(lineno + 1, set()).update(codes)
-            else:
-                line_codes.setdefault(lineno, set()).update(codes)
-    return Suppressions(
-        file_codes=frozenset(file_codes),
-        line_codes={k: frozenset(v) for k, v in line_codes.items()},
-    )
-
-
-def apply_suppressions(
-    diags: Sequence[Diagnostic], source: str
-) -> Tuple[List[Diagnostic], int]:
-    """Drop findings covered by the source's inline comments.
-
-    Returns ``(kept, suppressed_count)``.  Findings without a line anchor
-    (``loc.line == 0``) can only be silenced file-wide.
-    """
-    sup = parse_suppressions(source)
-    if sup.empty:
-        return list(diags), 0
-    kept = [d for d in diags if not sup.covers(d)]
-    return kept, len(diags) - len(kept)
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
 
 
 @dataclass

@@ -795,6 +795,34 @@ class TestFsck:
         scan = fsck_journal(str(empty))
         assert scan.status == "corrupt" and "empty" in scan.detail
 
+    @pytest.mark.parametrize("record, fault", [
+        ({"type": "unit", "payload": {}}, "'unit' is not a string"),
+        ({"type": "unit", "unit": ["a"], "payload": {}},
+         "'unit' is not a string"),
+        ({"type": "unit", "unit": "a:c", "payload": [1]},
+         "'payload' is not an object"),
+        ({"type": "resume", "generation": "x"},
+         "'generation' is not an integer"),
+    ])
+    def test_checksummed_record_with_wrong_fields_is_corrupt(
+            self, tmp_path, capsys, record, fault):
+        # the checksum is valid, so the bytes were written whole: the
+        # record is corruption, not a torn tail, even as the last line
+        path = tmp_path / "fields.journal"
+        path.write_bytes(record_line({"type": "header",
+                                      "format": JOURNAL_FORMAT,
+                                      "campaign": CAMPAIGN})
+                         + record_line(record))
+        report = fsck_journal(str(path))
+        assert report.status == "corrupt"
+        assert report.first_bad_line == 2
+        assert report.detail.startswith("line 2: ") and fault in report.detail
+        assert main(["journal", "fsck", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT" in out and fault in out
+        with pytest.raises(JournalCorruptError, match=fault):
+            read_journal(str(path))
+
 
 # ---------------------------------------------------------------------------
 # fsck's verdict is resume's verdict, on every damage of a real journal

@@ -8,7 +8,7 @@ Covers the PR's acceptance criteria:
   worker re-parented under the suite-run root;
 * ``repro trace summarize`` totals reconcile with ``RunMetrics``;
 * HTML-escaping regressions for ``render_html`` and the trace dashboard;
-* the CLI surface: ``--trace/--profile``, the metrics sidecar, the
+* the CLI surface: ``--trace``, the metrics sidecar, the
   ``trace`` subcommand and argparse-level validation.
 """
 
@@ -321,7 +321,7 @@ def _traced_run(suite, policy: str, workers: int):
         iterations=2, languages=("c",), policy=policy, workers=workers,
         feature_prefixes=["loop", "declare", "parallel"],
     )
-    tracer = Tracer(profile=True)
+    tracer = Tracer()
     runner = ValidationRunner(_BUGGY, config, tracer=tracer)
     report = runner.run_suite(suite)
     return report, tracer
@@ -560,11 +560,10 @@ class TestCliTrace:
             self, tmp_path, capsys):
         trace_path = str(tmp_path / "trace.jsonl")
         assert main(["validate", *_QUICK,
-                     "--trace", trace_path, "--profile"]) == 0
+                     "--trace", trace_path]) == 0
         assert f"wrote {trace_path}" in capsys.readouterr().out
         trace = read_trace(trace_path)
         assert trace.meta["command"] == "validate"
-        assert trace.meta["profile"] is True
         assert trace.spans_named("run")
 
         assert main(["trace", "summarize", trace_path]) == 0

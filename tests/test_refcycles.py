@@ -153,8 +153,7 @@ def _reference_campaign(suite, tmp_path) -> None:
     journal = JournalWriter.create(str(tmp_path / "campaign.journal"),
                                    campaign)
     try:
-        report = ValidationRunner(None, config,
-                                  tracer=Tracer(profile=True)).run_suite(
+        report = ValidationRunner(None, config, tracer=Tracer()).run_suite(
             suite, journal=journal)
     finally:
         journal.close()

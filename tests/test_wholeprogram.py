@@ -1,10 +1,9 @@
 """Tests for the whole-program passes (ACC4xx data-environment flow,
 ACC5xx async-race analysis) and the reporting infrastructure that rides
-with them: SARIF export, inline suppressions, the corpus baseline, and
-the incremental lint cache."""
+with them: SARIF export and the corpus baseline, the one filter between
+the passes' findings and the lint report."""
 
 import json
-import time
 
 import pytest
 
@@ -13,23 +12,17 @@ from repro.harness import HarnessConfig, ValidationRunner
 from repro.harness.runner import FailureKind
 from repro.staticcheck import (
     Baseline,
-    LintCache,
     Severity,
-    apply_suppressions,
     baseline_from_findings,
-    catalog_version,
     lint_source,
     lint_suite,
     lint_template,
     lint_template_raw,
     loads_baseline,
     merge_reports,
-    parse_suppressions,
-    render_lint_json,
     render_lint_sarif,
     sarif_report,
     shipped_baseline,
-    template_key,
     validate_sarif,
 )
 from repro.suite import combination_suite, openacc20_suite
@@ -501,94 +494,6 @@ class TestAsyncGraph:
 
 
 # ---------------------------------------------------------------------------
-# inline suppressions
-# ---------------------------------------------------------------------------
-
-
-class TestSuppressions:
-    _C_STALE_READ = """
-int main() {
-  int i; int a[4];
-  #pragma acc data copy(a[0:4])
-  {
-    #pragma acc parallel loop
-    for(i=0;i<4;i++) a[i] = i;
-    if (a[0] != 0) return 0;%s
-  }
-  return 1;
-}
-"""
-
-    def test_same_line_disable(self):
-        src = self._C_STALE_READ % "  // acc-lint: disable=ACC401"
-        assert lint_c(src) == []
-
-    def test_next_line_disable(self):
-        src = """
-int main() {
-  int i; int a[4];
-  #pragma acc data copy(a[0:4])
-  {
-    #pragma acc parallel loop
-    for(i=0;i<4;i++) a[i] = i;
-    // acc-lint: disable-next-line=ACC401
-    if (a[0] != 0) return 0;
-  }
-  return 1;
-}
-"""
-        assert lint_c(src) == []
-
-    def test_file_disable(self):
-        src = ("// acc-lint: disable-file=ACC401\n"
-               + self._C_STALE_READ % "")
-        assert lint_c(src) == []
-
-    def test_wrong_code_does_not_suppress(self):
-        src = self._C_STALE_READ % "  // acc-lint: disable=ACC402"
-        assert codes(lint_c(src)) == ["ACC401"]
-
-    def test_fortran_comment_syntax(self):
-        src = """
-        program t
-          integer :: i
-          integer :: a(4)
-          !$acc data copy(a)
-          !$acc parallel loop
-          do i = 1, 4
-            a(i) = i
-          end do
-          ! acc-lint: disable-next-line=ACC401
-          i = a(1)
-          !$acc end data
-          main = 1
-        end program t
-        """
-        assert lint_f(src) == []
-
-    def test_acc_directive_sentinel_is_not_a_comment(self):
-        # "!$acc ..." must never be parsed as a suppression comment
-        s = parse_suppressions("!$acc parallel acc-lint: disable=ACC401\n")
-        assert not s.file_codes and not s.line_codes
-
-    def test_multiple_codes_one_comment(self):
-        s = parse_suppressions(
-            "// acc-lint: disable-file=ACC401, ACC502\n")
-        assert s.file_codes == {"ACC401", "ACC502"}
-
-    def test_unknown_codes_are_ignored(self):
-        s = parse_suppressions("// acc-lint: disable-file=ACC999\n")
-        assert not s.file_codes
-
-    def test_apply_reports_suppressed_count(self):
-        src = self._C_STALE_READ % ""
-        raw = lint_c(src)
-        kept, dropped = apply_suppressions(
-            raw, "// acc-lint: disable-file=ACC401\n")
-        assert kept == [] and dropped == 1
-
-
-# ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------
 
@@ -629,6 +534,27 @@ int main() {
         kept, dropped = baseline.apply("other.c", [d])
         assert len(kept) == 1 and dropped == 0
 
+    def test_baseline_is_the_only_filter(self):
+        # a comment naming the code is just a comment: only a baseline
+        # allowance drops the finding
+        t = template("""
+int main() {
+  int i; int a[4];
+  #pragma acc data copy(a[0:4])
+  {
+    #pragma acc parallel loop
+    for(i=0;i<4;i++) a[i] = i;
+    if (a[0] != 0) return 0;  // acc-lint: disable=ACC401
+  }
+  return 1;
+}
+""", name="commented.c")
+        raw = lint_template_raw(t)
+        assert codes(raw) == ["ACC401"]
+        assert lint_template(t, baseline=None) == raw
+        allowance = baseline_from_findings([("commented.c", raw[0])])
+        assert lint_template(t, baseline=allowance) == []
+
     def test_shipped_baseline_covers_the_corpus(self):
         baseline = shipped_baseline()
         assert baseline.total > 0
@@ -643,101 +569,6 @@ int main() {
                 if found:
                     raw_by_name[t.name] = found
         assert raw_by_name == baseline.entries
-
-
-# ---------------------------------------------------------------------------
-# incremental lint cache
-# ---------------------------------------------------------------------------
-
-
-class TestLintCache:
-    def test_cold_then_warm(self, tmp_path):
-        path = tmp_path / "cache.json"
-        suite = openacc10_suite()
-        cold = LintCache(path)
-        report_cold = lint_suite(suite, cache=cold)
-        cold.save()
-        assert cold.hits == 0 and cold.misses == report_cold.checked
-
-        warm = LintCache(path)
-        report_warm = lint_suite(suite, cache=warm)
-        assert warm.misses == 0 and warm.hits == report_warm.checked
-
-    def test_warm_output_is_byte_identical_and_faster(self, tmp_path):
-        path = tmp_path / "cache.json"
-        suite = openacc10_suite()
-
-        t0 = time.perf_counter()
-        cold = LintCache(path)
-        cold_json = render_lint_json(lint_suite(suite, cache=cold))
-        cold.save()
-        cold_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        warm_json = render_lint_json(
-            lint_suite(suite, cache=LintCache(path)))
-        warm_s = time.perf_counter() - t0
-
-        assert warm_json == cold_json
-        assert cold_s / max(warm_s, 1e-9) >= 10.0
-
-    def test_catalog_version_invalidates(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = LintCache(path)
-        t = template("int main() { return 1; }\n")
-        cache.store(t, [])
-        cache.save()
-
-        payload = json.loads(path.read_text())
-        payload["catalog_version"] = "0" * 16
-        path.write_text(json.dumps(payload))
-
-        reloaded = LintCache(path)
-        assert reloaded.stale
-        assert reloaded.lookup(t) is None
-
-    def test_diagnostics_round_trip_losslessly(self, tmp_path):
-        t = template("""
-int main() {
-  int i; int a[4];
-  #pragma acc data copy(a[0:4])
-  {
-    #pragma acc parallel loop
-    for(i=0;i<4;i++) a[i] = i;
-    if (a[0] != 0) return 0;
-  }
-  return 1;
-}
-""")
-        raw = lint_template_raw(t)
-        assert raw  # the fixture produces a finding
-        path = tmp_path / "cache.json"
-        cache = LintCache(path)
-        cache.store(t, raw)
-        cache.save()
-        back = LintCache(path).lookup(t)
-        assert back == raw
-
-    def test_content_change_misses(self, tmp_path):
-        a = template("int main() { return 1; }\n")
-        b = template("int main() { return 2; }\n")
-        assert template_key(a) != template_key(b)
-        cache = LintCache(tmp_path / "cache.json")
-        cache.store(a, [])
-        assert cache.lookup(b) is None
-
-    def test_obs_counters(self, tmp_path):
-        cache = LintCache(tmp_path / "cache.json")
-        t = template("int main() { return 1; }\n")
-        assert cache.lookup(t) is None
-        cache.store(t, [])
-        assert cache.lookup(t) == []
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert "1 hit(s), 1 miss(es)" in cache.stats()
-
-    def test_catalog_version_is_stable(self):
-        assert catalog_version() == catalog_version()
-        assert len(catalog_version()) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -994,22 +825,6 @@ class TestLintCliNewFlags:
         assert main(["lint", "--all", "--baseline", str(path),
                      "--update-baseline"]) == 0
         assert path.read_text() == Path(suppress._SHIPPED_PATH).read_text()
-
-    def test_cache_flag_roundtrip(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cache = tmp_path / "cache.json"
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        assert main(["lint", "--format", "json", "--cache", str(cache),
-                     "--output", str(out1)]) == 0
-        err1 = capsys.readouterr().err
-        assert "0 hit(s)" in err1
-        assert main(["lint", "--format", "json", "--cache", str(cache),
-                     "--output", str(out2)]) == 0
-        err2 = capsys.readouterr().err
-        assert "0 miss(es)" in err2
-        assert out1.read_text() == out2.read_text()
 
 
 # ---------------------------------------------------------------------------
