@@ -19,7 +19,7 @@ behavioural model that preserves every property the validation tests observe:
 """
 
 from repro.accsim.errors import AccRuntimeError, PresentError, DeviceAllocationError
-from repro.accsim.values import ArrayValue, Cell, DevicePointer, scalar_default
+from repro.accsim.values import ArrayValue, Cell, DevicePointer
 from repro.accsim.memory import DeviceMemory, Mapping
 from repro.accsim.asyncq import AsyncQueues, DEFAULT_QUEUE
 from repro.accsim.device import Device, ExecProfile
@@ -29,7 +29,7 @@ from repro.accsim.envvars import apply_environment
 
 __all__ = [
     "AccRuntimeError", "PresentError", "DeviceAllocationError",
-    "ArrayValue", "Cell", "DevicePointer", "scalar_default",
+    "ArrayValue", "Cell", "DevicePointer",
     "DeviceMemory", "Mapping",
     "AsyncQueues", "DEFAULT_QUEUE",
     "Device", "ExecProfile", "Machine", "AccRuntime",

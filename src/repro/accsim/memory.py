@@ -22,8 +22,8 @@ host scalar does not disturb its device copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.accsim.errors import DeviceAllocationError, PresentError
 from repro.accsim.values import ELEMENT_BYTES, ArrayValue, Cell, DevicePointer
@@ -90,9 +90,6 @@ class DeviceMemory:
 
     def is_present(self, cell: Cell) -> bool:
         return _present_key(cell) in self._present
-
-    def mappings(self) -> List[Mapping]:
-        return list(self._present.values())
 
     # ---------------------------------------------------------- entry/exit
 

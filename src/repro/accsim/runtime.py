@@ -4,29 +4,26 @@ Each public method implements one ``acc_*`` routine from the 1.0 spec
 (Section 3).  Return conventions follow the C bindings: tests/queries return
 ``int`` 0/1, device types are :class:`DeviceType` values (the C enum).
 
-Vendor bug injection enters through the optional ``hooks`` object; the hook
-names are the contract used by :mod:`repro.compiler.vendors.bugmodel`:
+``acc_on_device`` is not here: its answer depends on the executing
+context, so the interpreter asks the executor
+(:meth:`repro.compiler.exec_model.AccExecutor.on_device_answer`).
+
+Vendor bug injection enters through the optional ``hooks`` object, which
+in a program run is that run's
+:class:`~repro.compiler.exec_model.AccExecutor`.  Its one hook:
 
 ``hook_async_test(tag, result)``
     may override the result of acc_async_test/_all (PGI 13.x returned the
     caller's initial value, i.e. the call misbehaved — Section V-B).
-``hook_get_device_type(concrete)``
-    may override the concrete device type returned (implementation-defined
-    per Section V-C).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.accsim.errors import InvalidDeviceError
 from repro.accsim.machine import Machine
 from repro.accsim.values import DevicePointer
-from repro.spec.devices import (
-    ACC_DEVICE_HOST,
-    ACC_DEVICE_NONE,
-    DeviceType,
-)
+from repro.spec.devices import DeviceType
 
 
 class AccRuntime:
@@ -51,12 +48,7 @@ class AccRuntime:
         self.machine.set_device_type(requested)
 
     def acc_get_device_type(self) -> DeviceType:
-        current = self.machine.current_device()
-        concrete = current.device_type
-        hook = self._hook("hook_get_device_type")
-        if hook is not None:
-            concrete = hook(concrete)
-        return concrete
+        return self.machine.current_device().device_type
 
     def acc_set_device_num(self, num: int, requested: Optional[DeviceType] = None) -> None:
         self.machine.set_device_num(num, requested)
@@ -71,13 +63,6 @@ class AccRuntime:
 
     def acc_shutdown(self, requested: Optional[DeviceType] = None) -> None:
         self.machine.shutdown(requested)
-
-    # ------------------------------------------------------------- queries
-
-    def acc_on_device(self, requested: DeviceType) -> int:
-        """Host-side binding: answers for the *host* thread.  (Inside a
-        compute region the interpreter answers for the executing device.)"""
-        return 1 if ACC_DEVICE_HOST.matches(requested) else 0
 
     # ---------------------------------------------------------------- async
 

@@ -54,15 +54,6 @@ _CONVERTERS = {
 }
 
 
-def scalar_default(type_base: str):
-    """Default (uninitialised) scalar value.  We use a sentinel-ish nonzero
-    value so tests that read uninitialised data notice (mirrors the paper's
-    copyout test relying on non-deterministic uninitialised device data)."""
-    if type_base in ("float", "double"):
-        return 0.0
-    return 0
-
-
 class ArrayValue:
     """An n-dimensional array with declared lower bounds.
 

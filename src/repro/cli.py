@@ -152,7 +152,7 @@ def _install_drain_handlers() -> Tuple[CancelToken, list]:
 
     Returns the command's :class:`CancelToken` and the displaced handlers
     for :func:`_restore_handlers`.  A signal cancels the token: the
-    engines finish in-flight units (each journaled on completion) and
+    unit loop finishes in-flight units (each journaled on completion) and
     raise :class:`CampaignInterrupted`; the command then exits 3 with a
     resume hint instead of dying mid-write.  No handler is installed off
     the main thread (signals cannot be installed there — the drain still

@@ -54,11 +54,11 @@ from repro.spec.devices import (
 
 
 class InterpreterReuseError(RuntimeError):
-    """``run()`` called again on an interpreter that cannot be reset.
+    """``run()`` called again on an interpreter: each one runs once.
 
     Deliberately *not* an :class:`AccRuntimeError`: reusing an interpreter
-    over a caller-supplied machine is a harness programming error, never a
-    simulated-program crash, so it must not be classified as one.
+    is a harness programming error, never a simulated-program crash, so it
+    must not be classified as one.
     """
 
 
@@ -147,14 +147,14 @@ class Interpreter:
 
     ``lowered`` is the program's :class:`~repro.compiler.closures.
     LoweredProgram` (lowered here when not given); it is pure, so callers
-    share one across runs, threads and interpreters.
+    share one across runs, threads and interpreters.  An interpreter builds
+    its own :class:`Machine` and runs once; a rerun takes a new one.
     """
 
     def __init__(
         self,
         program: Program,
         behavior: CompilerBehavior = REFERENCE_BEHAVIOR,
-        machine: Optional[Machine] = None,
         env_vars: Optional[Dict[str, str]] = None,
         rng_seed: int = 12345,
         lowered=None,
@@ -171,12 +171,19 @@ class Interpreter:
         #: they are shared by every run of it and, through the compiled
         #: program, by every behaviour compiled from its parse
         self.plans = lowered.plans
-        self._env_vars = dict(env_vars) if env_vars else None
-        self._rng_seed = rng_seed
-        self._owns_machine = machine is None
-        if machine is None:
-            machine = self._fresh_machine()
-        self._attach_machine(machine)
+        # the behaviour is the accelerator's execution profile: the region
+        # executor reads a default size only where a region omits its clause
+        self.machine = Machine(
+            accel_count=1,
+            accel_device_type=behavior.concrete_device_type,
+            profile=behavior,
+        )
+        self.acc = self._executor()
+        self.runtime = AccRuntime(self.machine, hooks=self.acc)
+        if env_vars:
+            from repro.accsim.envvars import apply_environment
+
+            apply_environment(self.machine, env_vars)
 
         self.output: List[str] = []
         self.steps = 0
@@ -193,25 +200,6 @@ class Interpreter:
         self._install_constants()
         self._has_run = False
 
-    def _fresh_machine(self) -> Machine:
-        # the behaviour is the accelerator's execution profile: the region
-        # executor reads a default size only where a region omits its clause
-        behavior = self.behavior
-        return Machine(
-            accel_count=1,
-            accel_device_type=behavior.concrete_device_type,
-            profile=behavior,
-        )
-
-    def _attach_machine(self, machine: Machine) -> None:
-        self.machine = machine
-        self.acc = self._executor()
-        self.runtime = AccRuntime(machine, hooks=self.acc)
-        if self._env_vars:
-            from repro.accsim.envvars import apply_environment
-
-            apply_environment(machine, self._env_vars)
-
     def _executor(self):
         """The run's OpenACC construct executor."""
         from repro.compiler.exec_model import AccExecutor  # cycle-free import
@@ -223,33 +211,20 @@ class Interpreter:
     def run(self, entry: str = "main", limits: Optional[ExecutionLimits] = None) -> ExecutionResult:
         """Execute ``entry`` and return the run's :class:`ExecutionResult`.
 
-        ``run()`` is reuse-safe: every call executes on per-run state reset
-        to how ``__init__`` left it (fresh globals, output, RNG, machine and
-        device counters).  The exception is an interpreter constructed over
-        a *caller-supplied* machine — that machine's counters cannot be
-        rebuilt here, so a second ``run()`` raises
-        :class:`InterpreterReuseError` instead of silently double-counting
-        ``bytes_to_device``/``kernels_launched``.
+        An interpreter runs once: a second ``run()`` raises
+        :class:`InterpreterReuseError` instead of running over the first
+        run's globals, output, RNG state and device counters.
         """
+        if self._has_run:
+            raise InterpreterReuseError(
+                "Interpreter.run() called twice: its globals, output and "
+                "device counters hold the first run's state; build a new "
+                "Interpreter for each run"
+            )
+        self._has_run = True
         if limits is not None:
             self.limits = limits
         self._max_steps = self.limits.max_steps
-        if self._has_run:
-            if not self._owns_machine:
-                raise InterpreterReuseError(
-                    "Interpreter.run() called twice over a caller-supplied "
-                    "machine: its device counters cannot be reset, so the "
-                    "second result would double-count data traffic and "
-                    "kernel launches; build a new Interpreter instead"
-                )
-            self._attach_machine(self._fresh_machine())
-            self.output = []
-            self._rng_state = self._rng_seed
-            self.rng_used = False
-            self.globals = Env()
-            self._install_constants()
-        self._has_run = True
-        self.steps = 0
         self._define_globals()
         fn = self.program.function(entry)
         devices = [self.machine.host] + self.machine.accelerators

@@ -63,16 +63,12 @@ from repro.staticcheck.legality import (  # noqa: E402
 
 _PARALLELISM_SIZE_CLAUSES = ("num_gangs", "num_workers", "vector_length")
 
-#: runtime routines known to the 1.0 runtime library
-_KNOWN_ROUTINES = {
-    "acc_get_num_devices", "acc_set_device_type", "acc_get_device_type",
-    "acc_set_device_num", "acc_get_device_num", "acc_async_test",
-    "acc_async_test_all", "acc_async_wait", "acc_async_wait_all",
-    "acc_init", "acc_shutdown", "acc_on_device", "acc_malloc", "acc_free",
-}
-
 #: names a program may call without defining them
 _BUILTINS = frozenset(builtin_names())
+
+#: runtime routines known to the 1.0 runtime library: the interpreter's
+#: ``acc_*`` builtins
+_KNOWN_ROUTINES = frozenset(n for n in _BUILTINS if n.startswith("acc_"))
 
 
 @dataclass

@@ -185,6 +185,3 @@ class FaultyCompiler:
                 name: str = "<test>"):
         self.injector.compile_site(name)
         return self.inner.compile(source, language, name)
-
-    def validate(self, program):
-        return self.inner.validate(program)

@@ -40,9 +40,6 @@ class Token:
     def is_keyword(self, *texts: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text in texts
 
-    def is_ident(self, *texts: str) -> bool:
-        return self.kind is TokenKind.IDENT and (not texts or self.text in texts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.value}, {self.text!r})"
 

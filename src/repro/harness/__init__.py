@@ -14,7 +14,6 @@ from repro.harness.engine import (
     CancelToken,
     MAX_POOL_DEATHS,
     RunMetrics,
-    create_engine,
     harness_error_result,
     run_unit_resilient,
 )
@@ -52,7 +51,7 @@ from repro.harness.titan import (
 __all__ = [
     "EXECUTION_POLICIES", "HarnessConfig",
     "CampaignInterrupted", "CancelToken", "MAX_POOL_DEATHS", "RunMetrics",
-    "create_engine", "harness_error_result", "run_unit_resilient",
+    "harness_error_result", "run_unit_resilient",
     "accidental_pass_probability", "certainty", "cross_fail_probability",
     "EmptySelectionError", "FailureKind", "IterationOutcome", "PhaseResult",
     "SuiteRunReport", "TemplateTimeout", "TestResult", "ValidationRunner",

@@ -1,15 +1,15 @@
-"""Execution engine: pluggable policies for suite runs.
+"""Execution engine: the one loop that runs a campaign's work units.
 
-``ValidationRunner.run_suite`` used to walk the template list strictly
-serially, although the workload — compile, run M times, classify, next
-template — is embarrassingly parallel.  This module supplies the paper's
-"runs on random nodes / tracks large sweeps" scale-out shape as two
-interchangeable policies behind ``HarnessConfig.policy``/``workers``:
+The workload — compile, run M times, classify, next template — is
+embarrassingly parallel.  :func:`run_units` runs it under the two
+policies of ``HarnessConfig.policy``/``workers``, the paper's "runs on
+random nodes / tracks large sweeps" scale-out shape:
 
-* ``serial`` — the original in-order loop (the default);
+* ``serial`` — an in-order loop in this process (the default);
 * ``process`` — a process pool: ``(behavior, config)`` are shipped to each
   worker once via the pool initializer, then work units carry only
-  ``(index, template)`` and ship a finished :class:`TestResult` back.
+  ``(index, template, attempt)`` and ship a finished :class:`TestResult`
+  back.  Units the pools could not finish run through the serial loop.
 
 Determinism guarantee: results are reassembled in template order, and every
 per-iteration RNG seed derives from ``HarnessConfig`` alone (``rng_seed +
@@ -20,22 +20,21 @@ Every run also assembles a :class:`RunMetrics` (attached to the report):
 per-phase wall time, compile-cache hit rate, per-worker busy time and
 failure-kind counters — the observability side of the scale-out work.
 
-Resilience: every policy funnels work units through
-:func:`run_unit_resilient` — bounded retry with exponential backoff for
-harness faults (injected or real), degrading to a HARNESS_ERROR-marked
-result once the budget is exhausted — and :class:`ProcessEngine`
-additionally survives worker death by respawning its pool and re-running
-only the lost units (serial fallback after :data:`MAX_POOL_DEATHS` broken
-pools).  A healed run is byte-identical to a fault-free run of the same
+Resilience: every unit runs through :func:`run_unit_resilient` — bounded
+retry with exponential backoff for harness faults (injected or real),
+degrading to a HARNESS_ERROR-marked result once the budget is exhausted —
+and the pool survives worker death by respawning and re-running only the
+lost units (in-process after :data:`MAX_POOL_DEATHS` broken pools).  A
+healed run is byte-identical to a fault-free run of the same
 configuration, because retries replay the same config-derived seeds.
 
-Durability: every policy reports each finished unit through an optional
-per-unit completion callback, invoked from the coordinating thread in
-completion order — the hook :mod:`repro.journal` uses to append fsync'd
-records the moment results exist.
+Durability: :func:`run_units` reports each finished unit through its
+completion callback, invoked from the coordinating thread in completion
+order — the hook ``run_suite`` uses to append fsync'd journal records the
+moment results exist.
 
 Cancellation: every campaign owns a :class:`CancelToken`.  Cancelling it
-makes the engines finish their in-flight units and raise
+makes :func:`run_units` finish the in-flight units and raise
 :class:`CampaignInterrupted` instead of starting new ones, so an
 interrupted campaign exits with everything completed so far journaled.
 Tokens are per-campaign state, so one campaign's cancel never drains a
@@ -58,7 +57,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.harness.config import EXECUTION_POLICIES, HarnessConfig
+from repro.harness.config import HarnessConfig
 from repro.obs.live import phase_counts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,14 +68,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ordered (TestResult, worker id) pairs, one per template
 EngineOutcomes = List[Tuple["TestResult", str]]
 
-#: per-unit completion callback: (index into the engine's template list,
-#: template, finished result) — invoked by every policy from the
-#: *coordinating* thread, in completion order, exactly once per unit.
-#: This is the journal's hook: appends happen the moment a result exists.
-UnitCallback = Callable[[int, "TestTemplate", "TestResult"], None]
+#: per-unit completion callback: (index into run_units' template list,
+#: finished result) — invoked from the *coordinating* thread, in
+#: completion order, exactly once per unit.  This is the journal's hook:
+#: appends happen the moment a result exists.
+UnitCallback = Callable[[int, "TestResult"], None]
 
-#: broken process pools tolerated before ProcessEngine falls back to
-#: running the remaining units serially in the parent
+#: broken process pools tolerated before run_units falls back to running
+#: the remaining units in the parent
 MAX_POOL_DEATHS = 3
 
 
@@ -96,7 +95,7 @@ class CancelToken:
     """A per-campaign cancellation handle.
 
     ``run_suite`` (and Titan) check the token between work units:
-    cancelling makes the engines finish their in-flight units, skip the
+    cancelling makes :func:`run_units` finish the in-flight units, skip the
     rest, and raise :class:`CampaignInterrupted`.  Each campaign gets its
     own token (``run_suite(cancel=...)``, defaulting to a fresh one), so
     cancelling one campaign never touches a concurrent neighbour and a
@@ -258,32 +257,8 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
 
 
 # ---------------------------------------------------------------------------
-# policies
+# the unit loop: every policy runs and finishes its units here
 # ---------------------------------------------------------------------------
-
-
-class SerialEngine:
-    """The original strictly-ordered in-process loop."""
-
-    policy = "serial"
-
-    def __init__(self, workers: int = 1):
-        self.workers = 1  # serial by definition
-
-    def run(self, templates: Sequence["TestTemplate"],
-            runner: "ValidationRunner",
-            on_complete: Optional[UnitCallback] = None,
-            cancel: Optional[CancelToken] = None) -> EngineOutcomes:
-        cancel = cancel if cancel is not None else CancelToken()
-        worker = "main"
-        outcomes: EngineOutcomes = []
-        for index, template in enumerate(templates):
-            cancel.check()
-            result = run_unit_resilient(runner, template)
-            outcomes.append((result, worker))
-            if on_complete is not None:
-                on_complete(index, template, result)
-        return outcomes
 
 
 # -- process-pool plumbing: one runner per worker process, built once -------
@@ -346,132 +321,124 @@ def _process_run_unit(payload: Tuple[int, "TestTemplate", int]):
     return index, result, f"pid-{os.getpid()}", trace_payload
 
 
-class ProcessEngine:
-    """A process pool; work units pickle ``(index, template, attempt)`` only
-    and ship back a finished result plus (when tracing) the unit's trace
-    payload.
+def _run_on_pools(templates: Sequence["TestTemplate"],
+                  runner: "ValidationRunner",
+                  on_complete: UnitCallback,
+                  cancel: CancelToken,
+                  pending: Dict[int, int],
+                  done: Dict[int, Tuple["TestResult", str, Optional[dict]]],
+                  ) -> None:
+    """Run the ``pending`` units on process pools of ``config.workers``.
 
-    Survives worker death: a broken pool is respawned and only the lost
-    units are re-submitted (with a bumped attempt number, so injected
-    transient deaths do not recur).  After :data:`MAX_POOL_DEATHS` broken
-    pools the engine stops trusting process isolation and runs whatever is
-    left serially in the parent — degraded throughput, never a crashed
-    suite.
+    Work units pickle ``(index, template, attempt)`` only and ship back a
+    finished result plus (when tracing) the unit's trace payload.  A
+    broken pool is respawned and only the lost units are re-submitted,
+    with a bumped attempt number so injected transient deaths do not
+    recur.  After :data:`MAX_POOL_DEATHS` broken pools this gives up on
+    process isolation and leaves the rest in ``pending`` for the caller's
+    in-process loop: degraded throughput, never a crashed suite.
     """
+    cancel.check()
+    tracer = runner.tracer
+    # each worker records into a fresh tracer of the parent's kind
+    initargs = (runner.behavior, runner.config,
+                type(tracer) if tracer.enabled else None)
+    pool_deaths = 0
+    while pending and pool_deaths <= MAX_POOL_DEATHS:
+        broken = False
+        with ProcessPoolExecutor(
+            max_workers=runner.config.workers,
+            initializer=_process_worker_init,
+            initargs=initargs,
+        ) as pool:
+            futures = {}
+            try:
+                for i, attempt in sorted(pending.items()):
+                    futures[pool.submit(
+                        _process_run_unit, (i, templates[i], attempt)
+                    )] = i
+            except BrokenExecutor:
+                # a worker died before every unit was queued; the
+                # unqueued units stay pending for the next pool
+                broken = True
+            try:
+                for future in as_completed(futures):
+                    try:
+                        index, result, worker, trace_payload = future.result()
+                    except BrokenExecutor:
+                        # a worker died; this unit (and every other unit
+                        # still in flight or queued) was lost with the pool
+                        broken = True
+                        continue
+                    except Exception as err:  # unpicklable result etc.
+                        index = futures[future]
+                        result, worker, trace_payload = (
+                            harness_error_result(templates[index], err),
+                            "pool", None,
+                        )
+                    done[index] = (result, worker, trace_payload)
+                    pending.pop(index, None)
+                    if trace_payload is not None:
+                        # the unit's events reach the subscribers (the live
+                        # stream) now; the trace adopts the payload in
+                        # template order once every unit is done
+                        tracer.relay(trace_payload)
+                    # results ship back to this (parent) process as they
+                    # finish; the journal append happens here, before any
+                    # more completions are awaited
+                    on_complete(index, result)
+                    cancel.check()
+            except BaseException:
+                pool.shutdown(wait=True, cancel_futures=True)
+                raise
+        if broken:
+            pool_deaths += 1
+            if tracer.enabled:
+                tracer.event("engine.worker_lost",
+                             lost_units=len(pending),
+                             pool_deaths=pool_deaths)
+            for i in pending:
+                pending[i] += 1
+    if pending and tracer.enabled:
+        tracer.event("engine.serial_fallback", units=len(pending),
+                     pool_deaths=pool_deaths)
 
-    policy = "process"
 
-    def __init__(self, workers: int):
-        self.workers = workers
+def run_units(templates: Sequence["TestTemplate"],
+              runner: "ValidationRunner",
+              on_complete: UnitCallback,
+              cancel: CancelToken) -> EngineOutcomes:
+    """Run every template under ``runner.config``'s policy, in one loop.
 
-    def run(self, templates: Sequence["TestTemplate"],
-            runner: "ValidationRunner",
-            on_complete: Optional[UnitCallback] = None,
-            cancel: Optional[CancelToken] = None) -> EngineOutcomes:
-        if not templates:
-            return []
-        cancel = cancel if cancel is not None else CancelToken()
+    The ``process`` policy first runs the units on a pool (see
+    :func:`_run_on_pools`); whatever the pools leave undone, and every
+    unit of a ``serial`` run, runs in this process in template order.
+    ``on_complete(index, result)`` is called from this thread, in
+    completion order, exactly once per unit.  Worker traces are adopted
+    in template order once every unit has finished, so event sequencing
+    is deterministic; run_suite re-parents the unit roots afterwards.
+    """
+    #: template index -> engine-level attempt number
+    pending: Dict[int, int] = {i: 0 for i in range(len(templates))}
+    #: template index -> (result, worker id, worker trace payload or None)
+    done: Dict[int, Tuple["TestResult", str, Optional[dict]]] = {}
+    worker = "main"
+    if runner.config.policy == "process" and pending:
+        _run_on_pools(templates, runner, on_complete, cancel, pending, done)
+        worker = "fallback"
+    for i, attempt in sorted(pending.items()):
         cancel.check()
-        tracer = runner.tracer
-        # each worker records into a fresh tracer of the parent's kind
-        initargs = (runner.behavior, runner.config,
-                    type(tracer) if tracer.enabled else None)
-        #: template index -> engine-level attempt number
-        pending: Dict[int, int] = {i: 0 for i in range(len(templates))}
-        done: Dict[int, Tuple["TestResult", str, Optional[dict]]] = {}
-        pool_deaths = 0
-        while pending and pool_deaths <= MAX_POOL_DEATHS:
-            broken = False
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_process_worker_init,
-                initargs=initargs,
-            ) as pool:
-                futures = {}
-                try:
-                    for i, attempt in sorted(pending.items()):
-                        futures[pool.submit(
-                            _process_run_unit, (i, templates[i], attempt)
-                        )] = i
-                except BrokenExecutor:
-                    # a worker died before every unit was queued; the
-                    # unqueued units stay pending for the next pool
-                    broken = True
-                try:
-                    for future in as_completed(futures):
-                        try:
-                            index, result, worker, trace_payload = future.result()
-                        except BrokenExecutor:
-                            # a worker died; this unit (and every other unit
-                            # still in flight or queued) was lost with the pool
-                            broken = True
-                            continue
-                        except Exception as err:  # unpicklable result etc.
-                            index = futures[future]
-                            result, worker, trace_payload = (
-                                harness_error_result(templates[index], err),
-                                "pool", None,
-                            )
-                        done[index] = (result, worker, trace_payload)
-                        pending.pop(index, None)
-                        if trace_payload is not None:
-                            # the unit's events reach the subscribers (the
-                            # live stream) now; the trace adopts the payload
-                            # in template order once the pool is done
-                            tracer.relay(trace_payload)
-                        if on_complete is not None:
-                            # results ship back to this (parent) process as
-                            # they finish; the journal append happens here,
-                            # before any more completions are awaited
-                            on_complete(index, templates[index], result)
-                        cancel.check()
-                except BaseException:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-            if broken:
-                pool_deaths += 1
-                if tracer.enabled:
-                    tracer.event("engine.worker_lost",
-                                 lost_units=len(pending),
-                                 pool_deaths=pool_deaths)
-                pending = {i: attempt + 1 for i, attempt in pending.items()}
-        if pending and tracer.enabled:
-            tracer.event("engine.serial_fallback", units=len(pending),
-                         pool_deaths=pool_deaths)
-        for i, attempt in sorted(pending.items()):
-            # serial fallback: the pool kept dying, run the rest in-process
-            cancel.check()
-            result = run_unit_resilient(runner, templates[i],
-                                        base_attempt=attempt)
-            done[i] = (result, "fallback", None)
-            if on_complete is not None:
-                on_complete(i, templates[i], result)
-        # adopt worker traces in template order so event sequencing is
-        # deterministic; run_suite re-parents the unit roots afterwards
-        for i in range(len(templates)):
-            _, worker, trace_payload = done[i]
-            if trace_payload is not None:
-                tracer.adopt(trace_payload, worker=worker)
-        return [(done[i][0], done[i][1]) for i in range(len(templates))]
-
-
-_ENGINES = {
-    "serial": SerialEngine,
-    "process": ProcessEngine,
-}
-assert set(_ENGINES) == set(EXECUTION_POLICIES)
-
-
-def create_engine(policy: str, workers: int = 1):
-    """Instantiate the engine for a config-validated policy name."""
-    try:
-        engine_cls = _ENGINES[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {policy!r}; expected one of "
-            f"{', '.join(EXECUTION_POLICIES)}"
-        ) from None
-    return engine_cls(workers)
+        result = run_unit_resilient(runner, templates[i],
+                                    base_attempt=attempt)
+        done[i] = (result, worker, None)
+        on_complete(i, result)
+    outcomes: EngineOutcomes = []
+    for i in range(len(templates)):
+        result, worker, trace_payload = done[i]
+        if trace_payload is not None:
+            runner.tracer.adopt(trace_payload, worker=worker)
+        outcomes.append((result, worker))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

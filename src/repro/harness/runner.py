@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
 from repro.compiler import (
@@ -359,9 +359,9 @@ class ValidationRunner:
 
         ``journal`` is an optional :class:`repro.journal.JournalWriter`:
         units with an intact journal record are *replayed* (never re-run),
-        and every freshly-run unit is appended — fsync'd — the moment its
-        engine reports completion, making the campaign resumable after a
-        crash at any instant.
+        and every freshly-run unit is appended — fsync'd — the moment
+        :func:`repro.harness.engine.run_units` reports its completion,
+        making the campaign resumable after a crash at any instant.
 
         ``cancel`` is this campaign's
         :class:`repro.harness.engine.CancelToken`; cancelling it drains
@@ -369,9 +369,8 @@ class ValidationRunner:
         in-flight units finish).  Defaults to a fresh token, so a cancel
         in an earlier or concurrent campaign never bleeds into this one.
 
-        The execution engine is built from the config's
-        ``policy``/``workers``; reports stay byte-identical across
-        policies.
+        Units run under the config's ``policy``/``workers``; reports stay
+        byte-identical across policies.
         """
         from repro.harness.engine import CancelToken
 
@@ -392,9 +391,10 @@ class ValidationRunner:
                 f"prefixes={config.feature_prefixes!r}): a run over nothing "
                 "would report a vacuous 0.00% pass and validate nothing"
             )
-        from repro.harness.engine import build_metrics, create_engine
+        from repro.harness.engine import build_metrics, run_units
 
-        engine = create_engine(config.policy, config.workers)
+        # a serial run has one worker whatever the config says
+        workers = config.workers if config.policy == "process" else 1
         report = SuiteRunReport(
             compiler_label=self.behavior.label, config=config
         )
@@ -413,7 +413,6 @@ class ValidationRunner:
 
         # -- journal replay: partition into replayed and still-pending units
         replayed: Dict[int, TestResult] = {}
-        on_complete = None
         keys: Optional[List[str]] = None
         if journal is not None or live is not None:
             from repro.journal import unit_keys
@@ -426,13 +425,14 @@ class ValidationRunner:
                 payload = journal.get(key)
                 if payload is not None:
                     replayed[i] = decode_result(payload, template)
-            pending_keys = [keys[i] for i in range(len(templates))
-                            if i not in replayed]
 
-            def journal_complete(index, template, result):
-                journal.append(pending_keys[index], encode_result(result))
-
-            on_complete = journal_complete
+        def finish(i: int, result: TestResult, fresh: bool) -> None:
+            # journal first: durability before observation, so a torn
+            # journal append never loses the fsync'd record
+            if fresh and journal is not None:
+                journal.append(keys[i], encode_result(result))
+            if live is not None:
+                live.unit(i, keys[i], result, replayed=not fresh)
 
         if live is not None:
             live.begin(
@@ -443,26 +443,10 @@ class ValidationRunner:
             live.attach(tracer)
         if replayed and tracer.enabled:
             tracer.event("journal.replayed", units=len(replayed))
-        if live is not None:
-            # replayed units count toward progress immediately, marked so
-            for i in sorted(replayed):
-                live.unit(i, keys[i], replayed[i], replayed=True)
-            pending_indices = [i for i in range(len(templates))
-                               if i not in replayed]
-            journal_cb = on_complete
-
-            def live_complete(index, template, result):
-                if journal_cb is not None:
-                    # journal first: durability before observation, so a
-                    # torn journal append never loses the fsync'd record
-                    journal_cb(index, template, result)
-                i = pending_indices[index]
-                live.unit(i, keys[i], result, replayed=False)
-
-            on_complete = live_complete
-
-        pending = [templates[i] for i in range(len(templates))
-                   if i not in replayed]
+        # replayed units count toward progress immediately, marked so
+        for i in sorted(replayed):
+            finish(i, replayed[i], fresh=False)
+        pending = [i for i in range(len(templates)) if i not in replayed]
         # expose the cancel token to the retry layer for the duration of
         # the run (prompt drain out of a backoff ladder)
         previous_cancel = self.cancel
@@ -470,11 +454,14 @@ class ValidationRunner:
         try:
             with tracer.span(
                 "run", key=self.behavior.label,
-                policy=engine.policy, workers=engine.workers,
+                policy=config.policy, workers=workers,
             ) as root:
                 start = time.perf_counter()
-                outcomes = engine.run(pending, self, on_complete=on_complete,
-                                      cancel=cancel)
+                outcomes = run_units(
+                    [templates[i] for i in pending], self,
+                    lambda n, result: finish(pending[n], result, fresh=True),
+                    cancel,
+                )
                 report.elapsed_s = time.perf_counter() - start
         except BaseException:
             # interrupted (drain, injected tear, Ctrl-C): finalize the
@@ -488,20 +475,14 @@ class ValidationRunner:
         # spans adopted from worker processes have no parent: stitch them
         # under this run's root
         tracer.reparent_orphans(root)
-        if replayed:
-            # merge back in template order; replayed units are attributed
-            # to the "journal" pseudo-worker in the run metrics
-            merged: List[Tuple[TestResult, str]] = []
-            fresh = iter(outcomes)
-            for i in range(len(templates)):
-                if i in replayed:
-                    merged.append((replayed[i], "journal"))
-                else:
-                    merged.append(next(fresh))
-            outcomes = merged
+        # merge back in template order; replayed units are attributed to
+        # the "journal" pseudo-worker in the run metrics
+        ran = iter(outcomes)
+        outcomes = [(replayed[i], "journal") if i in replayed else next(ran)
+                    for i in range(len(templates))]
         report.results = [result for result, _ in outcomes]
         report.metrics = build_metrics(
-            report, engine.policy, engine.workers, outcomes
+            report, config.policy, workers, outcomes
         )
         if live is not None:
             # the final snapshot embeds the authoritative RunMetrics block:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import CompileCache, CompilerBehavior
@@ -194,7 +194,9 @@ class TitanHarness:
         # production sweeps favour quick turnaround: 1 iteration, no cross
         self.config = config or HarnessConfig(iterations=1, run_cross=False)
         if feature_prefixes is not None:
-            self.config.feature_prefixes = feature_prefixes
+            # never the caller's config: it may be shared with other runs
+            self.config = replace(self.config,
+                                  feature_prefixes=feature_prefixes)
         #: a repro.obs.Tracer shared by every node check of this harness
         #: (a span-free EventTracer when only live telemetry asks for one)
         if tracer is None:

@@ -16,7 +16,6 @@ from repro.ir.astnodes import (
     StringLit,
     Ident,
     Index,
-    Slice,
     Call,
     Unary,
     Binary,
@@ -56,7 +55,7 @@ from repro.ir.acc import (
 __all__ = [
     "Type", "INT", "LONG", "FLOAT", "DOUBLE", "VOID", "CHAR", "BOOL",
     "Node", "Expr", "IntLit", "FloatLit", "StringLit", "Ident", "Index",
-    "Slice", "Call", "Unary", "Binary", "Conditional", "Cast",
+    "Call", "Unary", "Binary", "Conditional", "Cast",
     "Stmt", "Block", "VarDecl", "DeclStmt", "Assign", "ExprStmt", "If",
     "For", "While", "Break", "Continue", "Return",
     "AccConstruct", "AccLoop", "AccStandalone",

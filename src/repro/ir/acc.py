@@ -140,17 +140,6 @@ class Directive(Node):
     def data_clauses(self) -> List[Clause]:
         return [c for c in self.clauses if c.name in DATA_CLAUSES]
 
-    def without_clause(self, name: str) -> "Directive":
-        """Copy of this directive with all clauses ``name`` removed
-        (used by cross-test substitution and bug injection)."""
-        name = normalize_clause_name(name)
-        return Directive(
-            kind=self.kind,
-            clauses=[c for c in self.clauses if c.name != name],
-            source=self.source,
-            loc=self.loc,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.kind]
         for c in self.clauses:

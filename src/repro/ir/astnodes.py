@@ -68,14 +68,6 @@ class Ident(Expr):
 
 
 @dataclass
-class Slice(Expr):
-    """An array section ``[start:length]`` (only valid inside data clauses)."""
-
-    start: Optional[Expr]
-    length: Optional[Expr]
-
-
-@dataclass
 class Index(Expr):
     """Array subscript ``base[i0][i1]...`` / ``base(i0, i1)``."""
 

@@ -8,7 +8,7 @@ compared with ``==`` and used as dict keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,6 @@ class Type:
 
     base: str
     pointer: int = 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.pointer == 0 and self.base in ("int", "long", "char", "bool")
-
-    @property
-    def is_floating(self) -> bool:
-        return self.pointer == 0 and self.base in ("float", "double")
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.is_integer or self.is_floating
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.base + "*" * self.pointer

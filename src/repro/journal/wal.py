@@ -255,8 +255,8 @@ class JournalWriter:
     Construct via :meth:`create` (new campaign) or :meth:`resume`
     (continue an interrupted one).  ``get`` serves replayed payloads;
     ``append`` durably records one completed unit.  Appends are serialized
-    by a lock (engines invoke completion callbacks from the coordinating
-    thread, but the journal does not rely on that).
+    by a lock (``run_units`` invokes completion callbacks from the
+    coordinating thread, but the journal does not rely on that).
     """
 
     def __init__(self, path: str, campaign: dict, handle,

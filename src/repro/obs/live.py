@@ -811,10 +811,6 @@ class LiveTelemetry:
                 if close is not None:
                     close(snapshot)
 
-    def close(self) -> None:
-        """Alias for :meth:`end` without a report (interrupted campaigns)."""
-        self.end(None)
-
 
 # ---------------------------------------------------------------------------
 # reading a stream back (repro obs tail)

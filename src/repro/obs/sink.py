@@ -71,15 +71,6 @@ class TraceData:
     def spans_named(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
-    def span_by_id(self, span_id: str) -> Optional[Span]:
-        for span in self.spans:
-            if span.span_id == span_id:
-                return span
-        return None
-
 
 def parse_trace(text: str, strict: bool = True) -> TraceData:
     """Parse JSONL trace text into a :class:`TraceData`.

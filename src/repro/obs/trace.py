@@ -3,8 +3,8 @@
 A :class:`Span` is one timed region of work (a template, a phase, a
 compile, a Titan node check) with a parent link, free-form attributes and a
 worker label.  A :class:`Tracer` collects spans and typed events for one
-run and is the single object threaded through the runner, the execution
-engines, the compile cache, the journal and the Titan harness.
+run and is the single object threaded through the runner, the unit
+loop, the compile cache, the journal and the Titan harness.
 
 Design points that matter to the rest of the system:
 

@@ -12,9 +12,9 @@ features by stable dotted identifiers (e.g. ``parallel.num_gangs``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.spec.versions import ACC_10, ACC_20, SpecVersion
 
@@ -99,9 +99,6 @@ class FeatureRegistry:
     def at_version(self, version: SpecVersion) -> "FeatureRegistry":
         """Sub-registry of features available at ``version``."""
         return FeatureRegistry(f for f in self if f.since <= version)
-
-    def ids(self) -> List[str]:
-        return list(self._by_id)
 
 
 def _build_registry() -> FeatureRegistry:

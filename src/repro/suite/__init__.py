@@ -16,7 +16,6 @@ infrastructure was designed for.
 from repro.suite.registry import (
     SuiteRegistry,
     combination_suite,
-    default_suite,
     openacc10_suite,
     openacc20_suite,
 )
@@ -24,7 +23,6 @@ from repro.suite.registry import (
 __all__ = [
     "SuiteRegistry",
     "combination_suite",
-    "default_suite",
     "openacc10_suite",
     "openacc20_suite",
 ]

@@ -158,7 +158,3 @@ def combination_suite() -> SuiteRegistry:
             _collect_combinations(), label="feature-combinations"
         )
     return _SUITE_COMBO
-
-
-def default_suite() -> SuiteRegistry:
-    return openacc10_suite()

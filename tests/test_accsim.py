@@ -24,6 +24,7 @@ from repro.accsim.errors import (
     PresentError,
 )
 from repro.accsim.memory import fill_garbage
+from repro.compiler import Compiler
 from repro.spec.devices import (
     ACC_DEVICE_HOST,
     ACC_DEVICE_NONE,
@@ -609,9 +610,10 @@ class TestMachineAndRuntime:
         assert concrete.not_host
 
     def test_on_device_host_binding(self):
-        rt = AccRuntime(Machine())
-        assert rt.acc_on_device(ACC_DEVICE_HOST) == 1
-        assert rt.acc_on_device(ACC_DEVICE_NOT_HOST) == 0
+        # outside a compute region the executor answers for the host
+        src = ("int main(){ return acc_on_device(acc_device_host) == 1"
+               " && acc_on_device(acc_device_not_host) == 0; }")
+        assert Compiler().compile(src, "c").run().value == 1
 
     def test_shutdown_flushes_and_resets(self):
         m = Machine()

@@ -82,30 +82,39 @@ def _outcomes(compiled, errors=Exception, **run_kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Interpreter.run() reuse contract
+# run contract: an Interpreter runs once, a compiled program any number of
+# times, each run on a fresh interpreter and machine
 # ---------------------------------------------------------------------------
+
+
+def _backend(backend: str):
+    return oracle() if backend == "tree" else nullcontext()
 
 
 class TestRunReuse:
     @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_owned_machine_run_twice_is_identical(self, backend):
         compiled = _compile(_STATEFUL_SRC)
-        interp = _INTERPRETERS[backend](compiled.program, compiled.behavior)
-        first = interp.run()
-        second = interp.run()
+        with _backend(backend):
+            first = compiled.run()
+            second = compiled.run()
         # the regression: globals/output/device counters leaked across
         # runs, so the second result double-counted bytes_to_device
         assert first == second
         assert second.bytes_to_device == first.bytes_to_device
 
     @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
-    def test_caller_supplied_machine_reuse_raises(self, backend):
+    def test_second_run_raises(self, backend):
         compiled = _compile(_STATEFUL_SRC)
-        interp = _INTERPRETERS[backend](compiled.program, compiled.behavior,
-                                        machine=Machine())
-        interp.run()
+        interp = _INTERPRETERS[backend](compiled.program, compiled.behavior)
+        first = interp.run()
         with pytest.raises(InterpreterReuseError):
             interp.run()
+        with _backend(backend):
+            assert first == compiled.run()
+        with pytest.raises(TypeError):
+            _INTERPRETERS[backend](compiled.program, compiled.behavior,
+                                   machine=Machine())
 
     def test_reuse_error_is_not_a_simulated_crash(self):
         # InterpreterReuseError is a harness-usage bug, and must never be
@@ -116,14 +125,15 @@ class TestRunReuse:
     @pytest.mark.parametrize("backend", sorted(_INTERPRETERS))
     def test_reset_covers_limits_and_output(self, backend):
         compiled = _compile(_STATEFUL_SRC)
-        interp = _INTERPRETERS[backend](compiled.program, compiled.behavior)
-        first = interp.run()
-        # a second run under a tighter budget must time out: proof the
-        # budget is re-read, not frozen at first-run state
-        with pytest.raises(ExecutionTimeout):
-            interp.run(limits=ExecutionLimits(max_steps=10))
-        # and a third full run recovers the original result exactly
-        assert interp.run(limits=ExecutionLimits(max_steps=2_000_000)) == first
+        with _backend(backend):
+            first = compiled.run()
+            # a second run under a tighter budget must time out: proof the
+            # budget is read per run, not frozen at first-run state
+            with pytest.raises(ExecutionTimeout):
+                compiled.run(limits=ExecutionLimits(max_steps=10))
+            # and a third full run recovers the original result exactly
+            assert compiled.run(
+                limits=ExecutionLimits(max_steps=2_000_000)) == first
 
 
 # ---------------------------------------------------------------------------

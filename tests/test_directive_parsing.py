@@ -139,14 +139,6 @@ class TestAliases:
         d = c_directive("update self(a[0:4])")
         assert d.clause("host") is not None
 
-    def test_without_clause_helper(self):
-        d = c_directive("parallel copy(a[0:4]) async(1)")
-        stripped = d.without_clause("async")
-        assert stripped.clause("async") is None
-        assert stripped.clause("copy") is not None
-        # the original is untouched
-        assert d.clause("async") is not None
-
 
 class TestDuplicateScalarClauses:
     """A single-valued clause appearing twice is rejected at parse time

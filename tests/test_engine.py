@@ -20,7 +20,6 @@ from repro.harness import (
     HarnessConfig,
     RunMetrics,
     ValidationRunner,
-    create_engine,
     render_csv,
     render_metrics_csv,
     render_metrics_text,
@@ -76,10 +75,6 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         config = HarnessConfig()
         assert config.policy == "serial" and config.workers == 1
-
-    def test_create_engine_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            create_engine("gpu", 2)
 
 
 # ---------------------------------------------------------------------------

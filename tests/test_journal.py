@@ -559,6 +559,31 @@ class TestCliResume:
         assert code == 0
         assert capsys.readouterr().out == reference
 
+    def test_titan_resume_replays_every_check(self, tmp_path, capsys):
+        from repro.obs import read_trace
+        from repro.obs.live import read_live
+
+        base_args = ["titan", "--nodes", "6", "--sample", "3"]
+        journal = str(tmp_path / "tj.jsonl")
+        assert main(base_args + ["--journal", journal]) == 0
+        reference = capsys.readouterr().out
+
+        trace = tmp_path / "t.jsonl"
+        stream = tmp_path / "s.ndjson"
+        assert main(base_args + ["--resume", journal, "--trace", str(trace),
+                                 "--live-stream", str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert out == reference + f"wrote {trace}\n"
+        # 6 sweep checks and 2 triage re-checks, every one decoded from
+        # the journal and none re-run
+        events = read_trace(str(trace)).events
+        replayed = [e for e in events if e.name == "journal.replayed"]
+        assert sum(e.fields["units"] for e in replayed) == 8
+        assert not [e for e in events if e.name == "titan.checked"]
+        finished = read_live(str(stream)).events("unit.finished")
+        assert len(finished) == 8
+        assert all(r["fields"]["replayed"] is True for r in finished)
+
 
 # ---------------------------------------------------------------------------
 # the real thing: SIGKILL mid-campaign, resume, byte-identical report

@@ -30,7 +30,7 @@ class TestLexer:
     def test_case_insensitive_keywords(self):
         toks = tokenize("PROGRAM Foo\nEND Program foo")
         assert toks[0].is_keyword("program")
-        assert toks[1].is_ident("foo")
+        assert (toks[1].kind, toks[1].text) == (TokenKind.IDENT, "foo")
 
     def test_dot_operators(self):
         toks = tokenize("a .and. b .eq. c")

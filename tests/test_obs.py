@@ -213,7 +213,7 @@ class TestSink:
         assert trace.meta["command"] == "test"
         assert {s.span_id for s in trace.spans} == \
             {root.span_id, "template[t:c]"}
-        restored = trace.span_by_id("template[t:c]")
+        [restored] = [s for s in trace.spans if s.span_id == "template[t:c]"]
         assert restored.parent_id == root.span_id
         original = [s for s in tracer.spans if s.name == "template"][0]
         assert restored.duration == original.duration  # floats exact via json

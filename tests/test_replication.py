@@ -18,9 +18,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.compiler import Compiler
+from repro.compiler import Compiler, ProgramRunner
 from repro.compiler.cache import CompileCache
-from repro.compiler.interp import Interpreter
 from repro.compiler.vendors import vendor_version, vendor_versions
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import InjectedRuntimeCrash
@@ -173,13 +172,15 @@ def test_seed_independent_verdicts_are_replicated(code, kind):
 
 
 def test_interpreter_resets_rng_flag_on_reuse():
+    # a reused ProgramRunner reads the flag of each run's own interpreter
     compiled = Compiler().compile("int main(){ return 1; }", "c", "t.c")
-    interp = Interpreter(compiled.program, lowered=compiled.lowered())
-    interp.run()
-    assert not interp.rng_used
-    interp.rng_used = True  # as a run that called rand() leaves it
-    interp.run()
-    assert not interp.rng_used
+    runner = ProgramRunner(compiled)
+    assert runner.rng_used  # nothing is reused before a run was seen
+    runner.run()
+    assert not runner.rng_used
+    runner.rng_used = True  # as a run that called rand() leaves it
+    runner.run()
+    assert not runner.rng_used
 
 
 # ---------------------------------------------------------------------------

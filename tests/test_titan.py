@@ -96,6 +96,15 @@ class TestHarness:
         stacks = {c.stack for c in checks}
         assert stacks == {STACK_CUDA, STACK_OPENCL}
 
+    def test_feature_prefixes_leave_callers_config_alone(self):
+        config = HarnessConfig(iterations=1, run_cross=False,
+                               languages=("c",))
+        harness = TitanHarness(TitanCluster(num_nodes=2, seed=1),
+                               openacc10_suite(), config=config,
+                               feature_prefixes=["parallel", "update"])
+        assert config.feature_prefixes is None
+        assert harness.config.feature_prefixes == ["parallel", "update"]
+
     def test_timeline_tracks_regression_and_recovery(self):
         cluster = TitanCluster(num_nodes=6, degraded_fraction=0.0, seed=5)
         harness = TitanHarness(

@@ -5,13 +5,10 @@ the passes' findings and the lint report."""
 
 import json
 
-import pytest
-
 from repro.compiler import Compiler, CompilerBehavior
 from repro.harness import HarnessConfig, ValidationRunner
 from repro.harness.runner import FailureKind
 from repro.staticcheck import (
-    Baseline,
     Severity,
     baseline_from_findings,
     lint_source,
