@@ -12,7 +12,7 @@ reports and by the Titan production-harness statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 #: queue used by `async` without an argument

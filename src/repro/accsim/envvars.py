@@ -12,8 +12,6 @@ from typing import Dict, Mapping
 from repro.accsim.errors import InvalidDeviceError
 from repro.accsim.machine import Machine
 from repro.spec.devices import (
-    ACC_DEVICE_HOST,
-    ACC_DEVICE_NOT_HOST,
     DeviceType,
     device_type_by_name,
 )

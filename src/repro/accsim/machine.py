@@ -7,14 +7,12 @@ pseudo-device plus one (configurable: more) accelerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.accsim.device import Device, ExecProfile
 from repro.accsim.errors import InvalidDeviceError
 from repro.spec.devices import (
     ACC_DEVICE_HOST,
-    ACC_DEVICE_NONE,
     ACC_DEVICE_NOT_HOST,
     ACC_DEVICE_NVIDIA,
     DeviceType,

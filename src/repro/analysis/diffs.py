@@ -10,12 +10,12 @@ regressed, still-failing or stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.compiler.cache import CompileCache
+from repro.analysis.passrates import version_cells
 from repro.compiler.vendors import vendor_version
-from repro.harness import HarnessConfig, ValidationRunner
+from repro.harness import HarnessConfig, run_campaign
 from repro.suite import SuiteRegistry, openacc10_suite
 
 
@@ -53,22 +53,22 @@ def compare_versions(
     suite: Optional[SuiteRegistry] = None,
     config: Optional[HarnessConfig] = None,
 ) -> VersionDiff:
-    """Run the suite against both versions and diff the outcomes."""
+    """Run the suite against both versions and diff the outcomes.
+
+    Both versions run as one campaign: their cells share one compile
+    cache, so each source parses once, and a run the new version would
+    repeat exactly is served by the execute memo.
+    """
     suite = suite or openacc10_suite()
     if config is None:
         config = HarnessConfig(iterations=1, run_cross=False)
-    # narrow to this language on a copy: the caller's config is theirs
-    config = replace(config, languages=(language,))
-    # one cache for both versions: each source parses once, and a run the
-    # new version would repeat exactly is served by the execute memo
-    cache = CompileCache() if config.compile_cache else None
-
-    outcomes = {}
-    for version in (old_version, new_version):
-        vv = vendor_version(vendor, version)
-        report = ValidationRunner(vv.behavior(language), config,
-                                  cache=cache).run_suite(suite)
-        outcomes[version] = {r.feature: r.passed for r in report.results}
+    versions = (old_version, new_version)
+    cells = version_cells(
+        [(vendor_version(vendor, v), language) for v in versions], config)
+    outcomes = {
+        version: {r.feature: r.passed for r in report.results}
+        for version, report in zip(versions, run_campaign(suite, cells))
+    }
 
     diff = VersionDiff(
         vendor=vendor, old_version=old_version, new_version=new_version,

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.cache import CompileCache
 from repro.compiler.vendors import VendorVersion, vendor_versions
-from repro.harness import HarnessConfig, SuiteRunReport, ValidationRunner
+from repro.harness import (
+    Cell,
+    HarnessConfig,
+    SuiteRunReport,
+    ValidationRunner,
+    run_campaign,
+)
 from repro.suite import SuiteRegistry, openacc10_suite
 
 
@@ -24,41 +29,57 @@ class PassRatePoint:
     report: SuiteRunReport
 
 
+def version_cells(pairs: Sequence[Tuple[VendorVersion, str]],
+                  config: HarnessConfig, tracer=None) -> List[Cell]:
+    """One campaign cell per (vendor version, language), sharing one
+    compile cache and tracer.
+
+    Each cell narrows a copy of ``config`` to its language (the caller's
+    config is shared across cells, and mutating it left every cell after
+    the first pinned to the first language); its key prefix names the
+    version and language.
+    """
+    cells: List[Cell] = []
+    cache = None
+    for vv, language in pairs:
+        runner = ValidationRunner(vv.behavior(language),
+                                  replace(config, languages=(language,)),
+                                  cache=cache, tracer=tracer)
+        cache, tracer = runner.cache, runner.tracer
+        cells.append(Cell(runner,
+                          prefix=f"{vv.vendor}-{vv.version}/{language}/"))
+    return cells
+
+
+def _point(vv: VendorVersion, language: str,
+           report: SuiteRunReport) -> PassRatePoint:
+    return PassRatePoint(
+        vendor=vv.vendor,
+        version=vv.version,
+        language=language,
+        pass_rate=report.pass_rate(language),
+        tests=len(report.for_language(language)),
+        failures=len(report.failures(language)),
+        report=report,
+    )
+
+
 def run_vendor_version(
     vv: VendorVersion,
     language: str,
     suite: Optional[SuiteRegistry] = None,
     config: Optional[HarnessConfig] = None,
     tracer=None,
-    cache: Optional[CompileCache] = None,
 ) -> PassRatePoint:
     """Run the suite against one vendor version's language frontend.
 
     ``tracer`` (a :class:`repro.obs.Tracer`, optional) records the run as
-    one ``run[...]`` span tree per call — passing the same tracer across
-    calls accumulates the whole sweep in a single trace.  ``cache`` is
-    handed to the runner; passing one cache across calls parses each
-    source once for the whole sweep.
+    one ``run[...]`` span tree.
     """
     suite = suite or openacc10_suite()
     config = config or HarnessConfig(iterations=1, run_cross=False)
-    # narrow to this language on a copy: the caller's config is shared
-    # across every (version, language) cell of a sweep, and mutating it
-    # left all cells after the first pinned to the first language
-    config = replace(config, languages=(language,))
-    runner = ValidationRunner(vv.behavior(language), config, cache=cache,
-                              tracer=tracer)
-    report = runner.run_suite(suite)
-    pool = report.for_language(language)
-    return PassRatePoint(
-        vendor=vv.vendor,
-        version=vv.version,
-        language=language,
-        pass_rate=report.pass_rate(language),
-        tests=len(pool),
-        failures=len(report.failures(language)),
-        report=report,
-    )
+    cells = version_cells([(vv, language)], config, tracer)
+    return _point(vv, language, run_campaign(suite, cells)[0])
 
 
 def vendor_pass_rates(
@@ -69,15 +90,17 @@ def vendor_pass_rates(
 ) -> Dict[str, List[PassRatePoint]]:
     """All bars of one Fig. 8 subplot: {language: [point per version]}.
 
-    Every run shares one compile cache, so each source is parsed once
-    for the whole sweep; ``config.compile_cache=False`` shares none.
+    The sweep is one campaign: every (version, language) cell's units run
+    through one engine loop (one process pool under ``policy="process"``)
+    and one live stream.  The cells share one compile cache, so each
+    source is parsed once for the whole sweep; ``config.compile_cache=False``
+    shares none.
     """
+    suite = suite or openacc10_suite()
     config = config or HarnessConfig(iterations=1, run_cross=False)
-    cache = CompileCache() if config.compile_cache else None
+    pairs = [(vv, lang) for vv in vendor_versions(vendor) for lang in languages]
+    reports = run_campaign(suite, version_cells(pairs, config))
     out: Dict[str, List[PassRatePoint]] = {lang: [] for lang in languages}
-    for vv in vendor_versions(vendor):
-        for lang in languages:
-            out[lang].append(
-                run_vendor_version(vv, lang, suite, config, cache=cache)
-            )
+    for (vv, lang), report in zip(pairs, reports):
+        out[lang].append(_point(vv, lang, report))
     return out

@@ -36,7 +36,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.analysis import table1_counts, vendor_pass_rates
-from repro.compiler import Compiler, CompilerBehavior
+from repro.compiler import CompilerBehavior
 from repro.compiler.vendors import VENDORS, vendor_version
 from repro.faults import FaultPlan, InjectedJournalTear
 from repro.harness import (

@@ -35,7 +35,7 @@ from repro.accsim.values import ArrayValue, Cell, DevicePointer, coerce_scalar
 # loop bounds convert as the lowered loops do (a non-number raises
 # AccRuntimeError); clause values through this module's _as_int
 from repro.compiler.interp import Env, _as_int as _loop_int
-from repro.ir.acc import Clause, DataRef, Directive
+from repro.ir.acc import DataRef, Directive
 from repro.ir.astnodes import (
     AccConstruct,
     AccLoop,
@@ -52,7 +52,6 @@ from repro.ir.astnodes import (
     If,
     Index,
     IntLit,
-    Node,
     Stmt,
     Unary,
     While,

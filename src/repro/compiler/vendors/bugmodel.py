@@ -15,7 +15,7 @@ the compiler", Section V).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.frontend.errors import ParseError
-from repro.frontend.tokens import Token, TokenKind, TokenStream
+from repro.frontend.tokens import TokenKind, TokenStream
 from repro.ir.acc import Clause, DataRef, Directive, Section, normalize_clause_name
 from repro.ir.astnodes import Binary, Expr, IntLit
 

@@ -23,6 +23,7 @@ from repro.harness.stats import (
     cross_fail_probability,
 )
 from repro.harness.runner import (
+    Cell,
     EmptySelectionError,
     FailureKind,
     IterationOutcome,
@@ -31,6 +32,7 @@ from repro.harness.runner import (
     TemplateTimeout,
     TestResult,
     ValidationRunner,
+    run_campaign,
 )
 from repro.harness.report import (
     render_csv,
@@ -53,8 +55,9 @@ __all__ = [
     "CampaignInterrupted", "CancelToken", "MAX_POOL_DEATHS", "RunMetrics",
     "harness_error_result", "run_unit_resilient",
     "accidental_pass_probability", "certainty", "cross_fail_probability",
-    "EmptySelectionError", "FailureKind", "IterationOutcome", "PhaseResult",
+    "Cell", "EmptySelectionError", "FailureKind", "IterationOutcome", "PhaseResult",
     "SuiteRunReport", "TemplateTimeout", "TestResult", "ValidationRunner",
+    "run_campaign",
     "render_csv", "render_html", "render_metrics_csv", "render_metrics_text",
     "render_text", "render_bug_report",
     "Node", "QuarantineRecord", "TitanCluster", "TitanHarness", "StackCheck",

@@ -1,22 +1,29 @@
 """Execution engine: the one loop that runs a campaign's work units.
 
 The workload — compile, run M times, classify, next template — is
-embarrassingly parallel.  :func:`run_units` runs it under the two
-policies of ``HarnessConfig.policy``/``workers``, the paper's "runs on
-random nodes / tracks large sweeps" scale-out shape:
+embarrassingly parallel.  A campaign (a ``validate`` run, a Fig. 8 sweep,
+a version comparison, a Titan node check) is one list of units, each a
+``(cell, template)`` pair whose cell names the runner — one behaviour and
+its config — that runs it.  :func:`run_units` runs the whole list, once
+per campaign, under the two policies of the first cell's
+``HarnessConfig.policy``/``workers``, the paper's "runs on random nodes /
+tracks large sweeps" scale-out shape:
 
 * ``serial`` — an in-order loop in this process (the default);
-* ``process`` — a process pool: ``(behavior, config)`` are shipped to each
-  worker once via the pool initializer, then work units carry only
-  ``(index, template, attempt)`` and ship a finished :class:`TestResult`
-  back.  Units the pools could not finish run through the serial loop.
+* ``process`` — one process pool for the campaign: every cell's
+  ``(behavior, config)`` is shipped to each worker once via the pool
+  initializer, then work units carry only ``(index, cell, template,
+  attempt)`` and ship a finished :class:`TestResult` back.  A worker's
+  runners share one compile cache, so its parse tier and execute memo
+  serve every cell.  Units the pools could not finish run through the
+  serial loop.
 
-Determinism guarantee: results are reassembled in template order, and every
+Determinism guarantee: results are reassembled in unit order, and every
 per-iteration RNG seed derives from ``HarnessConfig`` alone (``rng_seed +
 k``), never from scheduling — so serial and parallel runs of the same
 configuration render byte-identical text/CSV/HTML reports.
 
-Every run also assembles a :class:`RunMetrics` (attached to the report):
+Every cell's report also gets a :class:`RunMetrics`:
 per-phase wall time, compile-cache hit rate, per-worker busy time and
 failure-kind counters — the observability side of the scale-out work.
 
@@ -30,8 +37,8 @@ configuration, because retries replay the same config-derived seeds.
 
 Durability: :func:`run_units` reports each finished unit through its
 completion callback, invoked from the coordinating thread in completion
-order — the hook ``run_suite`` uses to append fsync'd journal records the
-moment results exist.
+order — the hook ``run_campaign`` uses to append fsync'd journal records
+the moment results exist.
 
 Cancellation: every campaign owns a :class:`CancelToken`.  Cancelling it
 makes :func:`run_units` finish the in-flight units and raise
@@ -65,10 +72,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.runner import SuiteRunReport, TestResult, ValidationRunner
     from repro.templates import TestTemplate
 
-#: ordered (TestResult, worker id) pairs, one per template
+#: one campaign work unit: (index of its cell, template)
+Unit = Tuple[int, "TestTemplate"]
+
+#: ordered (TestResult, worker id) pairs, one per unit
 EngineOutcomes = List[Tuple["TestResult", str]]
 
-#: per-unit completion callback: (index into run_units' template list,
+#: per-unit completion callback: (index into run_units' unit list,
 #: finished result) — invoked from the *coordinating* thread, in
 #: completion order, exactly once per unit.  This is the journal's hook:
 #: appends happen the moment a result exists.
@@ -94,12 +104,12 @@ class CampaignInterrupted(RuntimeError):
 class CancelToken:
     """A per-campaign cancellation handle.
 
-    ``run_suite`` (and Titan) check the token between work units:
+    ``run_campaign`` checks the token between work units:
     cancelling makes :func:`run_units` finish the in-flight units, skip the
     rest, and raise :class:`CampaignInterrupted`.  Each campaign gets its
-    own token (``run_suite(cancel=...)``, defaulting to a fresh one), so
+    own token (``run_campaign(cancel=...)``, defaulting to a fresh one), so
     cancelling one campaign never touches a concurrent neighbour and a
-    finished/cancelled campaign never poisons the next run_suite call in
+    finished/cancelled campaign never poisons the next campaign in
     the same process — the two historical bugs of the process-global
     ``_DRAIN`` event this class replaced.
 
@@ -138,11 +148,13 @@ class CancelToken:
 
 @dataclass
 class RunMetrics:
-    """Observability counters for one suite run."""
+    """Observability counters for one cell of a campaign."""
 
     policy: str
     workers: int
-    #: wall-clock time of the whole suite run
+    #: the cell's share of the campaign's wall-clock time, in proportion
+    #: to its units' busy time; the cells' shares sum to the campaign's
+    #: wall time, which a one-cell campaign (``run_suite``) reports whole
     wall_s: float = 0.0
     #: compile-phase time summed over all phases (cache lookups included)
     compile_s: float = 0.0
@@ -215,7 +227,7 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
     injectable sleeper) and, once the budget is exhausted, degraded to a
     HARNESS_ERROR-marked result.  Never raises — with one exception: when
     the campaign's :class:`CancelToken` (``runner.cancel``, set by
-    run_suite for the run's duration) is cancelled between retry
+    run_campaign for the run's duration) is cancelled between retry
     attempts, the unit gives up immediately with
     :class:`CampaignInterrupted` so a drain is not held up by a retry
     backoff ladder.
@@ -261,9 +273,10 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
 # ---------------------------------------------------------------------------
 
 
-# -- process-pool plumbing: one runner per worker process, built once -------
+# -- process-pool plumbing: one runner per cell per worker, built once ------
 
-_WORKER_RUNNER: "ValidationRunner" = None
+#: the worker's runner of each campaign cell, in cell order
+_WORKER_RUNNERS: List["ValidationRunner"] = []
 
 
 #: how often a pool worker checks that its parent is still alive
@@ -276,17 +289,19 @@ def _exit_when_orphaned(parent: int) -> None:
     os._exit(1)
 
 
-def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
+def _process_worker_init(cells: Sequence[Tuple["CompilerBehavior",
+                                               HarnessConfig]],
                          tracer_cls: Optional[type] = None) -> None:
-    """Pool initializer: build this worker's runner (own compile cache).
+    """Pool initializer: build this worker's runner of every cell.
 
-    ``tracer_cls`` is None when the parent reports no events; otherwise
-    the worker gets its own tracer of that class (a
-    :class:`repro.obs.Tracer` or a span-free
+    The runners share one compile cache, so the worker's parse tier and
+    execute memo serve the whole campaign.  ``tracer_cls`` is None when
+    the parent reports no events; otherwise the worker gets one tracer of
+    that class (a :class:`repro.obs.Tracer` or a span-free
     :class:`repro.obs.EventTracer`), drained back to the parent after
     every work unit.
     """
-    global _WORKER_RUNNER
+    global _WORKER_RUNNERS
     from repro.harness.runner import ValidationRunner
 
     # the parent coordinates graceful drains (and Ctrl-C reaches the whole
@@ -304,12 +319,16 @@ def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
     from repro.obs import NULL_TRACER
 
     tracer = tracer_cls() if tracer_cls is not None else NULL_TRACER
-    _WORKER_RUNNER = ValidationRunner(behavior, config, tracer=tracer)
+    (behavior, config), *rest = cells
+    first = ValidationRunner(behavior, config, tracer=tracer)
+    _WORKER_RUNNERS = [first] + [
+        ValidationRunner(b, c, cache=first.cache, tracer=tracer)
+        for b, c in rest]
 
 
-def _process_run_unit(payload: Tuple[int, "TestTemplate", int]):
-    index, template, attempt = payload
-    runner = _WORKER_RUNNER
+def _process_run_unit(payload: Tuple[int, int, "TestTemplate", int]):
+    index, cell, template, attempt = payload
+    runner = _WORKER_RUNNERS[cell]
     unit_key = f"{template.feature}:{template.language}"
     if runner.faults.worker_site(unit_key, attempt):
         # injected worker death: hard-exit so the parent sees exactly what
@@ -321,8 +340,8 @@ def _process_run_unit(payload: Tuple[int, "TestTemplate", int]):
     return index, result, f"pid-{os.getpid()}", trace_payload
 
 
-def _run_on_pools(templates: Sequence["TestTemplate"],
-                  runner: "ValidationRunner",
+def _run_on_pools(units: Sequence[Unit],
+                  runners: Sequence["ValidationRunner"],
                   on_complete: UnitCallback,
                   cancel: CancelToken,
                   pending: Dict[int, int],
@@ -330,32 +349,35 @@ def _run_on_pools(templates: Sequence["TestTemplate"],
                   ) -> None:
     """Run the ``pending`` units on process pools of ``config.workers``.
 
-    Work units pickle ``(index, template, attempt)`` only and ship back a
-    finished result plus (when tracing) the unit's trace payload.  A
-    broken pool is respawned and only the lost units are re-submitted,
-    with a bumped attempt number so injected transient deaths do not
-    recur.  After :data:`MAX_POOL_DEATHS` broken pools this gives up on
-    process isolation and leaves the rest in ``pending`` for the caller's
-    in-process loop: degraded throughput, never a crashed suite.
+    One pool serves every cell: its initializer ships each cell's
+    ``(behavior, config)`` once, and work units pickle ``(index, cell,
+    template, attempt)`` only and ship back a finished result plus (when
+    tracing) the unit's trace payload.  A broken pool is respawned and
+    only the lost units are re-submitted, with a bumped attempt number so
+    injected transient deaths do not recur.  After
+    :data:`MAX_POOL_DEATHS` broken pools this gives up on process
+    isolation and leaves the rest in ``pending`` for the caller's
+    in-process loop: degraded throughput, never a crashed campaign.
     """
     cancel.check()
-    tracer = runner.tracer
+    tracer = runners[0].tracer
     # each worker records into a fresh tracer of the parent's kind
-    initargs = (runner.behavior, runner.config,
+    initargs = ([(r.behavior, r.config) for r in runners],
                 type(tracer) if tracer.enabled else None)
     pool_deaths = 0
     while pending and pool_deaths <= MAX_POOL_DEATHS:
         broken = False
         with ProcessPoolExecutor(
-            max_workers=runner.config.workers,
+            max_workers=runners[0].config.workers,
             initializer=_process_worker_init,
             initargs=initargs,
         ) as pool:
             futures = {}
             try:
                 for i, attempt in sorted(pending.items()):
+                    cell, template = units[i]
                     futures[pool.submit(
-                        _process_run_unit, (i, templates[i], attempt)
+                        _process_run_unit, (i, cell, template, attempt)
                     )] = i
             except BrokenExecutor:
                 # a worker died before every unit was queued; the
@@ -373,7 +395,7 @@ def _run_on_pools(templates: Sequence["TestTemplate"],
                     except Exception as err:  # unpicklable result etc.
                         index = futures[future]
                         result, worker, trace_payload = (
-                            harness_error_result(templates[index], err),
+                            harness_error_result(units[index][1], err),
                             "pool", None,
                         )
                     done[index] = (result, worker, trace_payload)
@@ -381,7 +403,7 @@ def _run_on_pools(templates: Sequence["TestTemplate"],
                     if trace_payload is not None:
                         # the unit's events reach the subscribers (the live
                         # stream) now; the trace adopts the payload in
-                        # template order once every unit is done
+                        # unit order once every unit is done
                         tracer.relay(trace_payload)
                     # results ship back to this (parent) process as they
                     # finish; the journal append happens here, before any
@@ -404,39 +426,44 @@ def _run_on_pools(templates: Sequence["TestTemplate"],
                      pool_deaths=pool_deaths)
 
 
-def run_units(templates: Sequence["TestTemplate"],
-              runner: "ValidationRunner",
+def run_units(units: Sequence[Unit],
+              runners: Sequence["ValidationRunner"],
               on_complete: UnitCallback,
               cancel: CancelToken) -> EngineOutcomes:
-    """Run every template under ``runner.config``'s policy, in one loop.
+    """Run every unit of a campaign under its first runner's policy.
 
-    The ``process`` policy first runs the units on a pool (see
+    ``units`` are ``(cell, template)`` pairs; ``runners[cell]`` runs the
+    unit.  The first runner's config picks the policy and pool size, and
+    its tracer (which every runner shares) reports the events.  The
+    ``process`` policy first runs the units on a pool (see
     :func:`_run_on_pools`); whatever the pools leave undone, and every
-    unit of a ``serial`` run, runs in this process in template order.
+    unit of a ``serial`` run, runs in this process in unit order.
     ``on_complete(index, result)`` is called from this thread, in
     completion order, exactly once per unit.  Worker traces are adopted
-    in template order once every unit has finished, so event sequencing
-    is deterministic; run_suite re-parents the unit roots afterwards.
+    in unit order once every unit has finished, so event sequencing is
+    deterministic; run_campaign re-parents the unit roots afterwards.
     """
-    #: template index -> engine-level attempt number
-    pending: Dict[int, int] = {i: 0 for i in range(len(templates))}
-    #: template index -> (result, worker id, worker trace payload or None)
+    #: unit index -> engine-level attempt number
+    pending: Dict[int, int] = {i: 0 for i in range(len(units))}
+    #: unit index -> (result, worker id, worker trace payload or None)
     done: Dict[int, Tuple["TestResult", str, Optional[dict]]] = {}
     worker = "main"
-    if runner.config.policy == "process" and pending:
-        _run_on_pools(templates, runner, on_complete, cancel, pending, done)
+    if runners[0].config.policy == "process" and pending:
+        _run_on_pools(units, runners, on_complete, cancel, pending, done)
         worker = "fallback"
     for i, attempt in sorted(pending.items()):
         cancel.check()
-        result = run_unit_resilient(runner, templates[i],
+        cell, template = units[i]
+        result = run_unit_resilient(runners[cell], template,
                                     base_attempt=attempt)
         done[i] = (result, worker, None)
         on_complete(i, result)
+    tracer = runners[0].tracer
     outcomes: EngineOutcomes = []
-    for i in range(len(templates)):
+    for i in range(len(units)):
         result, worker, trace_payload = done[i]
         if trace_payload is not None:
-            runner.tracer.adopt(trace_payload, worker=worker)
+            tracer.adopt(trace_payload, worker=worker)
         outcomes.append((result, worker))
     return outcomes
 

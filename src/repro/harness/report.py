@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import html as _html
 import io
-from typing import List, Optional
+from typing import List
 
-from repro.harness.runner import SuiteRunReport, TestResult
+from repro.harness.runner import SuiteRunReport
 
 
 def render_text(report: SuiteRunReport) -> str:

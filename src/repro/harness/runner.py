@@ -19,6 +19,14 @@ cross program runs next; ``nf`` incorrect cross runs out of ``M`` give the
 certainty ``pc = 1 - (1 - nf/M)^M``.  A cross that unexpectedly matches the
 functional result is *inconclusive* — per the paper it is reported (so the
 test can be redesigned), not charged to the compiler.
+
+A campaign is a list of cells (:class:`Cell`), each a runner (one
+behaviour plus its config) and a prefix for its unit keys.
+:func:`run_campaign` runs all their templates as one unit list: one
+engine loop, one process pool, one journal, one live stream, one ``run``
+span, and one report per cell.  ``ValidationRunner.run_suite`` is the
+one-cell campaign; a Fig. 8 sweep, a version comparison and a Titan node
+check build their cells and make one call.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
 from repro.compiler import (
@@ -231,7 +239,7 @@ class SuiteRunReport:
     config: HarnessConfig
     results: List[TestResult] = field(default_factory=list)
     elapsed_s: float = 0.0
-    #: filled by run_suite (see repro.harness.engine.RunMetrics)
+    #: filled by run_campaign (see repro.harness.engine.RunMetrics)
     metrics: Optional["RunMetrics"] = None
 
     def for_language(self, language: str) -> List[TestResult]:
@@ -284,17 +292,17 @@ class ValidationRunner:
         )
         #: a repro.obs.Tracer: every event of the run is reported to it.
         #: Without one, a config with live-telemetry knobs gets a span-free
-        #: EventTracer for run_suite's pipeline to subscribe to (the sinks
-        #: themselves are only ever opened by run_suite, in the
+        #: EventTracer for run_campaign's pipeline to subscribe to (the
+        #: sinks themselves are only ever opened by run_campaign, in the
         #: coordinating process); otherwise NULL_TRACER records nothing
         if tracer is None:
             tracer = EventTracer() if self.config.live_enabled else NULL_TRACER
         self.tracer = tracer
-        #: the campaign's repro.harness.engine.CancelToken while run_suite
-        #: is executing (the retry layer polls it between attempts); None
-        #: otherwise.  Never auto-built here: process-pool workers rebuild
-        #: a runner from the same config and their units are cancelled
-        #: pool-wide by the coordinating parent instead
+        #: the campaign's repro.harness.engine.CancelToken while
+        #: run_campaign is executing (the retry layer polls it between
+        #: attempts); None otherwise.  Never auto-built here: process-pool
+        #: workers rebuild a runner from the same config and their units
+        #: are cancelled pool-wide by the coordinating parent instead
         self.cancel = None
         #: the retry layer's backoff sleep — injectable so tests are instant
         self.sleeper = time.sleep
@@ -355,149 +363,13 @@ class ValidationRunner:
         journal=None,
         cancel=None,
     ) -> SuiteRunReport:
-        """Run the (selected) suite; see class docstring.
+        """Run the (selected) suite: the one-cell :func:`run_campaign`.
 
-        ``journal`` is an optional :class:`repro.journal.JournalWriter`:
-        units with an intact journal record are *replayed* (never re-run),
-        and every freshly-run unit is appended — fsync'd — the moment
-        :func:`repro.harness.engine.run_units` reports its completion,
-        making the campaign resumable after a crash at any instant.
-
-        ``cancel`` is this campaign's
-        :class:`repro.harness.engine.CancelToken`; cancelling it drains
-        the run gracefully (:class:`CampaignInterrupted` after the
-        in-flight units finish).  Defaults to a fresh token, so a cancel
-        in an earlier or concurrent campaign never bleeds into this one.
-
-        Units run under the config's ``policy``/``workers``; reports stay
-        byte-identical across policies.
+        ``templates`` replaces the selection the config makes on
+        ``suite``.  Unit keys are the bare ``feature:language``.
         """
-        from repro.harness.engine import CancelToken
-
-        config = self.config
-        cancel = cancel if cancel is not None else CancelToken()
-        if templates is None:
-            templates = suite.select(
-                languages=config.languages,
-                features=config.features,
-                prefixes=config.feature_prefixes,
-            )
-        templates = list(templates)
-        if not templates:
-            raise EmptySelectionError(
-                "suite selection matched no templates "
-                f"(languages={list(config.languages)!r}, "
-                f"features={config.features!r}, "
-                f"prefixes={config.feature_prefixes!r}): a run over nothing "
-                "would report a vacuous 0.00% pass and validate nothing"
-            )
-        from repro.harness.engine import build_metrics, run_units
-
-        # a serial run has one worker whatever the config says
-        workers = config.workers if config.policy == "process" else 1
-        report = SuiteRunReport(
-            compiler_label=self.behavior.label, config=config
-        )
-        tracer = self.tracer
-
-        # -- live telemetry: build the sink pipeline the config asks for,
-        # unless the tracer already feeds one (a Titan harness owns the
-        # pipeline of its node checks).  Only here, never in __init__ —
-        # process-pool workers construct a runner from this same config,
-        # and only the coordinating process may open the sinks.
-        live = None
-        if config.live_enabled and not tracer.subscribers:
-            from repro.obs.live import LiveTelemetry
-
-            live = LiveTelemetry.from_config(config)
-
-        # -- journal replay: partition into replayed and still-pending units
-        replayed: Dict[int, TestResult] = {}
-        keys: Optional[List[str]] = None
-        if journal is not None or live is not None:
-            from repro.journal import unit_keys
-
-            keys = unit_keys(templates)
-        if journal is not None:
-            from repro.journal import decode_result, encode_result
-
-            for i, (template, key) in enumerate(zip(templates, keys)):
-                payload = journal.get(key)
-                if payload is not None:
-                    replayed[i] = decode_result(payload, template)
-
-        def finish(i: int, result: TestResult, fresh: bool) -> None:
-            # journal first: durability before observation, so a torn
-            # journal append never loses the fsync'd record
-            if fresh and journal is not None:
-                journal.append(keys[i], encode_result(result))
-            if live is not None:
-                live.unit(i, keys[i], result, replayed=not fresh)
-
-        if live is not None:
-            live.begin(
-                total_units=len(templates), replayed=len(replayed),
-                compiler=self.behavior.label,
-                policy=config.policy, workers=config.workers,
-            )
-            live.attach(tracer)
-        if replayed and tracer.enabled:
-            tracer.event("journal.replayed", units=len(replayed))
-        # replayed units count toward progress immediately, marked so
-        for i in sorted(replayed):
-            finish(i, replayed[i], fresh=False)
-        pending = [i for i in range(len(templates)) if i not in replayed]
-        # expose the cancel token to the retry layer for the duration of
-        # the run (prompt drain out of a backoff ladder)
-        previous_cancel = self.cancel
-        self.cancel = cancel
-        try:
-            with tracer.span(
-                "run", key=self.behavior.label,
-                policy=config.policy, workers=workers,
-            ) as root:
-                start = time.perf_counter()
-                outcomes = run_units(
-                    [templates[i] for i in pending], self,
-                    lambda n, result: finish(pending[n], result, fresh=True),
-                    cancel,
-                )
-                report.elapsed_s = time.perf_counter() - start
-        except BaseException:
-            # interrupted (drain, injected tear, Ctrl-C): finalize the
-            # sinks with a non-report final snapshot so the stream is
-            # readable and the .prom file reflects the last known state
-            if live is not None:
-                live.end(None)
-            raise
-        finally:
-            self.cancel = previous_cancel
-        # spans adopted from worker processes have no parent: stitch them
-        # under this run's root
-        tracer.reparent_orphans(root)
-        # merge back in template order; replayed units are attributed to
-        # the "journal" pseudo-worker in the run metrics
-        ran = iter(outcomes)
-        outcomes = [(replayed[i], "journal") if i in replayed else next(ran)
-                    for i in range(len(templates))]
-        report.results = [result for result, _ in outcomes]
-        report.metrics = build_metrics(
-            report, config.policy, workers, outcomes
-        )
-        if live is not None:
-            # the final snapshot embeds the authoritative RunMetrics block:
-            # integer tallies folded from the stream reconcile exactly, and
-            # readers take the float timings from here (float summation
-            # order varies across completion orders)
-            live.end(report)
-        if tracer.enabled:
-            metrics = report.metrics
-            root.set(templates=len(report.results),
-                     pass_rate=report.pass_rate(),
-                     wall_s=metrics.wall_s,
-                     cache_hit_rate=metrics.cache_hit_rate,
-                     worker_utilization=metrics.worker_utilization)
-        return report
+        cell = Cell(self, templates=templates)
+        return run_campaign(suite, [cell], journal=journal, cancel=cancel)[0]
 
     # -------------------------------------------------------------- internals
 
@@ -676,3 +548,203 @@ class ValidationRunner:
             queue_waits=result.queue_waits,
             queue_max_pending=result.queue_max_pending,
         )
+
+
+@dataclass
+class Cell:
+    """One (behaviour, config) of a campaign.
+
+    ``runner`` runs the cell's units; ``prefix`` starts each of their
+    journal and live keys (``<prefix><feature>:<language>``), so the
+    keys stay unique across cells.  ``templates`` replaces the selection
+    the runner's config makes on the campaign's suite.
+    """
+
+    runner: ValidationRunner
+    prefix: str = ""
+    templates: Optional[Iterable[TestTemplate]] = None
+
+
+def run_campaign(suite: SuiteRegistry, cells: List[Cell], journal=None,
+                 cancel=None, live=None) -> List[SuiteRunReport]:
+    """Run every unit of every cell through one
+    :func:`repro.harness.engine.run_units` call; one report per cell.
+
+    The cells share the first cell's tracer and compile cache (build the
+    others' runners with ``cache=`` and ``tracer=`` from the first), and
+    its config picks the policy, pool size and live-telemetry sinks.
+
+    ``journal`` is an optional :class:`repro.journal.JournalWriter`:
+    units with an intact journal record are *replayed* (never re-run),
+    and every freshly-run unit is appended — fsync'd — the moment
+    ``run_units`` reports its completion, making the campaign resumable
+    after a crash at any instant.
+
+    ``cancel`` is this campaign's
+    :class:`repro.harness.engine.CancelToken`; cancelling it drains the
+    run gracefully (:class:`CampaignInterrupted` after the in-flight
+    units finish).  Defaults to a fresh token, so a cancel in an earlier
+    or concurrent campaign never bleeds into this one.
+
+    ``live`` is a :class:`repro.obs.live.LiveTelemetry` pipeline the
+    caller owns (a Titan harness streams all its checks into one): the
+    campaign grows its unit total and publishes its units, and the caller
+    ends it.  Without one, the campaign opens the sinks its config asks
+    for and ends them itself.
+
+    Each cell's report holds its results in selection order and a
+    :class:`~repro.harness.engine.RunMetrics` over them; reports stay
+    byte-identical across policies.
+    """
+    from repro.harness.engine import CancelToken, build_metrics, run_units
+    from repro.journal import unit_keys
+
+    first = cells[0].runner
+    config, tracer = first.config, first.tracer
+    if any(c.runner.tracer is not tracer or c.runner.cache is not first.cache
+           for c in cells):
+        raise ValueError("a campaign's cells must share the first cell's "
+                         "tracer and compile cache")
+    cancel = cancel if cancel is not None else CancelToken()
+    #: (cell index, template) per unit, cell by cell
+    units: List[Tuple[int, TestTemplate]] = []
+    for n, cell in enumerate(cells):
+        cfg = cell.runner.config
+        templates = cell.templates
+        if templates is None:
+            templates = suite.select(
+                languages=cfg.languages,
+                features=cfg.features,
+                prefixes=cfg.feature_prefixes,
+            )
+        templates = list(templates)
+        if not templates:
+            raise EmptySelectionError(
+                "suite selection matched no templates "
+                f"(languages={list(cfg.languages)!r}, "
+                f"features={cfg.features!r}, "
+                f"prefixes={cfg.feature_prefixes!r}): a run over nothing "
+                "would report a vacuous 0.00% pass and validate nothing"
+            )
+        units.extend((n, template) for template in templates)
+    keys = unit_keys([template for _, template in units],
+                     [cells[n].prefix for n, _ in units])
+
+    # a serial run has one worker whatever the config says
+    workers = config.workers if config.policy == "process" else 1
+    label = ", ".join(dict.fromkeys(c.runner.behavior.label for c in cells))
+
+    # -- live telemetry: only here, never in a runner's __init__ —
+    # process-pool workers construct runners from these same configs, and
+    # only the coordinating process may open the sinks
+    owned = live is None and config.live_enabled
+    if owned:
+        from repro.obs.live import LiveTelemetry
+
+        live = LiveTelemetry.from_config(config)
+
+    # -- journal replay: partition into replayed and still-pending units
+    replayed: Dict[int, TestResult] = {}
+    if journal is not None:
+        from repro.journal import decode_result, encode_result
+
+        for i, ((_, template), key) in enumerate(zip(units, keys)):
+            payload = journal.get(key)
+            if payload is not None:
+                replayed[i] = decode_result(payload, template)
+
+    def finish(i: int, result: TestResult, fresh: bool) -> None:
+        # journal first: durability before observation, so a torn
+        # journal append never loses the fsync'd record
+        if fresh and journal is not None:
+            journal.append(keys[i], encode_result(result))
+        if live is not None:
+            live.unit(i, keys[i], result, replayed=not fresh)
+
+    if owned:
+        live.begin(
+            total_units=len(units), replayed=len(replayed),
+            compiler=label, policy=config.policy, workers=config.workers,
+        )
+        live.attach(tracer)
+    elif live is not None:
+        live.extend_total(len(units))
+    if replayed and tracer.enabled:
+        tracer.event("journal.replayed", units=len(replayed))
+    # replayed units count toward progress immediately, marked so
+    for i in sorted(replayed):
+        finish(i, replayed[i], fresh=False)
+    pending = [i for i in range(len(units)) if i not in replayed]
+    # expose the cancel token to the retry layer for the duration of the
+    # run (prompt drain out of a backoff ladder)
+    runners = [c.runner for c in cells]
+    previous = [runner.cancel for runner in runners]
+    for runner in runners:
+        runner.cancel = cancel
+    try:
+        with tracer.span("run", key=label, policy=config.policy,
+                         workers=workers) as root:
+            start = time.perf_counter()
+            outcomes = run_units(
+                [units[i] for i in pending], runners,
+                lambda n, result: finish(pending[n], result, fresh=True),
+                cancel,
+            )
+            wall_s = time.perf_counter() - start
+    except BaseException:
+        # interrupted (drain, injected tear, Ctrl-C): finalize the sinks
+        # with a non-report final snapshot so the stream is readable and
+        # the .prom file reflects the last known state
+        if owned:
+            live.end(None)
+        raise
+    finally:
+        for runner, token in reversed(list(zip(runners, previous))):
+            runner.cancel = token
+    # spans adopted from worker processes have no parent: stitch them
+    # under this run's root
+    tracer.reparent_orphans(root)
+    # merge back in unit order; replayed units are attributed to the
+    # "journal" pseudo-worker in the run metrics
+    ran = iter(outcomes)
+    outcomes = [(replayed[i], "journal") if i in replayed else next(ran)
+                for i in range(len(units))]
+    campaign = SuiteRunReport(compiler_label=label, config=config,
+                              results=[result for result, _ in outcomes],
+                              elapsed_s=wall_s)
+    campaign.metrics = build_metrics(campaign, config.policy, workers,
+                                     outcomes)
+    # each cell's wall time is its share of the campaign's, in proportion
+    # to its units' busy time
+    by_cell: List[list] = [[] for _ in cells]
+    for (n, _), outcome in zip(units, outcomes):
+        by_cell[n].append(outcome)
+    busy = [sum(result.elapsed_s for result, _ in cell_outcomes)
+            for cell_outcomes in by_cell]
+    total_busy = sum(busy)
+    reports = []
+    for cell, cell_outcomes, cell_busy in zip(cells, by_cell, busy):
+        report = SuiteRunReport(
+            compiler_label=cell.runner.behavior.label,
+            config=cell.runner.config,
+            results=[result for result, _ in cell_outcomes],
+            elapsed_s=(wall_s * (cell_busy / total_busy) if total_busy > 0
+                       else wall_s / len(cells)),
+        )
+        report.metrics = build_metrics(report, config.policy, workers,
+                                       cell_outcomes)
+        reports.append(report)
+    if owned:
+        # the final snapshot embeds the authoritative RunMetrics block:
+        # integer tallies folded from the stream reconcile exactly, and
+        # readers take the float timings from here (float summation order
+        # varies across completion orders)
+        live.end(campaign)
+    if tracer.enabled:
+        metrics = campaign.metrics
+        root.set(templates=len(campaign.results),
+                 pass_rate=campaign.pass_rate(),
+                 wall_s=metrics.wall_s,
+                 cache_hit_rate=metrics.cache_hit_rate,
+                 worker_utilization=metrics.worker_utilization)
+    return reports

@@ -26,7 +26,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.compiler import CompileCache, CompilerBehavior
 from repro.harness.config import HarnessConfig
 from repro.harness.engine import CancelToken
-from repro.harness.runner import FailureKind, SuiteRunReport, ValidationRunner
+from repro.harness.runner import (
+    Cell,
+    FailureKind,
+    SuiteRunReport,
+    ValidationRunner,
+    run_campaign,
+)
 from repro.obs import NULL_TRACER, EventTracer
 from repro.spec.devices import ACC_DEVICE_NVIDIA, ACC_DEVICE_OPENCL
 from repro.suite.registry import SuiteRegistry
@@ -202,11 +208,10 @@ class TitanHarness:
         if tracer is None:
             tracer = EventTracer() if self.config.live_enabled else NULL_TRACER
         self.tracer = tracer
-        #: a repro.obs.live.LiveTelemetry pipeline publishing one unit per
-        #: node/stack check, subscribed to the tracer, so the inner
-        #: per-check runs stream their engine events into it and do not
-        #: open sinks of their own.  Sweeps grow its unit total as they
-        #: draw their samples; triage re-checks and probes as they happen
+        #: a repro.obs.live.LiveTelemetry pipeline subscribed to the
+        #: tracer and handed to every check's campaign, which grows its
+        #: unit total and publishes one unit per template; node facts
+        #: travel on the titan.* events
         self.live = None
         if self.config.live_enabled:
             from repro.obs.live import LiveTelemetry
@@ -219,21 +224,21 @@ class TitanHarness:
         self.recheck = max(0, recheck)
         #: node id -> QuarantineRecord for persistently flagged nodes
         self.quarantined: Dict[int, QuarantineRecord] = {}
-        #: optional repro.journal.JournalWriter — every node/stack check
-        #: (sweep, triage re-check, recovery probe) becomes one durable
-        #: work unit, so a killed campaign resumes without re-validating
-        #: nodes it already checked
+        #: optional repro.journal.JournalWriter — every template of every
+        #: node/stack check (sweep, triage re-check, recovery probe) is one
+        #: durable work unit keyed ``<check unit>/<feature>:<language>``,
+        #: so a killed campaign resumes without re-running a template it
+        #: already ran, even part-way through a check
         self.journal = journal
         #: this campaign's CancelToken: cancelling it drains the sweep /
         #: timeline gracefully between node checks (CampaignInterrupted),
-        #: exactly like run_suite's per-campaign token
+        #: and it drains each check's campaign between templates
         self.cancel = cancel if cancel is not None else CancelToken()
         #: one compile cache for every check of this harness, triage
         #: re-checks and recovery probes included: each source is parsed
         #: once, and a run another stack would repeat is served by the
         #: execute memo
         self.cache = CompileCache() if self.config.compile_cache else None
-        self._template_map: Optional[Dict[str, object]] = None
 
     def _recheck_config(self, offset: int) -> HarnessConfig:
         """The config for a re-check / recovery probe.
@@ -251,13 +256,6 @@ class TitanHarness:
                                attempt_offset=plan.attempt_offset + offset),
         )
 
-    def _templates_by_key(self) -> Dict[str, object]:
-        if self._template_map is None:
-            from repro.journal import template_map
-
-            self._template_map = template_map(self.suite, self.config)
-        return self._template_map
-
     def finish(self) -> None:
         """Finalize the live-telemetry pipeline (unsubscribe, final
         snapshot, sink close).  Idempotent; a no-op when no live sinks are
@@ -268,44 +266,31 @@ class TitanHarness:
     def check_node(self, node: Node, stack: str,
                    config: Optional[HarnessConfig] = None,
                    unit: Optional[str] = None) -> StackCheck:
-        """Validate one stack on one node (one durable work unit).
+        """Validate one stack on one node: a one-cell campaign.
 
-        ``unit`` is the journal key for this check; sweeps, triage
-        re-checks and recovery probes label their checks distinctly so a
-        resumed campaign replays exactly the checks the interrupted one
-        completed.
+        ``unit`` names this check; sweeps, triage re-checks and recovery
+        probes label their checks distinctly.  It prefixes the keys of the
+        check's template units in the harness's journal and live stream,
+        so a resumed campaign replays exactly the templates the
+        interrupted one completed and runs the rest.
         """
         unit = unit or f"sweep:node{node.node_id}:{stack}"
-        if self.journal is not None:
-            payload = self.journal.get(unit)
-            if payload is not None:
-                from repro.journal import decode_check
-
-                if self.tracer.enabled:
-                    self.tracer.event("journal.replayed", units=1, unit=unit)
-                check = decode_check(payload, self._templates_by_key(),
-                                     config or self.config)
-                if self.live is not None:
-                    # replayed checks count toward progress, marked so
-                    self.live.check(unit, check, replayed=True)
-                return check
         runner = ValidationRunner(node.stacks[stack],
                                   config or self.config,
                                   cache=self.cache, tracer=self.tracer)
-        report = runner.run_suite(self.suite, cancel=self.cancel)
+        [report] = run_campaign(self.suite, [Cell(runner, prefix=f"{unit}/")],
+                                journal=self.journal, cancel=self.cancel,
+                                live=self.live)
         check = StackCheck(
             node_id=node.node_id, stack=stack, healthy=node.healthy,
             report=report,
         )
-        if self.journal is not None:
-            from repro.journal import encode_check
-
-            self.journal.append(unit, encode_check(check))
-        if self.live is not None:
-            self.live.check(unit, check)
         if self.tracer.enabled:
-            self.tracer.event("titan.checked", node=node.node_id, stack=stack,
-                              flagged=check.flagged)
+            self.tracer.event("titan.checked", unit=unit, node=node.node_id,
+                              stack=stack, healthy=node.healthy,
+                              flagged=check.flagged,
+                              pass_rate=check.pass_rate,
+                              harness_errors=check.harness_errors)
             if check.flagged:
                 self.tracer.event(
                     "titan.node_flagged", node=node.node_id, stack=stack,
@@ -325,9 +310,6 @@ class TitanHarness:
         eligible = [n for n in self.cluster.nodes
                     if n.node_id not in self.quarantined]
         sample = rng.sample(eligible, min(sample_size, len(eligible)))
-        if self.live is not None:
-            # a sweep's unit total is known the moment the sample is drawn
-            self.live.extend_total(len(sample) * len(stacks))
         checks: List[StackCheck] = []
         with self.tracer.span(
                 "titan.sweep", key=f"seed={seed}",
@@ -380,8 +362,6 @@ class TitanHarness:
                 if self.tracer.enabled:
                     self.tracer.event("titan.recheck", node=check.node_id,
                                       stack=check.stack, round=r + 1)
-                if self.live is not None:
-                    self.live.extend_total(1)
                 again = self.check_node(
                     node, check.stack,
                     config=self._recheck_config(r + 1),
@@ -416,8 +396,6 @@ class TitanHarness:
         for node_id, record in sorted(self.quarantined.items()):
             self.cancel.check()
             record.probes += 1
-            if self.live is not None:
-                self.live.extend_total(1)
             check = self.check_node(
                 nodes_by_id[node_id], record.stack,
                 config=self._recheck_config(self.recheck + 1 + epoch),

@@ -12,7 +12,7 @@ bug hooks and the spec-conformance checks consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.ir.astnodes import Expr, Node
 

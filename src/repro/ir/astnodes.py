@@ -10,7 +10,7 @@ they need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.types import Type
 

@@ -15,8 +15,9 @@ including mid-journal-write — and resumed to a byte-identical report.
   verdicts on one :class:`JournalScan`: :func:`read_journal` refuses what
   resume cannot trust, and :mod:`~repro.journal.fsck` renders the same
   status as clean, salvageable or corrupt;
-* :mod:`~repro.journal.codec` — campaign keys and the payload round-trip
-  for :class:`~repro.harness.runner.TestResult` / Titan stack checks.
+* :mod:`~repro.journal.codec` — campaign keys, unit keys and the payload
+  round-trip for :class:`~repro.harness.runner.TestResult`, the one unit
+  kind (a Titan check journals its templates).
 
 CLI surface: ``repro validate --journal FILE`` / ``--resume FILE`` (same
 for ``repro titan``), ``repro journal inspect FILE`` and ``repro journal
@@ -38,11 +39,8 @@ from repro.journal.fsck import render_fsck
 from repro.journal.codec import (
     canonicalize,
     config_fingerprint,
-    decode_check,
     decode_result,
-    encode_check,
     encode_result,
-    template_map,
     titan_campaign_key,
     unit_keys,
     validate_campaign_key,
@@ -54,7 +52,7 @@ __all__ = [
     "JournalScan", "JournalWriter", "fsck_journal", "read_journal",
     "record_line", "render_fsck",
     "canonicalize", "config_fingerprint",
-    "decode_check", "decode_result", "encode_check", "encode_result",
-    "template_map", "titan_campaign_key", "unit_keys",
+    "decode_result", "encode_result",
+    "titan_campaign_key", "unit_keys",
     "validate_campaign_key",
 ]

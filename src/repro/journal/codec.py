@@ -1,9 +1,10 @@
 """Journal payload codec and campaign keys.
 
 ``encode_result``/``decode_result`` round-trip a
-:class:`~repro.harness.runner.TestResult` through plain JSON so a resumed
-campaign can rebuild *exactly* the result objects an uninterrupted run
-would hold — every field a renderer reads (verdicts, iteration outcomes,
+:class:`~repro.harness.runner.TestResult` — the one kind of journaled
+unit, for ``validate`` and ``titan`` alike — through plain JSON so a
+resumed campaign can rebuild *exactly* the result objects an
+uninterrupted run would hold — every field a renderer reads (verdicts, iteration outcomes,
 failure details, generated sources) survives, which is what makes the
 resumed report byte-identical.
 
@@ -28,10 +29,9 @@ from repro.harness.runner import (
     FailureKind,
     IterationOutcome,
     PhaseResult,
-    SuiteRunReport,
     TestResult,
 )
-from repro.journal.wal import JOURNAL_FORMAT, JournalMismatchError
+from repro.journal.wal import JOURNAL_FORMAT
 
 #: config fields that can never change results (engine determinism
 #: guarantee; the live-telemetry knobs only *observe* a run) and therefore
@@ -81,11 +81,19 @@ def validate_campaign_key(suite: str, behavior, config: HarnessConfig) -> dict:
 
 def titan_campaign_key(config: HarnessConfig, *, nodes: int, degraded: float,
                        seed: int, sample: int, recheck: int) -> dict:
-    """Campaign key for a ``repro titan`` sweep."""
+    """Campaign key for a ``repro titan`` sweep.
+
+    ``"units": "template"`` marks a journal whose units are the templates
+    of each node/stack check (``<check unit>/<feature>:<language>``).
+    Journals written when a whole check was one unit lack it, so resuming
+    one is refused as a different campaign instead of re-running every
+    check next to the old records.
+    """
     return {
         "format": JOURNAL_FORMAT,
         "command": "titan",
         "code_version": repro.__version__,
+        "units": "template",
         "nodes": nodes,
         "degraded": degraded,
         "seed": seed,
@@ -95,17 +103,22 @@ def titan_campaign_key(config: HarnessConfig, *, nodes: int, degraded: float,
     }
 
 
-def unit_keys(templates: Sequence) -> List[str]:
+def unit_keys(templates: Sequence,
+              prefixes: Optional[Sequence[str]] = None) -> List[str]:
     """Stable, unique journal keys for a template list, in order.
 
-    ``feature:language`` is unique in practice; a duplicate (two templates
-    for the same pair) gets a deterministic ``~n`` suffix in selection
-    order, mirroring the tracer's span-ID rule.
+    A key is ``<prefix><feature>:<language>``; ``prefixes`` (one per
+    template, default none) names each unit's campaign cell.  Keys are
+    unique in practice; a duplicate (two templates for the same pair in
+    one cell) gets a deterministic ``~n`` suffix in selection order,
+    mirroring the tracer's span-ID rule.
     """
+    if prefixes is None:
+        prefixes = [""] * len(templates)
     seen: Dict[str, int] = {}
     keys: List[str] = []
-    for template in templates:
-        base = f"{template.feature}:{template.language}"
+    for template, prefix in zip(templates, prefixes):
+        base = f"{prefix}{template.feature}:{template.language}"
         n = seen.get(base, 0)
         seen[base] = n + 1
         keys.append(base if n == 0 else f"{base}~{n + 1}")
@@ -204,67 +217,3 @@ def decode_result(payload: dict, template) -> TestResult:
         cross=_decode_phase(cross) if cross is not None else None,
         elapsed_s=float(payload.get("elapsed_s", 0.0)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Titan StackCheck round-trip
-# ---------------------------------------------------------------------------
-
-
-def encode_check(check) -> dict:
-    """One Titan node/stack check (its whole mini suite run) as a payload."""
-    report = check.report
-    return {
-        "node": check.node_id,
-        "stack": check.stack,
-        "healthy": check.healthy,
-        "compiler_label": report.compiler_label,
-        "elapsed_s": report.elapsed_s,
-        "results": [
-            {"unit": key, "result": encode_result(result)}
-            for key, result in zip(
-                unit_keys([r.template for r in report.results]),
-                report.results,
-            )
-        ],
-    }
-
-
-def decode_check(payload: dict, templates_by_key: Dict[str, object],
-                 config: HarnessConfig):
-    """Rebuild a Titan :class:`~repro.harness.titan.StackCheck`."""
-    from repro.harness.titan import StackCheck
-
-    results: List[TestResult] = []
-    for entry in payload.get("results", []):
-        template = templates_by_key.get(entry.get("unit"))
-        if template is None:
-            raise JournalMismatchError(
-                f"journal references template {entry.get('unit')!r} that the "
-                "current suite selection does not contain — the suite or "
-                "code version changed under the journal"
-            )
-        results.append(decode_result(entry.get("result") or {}, template))
-    report = SuiteRunReport(
-        compiler_label=payload.get("compiler_label", "?"),
-        config=config,
-        results=results,
-        elapsed_s=float(payload.get("elapsed_s", 0.0)),
-    )
-    return StackCheck(
-        node_id=int(payload.get("node", -1)),
-        stack=str(payload.get("stack", "?")),
-        healthy=bool(payload.get("healthy", True)),
-        report=report,
-    )
-
-
-def template_map(suite, config: HarnessConfig) -> Dict[str, object]:
-    """Key -> template for the selection a config makes on a suite (the
-    lookup side of :func:`decode_check`)."""
-    templates = list(suite.select(
-        languages=config.languages,
-        features=config.features,
-        prefixes=config.feature_prefixes,
-    ))
-    return dict(zip(unit_keys(templates), templates))

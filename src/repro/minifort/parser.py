@@ -16,7 +16,7 @@ Produces the shared AST of :mod:`repro.ir.astnodes`.  Notable conventions:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.frontend.directives import DirectiveParser
 from repro.frontend.errors import ParseError

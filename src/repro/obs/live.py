@@ -14,8 +14,9 @@ campaign needs observability *during* the run.  This module is that layer:
   pipeline lock, so sinks need no locking of their own and record order is
   total.  It is built from :class:`~repro.harness.config.HarnessConfig`
   knobs (``live_stream``/``status``/``prom``) by
-  :meth:`~repro.harness.runner.ValidationRunner.run_suite` or
-  :class:`~repro.harness.titan.TitanHarness`.
+  :func:`~repro.harness.runner.run_campaign`, or by
+  :class:`~repro.harness.titan.TitanHarness`, which hands one pipeline to
+  the campaign of each of its node checks.
 * :class:`ProgressTally` — the pure fold from stream events to campaign
   totals, shared by the live reporter and ``repro obs tail --summarize``
   so the stream and the final report reconcile by construction.
@@ -67,8 +68,7 @@ def phase_counts(phases: Iterable[Optional["PhaseResult"]]) -> dict:
 
     The one phase-accounting rule: a phase that never reached the
     compiler (harness or static error) counts nothing.  Each
-    ``unit.finished`` event carries these counts for its unit, a Titan
-    check sums them over its results, and
+    ``unit.finished`` event carries these counts for its unit and
     :func:`repro.harness.engine.build_metrics` sums them over the run, so
     a tally folded from the stream reconciles with the report's
     :class:`~repro.harness.engine.RunMetrics` without slack.
@@ -736,7 +736,8 @@ class LiveTelemetry:
         tracer.subscribe(self.publish)
 
     def extend_total(self, units: int) -> None:
-        """Grow the campaign's unit total (Titan rechecks/probes)."""
+        """Grow the unit total by a campaign run on a pipeline its caller
+        owns (each Titan node check)."""
         self.publish("campaign.extend", {"units": units})
 
     # ------------------------------------------------------------ publishing
@@ -768,21 +769,6 @@ class LiveTelemetry:
              replayed: bool = False) -> None:
         """Publish one finished unit and emit a snapshot when due."""
         self._finished(unit_fields(index, unit, result, replayed=replayed))
-
-    def check(self, unit: str, check, *, replayed: bool = False) -> None:
-        """Publish one finished Titan node/stack check as a unit."""
-        report = check.report
-        self._finished(dict(
-            unit=unit, index=self.tally.units_done,
-            replayed=replayed,
-            passed=not check.flagged, failure_kind=None,
-            elapsed_s=report.elapsed_s,
-            **phase_counts(phase for r in report.results
-                           for phase in (r.functional, r.cross)),
-            node=check.node_id, stack=check.stack, healthy=check.healthy,
-            pass_rate=check.pass_rate,
-            harness_error_units=check.harness_errors,
-        ))
 
     def emit_snapshot(self, final: bool = False,
                       metrics: Optional[dict] = None) -> dict:

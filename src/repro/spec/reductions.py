@@ -11,7 +11,7 @@ the suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 
 @dataclass(frozen=True)

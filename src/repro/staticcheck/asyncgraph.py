@@ -30,10 +30,9 @@ speculative race report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from repro.ir.acc import Directive
 from repro.ir.astnodes import (
     Expr,
     Function,

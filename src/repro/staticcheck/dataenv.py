@@ -58,13 +58,11 @@ from repro.ir.astnodes import (
     If,
     Index,
     IntLit,
-    Node,
     Program,
     Return,
     SourceLocation,
     Stmt,
     Unary,
-    VarDecl,
     While,
 )
 from repro.staticcheck.diagnostics import Diagnostic, Severity, sort_diagnostics

@@ -31,7 +31,6 @@ from repro.ir.astnodes import (
     AccStandalone,
     Block,
     For,
-    Function,
     If,
     Node,
     Program,

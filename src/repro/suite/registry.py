@@ -9,10 +9,9 @@ for only one OpenACC feature".
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.spec.features import OPENACC_ALL, OPENACC_10
+from repro.spec.features import OPENACC_ALL
 from repro.templates import TestTemplate, parse_template
 
 

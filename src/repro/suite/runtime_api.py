@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.suite.builders import check, cross, swap, template_text
+from repro.suite.builders import check, cross, template_text
 
 
 def templates() -> List[str]:

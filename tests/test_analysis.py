@@ -1,5 +1,7 @@
 """Tests for the analysis layer (pass-rate sweeps, bug counting)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
@@ -9,7 +11,8 @@ from repro.analysis import (
     vendor_pass_rates,
 )
 from repro.compiler.vendors import vendor_version
-from repro.harness import HarnessConfig
+from repro.harness import HarnessConfig, render_csv
+from repro.obs.live import read_live
 
 
 class TestTable1:
@@ -76,3 +79,67 @@ class TestPassRateSweeps:
                                    "fortran", suite10, config)
         assert point.language == "fortran"
         assert point.tests == len(suite10.for_language("fortran"))
+
+
+def _sweep_csvs(points) -> list:
+    return [render_csv(p.report) for series in points.values() for p in series]
+
+
+class TestSweepCampaign:
+    """A Fig. 8 sweep is one campaign: one unit list, one pool, one
+    stream."""
+
+    _CONFIG = HarnessConfig(iterations=1, run_cross=False,
+                            feature_prefixes=["parallel"])
+
+    def test_live_stream_holds_every_cell(self, suite10, tmp_path):
+        stream = tmp_path / "sweep.ndjson"
+        points = vendor_pass_rates(
+            "caps", suite10, replace(self._CONFIG, live_stream=str(stream)))
+        ran = sum(p.tests for series in points.values() for p in series)
+        parsed = read_live(str(stream))
+        keys = [r["fields"]["unit"]
+                for r in parsed.events("unit.finished")]
+        assert parsed.tally().units_done == ran == len(keys)
+        assert parsed.final_snapshot["units_done"] == ran
+        assert len(set(keys)) == len(keys)
+        # the cells' integer counters sum to the campaign's
+        campaign = parsed.final_snapshot["run_metrics"]
+        cells = [p.report.metrics for series in points.values()
+                 for p in series]
+        for name in ("templates", "iterations_run", "programs_executed",
+                     "memo_hits", "cache_hits", "cache_misses"):
+            assert sum(getattr(m, name) for m in cells) == campaign[name]
+
+    def test_pooled_sweep_opens_one_pool(self, suite10, monkeypatch):
+        from repro.harness import engine
+
+        pools = []
+
+        class Counting(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", Counting)
+        serial = vendor_pass_rates("caps", suite10, self._CONFIG)
+        pooled = vendor_pass_rates(
+            "caps", suite10,
+            replace(self._CONFIG, policy="process", workers=2))
+        assert len(pools) == 1
+        assert _sweep_csvs(pooled) == _sweep_csvs(serial)
+        # each worker keeps one cache for the whole sweep, so its execute
+        # memo serves a run another version already made
+        assert sum(p.report.metrics.memo_hits
+                   for series in pooled.values() for p in series) > 0
+
+    def test_cell_reports_split_the_campaign(self, suite10):
+        points = vendor_pass_rates("caps", suite10, self._CONFIG)
+        cells = [p for series in points.values() for p in series]
+        for p in cells:
+            assert p.report.config.languages == (p.language,)
+            assert [r.template for r in p.report.results] == \
+                suite10.select(languages=(p.language,),
+                               prefixes=["parallel"])
+            assert p.report.metrics.templates == p.tests
+            assert p.report.elapsed_s == p.report.metrics.wall_s >= 0.0

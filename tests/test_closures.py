@@ -26,7 +26,6 @@ from repro.compiler import (
     ExecutionLimits,
     Interpreter,
     InterpreterReuseError,
-    lower_program,
 )
 from repro.compiler.behavior import REFERENCE_BEHAVIOR, BehaviorTrace
 from repro.compiler.exec_model import AccExecutor
@@ -35,7 +34,6 @@ from repro.harness import HarnessConfig, ValidationRunner, render_csv, render_te
 from repro.harness.titan import default_degradation, default_stacks
 from repro.ir.astnodes import IntLit
 from repro.spec.versions import ACC_20
-from repro.suite import openacc10_suite
 from repro.templates import generate_cross, generate_functional
 from tests.treewalk import TreeInterpreter, oracle
 

@@ -10,7 +10,7 @@ and degenerate clause values.
 import pytest
 
 from repro.accsim.errors import AccRuntimeError, PresentError
-from repro.compiler import Compiler, CompilerBehavior
+from repro.compiler import Compiler
 
 
 CC = Compiler()

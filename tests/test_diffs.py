@@ -1,6 +1,5 @@
 """Tests for differential version comparison (the vendor feedback loop)."""
 
-import pytest
 
 from repro.analysis import compare_versions
 from repro.harness import HarnessConfig
@@ -60,19 +59,21 @@ class TestCompareVersions:
         assert diff.language == "fortran"
 
     def test_both_versions_share_one_cache(self, suite10, monkeypatch):
-        import repro.analysis.diffs as diffs
+        import repro.harness.engine as engine
 
-        runners = []
+        calls = []
+        real_run_units = engine.run_units
 
-        class Recording(diffs.ValidationRunner):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                runners.append(self)
+        def recording(units, runners, *args):
+            calls.append(runners)
+            return real_run_units(units, runners, *args)
 
-        monkeypatch.setattr(diffs, "ValidationRunner", Recording)
+        monkeypatch.setattr(engine, "run_units", recording)
         config = HarnessConfig(iterations=1, run_cross=False,
                                features=["parallel", "kernels", "loop"])
         compare_versions("caps", "3.3.3", "3.3.4", "c", suite10, config)
+        # one campaign: one unit loop over both versions' cells
+        [runners] = calls
         assert len(runners) == 2
         assert runners[0].cache is not None
         assert runners[0].cache is runners[1].cache

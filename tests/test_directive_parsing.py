@@ -4,7 +4,7 @@ surface syntaxes."""
 import pytest
 
 from repro.frontend.errors import ParseError
-from repro.ir import Binary, IntLit, walk
+from repro.ir import Binary
 from repro.ir.acc import normalize_clause_name
 
 

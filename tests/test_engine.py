@@ -13,7 +13,6 @@ from dataclasses import replace
 import pytest
 
 from repro.compiler import CompileCache, Compiler, CompilerBehavior
-from repro.compiler.vendors import vendor_version
 from repro.harness import (
     EXECUTION_POLICIES,
     EmptySelectionError,

@@ -574,15 +574,74 @@ class TestCliResume:
                                  "--live-stream", str(stream)]) == 0
         out = capsys.readouterr().out
         assert out == reference + f"wrote {trace}\n"
-        # 6 sweep checks and 2 triage re-checks, every one decoded from
-        # the journal and none re-run
-        events = read_trace(str(trace)).events
-        replayed = [e for e in events if e.name == "journal.replayed"]
-        assert sum(e.fields["units"] for e in replayed) == 8
-        assert not [e for e in events if e.name == "titan.checked"]
+        # 6 sweep checks and 2 triage re-checks; every template of every
+        # check decoded from the journal and none re-run
+        recorded = read_trace(str(trace))
+        checks = [e for e in recorded.events if e.name == "titan.checked"]
+        assert len(checks) == 8
+        units = 8 * len(_titan_selection())
+        replayed = [e for e in recorded.events
+                    if e.name == "journal.replayed"]
+        assert sum(e.fields["units"] for e in replayed) == units
+        assert not recorded.spans_named("template")
         finished = read_live(str(stream)).events("unit.finished")
-        assert len(finished) == 8
+        assert len(finished) == units
         assert all(r["fields"]["replayed"] is True for r in finished)
+
+    def test_titan_resume_mid_check_runs_only_the_rest(self, tmp_path,
+                                                       capsys):
+        from repro.obs import read_trace
+
+        base_args = ["titan", "--nodes", "6", "--sample", "3"]
+        journal = tmp_path / "tj.jsonl"
+        assert main(base_args + ["--journal", str(journal)]) == 0
+        reference = capsys.readouterr().out
+        per_check = len(_titan_selection())
+        # keep the header, the first check and 10 templates of the
+        # second, then a torn half record: killed part-way through a check
+        lines = journal.read_bytes().splitlines(keepends=True)
+        kept = 1 + per_check + 10
+        torn = lines[kept][: len(lines[kept]) // 2]
+        journal.write_bytes(b"".join(lines[:kept]) + torn)
+        total = len(lines) - 1
+
+        trace = tmp_path / "t.jsonl"
+        assert main(base_args + ["--resume", str(journal),
+                                 "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == reference + f"wrote {trace}\n"
+        recorded = read_trace(str(trace))
+        replayed = [e.fields["units"] for e in recorded.events
+                    if e.name == "journal.replayed"]
+        assert replayed == [per_check, 10]
+        assert len(recorded.spans_named("template")) == total - kept + 1
+        assert fsck_journal(str(journal)).clean
+
+    def test_titan_resume_refuses_check_level_journal(self, tmp_path,
+                                                      capsys):
+        # a journal written when a whole node/stack check was one unit:
+        # its key lacks "units", and resuming it must not silently re-run
+        # every check next to the old records
+        base_args = ["titan", "--nodes", "6", "--sample", "3"]
+        journal = tmp_path / "tj.jsonl"
+        assert main(base_args + ["--journal", str(journal)]) == 0
+        capsys.readouterr()
+        campaign = read_journal(str(journal)).campaign
+        del campaign["units"]
+        journal.write_bytes(
+            record_line({"type": "header", "format": JOURNAL_FORMAT,
+                         "campaign": campaign})
+            + record_line({"type": "unit", "unit": "sweep:node0:openacc-cuda",
+                           "payload": {"node": 0, "results": []}}))
+        before = journal.read_bytes()
+        assert main(base_args + ["--resume", str(journal)]) == 1
+        assert "journal error" in capsys.readouterr().err
+        assert journal.read_bytes() == before
+
+
+def _titan_selection():
+    """The templates of one ``repro titan`` node check."""
+    return openacc10_suite().select(languages=("c",),
+                                    prefixes=["parallel", "update"])
 
 
 # ---------------------------------------------------------------------------

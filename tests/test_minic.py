@@ -16,12 +16,8 @@ from repro.ir import (
     Conditional,
     DeclStmt,
     For,
-    Ident,
     If,
     Index,
-    IntLit,
-    FloatLit,
-    Return,
     Unary,
     While,
     walk,

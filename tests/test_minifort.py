@@ -13,10 +13,8 @@ from repro.ir import (
     Call,
     DeclStmt,
     For,
-    Ident,
     If,
     Index,
-    IntLit,
     Return,
     Unary,
     While,

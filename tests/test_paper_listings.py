@@ -4,7 +4,6 @@ Each test reproduces one figure's program and checks the outcome the paper
 describes.  These are the ground-truth anchors of the reproduction.
 """
 
-import pytest
 
 from repro.compiler import Compiler
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import Compiler
-from repro.spec.reductions import reduction_combine, reduction_identity
+from repro.spec.reductions import reduction_combine
 
 CC = Compiler()
 _SETTINGS = dict(max_examples=25, deadline=None)

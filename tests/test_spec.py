@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.spec import (
     ACC_10,
     ACC_20,
-    DeviceType,
     Feature,
     FeatureKind,
     FeatureRegistry,

@@ -13,10 +13,7 @@ from repro.staticcheck import (
     ALLOWED_CLAUSES,
     CODE_CATALOG,
     Diagnostic,
-    Severity,
     check_directive,
-    check_program_dependence,
-    check_program_legality,
     legal_clauses,
     lint_source,
     lint_suite,

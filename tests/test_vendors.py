@@ -8,7 +8,6 @@ from repro.compiler import Compiler, CompileError
 from repro.compiler.behavior import REFERENCE_BEHAVIOR
 from repro.compiler.vendors import (
     BugRecord,
-    VendorVersion,
     compose_behavior,
     vendor_version,
     vendor_versions,
