@@ -25,8 +25,8 @@ def test_bench_fig13_node_sweep(benchmark, suite10):
     cluster = TitanCluster(num_nodes=16, degraded_fraction=0.25, seed=42)
     harness = TitanHarness(
         cluster, suite10,
-        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",)),
-        feature_prefixes=["parallel", "update"],
+        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",),
+                             feature_prefixes=["parallel", "update"]),
     )
 
     def sweep():
@@ -55,8 +55,8 @@ def test_bench_fig13_timeline(benchmark, suite10):
     cluster = TitanCluster(num_nodes=8, degraded_fraction=0.0, seed=11)
     harness = TitanHarness(
         cluster, suite10,
-        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",)),
-        feature_prefixes=["update", "wait"],
+        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",),
+                             feature_prefixes=["update", "wait"]),
     )
     regressed = CompilerBehavior(name="titan-cc", version="cuda-2",
                                  ignore_update=True)

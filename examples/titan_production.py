@@ -36,8 +36,8 @@ def main() -> None:
     harness = TitanHarness(
         cluster,
         openacc10_suite(),
-        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",)),
-        feature_prefixes=["parallel", "update", "wait"],
+        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",),
+                             feature_prefixes=["parallel", "update", "wait"]),
     )
 
     degraded = sorted(n.node_id for n in cluster.nodes if not n.healthy)

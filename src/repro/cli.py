@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.analysis import table1_counts, vendor_pass_rates
@@ -183,13 +184,42 @@ def _restore_handlers(displaced: list) -> None:
             pass
 
 
-def _resumable_notice(journal, command: str) -> int:
-    """Close the journal and tell the user how to pick the campaign up."""
-    journal.close()
-    done = len(journal.records)
-    print(f"interrupted: {done} unit(s) journaled; resume with "
-          f"`repro {command} --resume {journal.path}`", file=sys.stderr)
-    return 3
+def _run_journaled(args, command: str, campaign, faults, tracer,
+                   run) -> int:
+    """Run one campaign command under ``--journal``/``--resume``.
+
+    ``run(journal, cancel)`` runs the campaign and prints its results; its
+    return value is the exit code.  Without a journal flag both arguments
+    are None.  With one, ``campaign()`` builds the journal's campaign key,
+    a :class:`~repro.journal.JournalError` prints ``journal error: ...``
+    and exits 1 before ``run`` starts, and SIGINT/SIGTERM drain the
+    campaign: an interrupted or torn campaign prints the resume hint and
+    exits 3.  The handlers are restored and the journal closed on every
+    path.
+    """
+    journal = cancel = None
+    displaced: list = []
+    if args.journal or args.resume:
+        from repro.journal import JournalError
+
+        try:
+            journal = _open_journal(args, campaign(), faults, tracer)
+        except JournalError as err:
+            print(f"journal error: {err}", file=sys.stderr)
+            return 1
+        cancel, displaced = _install_drain_handlers()
+    try:
+        return run(journal, cancel)
+    except (CampaignInterrupted, InjectedJournalTear):
+        journal.close()
+        print(f"interrupted: {len(journal.records)} unit(s) journaled; "
+              f"resume with `repro {command} --resume {journal.path}`",
+              file=sys.stderr)
+        return 3
+    finally:
+        _restore_handlers(displaced)
+        if journal is not None:
+            journal.close()
 
 
 def _behavior(args) -> CompilerBehavior:
@@ -399,31 +429,30 @@ def cmd_validate(args) -> int:
     behavior = _behavior(args)
     config = _config(args)
     runner = ValidationRunner(behavior, config, tracer=tracer)
-    journal = cancel = None
-    displaced: list = []
-    if args.journal or args.resume:
-        from repro.journal import JournalError, validate_campaign_key
 
-        campaign = validate_campaign_key(args.suite, behavior, config)
+    def campaign() -> dict:
+        from repro.journal import validate_campaign_key
+
+        return validate_campaign_key(args.suite, behavior, config)
+
+    def run(journal, cancel) -> int:
         try:
-            journal = _open_journal(args, campaign, runner.faults, tracer)
-        except JournalError as err:
-            print(f"journal error: {err}", file=sys.stderr)
+            report = runner.run_suite(suite, journal=journal, cancel=cancel)
+        except EmptySelectionError as err:
+            # an empty selection used to produce an empty report and exit
+            # 0 — a vacuous pass that silently blessed typo'd --features
+            # filters
+            print(f"error: {err}", file=sys.stderr)
             return 1
-        cancel, displaced = _install_drain_handlers()
-    try:
-        report = runner.run_suite(suite, journal=journal, cancel=cancel)
-    except EmptySelectionError as err:
-        # an empty selection used to produce an empty report and exit 0 —
-        # a vacuous pass that silently blessed typo'd --features filters
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (CampaignInterrupted, InjectedJournalTear):
-        return _resumable_notice(journal, "validate")
-    finally:
-        _restore_handlers(displaced)
-        if journal is not None:
-            journal.close()
+        _print_report(args, report, tracer)
+        return 0 if not report.failures() else 2
+
+    return _run_journaled(args, "validate", campaign, runner.faults, tracer,
+                          run)
+
+
+def _print_report(args, report, tracer) -> None:
+    """Write ``validate``'s report, metrics and trace as its flags ask."""
     renderer = {
         "text": render_text,
         "html": render_html,
@@ -453,7 +482,6 @@ def cmd_validate(args) -> int:
                   vendor=args.vendor or "reference",
                   version=args.version or "-",
                   policy=args.policy, workers=args.workers)
-    return 0 if not report.failures() else 2
 
 
 def cmd_sweep(args) -> int:
@@ -481,6 +509,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_titan(args) -> int:
+    from repro.faults import FaultInjector, NULL_INJECTOR
     from repro.harness.titan import TitanCluster, TitanHarness
 
     tracer = _make_tracer(args)
@@ -493,60 +522,51 @@ def cmd_titan(args) -> int:
                            live_stream=args.live_stream,
                            status=args.status,
                            prom=args.prom)
-    journal = cancel = None
-    displaced: list = []
-    if args.journal or args.resume:
-        from repro.faults import FaultInjector, NULL_INJECTOR
-        from repro.journal import JournalError, titan_campaign_key
+    plan = args.inject_faults
+    faults = (FaultInjector(plan) if plan is not None and plan.active
+              else NULL_INJECTOR)
 
-        campaign = titan_campaign_key(
+    def campaign() -> dict:
+        from repro.journal import titan_campaign_key
+
+        return titan_campaign_key(
             config, nodes=args.nodes, degraded=args.degraded,
             seed=args.seed, sample=args.sample, recheck=args.recheck)
-        plan = args.inject_faults
-        faults = (FaultInjector(plan) if plan is not None and plan.active
-                  else NULL_INJECTOR)
+
+    def run(journal, cancel) -> int:
+        harness = TitanHarness(
+            cluster, openacc10_suite(),
+            config=replace(config, feature_prefixes=["parallel", "update"]),
+            tracer=tracer,
+            recheck=args.recheck,
+            journal=journal,
+            cancel=cancel,
+        )
         try:
-            journal = _open_journal(args, campaign, faults, tracer)
-        except JournalError as err:
-            print(f"journal error: {err}", file=sys.stderr)
-            return 1
-        cancel, displaced = _install_drain_handlers()
-    harness = TitanHarness(
-        cluster, openacc10_suite(),
-        config=config,
-        feature_prefixes=["parallel", "update"],
-        tracer=tracer,
-        recheck=args.recheck,
-        journal=journal,
-        cancel=cancel,
-    )
-    try:
-        checks = harness.sweep(sample_size=args.sample, seed=args.seed)
-    except (CampaignInterrupted, InjectedJournalTear):
-        return _resumable_notice(journal, "titan")
-    finally:
-        _restore_handlers(displaced)
-        if journal is not None:
-            journal.close()
-        # finalize live sinks even on an interrupted sweep: the stream
-        # gets its final snapshot, the status line its newline
-        harness.finish()
-    for check in checks:
-        status = "FLAGGED" if check.flagged else "ok"
-        print(f"node {check.node_id:3d} {check.stack:15s} "
-              f"{check.pass_rate:6.1f}%  {status}")
-    flagged = sum(1 for c in checks if c.flagged)
-    print(f"\n{flagged} of {len(checks)} node/stack checks flagged")
-    if harness.quarantined:
-        print(f"{len(harness.quarantined)} node(s) quarantined after "
-              f"{harness.recheck} recheck(s):")
-        for record in sorted(harness.quarantined.values(),
-                             key=lambda r: r.node_id):
-            print(f"  node {record.node_id:3d} {record.stack:15s} "
-                  f"{record.detail}")
-    _finish_trace(args, tracer, command="titan", nodes=args.nodes,
-                  degraded=args.degraded, sample=args.sample, seed=args.seed)
-    return 0
+            checks = harness.sweep(sample_size=args.sample, seed=args.seed)
+        finally:
+            # finalize live sinks even on an interrupted sweep: the stream
+            # gets its final snapshot, the status line its newline
+            harness.finish()
+        for check in checks:
+            status = "FLAGGED" if check.flagged else "ok"
+            print(f"node {check.node_id:3d} {check.stack:15s} "
+                  f"{check.pass_rate:6.1f}%  {status}")
+        flagged = sum(1 for c in checks if c.flagged)
+        print(f"\n{flagged} of {len(checks)} node/stack checks flagged")
+        if harness.quarantined:
+            print(f"{len(harness.quarantined)} node(s) quarantined after "
+                  f"{harness.recheck} recheck(s):")
+            for record in sorted(harness.quarantined.values(),
+                                 key=lambda r: r.node_id):
+                print(f"  node {record.node_id:3d} {record.stack:15s} "
+                      f"{record.detail}")
+        _finish_trace(args, tracer, command="titan", nodes=args.nodes,
+                      degraded=args.degraded, sample=args.sample,
+                      seed=args.seed)
+        return 0
+
+    return _run_journaled(args, "titan", campaign, faults, tracer, run)
 
 
 def cmd_trace(args) -> int:

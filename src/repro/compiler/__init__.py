@@ -9,7 +9,7 @@ is carried entirely by :class:`~repro.compiler.behavior.CompilerBehavior`.
 """
 
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
-from repro.compiler.cache import CacheOutcome, CacheStats, CompileCache
+from repro.compiler.cache import CacheOutcome, CompileCache
 from repro.compiler.closures import LoweredProgram, lower_program
 from repro.compiler.errors import (
     CompileError,
@@ -26,7 +26,7 @@ from repro.compiler.pipeline import CompiledProgram, Compiler, ProgramRunner
 
 __all__ = [
     "CompilerBehavior", "REFERENCE_BEHAVIOR",
-    "CacheOutcome", "CacheStats", "CompileCache",
+    "CacheOutcome", "CompileCache",
     "LoweredProgram", "lower_program",
     "CompileError", "CompilerCrashError", "UnsupportedFeatureError",
     "ExecutionLimits", "ExecutionResult", "Interpreter",

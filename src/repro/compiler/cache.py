@@ -33,8 +33,12 @@ re-check.  A :class:`CompileCache` holds two stores:
   Only finished iterations are stored: an injected fault, a tripped
   deadline or any exception out of a run stores nothing.
 
-Both stores are bounded by ``maxsize`` keys (LRU) and emptied by
-:meth:`CompileCache.clear`.
+Both stores are bounded by ``maxsize`` keys (LRU).  The cache counts
+nothing: each phase records whether its compile hit the parse tier and
+whether the memo served it (``PhaseResult.cache_hit``, ``memo_hit`` and
+``executed``), and every count — ``RunMetrics``, the live stream, the
+trace's ``compile.*`` events, which the runner emits from the
+:class:`CacheOutcome` — is read from those flags.
 
 The cache lives as long as its owner: one sweep (``vendor_pass_rates``),
 one :class:`~repro.harness.titan.TitanHarness`, one runner, or, under
@@ -50,8 +54,7 @@ own threads.  Neither store is single-flight: racing threads may each
 parse (or run) the same key, every racer gets the entry stored first,
 and a run that is already stored is not stored twice.  Under the
 ``process`` policy each worker process holds its own cache and parses
-and runs for itself; the engine aggregates hit counters from the
-per-phase flags carried by the results.
+and runs for itself; the per-phase flags travel back with the results.
 """
 
 from __future__ import annotations
@@ -86,29 +89,6 @@ class CacheOutcome:
 
 
 @dataclass(frozen=True)
-class CacheStats:
-    """A consistent snapshot of the cache counters.
-
-    Taken under the cache lock, so ``hits + misses == lookups`` always
-    holds *within one snapshot* for each store — reading the counter
-    attributes separately while other threads use the cache can tear (one
-    counter from before a concurrent update, the other from after) and
-    report totals that don't sum to the number of lookups.
-
-    The ``parse_`` fields count the parse tier, where a miss is one
-    frontend run; the ``memo_`` fields count the execute memo, where
-    ``memo_entries`` is the number of stored outcomes.
-    """
-
-    parse_hits: int = 0
-    parse_misses: int = 0
-    parse_entries: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_entries: int = 0
-
-
-@dataclass(frozen=True)
 class MemoEntry:
     """One run stored in the execute memo.
 
@@ -132,30 +112,7 @@ class CompileCache:
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self._parses: "OrderedDict[tuple, ParsedSource]" = OrderedDict()
-        self.parse_hits = 0
-        self.parse_misses = 0
         self._memo: "OrderedDict[tuple, List[MemoEntry]]" = OrderedDict()
-        self.memo_hits = 0
-        self.memo_misses = 0
-
-    def stats(self) -> CacheStats:
-        """Snapshot every counter atomically (see CacheStats)."""
-        with self._lock:
-            return CacheStats(
-                parse_hits=self.parse_hits, parse_misses=self.parse_misses,
-                parse_entries=len(self._parses),
-                memo_hits=self.memo_hits, memo_misses=self.memo_misses,
-                memo_entries=sum(len(runs) for runs in self._memo.values()),
-            )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._parses.clear()
-            self.parse_hits = 0
-            self.parse_misses = 0
-            self._memo.clear()
-            self.memo_hits = 0
-            self.memo_misses = 0
 
     # ----------------------------------------------------------- parse tier
 
@@ -171,11 +128,9 @@ class CompileCache:
             entry = self._parses.get(k)
             if entry is not None:
                 self._parses.move_to_end(k)
-                self.parse_hits += 1
                 return entry
         fresh = parse_front(source, language, name)
         with self._lock:
-            self.parse_misses += 1
             # a racing thread may have stored first: everyone shares its entry
             entry = self._parses.setdefault(k, fresh)
             self._parses.move_to_end(k)
@@ -201,7 +156,6 @@ class CompileCache:
         source: str,
         language: str,
         name: str,
-        tracer=None,
     ) -> CacheOutcome:
         """Compile one phase's source; never raises.
 
@@ -216,19 +170,10 @@ class CompileCache:
         ``Compiler.validate``) comes back as the outcome's error.  A
         *non*-``CompileError`` exception (an internal compiler crash) is
         wrapped in :class:`CompilerCrashError` and surfaced as the
-        outcome's error — never raised.
-
-        ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives a
-        ``compile.cache_hit`` or ``compile.cache_miss`` event (and
-        ``compile.crashed`` for a crash).  A compile error shows in the
-        runner's ``compile`` span as an ``error`` attribute.
+        outcome's error — never raised; its ``cause`` is the crash.
         """
         with self._lock:
             hit = (source, language, name) in self._parses
-        observe = tracer is not None and tracer.enabled
-        if observe:
-            tracer.event("compile.cache_hit" if hit else "compile.cache_miss",
-                         template=name, language=language)
         # an error comes back without its traceback, as the parse tier
         # stores frontend errors: the traceback's frames reach the
         # caller's, which holds the outcome, a reference cycle
@@ -238,9 +183,6 @@ class CompileCache:
             return CacheOutcome(program=None, error=err.with_traceback(None),
                                 hit=hit)
         except Exception as err:
-            if observe:
-                tracer.event("compile.crashed", template=name,
-                             language=language, error=repr(err))
             crash = CompilerCrashError(
                 f"internal compiler crash: {err!r}",
                 cause=err.with_traceback(None),
@@ -260,21 +202,16 @@ class CompileCache:
                seed: int) -> Optional[MemoEntry]:
         """A stored run of ``key`` that ``behavior`` and ``seed`` would
         repeat exactly, or None (a miss)."""
-        found = None
         with self._lock:
             runs = self._memo.get(key)
-            if runs is not None:
-                self._memo.move_to_end(key)
-                for entry in runs:
-                    if ((entry.seed is None or entry.seed == seed)
-                            and entry.trace.answers_alike(behavior)):
-                        found = entry
-                        break
-            if found is None:
-                self.memo_misses += 1
-            else:
-                self.memo_hits += 1
-        return found
+            if runs is None:
+                return None
+            self._memo.move_to_end(key)
+            for entry in runs:
+                if ((entry.seed is None or entry.seed == seed)
+                        and entry.trace.answers_alike(behavior)):
+                    return entry
+        return None
 
     def remember(self, key: tuple, trace: "BehaviorTrace",
                  seed: Optional[int], outcome: object) -> None:

@@ -44,6 +44,8 @@ Cancellation: every campaign owns a :class:`CancelToken`.  Cancelling it
 makes :func:`run_units` finish the in-flight units and raise
 :class:`CampaignInterrupted` instead of starting new ones, so an
 interrupted campaign exits with everything completed so far journaled.
+The token travels as an argument: ``run_units`` hands it to the retry
+layer of every unit it runs in this process, and no runner holds one.
 Tokens are per-campaign state, so one campaign's cancel never drains a
 concurrent neighbour and never poisons later runs in the same process;
 the CLI's SIGINT/SIGTERM handler cancels the token of the one command it
@@ -216,7 +218,8 @@ def harness_error_result(template: "TestTemplate",
 
 
 def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
-                       base_attempt: int = 0) -> "TestResult":
+                       base_attempt: int = 0,
+                       cancel: Optional[CancelToken] = None) -> "TestResult":
     """Run one work unit under the config's bounded retry budget.
 
     Any exception escaping ``run_template`` is a *harness* fault (test
@@ -226,11 +229,11 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
     exponential backoff (``retry_backoff_s * 2**n`` via the runner's
     injectable sleeper) and, once the budget is exhausted, degraded to a
     HARNESS_ERROR-marked result.  Never raises — with one exception: when
-    the campaign's :class:`CancelToken` (``runner.cancel``, set by
-    run_campaign for the run's duration) is cancelled between retry
-    attempts, the unit gives up immediately with
+    ``cancel``, the campaign's :class:`CancelToken`, is cancelled between
+    retry attempts, the unit gives up immediately with
     :class:`CampaignInterrupted` so a drain is not held up by a retry
-    backoff ladder.
+    backoff ladder.  A pool worker passes none: the coordinating parent
+    drains the pool.
 
     ``base_attempt`` threads the engine-level attempt number (pool
     respawns) into the fault injector so transient injected faults do not
@@ -238,7 +241,6 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
     """
     config = runner.config
     tracer = runner.tracer
-    cancel = getattr(runner, "cancel", None)
     unit_key = f"{template.feature}:{template.language}"
     error: Optional[BaseException] = None
     for n in range(config.retries + 1):
@@ -455,7 +457,7 @@ def run_units(units: Sequence[Unit],
         cancel.check()
         cell, template = units[i]
         result = run_unit_resilient(runners[cell], template,
-                                    base_attempt=attempt)
+                                    base_attempt=attempt, cancel=cancel)
         done[i] = (result, worker, None)
         on_complete(i, result)
     tracer = runners[0].tracer

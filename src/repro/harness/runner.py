@@ -26,7 +26,15 @@ behaviour plus its config) and a prefix for its unit keys.
 engine loop, one process pool, one journal, one live stream, one ``run``
 span, and one report per cell.  ``ValidationRunner.run_suite`` is the
 one-cell campaign; a Fig. 8 sweep, a version comparison and a Titan node
-check build their cells and make one call.
+check build their cells and make one call.  A caller that owns the live
+pipeline (a Titan harness) announces the units itself, counting them
+with :func:`select_templates`.
+
+Each phase records what the compile cache did for it
+(``PhaseResult.cache_hit``, ``memo_hit``, ``executed``): the one account
+that metrics, the live stream and the trace read.  The runner, not the
+cache, emits the ``compile.*`` events, from the returned
+:class:`~repro.compiler.cache.CacheOutcome`.
 """
 
 from __future__ import annotations
@@ -298,12 +306,6 @@ class ValidationRunner:
         if tracer is None:
             tracer = EventTracer() if self.config.live_enabled else NULL_TRACER
         self.tracer = tracer
-        #: the campaign's repro.harness.engine.CancelToken while
-        #: run_campaign is executing (the retry layer polls it between
-        #: attempts); None otherwise.  Never auto-built here: process-pool
-        #: workers rebuild a runner from the same config and their units
-        #: are cancelled pool-wide by the coordinating parent instead
-        self.cancel = None
         #: the retry layer's backoff sleep — injectable so tests are instant
         self.sleeper = time.sleep
         #: fault injector built from the config's plan (NULL_INJECTOR = off)
@@ -432,10 +434,21 @@ class ValidationRunner:
             with tracer.span("compile", key=pkey) as compile_span:
                 outcome = cache.get_or_compile(
                     self.compiler, generated.source, template.language,
-                    template.name, tracer=tracer if tracer.enabled else None,
+                    template.name,
                 )
                 phase.cache_hit = outcome.hit
-                if isinstance(outcome.error, CompilerCrashError):
+                crashed = isinstance(outcome.error, CompilerCrashError)
+                if tracer.enabled:
+                    tracer.event("compile.cache_hit" if outcome.hit
+                                 else "compile.cache_miss",
+                                 template=template.name,
+                                 language=template.language)
+                    if crashed:
+                        tracer.event("compile.crashed",
+                                     template=template.name,
+                                     language=template.language,
+                                     error=repr(outcome.error.cause))
+                if crashed:
                     # infrastructure fault, not a diagnostic: escalate to
                     # the engine's retry layer instead of charging the
                     # implementation with a COMPILE_ERROR verdict
@@ -565,6 +578,30 @@ class Cell:
     templates: Optional[Iterable[TestTemplate]] = None
 
 
+def select_templates(suite: SuiteRegistry, config: HarnessConfig,
+                     templates: Optional[Iterable[TestTemplate]] = None,
+                     ) -> List[TestTemplate]:
+    """A cell's units: ``templates`` or, when None, the selection
+    ``config`` makes on ``suite``.  Raises :class:`EmptySelectionError`
+    when that is nothing."""
+    if templates is None:
+        templates = suite.select(
+            languages=config.languages,
+            features=config.features,
+            prefixes=config.feature_prefixes,
+        )
+    templates = list(templates)
+    if not templates:
+        raise EmptySelectionError(
+            "suite selection matched no templates "
+            f"(languages={list(config.languages)!r}, "
+            f"features={config.features!r}, "
+            f"prefixes={config.feature_prefixes!r}): a run over nothing "
+            "would report a vacuous 0.00% pass and validate nothing"
+        )
+    return templates
+
+
 def run_campaign(suite: SuiteRegistry, cells: List[Cell], journal=None,
                  cancel=None, live=None) -> List[SuiteRunReport]:
     """Run every unit of every cell through one
@@ -588,9 +625,10 @@ def run_campaign(suite: SuiteRegistry, cells: List[Cell], journal=None,
 
     ``live`` is a :class:`repro.obs.live.LiveTelemetry` pipeline the
     caller owns (a Titan harness streams all its checks into one): the
-    campaign grows its unit total and publishes its units, and the caller
-    ends it.  Without one, the campaign opens the sinks its config asks
-    for and ends them itself.
+    campaign publishes its units, and the caller, which announces every
+    unit (``campaign.start``/``campaign.extend``), ends it.  Without one,
+    the campaign opens the sinks its config asks for, announces its units
+    and ends them itself.
 
     Each cell's report holds its results in selection order and a
     :class:`~repro.harness.engine.RunMetrics` over them; reports stay
@@ -609,24 +647,8 @@ def run_campaign(suite: SuiteRegistry, cells: List[Cell], journal=None,
     #: (cell index, template) per unit, cell by cell
     units: List[Tuple[int, TestTemplate]] = []
     for n, cell in enumerate(cells):
-        cfg = cell.runner.config
-        templates = cell.templates
-        if templates is None:
-            templates = suite.select(
-                languages=cfg.languages,
-                features=cfg.features,
-                prefixes=cfg.feature_prefixes,
-            )
-        templates = list(templates)
-        if not templates:
-            raise EmptySelectionError(
-                "suite selection matched no templates "
-                f"(languages={list(cfg.languages)!r}, "
-                f"features={cfg.features!r}, "
-                f"prefixes={cfg.feature_prefixes!r}): a run over nothing "
-                "would report a vacuous 0.00% pass and validate nothing"
-            )
-        units.extend((n, template) for template in templates)
+        units.extend((n, template) for template in select_templates(
+            suite, cell.runner.config, cell.templates))
     keys = unit_keys([template for _, template in units],
                      [cells[n].prefix for n, _ in units])
 
@@ -667,26 +689,18 @@ def run_campaign(suite: SuiteRegistry, cells: List[Cell], journal=None,
             compiler=label, policy=config.policy, workers=config.workers,
         )
         live.attach(tracer)
-    elif live is not None:
-        live.extend_total(len(units))
     if replayed and tracer.enabled:
         tracer.event("journal.replayed", units=len(replayed))
     # replayed units count toward progress immediately, marked so
     for i in sorted(replayed):
         finish(i, replayed[i], fresh=False)
     pending = [i for i in range(len(units)) if i not in replayed]
-    # expose the cancel token to the retry layer for the duration of the
-    # run (prompt drain out of a backoff ladder)
-    runners = [c.runner for c in cells]
-    previous = [runner.cancel for runner in runners]
-    for runner in runners:
-        runner.cancel = cancel
     try:
         with tracer.span("run", key=label, policy=config.policy,
                          workers=workers) as root:
             start = time.perf_counter()
             outcomes = run_units(
-                [units[i] for i in pending], runners,
+                [units[i] for i in pending], [c.runner for c in cells],
                 lambda n, result: finish(pending[n], result, fresh=True),
                 cancel,
             )
@@ -698,9 +712,6 @@ def run_campaign(suite: SuiteRegistry, cells: List[Cell], journal=None,
         if owned:
             live.end(None)
         raise
-    finally:
-        for runner, token in reversed(list(zip(runners, previous))):
-            runner.cancel = token
     # spans adopted from worker processes have no parent: stitch them
     # under this run's root
     tracer.reparent_orphans(root)

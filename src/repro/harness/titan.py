@@ -32,6 +32,7 @@ from repro.harness.runner import (
     SuiteRunReport,
     ValidationRunner,
     run_campaign,
+    select_templates,
 )
 from repro.obs import NULL_TRACER, EventTracer
 from repro.spec.devices import ACC_DEVICE_NVIDIA, ACC_DEVICE_OPENCL
@@ -189,7 +190,6 @@ class TitanHarness:
         cluster: TitanCluster,
         suite: SuiteRegistry,
         config: Optional[HarnessConfig] = None,
-        feature_prefixes: Optional[Sequence[str]] = None,
         tracer=None,
         recheck: int = 1,
         journal=None,
@@ -199,19 +199,16 @@ class TitanHarness:
         self.suite = suite
         # production sweeps favour quick turnaround: 1 iteration, no cross
         self.config = config or HarnessConfig(iterations=1, run_cross=False)
-        if feature_prefixes is not None:
-            # never the caller's config: it may be shared with other runs
-            self.config = replace(self.config,
-                                  feature_prefixes=feature_prefixes)
         #: a repro.obs.Tracer shared by every node check of this harness
         #: (a span-free EventTracer when only live telemetry asks for one)
         if tracer is None:
             tracer = EventTracer() if self.config.live_enabled else NULL_TRACER
         self.tracer = tracer
         #: a repro.obs.live.LiveTelemetry pipeline subscribed to the
-        #: tracer and handed to every check's campaign, which grows its
-        #: unit total and publishes one unit per template; node facts
-        #: travel on the titan.* events
+        #: tracer and handed to every check's campaign, which publishes
+        #: one unit per template; the harness announces the units (a
+        #: sweep's whole sample, then each re-check and probe) before they
+        #: run, and node facts travel on the titan.* events
         self.live = None
         if self.config.live_enabled:
             from repro.obs.live import LiveTelemetry
@@ -256,6 +253,13 @@ class TitanHarness:
                                attempt_offset=plan.attempt_offset + offset),
         )
 
+    def _announce(self, checks: int) -> None:
+        """Grow the live stream's unit total by ``checks`` checks, each of
+        the templates the harness config selects."""
+        if self.live is not None:
+            self.live.extend_total(
+                checks * len(select_templates(self.suite, self.config)))
+
     def finish(self) -> None:
         """Finalize the live-telemetry pipeline (unsubscribe, final
         snapshot, sink close).  Idempotent; a no-op when no live sinks are
@@ -272,7 +276,9 @@ class TitanHarness:
         probes label their checks distinctly.  It prefixes the keys of the
         check's template units in the harness's journal and live stream,
         so a resumed campaign replays exactly the templates the
-        interrupted one completed and runs the rest.
+        interrupted one completed and runs the rest.  The check does not
+        announce its units on the live stream: its caller does (see
+        :meth:`_announce`).
         """
         unit = unit or f"sweep:node{node.node_id}:{stack}"
         runner = ValidationRunner(node.stacks[stack],
@@ -310,6 +316,7 @@ class TitanHarness:
         eligible = [n for n in self.cluster.nodes
                     if n.node_id not in self.quarantined]
         sample = rng.sample(eligible, min(sample_size, len(eligible)))
+        self._announce(len(sample) * len(stacks))
         checks: List[StackCheck] = []
         with self.tracer.span(
                 "titan.sweep", key=f"seed={seed}",
@@ -362,6 +369,7 @@ class TitanHarness:
                 if self.tracer.enabled:
                     self.tracer.event("titan.recheck", node=check.node_id,
                                       stack=check.stack, round=r + 1)
+                self._announce(1)
                 again = self.check_node(
                     node, check.stack,
                     config=self._recheck_config(r + 1),
@@ -396,6 +404,7 @@ class TitanHarness:
         for node_id, record in sorted(self.quarantined.items()):
             self.cancel.check()
             record.probes += 1
+            self._announce(1)
             check = self.check_node(
                 nodes_by_id[node_id], record.stack,
                 config=self._recheck_config(self.recheck + 1 + epoch),

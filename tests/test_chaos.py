@@ -10,6 +10,15 @@ job replays the same campaign with a ``kill -9`` in the middle.
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
 from repro.cli import main
 from repro.faults import FAULT_SITES, FaultPlan
 from repro.faults.plan import _SITE_FIELDS
@@ -30,6 +39,33 @@ SLICE = ["validate", "--language", "c", "--iterations", "2",
 #: resumes tolerated before the campaign counts as non-converging
 MAX_ROUNDS = 8
 
+#: the chaos campaign takes 1.3-2.5 s; one still running after this long
+#: is hung, not slow
+DEADLINE_S = 120.0
+
+
+@contextmanager
+def hang_guard(path: Path, seconds: float):
+    """Past ``seconds``, write every thread's stack to ``path`` and end
+    the process (exit status 1), so a hang fails with a stack on disk.
+
+    faulthandler has one timer per process: arming this one replaces the
+    ``faulthandler_timeout`` timer pytest armed for the test, and leaving
+    the block cancels the timer altogether.
+    """
+    with open(path, "w") as dump:
+        faulthandler.dump_traceback_later(seconds, exit=True, file=dump)
+        try:
+            yield
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture()
+def hang_dump(tmp_path):
+    with hang_guard(tmp_path / "hang-stacks.txt", DEADLINE_S):
+        yield
+
 
 def test_chaos_spec_arms_every_site():
     plan = FaultPlan.parse(CHAOS)
@@ -38,6 +74,29 @@ def test_chaos_spec_arms_every_site():
     assert plan.max_fires == 1 and not plan.persistent
 
 
+def test_hang_guard_dumps_every_stack_and_ends_the_run(tmp_path):
+    dump = tmp_path / "stacks.txt"
+    script = (
+        "import sys, threading, time\n"
+        "from pathlib import Path\n"
+        "from tests.test_chaos import hang_guard\n"
+        "threading.Thread(target=time.sleep, args=(60,), daemon=True)"
+        ".start()\n"
+        f"with hang_guard(Path({str(dump)!r}), 0.2):\n"
+        "    time.sleep(60)\n"
+        "sys.exit(0)\n")
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          env={**os.environ,
+                               "PYTHONPATH": f"{root / 'src'}:{root}"},
+                          capture_output=True, timeout=60)
+    assert done.returncode == 1
+    stacks = dump.read_text()
+    assert "Timeout (0:00:00.200000)!" in stacks
+    assert stacks.count("Thread 0x") == 2  # the sleeper and the main thread
+
+
+@pytest.mark.usefixtures("hang_dump")
 class TestChaosCampaign:
     def test_chaos_campaign_terminates_byte_identical(self, tmp_path, capsys):
         reference = tmp_path / "reference.csv"

@@ -12,7 +12,6 @@ named ``tree`` run the tree walker, ``closures`` the production interpreter.
 
 from __future__ import annotations
 
-import threading
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -27,7 +26,7 @@ from repro.compiler import (
     Interpreter,
     InterpreterReuseError,
 )
-from repro.compiler.behavior import REFERENCE_BEHAVIOR, BehaviorTrace
+from repro.compiler.behavior import REFERENCE_BEHAVIOR
 from repro.compiler.exec_model import AccExecutor
 from repro.compiler.vendors import VENDORS, vendor_versions
 from repro.harness import HarnessConfig, ValidationRunner, render_csv, render_text
@@ -179,74 +178,6 @@ int main() {
         interp = _INTERPRETERS[backend](_compile(source).program)
         with pytest.raises(ExecutionTimeout):
             interp.run(limits=ExecutionLimits(max_steps=5_000))
-
-
-# ---------------------------------------------------------------------------
-# CompileCache.stats() (the torn-read regression)
-# ---------------------------------------------------------------------------
-
-
-class TestCacheStats:
-    def test_stats_snapshot_is_consistent_under_contention(self):
-        cache = CompileCache(maxsize=64)
-        compiler = Compiler(frontend=cache)
-        sources = [f"int main() {{ return {i}; }}" for i in range(8)]
-        behavior = compiler.behavior
-        trace = BehaviorTrace()
-        per_thread = 40
-        n_threads = 4
-        stop = threading.Event()
-        bad = []
-
-        def reader():
-            # the regression: hits/misses read as two unlocked loads could
-            # tear mid-update; stats() snapshots every counter under the
-            # cache lock, so lookups can never exceed the completed calls
-            while not stop.is_set():
-                snap = cache.stats()
-                if snap.parse_hits < 0 or snap.parse_misses < 0 or \
-                        snap.parse_hits + snap.parse_misses > \
-                        n_threads * per_thread or \
-                        snap.memo_hits + snap.memo_misses > \
-                        n_threads * per_thread:
-                    bad.append(snap)
-
-        def worker(k):
-            for i in range(per_thread):
-                source = sources[(i + k) % len(sources)]
-                cache.get_or_compile(compiler, source, "c", "t.c")
-                key = cache.memo_key(source, "c", "t.c", None, 1000)
-                if cache.recall(key, behavior, 0) is None:
-                    cache.remember(key, trace, None, i)
-
-        watcher = threading.Thread(target=reader)
-        watcher.start()
-        threads = [threading.Thread(target=worker, args=(k,))
-                   for k in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stop.set()
-        watcher.join()
-
-        assert not bad
-        final = cache.stats()
-        lookups = n_threads * per_thread
-        assert final.parse_hits + final.parse_misses == lookups
-        assert final.parse_entries == len(sources)
-        assert final.memo_hits + final.memo_misses == lookups
-        assert final.memo_entries == len(sources)
-        # the counter attributes stay readable and agree with the snapshot
-        assert (cache.parse_hits, cache.parse_misses, cache.memo_hits,
-                cache.memo_misses) == (final.parse_hits, final.parse_misses,
-                                       final.memo_hits, final.memo_misses)
-
-    def test_empty_cache_stats(self):
-        stats = CompileCache().stats()
-        assert stats == type(stats)(parse_hits=0, parse_misses=0,
-                                    parse_entries=0, memo_hits=0,
-                                    memo_misses=0, memo_entries=0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,16 +59,23 @@ class TestCompareVersions:
         assert diff.language == "fortran"
 
     def test_both_versions_share_one_cache(self, suite10, monkeypatch):
+        import repro.analysis.diffs as diffs
         import repro.harness.engine as engine
 
-        calls = []
+        calls, reports = [], []
         real_run_units = engine.run_units
+        real_run_campaign = diffs.run_campaign
 
         def recording(units, runners, *args):
             calls.append(runners)
             return real_run_units(units, runners, *args)
 
+        def campaign(*args, **kwargs):
+            reports.extend(real_run_campaign(*args, **kwargs))
+            return reports
+
         monkeypatch.setattr(engine, "run_units", recording)
+        monkeypatch.setattr(diffs, "run_campaign", campaign)
         config = HarnessConfig(iterations=1, run_cross=False,
                                features=["parallel", "kernels", "loop"])
         compare_versions("caps", "3.3.3", "3.3.4", "c", suite10, config)
@@ -77,4 +84,5 @@ class TestCompareVersions:
         assert len(runners) == 2
         assert runners[0].cache is not None
         assert runners[0].cache is runners[1].cache
-        assert runners[0].cache.stats().memo_hits > 0
+        # the second version repeats runs of the first one's
+        assert reports[1].metrics.memo_hits > 0

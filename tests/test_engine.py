@@ -149,8 +149,6 @@ class TestCompileCache:
         # one parse, but every compile is a fresh program of its phase
         assert second.program.program is first.program.program
         assert second.program is not first.program
-        stats = cache.stats()
-        assert (stats.parse_hits, stats.parse_misses) == (1, 1)
 
     def test_negative_caching_of_compile_errors(self):
         cache = CompileCache()
@@ -177,12 +175,14 @@ class TestCompileCache:
     def test_lru_eviction(self):
         cache = CompileCache(maxsize=2)
         cc = Compiler(frontend=cache)
-        for i in range(3):
-            cache.get_or_compile(cc, f"int main(){{ return {i}; }}", "c", "t.c")
-        assert cache.stats().parse_entries == 2
-        # the oldest entry was evicted -> recompiling it is a miss
-        refetch = cache.get_or_compile(cc, "int main(){ return 0; }", "c", "t.c")
-        assert not refetch.hit
+        sources = [f"int main(){{ return {i}; }}" for i in range(3)]
+        for src in sources:
+            cache.get_or_compile(cc, src, "c", "t.c")
+        # the two newest stay; the oldest was evicted -> recompiling it is
+        # a miss
+        assert [cache.get_or_compile(cc, src, "c", "t.c").hit
+                for src in (sources[2], sources[1], sources[0])] == \
+            [True, True, False]
 
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError):
@@ -325,7 +325,7 @@ class TestCancelToken:
         with pytest.raises(CampaignInterrupted):
             runner.run_suite(openacc10_suite(), cancel=doomed)
         report = runner.run_suite(openacc10_suite())
-        assert report.results and runner.cancel is None
+        assert report.results
 
     def test_stale_global_drain_does_not_poison_new_campaigns(self):
         # the pre-fix failure mode: a drain with no campaign active used to
@@ -386,7 +386,6 @@ class TestCancelToken:
         )
         runner = ValidationRunner(_BUGGY, config)
         token = CancelToken()
-        runner.cancel = token
         sleeps = []
 
         def fake_sleep(seconds):
@@ -397,7 +396,7 @@ class TestCancelToken:
         template = next(t for t in openacc10_suite()
                         if t.feature == "loop.gang" and t.language == "c")
         with pytest.raises(CampaignInterrupted):
-            run_unit_resilient(runner, template)
+            run_unit_resilient(runner, template, cancel=token)
         assert len(sleeps) == 1  # aborted after the first backoff
 
 

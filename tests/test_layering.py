@@ -1,0 +1,84 @@
+"""The compiler and the device simulator know no tracer.
+
+Observability sits above them: the validation runner records each
+phase's facts (``PhaseResult.cache_hit``, ``memo_hit``, ``executed``) and
+emits the trace's events from what ``repro.compiler`` returns.  So no
+module under ``src/repro/compiler/`` or ``src/repro/accsim/`` names
+``tracer`` (a variable, parameter, attribute or keyword) or imports
+``repro.obs``.  Standard library only: ``ast`` over the source files.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Iterator, List
+
+ROOT = Path(__file__).resolve().parent.parent
+#: the packages that must stay below the observability layer
+LOWER = ("src/repro/compiler", "src/repro/accsim")
+
+
+def _modules() -> Iterator[Path]:
+    for top in LOWER:
+        yield from sorted((ROOT / top).rglob("*.py"))
+
+
+def _names(tree: ast.Module) -> Iterator[ast.AST]:
+    """Every node that spells ``tracer`` as an identifier."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == "tracer")
+                or (isinstance(node, ast.arg) and node.arg == "tracer")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "tracer")
+                or (isinstance(node, ast.keyword) and node.arg == "tracer")):
+            yield node
+
+
+def _obs_imports(tree: ast.Module) -> Iterator[ast.AST]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "repro.obs"
+                   or alias.name.startswith("repro.obs.")
+                   for alias in node.names):
+                yield node
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if module == "repro.obs" or module.startswith("repro.obs."):
+                yield node
+            elif module == "repro" and any(alias.name == "obs"
+                                           for alias in node.names):
+                yield node
+
+
+def _offences(finder) -> List[str]:
+    out = []
+    for path in _modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out.extend(f"{path.relative_to(ROOT)}:{node.lineno}"
+                   for node in finder(tree))
+    return out
+
+
+def test_lower_layers_are_checked():
+    assert any(path.name == "cache.py" for path in _modules())
+    assert any(path.parent.name == "accsim" for path in _modules())
+
+
+def test_no_lower_module_names_a_tracer():
+    assert _offences(_names) == []
+
+
+def test_no_lower_module_imports_obs():
+    assert _offences(_obs_imports) == []
+
+
+def test_finders_catch_what_they_look_for():
+    tree = ast.parse(
+        "import repro.obs.live\n"
+        "from repro.obs import Tracer\n"
+        "from repro import obs\n"
+        "def f(x, tracer=None):\n"
+        "    self.tracer.event(tracer=tracer)\n")
+    assert len(list(_obs_imports(tree))) == 3
+    assert len(list(_names(tree))) == 4

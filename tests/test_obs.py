@@ -452,8 +452,8 @@ class TestTitanTracing:
         harness = TitanHarness(
             cluster, openacc10_suite(),
             config=HarnessConfig(iterations=1, run_cross=False,
-                                 languages=("c",)),
-            feature_prefixes=["update"],
+                                 languages=("c",),
+                                 feature_prefixes=["update"]),
             tracer=tracer,
         )
         checks = harness.sweep(sample_size=2, seed=0)

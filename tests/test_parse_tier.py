@@ -137,9 +137,10 @@ def _titan_harness(suite, tracer=None, **config) -> TitanHarness:
     cluster = TitanCluster(num_nodes=6, degraded_fraction=0.34, seed=3)
     return TitanHarness(
         cluster, suite,
-        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",),
-                             **config),
-        feature_prefixes=["update", "parallel.reduction", "kernels"],
+        config=HarnessConfig(
+            iterations=1, run_cross=False, languages=("c",),
+            feature_prefixes=["update", "parallel.reduction", "kernels"],
+            **config),
         tracer=tracer,
     )
 
@@ -179,7 +180,8 @@ class TestSharedSweep:
         assert len(parse_counter) == compiles
         assert len(set(parse_counter)) == compiles // versions
 
-    def test_titan_shared_cache_equals_fresh_caches(self, suite10):
+    def test_titan_shared_cache_equals_fresh_caches(self, suite10,
+                                                    parse_counter):
         def sweep(shared: bool):
             harness = _titan_harness(suite10)
             if not shared:
@@ -187,17 +189,18 @@ class TestSharedSweep:
             checks = harness.sweep(sample_size=6, seed=4)
             return ([(c.node_id, c.stack, render_csv(c.report))
                      for c in checks],
-                    sorted(harness.quarantined), harness.cache)
+                    sorted(harness.quarantined),
+                    sum(c.report.metrics.cache_hits for c in checks))
 
-        shared_checks, shared_quarantine, cache = sweep(True)
+        shared_checks, shared_quarantine, shared_hits = sweep(True)
+        shared_parses = list(parse_counter)
         fresh_checks, fresh_quarantine, _ = sweep(False)
         assert shared_checks == fresh_checks
         assert shared_quarantine == fresh_quarantine
         assert shared_quarantine  # the triage re-checks ran
-        stats = cache.stats()
         # every node and re-check compiles from the one parse of a source
-        assert stats.parse_hits > 0
-        assert stats.parse_misses == stats.parse_entries
+        assert shared_hits > 0
+        assert len(shared_parses) == len(set(shared_parses))
 
     def test_titan_compile_site_fires_once_per_compiled_phase(
             self, suite10, monkeypatch):
@@ -332,8 +335,6 @@ class TestParseTier:
             errors.append(str(outcome.error))
             hits.append(outcome.hit)
         assert len(parse_counter) == 1
-        stats = cache.stats()
-        assert (stats.parse_misses, stats.parse_hits) == (1, 1)
         assert hits == [False, True]
         assert errors[0] == errors[1]
         assert errors[0] == str(_uncached_error(_BAD_SOURCE))
@@ -372,8 +373,6 @@ class TestParseTier:
         # every compile reaches the compiler; only the parse is shared
         assert injector.fired == 3 * len(behaviours)
         assert hits == [False] + [True] * (3 * len(behaviours) - 1)
-        stats = cache.stats()
-        assert (stats.parse_misses, stats.parse_hits) == (1, 5)
 
     def test_behaviours_share_one_program(self, suite10):
         cache = CompileCache()
@@ -387,7 +386,7 @@ class TestParseTier:
         }
         assert len(programs) == 1
 
-    def test_language_checks_run_before_the_tier(self):
+    def test_language_checks_run_before_the_tier(self, parse_counter):
         cache = CompileCache()
         c_only = Compiler(CompilerBehavior(languages=("c",)), frontend=cache)
         with pytest.raises(UnsupportedFeatureError, match="no fortran"):
@@ -396,16 +395,18 @@ class TestParseTier:
                        frontend=cache)
         with pytest.raises(UnsupportedFeatureError, match="unknown language"):
             odd.compile("", "cobol", "p.cob")
-        assert cache.stats().parse_misses == 0
+        assert parse_counter == []
 
-    def test_lru_bounds_the_parse_tier(self):
+    def test_lru_bounds_the_parse_tier(self, parse_counter):
         cache = CompileCache(maxsize=2)
         sources = [f"int main() {{ return {k}; }}\n" for k in range(3)]
         for source in sources:
             cache.parsed(source, "c", "t.c")
-        assert cache.stats().parse_entries == 2
-        cache.parsed(sources[0], "c", "t.c")  # evicted: parsed again
-        assert cache.stats().parse_misses == 4
+        # the two newest stay; the oldest was evicted: parsed again
+        for source in (sources[2], sources[1], sources[0]):
+            cache.parsed(source, "c", "t.c")
+        assert [source for source, _ in parse_counter] == \
+            sources + [sources[0]]
 
     def test_racing_behaviours_share_one_parse_per_source(self, monkeypatch):
         import time
@@ -413,8 +414,10 @@ class TestParseTier:
         import repro.compiler.cache as cache_module
 
         real_parse_front = cache_module.parse_front
+        parses = []
 
         def slow_parse_front(*args):
+            parses.append(args[0])
             time.sleep(0.01)  # every racer is inside the parse at once
             return real_parse_front(*args)
 
@@ -451,11 +454,13 @@ class TestParseTier:
         # racers each parse, but every behaviour of a source gets the one
         # program stored first
         assert all(len(ids) == 1 for ids in programs.values())
-        stats = cache.stats()
-        assert stats.parse_misses > len(sources)  # the race did happen
-        assert stats.parse_hits + stats.parse_misses == \
-            n_threads * len(sources)
-        assert stats.parse_entries == len(sources)
+        assert len(parses) > len(sources)  # the race did happen
+        # every source is stored: a later compile hits without a parse
+        raced = len(parses)
+        assert all(cache.get_or_compile(Compiler(frontend=cache), source,
+                                        "c", "t.c").hit
+                   for source in sources)
+        assert len(parses) == raced
 
     def test_lint_gate_parses_once(self, suite10, parse_counter):
         template = suite10.get("parallel.copy", "c")
@@ -742,14 +747,14 @@ class TestPlanLifetimes:
                          languages=("c",))
         runners = [ValidationRunner(vv.behavior("c"), config, cache=cache)
                    for vv in vendor_versions("caps")[:3]]
-        for runner in runners:
-            runner.run_suite(suite10)
+        reports = [runner.run_suite(suite10) for runner in runners]
         # the runners and their shared cache are still alive: neither
         # holds a compiled program, so each lowering died with its phase,
         # freed by reference counting (the collector is off)
         assert lowerings and live_after_phase
         assert set(live_after_phase) == {0}
-        assert cache.stats().parse_entries > 0
+        # while the cache kept the parses the later runners compiled from
+        assert sum(report.metrics.cache_hits for report in reports) > 0
 
     def test_parse_plans_and_device_code_die_with_the_cache(self):
         def sweep():

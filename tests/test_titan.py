@@ -22,8 +22,8 @@ def harness():
     return TitanHarness(
         cluster,
         openacc10_suite(),
-        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",)),
-        feature_prefixes=["update", "parallel"],
+        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",),
+                             feature_prefixes=["update", "parallel"]),
     )
 
 
@@ -96,22 +96,13 @@ class TestHarness:
         stacks = {c.stack for c in checks}
         assert stacks == {STACK_CUDA, STACK_OPENCL}
 
-    def test_feature_prefixes_leave_callers_config_alone(self):
-        config = HarnessConfig(iterations=1, run_cross=False,
-                               languages=("c",))
-        harness = TitanHarness(TitanCluster(num_nodes=2, seed=1),
-                               openacc10_suite(), config=config,
-                               feature_prefixes=["parallel", "update"])
-        assert config.feature_prefixes is None
-        assert harness.config.feature_prefixes == ["parallel", "update"]
-
     def test_timeline_tracks_regression_and_recovery(self):
         cluster = TitanCluster(num_nodes=6, degraded_fraction=0.0, seed=5)
         harness = TitanHarness(
             cluster, openacc10_suite(),
             config=HarnessConfig(iterations=1, run_cross=False,
-                                 languages=("c",)),
-            feature_prefixes=["update"],
+                                 languages=("c",),
+                                 feature_prefixes=["update"]),
         )
         regressed = CompilerBehavior(name="titan-cc", version="cuda-bad",
                                      ignore_update=True)
@@ -138,8 +129,8 @@ class TestHarness:
         harness = TitanHarness(
             cluster, openacc10_suite(),
             config=HarnessConfig(iterations=1, run_cross=False,
-                                 languages=("c",)),
-            feature_prefixes=["update"],
+                                 languages=("c",),
+                                 feature_prefixes=["update"]),
             tracer=tracer,
         )
         checks = harness.sweep(sample_size=4, seed=0, stacks=(STACK_CUDA,))
@@ -152,3 +143,35 @@ class TestHarness:
         assert span.attrs["checks"] == len(checks)
         assert span.attrs["flagged"] == sum(1 for c in checks if c.flagged)
         assert span.attrs["quarantined"] == len(harness.quarantined)
+
+    def test_live_progress_spans_the_sweep(self, tmp_path):
+        # a pipeline's owner announces its units: the sweep announces its
+        # whole sample before the first check, each re-check and recovery
+        # probe its own templates before it runs, so progress never reads
+        # near done while checks are still to come
+        from repro.obs.live import read_live
+
+        stream = tmp_path / "titan.ndjson"
+        suite = openacc10_suite()
+        config = HarnessConfig(iterations=1, run_cross=False,
+                               languages=("c",), feature_prefixes=["update"],
+                               live_stream=str(stream))
+        harness = TitanHarness(TitanCluster(num_nodes=4,
+                                            degraded_fraction=0.5, seed=7),
+                               suite, config=config)
+        checks = harness.sweep(sample_size=3, seed=0)
+        assert harness.quarantined  # the triage re-checks ran
+        harness.probe_quarantined()
+        harness.finish()
+        parsed = read_live(str(stream))
+        selection = len(suite.select(languages=("c",), prefixes=["update"]))
+        extends = [e["fields"]["units"]
+                   for e in parsed.events("campaign.extend")]
+        later = (len(parsed.events("titan.recheck"))
+                 + len(parsed.events("titan.probe")))
+        assert later > 0
+        assert extends == [len(checks) * selection] + [selection] * later
+        assert all(s["total_units"] >= extends[0]
+                   for s in parsed.snapshots())
+        final = parsed.final_snapshot
+        assert final["units_done"] == final["total_units"] == sum(extends)
