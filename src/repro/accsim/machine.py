@@ -11,12 +11,7 @@ from typing import List, Optional
 
 from repro.accsim.device import Device, ExecProfile
 from repro.accsim.errors import InvalidDeviceError
-from repro.spec.devices import (
-    ACC_DEVICE_HOST,
-    ACC_DEVICE_NOT_HOST,
-    ACC_DEVICE_NVIDIA,
-    DeviceType,
-)
+from repro.spec.devices import ACC_DEVICE_HOST, ACC_DEVICE_NOT_HOST, DeviceType
 
 
 class Machine:
@@ -25,16 +20,15 @@ class Machine:
     def __init__(
         self,
         accel_count: int = 1,
-        accel_device_type: DeviceType = ACC_DEVICE_NVIDIA,
         profile: Optional[ExecProfile] = None,
     ):
-        # the accelerators' profile (see ExecProfile); the host keeps its own
+        # the accelerators' profile (see ExecProfile), which also names
+        # their concrete type; the host keeps its own
         if profile is None:
             profile = ExecProfile()
-        self.host = Device(device_type=ACC_DEVICE_HOST, num=0, profile=ExecProfile())
+        self.host = Device(is_host=True, num=0, profile=ExecProfile())
         self.accelerators: List[Device] = [
-            Device(device_type=accel_device_type, num=i, profile=profile)
-            for i in range(accel_count)
+            Device(num=i, profile=profile) for i in range(accel_count)
         ]
         #: the *requested* device type (what acc_set_device_type stored)
         self.requested_type: DeviceType = ACC_DEVICE_NOT_HOST if accel_count else ACC_DEVICE_HOST
@@ -47,7 +41,7 @@ class Machine:
     def devices_matching(self, requested: DeviceType) -> List[Device]:
         out = []
         for dev in [self.host] + self.accelerators:
-            if dev.device_type.matches(requested):
+            if dev.matches(requested):
                 out.append(dev)
         return out
 

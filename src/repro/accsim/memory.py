@@ -23,7 +23,7 @@ host scalar does not disturb its device copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.accsim.errors import DeviceAllocationError, PresentError
 from repro.accsim.values import ELEMENT_BYTES, ArrayValue, Cell, DevicePointer
@@ -100,13 +100,14 @@ class DeviceMemory:
         start: Optional[int] = None,
         length: Optional[int] = None,
         *,
-        skip_scalar_transfer: bool = False,
+        skip_scalar_transfer: Callable[[], bool] = lambda: False,
     ) -> Mapping:
         """Perform a data-clause entry action; returns the mapping.
 
         ``action`` is the normalised clause name.  ``skip_scalar_transfer``
-        is the hook point for Cray's scalar-copy bug: the mapping is created
-        but the value transfer is suppressed.
+        is the hook point for Cray's scalar-copy bug: when it answers True
+        the mapping is created but the value transfer is suppressed.  It
+        is asked only for a new scalar mapping whose action transfers.
         """
         existing = self.lookup(cell)
         present_or = action.startswith("present_or_") or action == "present"
@@ -126,13 +127,12 @@ class DeviceMemory:
             )
 
         mapping = self._allocate(cell, start, length)
-        if base_action in ("copy", "copyin"):
-            if not (mapping.is_scalar and skip_scalar_transfer):
+        if base_action in ("copy", "copyin", "copyout"):
+            skip = mapping.is_scalar and skip_scalar_transfer()
+            if base_action != "copyout" and not skip:
                 self._host_to_device(mapping)
-        if base_action in ("copy", "copyout"):
-            mapping.copyout_on_exit = True
-            if mapping.is_scalar and skip_scalar_transfer:
-                mapping.copyout_on_exit = False
+            if base_action != "copyin":
+                mapping.copyout_on_exit = not skip
         self._present[_present_key(cell)] = mapping
         return mapping
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.analysis import table1_counts, vendor_pass_rates
@@ -516,6 +515,7 @@ def cmd_titan(args) -> int:
     cluster = TitanCluster(num_nodes=args.nodes,
                            degraded_fraction=args.degraded, seed=args.seed)
     config = HarnessConfig(iterations=1, run_cross=False, languages=("c",),
+                           feature_prefixes=["parallel", "update"],
                            retries=args.retries,
                            template_timeout_s=args.timeout_s,
                            fault_plan=args.inject_faults,
@@ -536,7 +536,7 @@ def cmd_titan(args) -> int:
     def run(journal, cancel) -> int:
         harness = TitanHarness(
             cluster, openacc10_suite(),
-            config=replace(config, feature_prefixes=["parallel", "update"]),
+            config=config,
             tracer=tracer,
             recheck=args.recheck,
             journal=journal,

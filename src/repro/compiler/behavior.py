@@ -31,6 +31,18 @@ and its answer.  The resulting :class:`BehaviorTrace` says which other
 behaviours would have steered the run down the same path: the compile
 cache's execute memo (:mod:`repro.compiler.cache`) reuses the run's outcome
 for them.
+
+So every reader asks a field only under the construct that makes its
+answer matter, testing the syntactic guard first: ``copyout_not_copied``
+only for a ``copyout`` clause, ``skip_scalar_data_transfers`` only for a
+new scalar mapping that transfers, a default size only where a region
+omits its clause.  ``concrete_device_type`` is read only by a request that
+names a concrete type (``acc_get_device_type``, or a vendor type passed to
+``acc_on_device`` and friends); the abstract requests are answered from
+"this is the accelerator", which is exact because the type must be an
+accelerator type.  A read outside its construct would key every run on a
+field the run cannot observe, and two Titan stacks that differ only in
+their device type would never share a run.
 """
 
 from __future__ import annotations
@@ -106,6 +118,16 @@ class CompilerBehavior:
     # ---- runtime-library behaviour ------------------------------------------
     #: value acc_async_test returns when wedged
     wedged_async_test_value: int = -1
+
+    def __post_init__(self):
+        # an abstract device request is answered without reading the
+        # concrete type (repro.accsim.device.Device.matches), which is
+        # exact only for an accelerator type
+        if not self.concrete_device_type.not_host:
+            raise ValueError(
+                f"concrete_device_type {self.concrete_device_type} is not an "
+                "accelerator type"
+            )
 
     # -------------------------------------------------------------- helpers
 

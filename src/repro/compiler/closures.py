@@ -292,13 +292,14 @@ class _FrameScope:
 
     __slots__ = ("_stack", "nslots", "unbound")
 
-    def __init__(self) -> None:
-        self._stack: List[Dict[str, int]] = [{}]
-        self.nslots = 0
+    def __init__(self, names: Optional[Dict[str, int]] = None,
+                 unbound: Sequence[int] = (), nslots: int = 0) -> None:
+        self._stack: List[Dict[str, int]] = [dict(names or {})]
+        self.nslots = nslots
         #: slots that may hold None at runtime: in a device frame, names the
         #: region's scope chain may not bind (a use of one is an undefined
         #: variable, exactly as the chain walk would find)
-        self.unbound: Set[int] = set()
+        self.unbound: Set[int] = set(unbound)
 
     def push(self) -> None:
         self._stack.append({})
@@ -386,7 +387,7 @@ class _Site:
     """The lexical view of a slot frame at one OpenACC statement, with
     everything the executor may evaluate or run there."""
 
-    __slots__ = ("names", "exprs", "lanes", "scoped")
+    __slots__ = ("names", "exprs", "lanes", "scoped", "lower_scoped")
 
     def __init__(self, names: Dict[str, int],
                  exprs: Optional[Dict[int, Callable]] = None):
@@ -403,6 +404,9 @@ class _Site:
         #: ``data``/``host_data`` body, the host run of an if(false)
         #: compute region, or a loop's sequential run
         self.scoped: Optional[_ScopedCode] = None
+        #: builds ``scoped`` on first use where it seldom runs (a device
+        #: loop's sequential run), given the frame's length
+        self.lower_scoped: Optional[Callable[[int], _ScopedCode]] = None
 
 
 class FrameEnv:
@@ -453,9 +457,14 @@ class FrameEnv:
 
     def run_scoped(self, I, defs: Dict[str, Cell]) -> None:
         """Run the site's scoped body with ``defs`` bound."""
-        code = self.site.scoped
+        site = self.site
+        code = site.scoped
         if code is None:
-            raise _missing("scoped body", None)
+            if site.lower_scoped is None:
+                raise _missing("scoped body", None)
+            # the site is shared across threads: racing first uses each
+            # build an equal body, and the last one stored is kept
+            code = site.scoped = site.lower_scoped(len(self.slots))
         code.bind(self.slots, defs)
         code.body(I, self.slots)
 
@@ -1177,10 +1186,16 @@ class _Lowerer:
                 # lanes (on a host frame too, for a 2.0 routine that runs
                 # the loop inside a region)
                 self._lower_loop_site(stmt, site)
-            # the sequential run: an orphaned loop, an if(false) combined
-            # construct, a loop whose directive the behaviour ignores
-            site.scoped = _ScopedCode((), self._lower_host_run(
-                lambda: self.lower_for_core(stmt.loop)))
+            if kind == "loop" and self.device and not self.host_run:
+                # a device loop runs sequentially only when the behaviour
+                # ignores its directive: lowered on first use
+                site.lower_scoped = self._sequential_run_later(stmt.loop,
+                                                               site.names)
+            else:
+                # the sequential run: an orphaned loop, an if(false)
+                # combined construct
+                site.scoped = _ScopedCode((), self._lower_host_run(
+                    lambda: self.lower_for_core(stmt.loop)))
         elif isinstance(stmt, AccConstruct):
             if kind in ("data", "host_data"):
                 # a scope holding the names deviceptr/use_device may rebind
@@ -1214,6 +1229,27 @@ class _Lowerer:
                     if expr is not None:
                         exprs[id(expr)] = self.lower_expr(expr)
         return exprs
+
+    def _sequential_run_later(self, loop: For, names: Dict[str, int]):
+        """``lower(nslots)``: ``loop``'s sequential run on a device frame
+        of ``nslots`` slots, lowered over the scope it has here (``names``)
+        as a host run.  Its own slots follow the frame's, so it runs on a
+        copy of the frame extended by them: every slot it writes is its
+        own, and every cell it reads is the frame's.  The builder holds
+        the program, never the plans, which hold this site."""
+        program, unbound = self.program, self.sc.unbound
+
+        def lower(nslots: int) -> _ScopedCode:
+            lowerer = _Lowerer(program, device=True)
+            lowerer.sc = _FrameScope(names, unbound, nslots)
+            lowerer.host_run = True
+            body = lowerer.lower_for_core(loop)
+            pad = [None] * (lowerer.sc.nslots - nslots)
+
+            def run(I, S):
+                body(I, S + pad)
+            return _ScopedCode((), run)
+        return lower
 
     def _lower_host_run(self, lower: Callable):
         """``lower()`` with ``host_run`` set."""

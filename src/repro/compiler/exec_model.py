@@ -255,6 +255,11 @@ class AccExecutor:
 
     # ----------------------------------------------------------- runtime hooks
 
+    def _skip_scalar_transfer(self) -> bool:
+        """Cray's scalar-copy bug, asked by device memory only for a new
+        scalar mapping whose action transfers."""
+        return self.behavior.skip_scalar_data_transfers
+
     def hook_async_test(self, tag, result: int) -> int:
         if self._wedged_all or (tag is not None and tag in self._wedged_tags):
             return self.behavior.wedged_async_test_value
@@ -262,7 +267,7 @@ class AccExecutor:
 
     def on_device_answer(self, requested: DeviceType) -> int:
         if self.region is not None:
-            return 1 if self.region.device.device_type.matches(requested) else 0
+            return 1 if self.region.device.matches(requested) else 0
         return 1 if ACC_DEVICE_HOST.matches(requested) else 0
 
     # ------------------------------------------------------ function declares
@@ -312,7 +317,7 @@ class AccExecutor:
                     start, length = self._section_bounds(ref, cell, env)
                     mapping = device.memory.enter(
                         action, cell, start, length,
-                        skip_scalar_transfer=self.behavior.skip_scalar_data_transfers,
+                        skip_scalar_transfer=self._skip_scalar_transfer,
                     )
                     processed.append(mapping)
                     already.add(id(cell))
@@ -510,7 +515,7 @@ class AccExecutor:
     def _exec_compute(self, plan: ComputePlan, env) -> None:
         behavior = self.behavior
         d, body = plan.directive, plan.body
-        if behavior.eliminate_copy_only_regions and plan.copy_only:
+        if plan.copy_only and behavior.eliminate_copy_only_regions:
             return  # Cray: "deletes the full compute region" (Fig. 11)
 
         if_clause = d.clause("if")
@@ -561,8 +566,8 @@ class AccExecutor:
 
         wedged = (
             async_clause is not None
-            and behavior.async_wedged_by_compute_data_clauses
             and any(c.name in _DATA_ACTION_CLAUSES for c in d.clauses)
+            and behavior.async_wedged_by_compute_data_clauses
         )
         if wedged:
             # PGI 13.x: the async activity is blocked -> synchronous execution
@@ -643,7 +648,7 @@ class AccExecutor:
                 # kernels: implicit scalars get copy semantics
                 mapping = device.memory.enter(
                     "present_or_copy", cell,
-                    skip_scalar_transfer=behavior.skip_scalar_data_transfers,
+                    skip_scalar_transfer=self._skip_scalar_transfer,
                 )
                 mappings.append(mapping)
                 dev_cell = Cell(mapping.device_data, type=cell.type, name=cell.name)
@@ -687,11 +692,11 @@ class AccExecutor:
             if mode == "parallel":
                 for g in range(num_gangs):
                     defs: Dict[str, Cell] = {}
-                    if not behavior.ignore_private_clause:
+                    if private_names and not behavior.ignore_private_clause:
                         for name in private_names:
                             defs[name] = _fresh_private(env, name)
                     for name, (value, ctype) in fp_snapshot.items():
-                        if behavior.firstprivate_uninitialized and name in firstprivate_names:
+                        if name in firstprivate_names and behavior.firstprivate_uninitialized:
                             defs[name] = _fresh_private(env, name)
                         else:
                             defs[name] = Cell(_copy_value(value), type=ctype, name=name)
@@ -761,7 +766,9 @@ class AccExecutor:
         levels = [l for l in levels if l not in behavior.ignored_loop_levels]
 
         loops, tuples = self._iteration_space(plan, env)
-        private_names = [] if behavior.ignore_private_clause else plan.private_names
+        private_names = plan.private_names
+        if private_names and behavior.ignore_private_clause:
+            private_names = []
         reductions = plan.reductions
 
         gang_level = "gang" in levels
@@ -1005,9 +1012,9 @@ class AccExecutor:
             if clause.name not in _DATA_ACTION_CLAUSES:
                 continue
             action = clause.name
-            if behavior.copyin_as_create and action in ("copyin", "present_or_copyin"):
+            if action in ("copyin", "present_or_copyin") and behavior.copyin_as_create:
                 action = "create"
-            if behavior.copyout_not_copied and action in ("copyout", "present_or_copyout"):
+            elif action in ("copyout", "present_or_copyout") and behavior.copyout_not_copied:
                 action = "create"
             for ref in clause.refs:
                 cell = env.lookup(ref.name)
@@ -1018,7 +1025,7 @@ class AccExecutor:
                 start, length = self._section_bounds(ref, cell, env)
                 mapping = device.memory.enter(
                     action, cell, start, length,
-                    skip_scalar_transfer=behavior.skip_scalar_data_transfers,
+                    skip_scalar_transfer=self._skip_scalar_transfer,
                 )
                 mappings.append(mapping)
         return mappings, deviceptr_binds

@@ -172,12 +172,10 @@ class Interpreter:
         #: program, by every behaviour compiled from its parse
         self.plans = lowered.plans
         # the behaviour is the accelerator's execution profile: the region
-        # executor reads a default size only where a region omits its clause
-        self.machine = Machine(
-            accel_count=1,
-            accel_device_type=behavior.concrete_device_type,
-            profile=behavior,
-        )
+        # executor reads a default size only where a region omits its
+        # clause, and the device its concrete type only where a request
+        # names a concrete type
+        self.machine = Machine(accel_count=1, profile=behavior)
         self.acc = self._executor()
         self.runtime = AccRuntime(self.machine, hooks=self.acc)
         if env_vars:

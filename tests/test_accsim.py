@@ -463,11 +463,29 @@ class TestDeviceMemory:
     def test_scalar_skip_transfer_hook(self):
         memory = DeviceMemory()
         cell = Cell(5, name="flag")
-        mapping = memory.enter("copy", cell, skip_scalar_transfer=True)
+        mapping = memory.enter("copy", cell, skip_scalar_transfer=lambda: True)
         assert mapping.device_data != 5  # garbage, not copied
         mapping.device_data = 7
         memory.exit(mapping)
         assert cell.value == 5  # no copyout either (Cray bug)
+
+    def test_scalar_skip_transfer_hook_is_asked_only_where_it_decides(self):
+        asked = []
+
+        def skip():
+            asked.append(True)
+            return True
+
+        memory = DeviceMemory()
+        scalar = Cell(5, name="flag")
+        array, _host = self._cell(fill=1)
+        memory.enter("copy", array, 0, 4, skip_scalar_transfer=skip)
+        memory.enter("create", scalar, skip_scalar_transfer=skip)
+        assert asked == []  # an array, and an action that transfers nothing
+        memory.enter("copy", scalar, skip_scalar_transfer=skip)  # present
+        assert asked == []
+        memory.enter("copyin", Cell(5, name="other"), skip_scalar_transfer=skip)
+        assert asked == [True]
 
     def test_update_host_device(self):
         memory = DeviceMemory()

@@ -582,6 +582,49 @@ class TestConstructBodies:
         if expected is not None:
             assert outcomes["tree"].value == expected
 
+    def test_a_device_loops_sequential_run_is_lowered_on_first_use(
+            self, monkeypatch):
+        # only a behaviour that ignores the loop directive runs a device
+        # loop sequentially: its run is lowered then, once, and kept on
+        # the site every lowering of the parse shares
+        from repro.compiler.closures import _Lowerer
+
+        lowered = []
+        lower_for_core = _Lowerer.lower_for_core
+
+        def counting(lowerer, loop):
+            if lowerer.device and lowerer.host_run:
+                lowered.append(loop)
+            return lower_for_core(lowerer, loop)
+        monkeypatch.setattr(_Lowerer, "lower_for_core", counting)
+        source = """
+int main() {
+  int a[8];
+  for (int i = 0; i < 8; i = i + 1) { a[i] = 0; }
+  #pragma acc parallel copy(a[0:8]) num_gangs(2)
+  {
+    #pragma acc loop
+    for (int i = 0; i < 8; i = i + 1) { int t = i; a[i] = a[i] + t; }
+  }
+  return a[3];
+}
+"""
+        cache = CompileCache()
+
+        def run(behavior):
+            compiled = Compiler(behavior, frontend=cache).compile(
+                source, "c", "seq.c")
+            return compiled.run().value
+
+        assert run(REFERENCE_BEHAVIOR) == 3
+        assert lowered == []
+        ignored = REFERENCE_BEHAVIOR.with_(ignore_loop_directive=True)
+        assert run(ignored) == 6  # every gang runs every iteration
+        assert len(lowered) == 1
+        assert run(ignored) == 6
+        assert run(REFERENCE_BEHAVIOR) == 3
+        assert len(lowered) == 1
+
     def test_site_without_a_closure_raises(self, monkeypatch):
         # the executor reaches code only through its site: a closure the
         # lowering did not attach is a lowering bug, never a name walk

@@ -638,6 +638,32 @@ class TestCliResume:
         assert journal.read_bytes() == before
 
 
+    def test_titan_journal_keys_on_the_config_it_runs(self, tmp_path,
+                                                      capsys):
+        # the key fingerprints the feature selection the sweep runs: a
+        # journal keyed on the whole suite (what the command wrote before
+        # it built its run config once) is another campaign
+        base_args = ["titan", "--nodes", "6", "--sample", "3"]
+        journal = tmp_path / "tj.jsonl"
+        assert main(base_args + ["--journal", str(journal)]) == 0
+        capsys.readouterr()
+        recorded = read_journal(str(journal))
+        assert recorded.campaign["config"]["feature_prefixes"] == [
+            "parallel", "update"]
+        campaign = dict(recorded.campaign,
+                        config=dict(recorded.campaign["config"],
+                                    feature_prefixes=None))
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(
+            record_line({"type": "header", "format": JOURNAL_FORMAT,
+                         "campaign": campaign})
+            + b"".join(lines[1:]))
+        before = journal.read_bytes()
+        assert main(base_args + ["--resume", str(journal)]) == 1
+        assert "journal error" in capsys.readouterr().err
+        assert journal.read_bytes() == before
+
+
 def _titan_selection():
     """The templates of one ``repro titan`` node check."""
     return openacc10_suite().select(languages=("c",),

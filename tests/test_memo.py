@@ -38,10 +38,12 @@ from repro.harness import (
     render_text,
 )
 from repro.harness.runner import TemplateTimeout
+from repro.harness.titan import default_degradation, default_stacks
 from repro.journal import decode_result, encode_result
 from repro.obs import Tracer
 from repro.obs.sink import TraceData
 from repro.obs.summary import render_summary_text, summarize_trace
+from repro.spec.devices import ACC_DEVICE_HOST, ACC_DEVICE_NONE
 from repro.suite.builders import template_text
 from repro.templates import parse_template
 
@@ -53,6 +55,31 @@ _FEATURES = [
     "loop.collapse", "update.host", "update.device", "runtime.acc_on_device",
     "runtime.acc_async_test", "wait", "data.create", "declare.copy",
 ]
+
+
+#: the Titan differential's sample: every template that can tell the ten
+#: Titan behaviours apart (device types, and each degradation's construct)
+#: beside constructs whose behaviour reads are now guarded
+_TITAN_FEATURES = [
+    "parallel", "runtime.acc_set_device_type", "env.ACC_DEVICE_TYPE",
+    "runtime.acc_on_device", "runtime.acc_get_num_devices",
+    "runtime.acc_shutdown", "update.host", "update.device", "update.async",
+    "parallel.async", "kernels.async", "runtime.acc_async_test",
+    "data.copyout", "parallel.copyout", "data.present_or_copyout",
+    "kernels.copy", "data.copyin", "declare.copy", "parallel.private",
+    "parallel.firstprivate", "loop.private", "parallel.reduction",
+    "loop.reduction.int_add", "loop.reduction.double_mul",
+]
+
+
+def _titan_behaviors():
+    """A Titan node's ten possible stacks: both healthy ones and each of
+    their four degradations."""
+    out = []
+    for healthy in default_stacks().values():
+        out.append(healthy)
+        out.extend(default_degradation(healthy, k) for k in range(4))
+    return out
 
 
 def _template(code: str, feature: str = "parallel"):
@@ -99,6 +126,50 @@ def test_vendor_sample_identical_without_the_memo(suite10, memo_off):
     iterations = sum(r.metrics.iterations_run for r in executed)
     assert sum(r.metrics.programs_executed for r in executed) == iterations
     assert sum(r.metrics.programs_executed for r in served) < iterations
+
+
+def test_titan_stacks_identical_without_the_memo(suite10, memo_off):
+    config = HarnessConfig(iterations=2, features=_TITAN_FEATURES)
+
+    def run_all():
+        cache = CompileCache()
+        return [ValidationRunner(behavior, replace(config, languages=(lang,)),
+                                 cache=cache).run_suite(suite10)
+                for behavior in _titan_behaviors()
+                for lang in ("c", "fortran")]
+
+    served = run_all()
+    with memo_off():
+        executed = run_all()
+    assert len(served) == 20
+    for fast, slow in zip(served, executed):
+        assert render_csv(fast) == render_csv(slow)
+        assert render_text(fast) == render_text(slow)
+        for quick, ran in zip(fast.results, slow.results):
+            assert quick.functional.iterations == ran.functional.iterations
+            if ran.cross is not None:
+                assert quick.cross.iterations == ran.cross.iterations
+    assert _memo_hits(executed) == 0
+    # each OpenCL stack runs after its CUDA twin, which differs only in
+    # the device type: served wherever the run never asked for it
+    assert all(r.metrics.memo_hits > 0 for r in served[10:])
+
+
+def test_the_second_healthy_stack_runs_only_the_device_type_templates(
+        suite10):
+    config = HarnessConfig(iterations=1, run_cross=False)
+    cache = CompileCache()
+    first, second = [ValidationRunner(stack, config, cache=cache)
+                     .run_suite(suite10)
+                     for stack in default_stacks().values()]
+    assert first.metrics.programs_executed == len(suite10)
+    ran = sorted((r.template.feature, r.template.language)
+                 for r in second.results if r.functional.executed)
+    assert ran == [("env.ACC_DEVICE_TYPE", "c"),
+                   ("env.ACC_DEVICE_TYPE", "fortran"),
+                   ("runtime.acc_set_device_type", "c"),
+                   ("runtime.acc_set_device_type", "fortran")]
+    assert second.metrics.programs_executed == 4
 
 
 def test_tree_oracle_identical_without_the_memo(suite10, tree_oracle,
@@ -272,6 +343,68 @@ def test_default_sizes_are_read_only_where_a_clause_is_absent():
     assert dict(runner.trace.reads)["default_num_gangs"] == 16
     assert not runner.trace.answers_alike(CompilerBehavior(
         default_num_gangs=64))
+
+
+def _reads(code: str, behavior=None):
+    """The fields one run of ``code`` read, with their answers."""
+    compiled = Compiler(behavior or CompilerBehavior()).compile(
+        code, "c", "t.c")
+    runner = compiled.runner()
+    runner.run()
+    return dict(runner.trace.reads)
+
+
+def test_the_device_type_is_read_only_where_a_request_names_one():
+    region = ("int main(){ int a = 0, h = 0, d = 0, n = 0;\n"
+              "acc_set_device_type(acc_device_not_host);\n"
+              "n = acc_get_num_devices(acc_device_not_host);\n"
+              "h = acc_on_device(acc_device_host);\n"
+              "#pragma acc parallel num_gangs(1) copy(a, d)\n"
+              "{ a = 1; d = acc_on_device(acc_device_not_host); }\n"
+              " return a + d + n - h; }")
+    assert "concrete_device_type" not in _reads(region)
+    named = ("int main(){\n"
+             " return acc_get_device_type() == acc_device_host; }")
+    read = _reads(named)
+    assert read["concrete_device_type"] == CompilerBehavior().concrete_device_type
+    vendor = ("int main(){ int d = 0;\n"
+              "#pragma acc parallel num_gangs(1) copy(d)\n"
+              "{ d = acc_on_device(acc_device_nvidia); }\n return d; }")
+    assert "concrete_device_type" in _reads(vendor)
+
+
+def test_a_host_device_type_is_rejected():
+    for device_type in (ACC_DEVICE_HOST, ACC_DEVICE_NONE):
+        with pytest.raises(ValueError, match="not an accelerator type"):
+            CompilerBehavior(concrete_device_type=device_type)
+    with pytest.raises(ValueError, match="not an accelerator type"):
+        CompilerBehavior().with_(concrete_device_type=ACC_DEVICE_HOST)
+
+
+def test_fault_fields_are_read_only_under_their_construct():
+    plain = ("int main(){ int a[4]; int s = 0; int i;\n"
+             "for (i = 0; i < 4; i++) a[i] = i;\n"
+             "#pragma acc parallel num_gangs(2) copyin(a) async(1)\n"
+             "{ s = a[1]; }\n"
+             "#pragma acc wait\n return 1; }")
+    read = _reads(plain)
+    for name in ("copyout_not_copied", "eliminate_copy_only_regions",
+                 "ignore_private_clause", "firstprivate_uninitialized",
+                 "skip_scalar_data_transfers"):
+        assert name not in read
+    assert read["copyin_as_create"] is False
+    assert read["async_wedged_by_compute_data_clauses"] is False
+
+    copyout = ("int main(){ int a[4]; int s = 1; int i;\n"
+               "#pragma acc parallel num_gangs(1) copyout(a) "
+               "copy(s) private(i) firstprivate(s)\n"
+               "{ for (i = 0; i < 4; i++) a[i] = s; }\n return a[0]; }")
+    read = _reads(copyout)
+    for name in ("copyout_not_copied", "ignore_private_clause",
+                 "firstprivate_uninitialized", "skip_scalar_data_transfers"):
+        assert read[name] is False
+    assert "copyin_as_create" not in read
+    assert "async_wedged_by_compute_data_clauses" not in read
 
 
 # ---------------------------------------------------------------------------
