@@ -31,8 +31,9 @@ class ExecProfile:
     The host device uses these defaults.  An accelerator's profile is any
     object with these five fields: the compiler passes its behaviour
     (:class:`~repro.compiler.behavior.CompilerBehavior`), the region
-    executor reads a default size only when a region omits its clause, and
-    the device reads ``concrete_device_type`` only when a request names a
+    executor reads a default size only when a region omits its clause and
+    the worker fields only where a ``worker`` loop runs, and the device
+    reads ``concrete_device_type`` only when a request names a
     concrete type.  That type must be an accelerator type (``not_host``).
     """
 

@@ -209,7 +209,8 @@ class RegionState:
     host_env: object
     region_env: object
     num_gangs: int
-    num_workers: int
+    #: the ``num_workers`` clause's value, None when the region omits it
+    num_workers: Optional[int]
     vector_length: int
     gang_id: Optional[int] = None
     worker_id: Optional[int] = None
@@ -220,6 +221,16 @@ class RegionState:
     gang_loop_reductions: Dict[Tuple[int, str], _GangLoopReduction] = field(
         default_factory=dict
     )
+
+    def worker_count(self) -> int:
+        """Workers of a gang, read from the profile only here: where a
+        ``worker`` loop runs, the one place the count is observable."""
+        profile = self.device.profile
+        if profile.worker_ignored:
+            return 1
+        if self.num_workers is None:
+            return profile.default_num_workers
+        return self.num_workers
 
 
 class AccExecutor:
@@ -544,16 +555,13 @@ class AccExecutor:
         device = self.machine.current_device()
 
         # clause expressions evaluate on the host at region entry; the
-        # profile's defaults are read only for the clauses a region omits
+        # profile's defaults are read only for the clauses a region omits,
+        # and its worker fields only where a worker loop runs
         profile = device.profile
         num_gangs = self._clause_int(d, "num_gangs", env, None)
         if num_gangs is None:
             num_gangs = profile.default_num_gangs
         num_workers = self._clause_int(d, "num_workers", env, None)
-        if profile.worker_ignored:
-            num_workers = 1
-        elif num_workers is None:
-            num_workers = profile.default_num_workers
         vector_length = self._clause_int(d, "vector_length", env, None)
         if vector_length is None:
             vector_length = profile.default_vector_length
@@ -592,7 +600,7 @@ class AccExecutor:
 
     def _run_region_body(
         self, plan: ComputePlan, env, device,
-        num_gangs: int, num_workers: int, vector_length: int,
+        num_gangs: int, num_workers: Optional[int], vector_length: int,
     ) -> None:
         behavior = self.behavior
         d, mode = plan.directive, plan.mode
@@ -850,7 +858,7 @@ class AccExecutor:
                 accum[name] = reduction_combine(op, accum[name], red_cells[name].value)
 
         if "worker" in levels:
-            W = max(1, region.num_workers)
+            W = max(1, region.worker_count())
             V = region.vector_length if "vector" in levels else 1
             for w in range(W):
                 worker_share = tuples[w::W]

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.frontend.dispatch import parse_source
 from repro.frontend.errors import FrontendError
-from repro.ir.acc import Directive
+from repro.ir.acc import COMPUTE_KINDS, Directive
 from repro.ir.astnodes import (
     AccConstruct,
     AccLoop,
@@ -35,7 +35,6 @@ from repro.ir.astnodes import (
     Program,
     children,
 )
-from repro.staticcheck.regions import COMPUTE_KINDS
 
 
 class ComputeRegion:

@@ -43,23 +43,17 @@ from repro.compiler.interp import (
     builtin_names,
 )
 from repro.frontend.dispatch import LANGUAGES
-from repro.ir.acc import Directive
+from repro.ir.acc import (
+    ALLOWED_CLAUSES,
+    V20_CLAUSES as _V20_CLAUSES,
+    V20_DIRECTIVES as _V20_DIRECTIVES,
+    Directive,
+)
 from repro.ir.astnodes import IntLit, Program, walk
 from repro.spec.versions import ACC_20
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.cache import CompileCache
-
-# ---------------------------------------------------------------------------
-# clause allowance table — owned by the static checker so the simulated
-# compilers and `repro lint` can never disagree about legality
-# ---------------------------------------------------------------------------
-
-from repro.staticcheck.legality import (  # noqa: E402
-    ALLOWED_CLAUSES,
-    V20_CLAUSES as _V20_CLAUSES,
-    V20_DIRECTIVES as _V20_DIRECTIVES,
-)
 
 _PARALLELISM_SIZE_CLAUSES = ("num_gangs", "num_workers", "vector_length")
 

@@ -55,24 +55,42 @@ runs.
 from __future__ import annotations
 
 import os
-import signal
+import sys
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    as_completed,
-)
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from repro.harness.config import HarnessConfig
-from repro.obs.live import phase_counts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler import CompilerBehavior
-    from repro.harness.runner import SuiteRunReport, TestResult, ValidationRunner
+    from repro.harness.runner import (PhaseResult, SuiteRunReport, TestResult,
+                                      ValidationRunner)
     from repro.templates import TestTemplate
+
+#: the names of the process-pool stack (``concurrent.futures`` and with
+#: it ``multiprocessing``, ``pickle``, ``socket``, ``logging``), imported
+#: by :func:`__getattr__` the first time a pool is needed, so a serial
+#: campaign never loads them
+_POOL_NAMES = frozenset({"BrokenExecutor", "ProcessPoolExecutor",
+                         "as_completed"})
+
+
+def __getattr__(name: str):
+    """Import the pool stack on first use of one of its names.
+
+    The name then becomes a plain module attribute, which a test may
+    patch (``engine.ProcessPoolExecutor``) like any other.
+    """
+    if name not in _POOL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import concurrent.futures
+
+    value = globals()[name] = getattr(concurrent.futures, name)
+    return value
+
 
 #: one campaign work unit: (index of its cell, template)
 Unit = Tuple[int, "TestTemplate"]
@@ -304,6 +322,8 @@ def _process_worker_init(cells: Sequence[Tuple["CompilerBehavior",
     every work unit.
     """
     global _WORKER_RUNNERS
+    import signal
+
     from repro.harness.runner import ValidationRunner
 
     # the parent coordinates graceful drains (and Ctrl-C reaches the whole
@@ -362,6 +382,11 @@ def _run_on_pools(units: Sequence[Unit],
     in-process loop: degraded throughput, never a crashed campaign.
     """
     cancel.check()
+    engine = sys.modules[__name__]
+    # read through the module, so a patched attribute is the one used
+    ProcessPoolExecutor = engine.ProcessPoolExecutor
+    BrokenExecutor = engine.BrokenExecutor
+    as_completed = engine.as_completed
     tracer = runners[0].tracer
     # each worker records into a fresh tracer of the parent's kind
     initargs = ([(r.behavior, r.config) for r in runners],
@@ -475,6 +500,35 @@ def run_units(units: Sequence[Unit],
 # ---------------------------------------------------------------------------
 
 
+def phase_counts(phases: Iterable[Optional["PhaseResult"]]) -> dict:
+    """The iteration, memo, compile-cache and timing counts of ``phases``.
+
+    The one phase-accounting rule: a phase that never reached the
+    compiler (harness or static error) counts nothing.  Each
+    ``unit.finished`` event carries these counts for its unit and
+    :func:`build_metrics` sums them over the run, so a tally folded from
+    the stream (:mod:`repro.obs.live`) reconciles with the report's
+    :class:`RunMetrics` without slack.
+    """
+    counts = {"iterations": 0, "executed": 0, "memo_hits": 0,
+              "compile_cache_hits": 0, "compile_cache_misses": 0,
+              "compile_s": 0.0, "run_s": 0.0}
+    for phase in phases:
+        if (phase is None or phase.harness_error is not None
+                or phase.static_error is not None):
+            continue
+        counts["iterations"] += len(phase.iterations)
+        counts["executed"] += phase.executed
+        counts["memo_hits"] += phase.memo_hit
+        counts["compile_s"] += phase.compile_s
+        counts["run_s"] += phase.run_s
+        if phase.cache_hit:
+            counts["compile_cache_hits"] += 1
+        else:
+            counts["compile_cache_misses"] += 1
+    return counts
+
+
 def build_metrics(
     report: "SuiteRunReport",
     policy: str,
@@ -487,7 +541,7 @@ def build_metrics(
     the results, so they are exact under every policy — including process
     pools, where each worker holds a private cache whose own counters never
     leave the worker.  The phase counts are
-    :func:`repro.obs.live.phase_counts`, the rule the live stream's
+    :func:`phase_counts`, the rule the live stream's
     ``unit.finished`` events carry.
     """
     metrics = RunMetrics(policy=policy, workers=workers,

@@ -7,8 +7,6 @@ vendors' convenience".
 
 from __future__ import annotations
 
-import csv
-import html as _html
 import io
 from typing import List
 
@@ -64,6 +62,8 @@ def render_csv(report: SuiteRunReport) -> str:
     ``lineterminator`` is pinned to ``\\n`` to keep reports byte-stable
     across platforms (the module defaults to ``\\r\\n``).
     """
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["feature", "language", "result", "failure_kind",
@@ -86,6 +86,8 @@ def render_html(report: SuiteRunReport) -> str:
     formatted first and the resulting text escaped, so even a value whose
     ``__format__`` emits markup cannot break out of its table cell.
     """
+    import html as _html
+
     rows = []
     for r in report.results:
         status = "pass" if r.passed else "fail"
@@ -167,6 +169,8 @@ def render_metrics_text(report: SuiteRunReport) -> str:
 def render_metrics_csv(report: SuiteRunReport) -> str:
     """Engine/run metrics as ``metric,value`` rows (stdlib ``csv`` writer,
     same quoting and ``\\n`` line-terminator rules as :func:`render_csv`)."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["metric", "value"])

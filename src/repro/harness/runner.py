@@ -315,6 +315,10 @@ class ValidationRunner:
             self.compiler = FaultyCompiler(self.compiler, self.faults)
         else:
             self.faults = NULL_INJECTOR
+        if self.config.lint:
+            # a lint run loads the linter here, in the process that forks
+            # the pool, so no pool worker imports it again
+            import repro.staticcheck  # noqa: F401
 
     @property
     def behavior(self) -> CompilerBehavior:

@@ -12,7 +12,7 @@ bug hooks and the spec-conformance checks consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.ir.astnodes import Expr, Node
 
@@ -56,6 +56,9 @@ DATA_CLAUSES = (
     "delete",  # 2.0 exit data
 )
 
+#: directive kinds that open a compute region
+COMPUTE_KINDS = ("parallel", "kernels", "parallel loop", "kernels loop")
+
 #: Short spellings the 1.0 spec allows for the present_or_* family.
 _CLAUSE_ALIASES = {
     "pcopy": "present_or_copy",
@@ -69,6 +72,57 @@ _CLAUSE_ALIASES = {
 def normalize_clause_name(name: str) -> str:
     """Resolve clause spelling aliases (``pcopy`` -> ``present_or_copy``)."""
     return _CLAUSE_ALIASES.get(name, name)
+
+
+# ---------------------------------------------------------------------------
+# the clause x directive legality matrix (OpenACC 1.0 sections 2.4-2.11),
+# read by the compiler pipeline and the lint pass alike
+# ---------------------------------------------------------------------------
+
+_DATA_10 = frozenset({
+    "copy", "copyin", "copyout", "create", "present",
+    "present_or_copy", "present_or_copyin", "present_or_copyout",
+    "present_or_create", "deviceptr",
+})
+_LOOP_10 = frozenset({
+    "collapse", "gang", "worker", "vector", "seq", "independent",
+    "private", "reduction",
+})
+
+#: clause x directive legality, OpenACC 1.0 only
+LEGAL_CLAUSES_10: Dict[str, FrozenSet[str]] = {
+    "parallel": _DATA_10 | {"if", "async", "num_gangs", "num_workers",
+                            "vector_length", "reduction", "private",
+                            "firstprivate"},
+    "kernels": _DATA_10 | {"if", "async"},
+    "data": _DATA_10 | {"if"},
+    "host_data": frozenset({"use_device"}),
+    "loop": _LOOP_10,
+    "cache": frozenset({"cache"}),
+    "declare": _DATA_10 | {"device_resident"},
+    "update": frozenset({"host", "device", "if", "async"}),
+    "wait": frozenset({"wait"}),
+}
+LEGAL_CLAUSES_10["parallel loop"] = LEGAL_CLAUSES_10["parallel"] | _LOOP_10
+LEGAL_CLAUSES_10["kernels loop"] = LEGAL_CLAUSES_10["kernels"] | _LOOP_10
+
+#: directives / clauses introduced by OpenACC 2.0 (Section V-C)
+V20_DIRECTIVES = frozenset({"enter data", "exit data", "routine"})
+V20_CLAUSES = frozenset({"default", "auto", "delete"})
+
+LEGAL_CLAUSES_20_ONLY: Dict[str, FrozenSet[str]] = {
+    "enter data": frozenset({"if", "async", "wait", "copyin", "create",
+                             "present_or_copyin", "present_or_create"}),
+    "exit data": frozenset({"if", "async", "wait", "copyout", "delete"}),
+    "routine": frozenset({"gang", "worker", "vector", "seq"}),
+}
+
+#: the merged (1.0 + 2.0) table the compiler pipeline consumes
+ALLOWED_CLAUSES: Dict[str, Set[str]] = {
+    kind: set(clauses) for kind, clauses in LEGAL_CLAUSES_10.items()
+}
+for _kind, _clauses in LEGAL_CLAUSES_20_ONLY.items():
+    ALLOWED_CLAUSES[_kind] = set(_clauses)
 
 
 @dataclass

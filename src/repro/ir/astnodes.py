@@ -10,14 +10,18 @@ they need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.ir.types import Type
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """Position of a construct in the original (generated) source file."""
+class SourceLocation(NamedTuple):
+    """Position of a construct in the original (generated) source file.
+
+    One is built for every token and every node, so it is a tuple: no
+    instance dict, and a third of a frozen dataclass's construction time.
+    It compares equal only to another location, as a dataclass does.
+    """
 
     filename: str = "<unknown>"
     line: int = 0
@@ -25,6 +29,15 @@ class SourceLocation:
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is SourceLocation
+                and tuple.__eq__(self, other))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass

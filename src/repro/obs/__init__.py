@@ -22,7 +22,12 @@ real :class:`Tracer` is injected (CLI ``--trace``).  Live
 telemetry is likewise opt-in (CLI ``--live-stream``/``--status``/``--prom``);
 without a tracer it runs on a span-free :class:`EventTracer`.  Both are
 observational only: reports are byte-identical with them on or off.
+
+Importing the package loads only the tracer; the other modules' names
+resolve on first use.
 """
+
+import importlib
 
 from repro.obs.trace import (
     Event,
@@ -33,31 +38,34 @@ from repro.obs.trace import (
     TRACE_FORMAT,
     Tracer,
 )
-from repro.obs.sink import (
-    TraceData,
-    parse_trace,
-    read_trace,
-    trace_to_jsonl,
-    write_trace,
-)
-from repro.obs.summary import TraceSummary, render_summary_text, summarize_trace
-from repro.obs.dashboard import render_perf_html, render_trace_html
-from repro.obs.live import (
-    LIVE_FORMAT,
-    LiveStream,
-    LiveTelemetry,
-    NDJSONStreamSink,
-    PrometheusSink,
-    ProgressTally,
-    SnapshotReporter,
-    StatusLineSink,
-    lint_prometheus,
-    parse_live,
-    read_live,
-    render_prometheus,
-    render_status_line,
-    render_tally_text,
-)
+
+#: name -> submodule for the names loaded on first use: the trace sink
+#: (``json``), the summary, the dashboards (``html``) and live telemetry
+#: are imported only by the runs and commands that use them (``--trace``,
+#: ``--live-stream``, ``repro trace``, ...)
+_LAZY = {
+    **dict.fromkeys(("TraceData", "parse_trace", "read_trace",
+                     "trace_to_jsonl", "write_trace"), "sink"),
+    **dict.fromkeys(("TraceSummary", "render_summary_text",
+                     "summarize_trace"), "summary"),
+    **dict.fromkeys(("render_perf_html", "render_trace_html"), "dashboard"),
+    **dict.fromkeys((
+        "LIVE_FORMAT", "LiveStream", "LiveTelemetry", "NDJSONStreamSink",
+        "PrometheusSink", "ProgressTally", "SnapshotReporter",
+        "StatusLineSink", "lint_prometheus", "parse_live", "read_live",
+        "render_prometheus", "render_status_line", "render_tally_text",
+    ), "live"),
+}
+
+
+def __getattr__(name: str):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f"{__name__}.{submodule}"), name)
+    return value
+
 
 __all__ = [
     "Event", "EventTracer", "NULL_TRACER", "NullTracer", "Span",

@@ -46,14 +46,15 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+from typing import (Callable, Dict, List, Optional, Sequence,
                     TYPE_CHECKING)
 
+from repro.harness.engine import phase_counts
 from repro.ioutil import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.config import HarnessConfig
-    from repro.harness.runner import PhaseResult, SuiteRunReport, TestResult
+    from repro.harness.runner import SuiteRunReport, TestResult
 
 #: format tag written into the stream's meta record, checked by the reader
 LIVE_FORMAT = "repro.obs.live/v1"
@@ -61,35 +62,6 @@ LIVE_FORMAT = "repro.obs.live/v1"
 # ---------------------------------------------------------------------------
 # the fold: unit events -> campaign totals
 # ---------------------------------------------------------------------------
-
-
-def phase_counts(phases: Iterable[Optional["PhaseResult"]]) -> dict:
-    """The iteration, memo, compile-cache and timing counts of ``phases``.
-
-    The one phase-accounting rule: a phase that never reached the
-    compiler (harness or static error) counts nothing.  Each
-    ``unit.finished`` event carries these counts for its unit and
-    :func:`repro.harness.engine.build_metrics` sums them over the run, so
-    a tally folded from the stream reconciles with the report's
-    :class:`~repro.harness.engine.RunMetrics` without slack.
-    """
-    counts = {"iterations": 0, "executed": 0, "memo_hits": 0,
-              "compile_cache_hits": 0, "compile_cache_misses": 0,
-              "compile_s": 0.0, "run_s": 0.0}
-    for phase in phases:
-        if (phase is None or phase.harness_error is not None
-                or phase.static_error is not None):
-            continue
-        counts["iterations"] += len(phase.iterations)
-        counts["executed"] += phase.executed
-        counts["memo_hits"] += phase.memo_hit
-        counts["compile_s"] += phase.compile_s
-        counts["run_s"] += phase.run_s
-        if phase.cache_hit:
-            counts["compile_cache_hits"] += 1
-        else:
-            counts["compile_cache_misses"] += 1
-    return counts
 
 
 def unit_fields(index: int, unit: str, result: "TestResult", *,

@@ -24,6 +24,12 @@ Entry points: :func:`lint_source` / :func:`lint_template` for one unit,
 run).
 """
 
+from repro.ir.acc import (
+    ALLOWED_CLAUSES,
+    LEGAL_CLAUSES_10,
+    V20_CLAUSES,
+    V20_DIRECTIVES,
+)
 from repro.staticcheck.asyncgraph import check_program_async
 from repro.staticcheck.corpus import (
     SHIPPED_BASELINE,
@@ -54,11 +60,7 @@ from repro.staticcheck.diagnostics import (
     summarize,
 )
 from repro.staticcheck.legality import (
-    ALLOWED_CLAUSES,
-    LEGAL_CLAUSES_10,
     SINGLE_VALUED_CLAUSES,
-    V20_CLAUSES,
-    V20_DIRECTIVES,
     check_directive,
     check_program_legality,
     legal_clauses,

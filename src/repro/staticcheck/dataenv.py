@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.ir.acc import Directive
+from repro.ir.acc import COMPUTE_KINDS, Directive
 from repro.ir.astnodes import (
     AccConstruct,
     AccLoop,
@@ -66,7 +66,6 @@ from repro.ir.astnodes import (
     While,
 )
 from repro.staticcheck.diagnostics import Diagnostic, Severity, sort_diagnostics
-from repro.staticcheck.regions import COMPUTE_KINDS
 
 # ---------------------------------------------------------------------------
 # the flow-event stream (shared with repro.staticcheck.asyncgraph)

@@ -1,11 +1,12 @@
 """Pass 1: directive/clause legality and region scoping.
 
-This module owns the **clause x directive legality matrix** — the explicit
-encoding of which clauses OpenACC 1.0 permits on which directives (spec
-sections 2.4-2.11; the 2.0 additions of Section V-C are carried separately
-and merged in for 2.0-versioned templates).  The compiler pipeline imports
-the same matrix (:data:`ALLOWED_CLAUSES`), so the simulated compilers and
-the lint pass can never disagree about legality.
+This module applies the **clause x directive legality matrix** — the
+explicit encoding of which clauses OpenACC 1.0 permits on which directives
+(spec sections 2.4-2.11; the 2.0 additions of Section V-C are carried
+separately and merged in for 2.0-versioned templates).  The matrix lives
+in :mod:`repro.ir.acc`, beside the directive model, and the compiler
+pipeline reads the same tables (:data:`ALLOWED_CLAUSES`), so the simulated
+compilers and the lint pass can never disagree about legality.
 
 Emitted diagnostics (all errors):
 
@@ -28,62 +29,20 @@ Emitted diagnostics (all errors):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
-from repro.ir.acc import DATA_CLAUSES, Directive
+from repro.ir.acc import (
+    DATA_CLAUSES,
+    LEGAL_CLAUSES_10,
+    LEGAL_CLAUSES_20_ONLY,
+    V20_CLAUSES,
+    V20_DIRECTIVES,
+    Directive,
+)
 from repro.ir.astnodes import AccLoop, Program
 from repro.spec.versions import ACC_10, ACC_20, SpecVersion
 from repro.staticcheck.diagnostics import Diagnostic, sort_diagnostics
 from repro.staticcheck.regions import Region, walk_regions
-
-# ---------------------------------------------------------------------------
-# the legality matrix (OpenACC 1.0 sections 2.4-2.11)
-# ---------------------------------------------------------------------------
-
-_DATA_10 = frozenset({
-    "copy", "copyin", "copyout", "create", "present",
-    "present_or_copy", "present_or_copyin", "present_or_copyout",
-    "present_or_create", "deviceptr",
-})
-_LOOP_10 = frozenset({
-    "collapse", "gang", "worker", "vector", "seq", "independent",
-    "private", "reduction",
-})
-
-#: clause x directive legality, OpenACC 1.0 only
-LEGAL_CLAUSES_10: Dict[str, FrozenSet[str]] = {
-    "parallel": _DATA_10 | {"if", "async", "num_gangs", "num_workers",
-                            "vector_length", "reduction", "private",
-                            "firstprivate"},
-    "kernels": _DATA_10 | {"if", "async"},
-    "data": _DATA_10 | {"if"},
-    "host_data": frozenset({"use_device"}),
-    "loop": _LOOP_10,
-    "cache": frozenset({"cache"}),
-    "declare": _DATA_10 | {"device_resident"},
-    "update": frozenset({"host", "device", "if", "async"}),
-    "wait": frozenset({"wait"}),
-}
-LEGAL_CLAUSES_10["parallel loop"] = LEGAL_CLAUSES_10["parallel"] | _LOOP_10
-LEGAL_CLAUSES_10["kernels loop"] = LEGAL_CLAUSES_10["kernels"] | _LOOP_10
-
-#: directives / clauses introduced by OpenACC 2.0 (Section V-C)
-V20_DIRECTIVES = frozenset({"enter data", "exit data", "routine"})
-V20_CLAUSES = frozenset({"default", "auto", "delete"})
-
-_LEGAL_CLAUSES_20_ONLY: Dict[str, FrozenSet[str]] = {
-    "enter data": frozenset({"if", "async", "wait", "copyin", "create",
-                             "present_or_copyin", "present_or_create"}),
-    "exit data": frozenset({"if", "async", "wait", "copyout", "delete"}),
-    "routine": frozenset({"gang", "worker", "vector", "seq"}),
-}
-
-#: the merged (1.0 + 2.0) table the compiler pipeline consumes
-ALLOWED_CLAUSES: Dict[str, Set[str]] = {
-    kind: set(clauses) for kind, clauses in LEGAL_CLAUSES_10.items()
-}
-for _kind, _clauses in _LEGAL_CLAUSES_20_ONLY.items():
-    ALLOWED_CLAUSES[_kind] = set(_clauses)
 
 
 def legal_clauses(version: SpecVersion) -> Dict[str, FrozenSet[str]]:
@@ -91,7 +50,7 @@ def legal_clauses(version: SpecVersion) -> Dict[str, FrozenSet[str]]:
     if version < ACC_20:
         return dict(LEGAL_CLAUSES_10)
     table = dict(LEGAL_CLAUSES_10)
-    table.update(_LEGAL_CLAUSES_20_ONLY)
+    table.update(LEGAL_CLAUSES_20_ONLY)
     # 2.0 clause additions on 1.0 directives
     table["parallel"] = table["parallel"] | {"default"}
     table["loop"] = table["loop"] | {"auto"}

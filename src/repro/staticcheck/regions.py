@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
-from repro.ir.acc import Directive
+from repro.ir.acc import COMPUTE_KINDS, Directive
 from repro.ir.astnodes import (
     AccConstruct,
     AccLoop,
@@ -37,9 +37,6 @@ from repro.ir.astnodes import (
     Stmt,
     While,
 )
-
-#: directive kinds that open a compute region
-COMPUTE_KINDS = ("parallel", "kernels", "parallel loop", "kernels loop")
 
 
 @dataclass

@@ -8,7 +8,6 @@ for only one OpenACC feature".
 
 from __future__ import annotations
 
-import difflib
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.spec.features import OPENACC_ALL
@@ -17,6 +16,8 @@ from repro.templates import TestTemplate, parse_template
 
 def _did_you_mean(name: str, candidates: Iterable[str]) -> str:
     """`` — did you mean 'x'?`` suffix for error messages, or ''."""
+    import difflib
+
     matches = difflib.get_close_matches(name, list(candidates), n=1, cutoff=0.6)
     return f" — did you mean {matches[0]!r}?" if matches else ""
 

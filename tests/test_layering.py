@@ -5,7 +5,9 @@ phase's facts (``PhaseResult.cache_hit``, ``memo_hit``, ``executed``) and
 emits the trace's events from what ``repro.compiler`` returns.  So no
 module under ``src/repro/compiler/`` or ``src/repro/accsim/`` names
 ``tracer`` (a variable, parameter, attribute or keyword) or imports
-``repro.obs``.  Standard library only: ``ast`` over the source files.
+``repro.obs``.  Nor does one import ``repro.staticcheck``: the linter sits
+above the compiler too.  Standard library only: ``ast`` over the source
+files.
 """
 
 from __future__ import annotations
@@ -35,20 +37,31 @@ def _names(tree: ast.Module) -> Iterator[ast.AST]:
             yield node
 
 
-def _obs_imports(tree: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(alias.name == "repro.obs"
-                   or alias.name.startswith("repro.obs.")
-                   for alias in node.names):
-                yield node
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            module = node.module or ""
-            if module == "repro.obs" or module.startswith("repro.obs."):
-                yield node
-            elif module == "repro" and any(alias.name == "obs"
+def _imports_of(package: str):
+    """A finder of every import of ``package`` or one of its modules."""
+    top, _, leaf = package.rpartition(".")
+
+    def finder(tree: ast.Module) -> Iterator[ast.AST]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                if any(alias.name == package
+                       or alias.name.startswith(package + ".")
+                       for alias in node.names):
+                    yield node
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                module = node.module or ""
+                if module == package or module.startswith(package + "."):
+                    yield node
+                elif module == top and any(alias.name == leaf
                                            for alias in node.names):
-                yield node
+                    yield node
+    return finder
+
+
+_obs_imports = _imports_of("repro.obs")
+#: the compiler reads the clause tables from ``repro.ir.acc``, so a
+#: compile never loads the linter
+_staticcheck_imports = _imports_of("repro.staticcheck")
 
 
 def _offences(finder) -> List[str]:
@@ -73,6 +86,10 @@ def test_no_lower_module_imports_obs():
     assert _offences(_obs_imports) == []
 
 
+def test_no_lower_module_imports_staticcheck():
+    assert _offences(_staticcheck_imports) == []
+
+
 def test_finders_catch_what_they_look_for():
     tree = ast.parse(
         "import repro.obs.live\n"
@@ -81,4 +98,9 @@ def test_finders_catch_what_they_look_for():
         "def f(x, tracer=None):\n"
         "    self.tracer.event(tracer=tracer)\n")
     assert len(list(_obs_imports(tree))) == 3
+    assert len(list(_staticcheck_imports(ast.parse(
+        "import repro.staticcheck\n"
+        "from repro.staticcheck.legality import ALLOWED_CLAUSES\n"
+        "from repro import staticcheck\n"
+        "from repro.ir.acc import ALLOWED_CLAUSES\n")))) == 3
     assert len(list(_names(tree))) == 4

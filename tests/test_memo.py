@@ -327,9 +327,9 @@ def test_default_sizes_are_read_only_where_a_clause_is_absent():
     runner = compiled.runner()
     assert runner.run().value == 1
     read = dict(runner.trace.reads)
-    assert "worker_ignored" in read
     for name in ("default_num_gangs", "default_num_workers",
-                 "default_vector_length", "mapping_description"):
+                 "default_vector_length", "mapping_description",
+                 "worker_ignored"):
         assert name not in read
     # so a vendor mapping with other defaults shares the run
     assert runner.trace.answers_alike(CompilerBehavior(
@@ -343,6 +343,25 @@ def test_default_sizes_are_read_only_where_a_clause_is_absent():
     assert dict(runner.trace.reads)["default_num_gangs"] == 16
     assert not runner.trace.answers_alike(CompilerBehavior(
         default_num_gangs=64))
+
+
+def test_the_worker_count_is_read_only_where_a_worker_loop_runs():
+    loop = ("int main(){ int a[8]; int i;\n"
+            "#pragma acc parallel loop gang vector copyout(a)\n"
+            "for (i = 0; i < 8; i++) a[i] = i;\n return a[7] - 6; }")
+    pgi = vendor_version("pgi", "13.2").behavior("c")
+    assert pgi.worker_ignored
+    runner = Compiler(pgi).compile(loop, "c", "t.c").runner()
+    assert runner.run().value == 1
+    # PGI ignores worker, which only a worker loop can show: this run
+    # is the reference compiler's
+    assert runner.trace.answers_alike(CompilerBehavior())
+
+    worker = loop.replace("gang vector", "gang worker")
+    runner = Compiler(pgi).compile(worker, "c", "t.c").runner()
+    assert runner.run().value == 1
+    assert dict(runner.trace.reads)["worker_ignored"] is True
+    assert not runner.trace.answers_alike(CompilerBehavior())
 
 
 def _reads(code: str, behavior=None):
